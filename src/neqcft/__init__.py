@@ -7,10 +7,10 @@ virasoro  Virasoro generators from mode bilinears, central charge probes
 defect    Bogoliubov defect maps and their consistency checks
 ness      symbolic field dynamics, scattering map and steady-state averages
 su2k      current-algebra rotation of the u(1) stress tensor, level-k current
-lattice   free-fermion partitioning protocol and Landauer comparison
+lattice   free-fermion partitioning protocol, closed-form transmission, Landauer comparison
 cli       command line front end
 """
 
 __version__ = "0.1.0"
 
-from . import cache, defect, fock, lattice, ness, su2k, virasoro  # noqa: F401
+from . import defect, fock, lattice, ness, su2k, virasoro  # noqa: F401

@@ -184,10 +184,8 @@ def build_theta_fermion(spec, cutoff):
 
 def total_virasoro(space, n):
     """L_n acting on both factors of the product space (the diagonal action)."""
-    gen = virasoro.build_virasoro(FERMION, n, space.left).realization
-    return (fock.graded_tensor(gen, ANTI, space)
-            + fock.graded_tensor(virasoro.build_virasoro(FERMION, n, space.right).realization,
-                                 CHI, space))
+    return (fock.graded_tensor(virasoro.build_virasoro(FERMION, n, space.left), ANTI, space)
+            + fock.graded_tensor(virasoro.build_virasoro(FERMION, n, space.right), CHI, space))
 
 
 def vacuum_preservation_deviation(real):
@@ -401,10 +399,6 @@ class ReflectionSpec:
         for lbl, ph in self.zetas.items():
             if not isinstance(ph, Fraction) or not (0 <= ph < 1):
                 raise ValueError(f"phase for {lbl!r} must be a Fraction in [0, 1)")
-
-    def as_complex(self):
-        return {lbl: complex(math.cos(2 * math.pi * ph), math.sin(2 * math.pi * ph))
-                for lbl, ph in self.zetas.items()}
 
 
 def _phase_candidates(max_order):

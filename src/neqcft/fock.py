@@ -54,28 +54,6 @@ def _validate_mode_value(species, value):
 
 
 @dataclass(frozen=True)
-class ModeIndex:
-    """A single chiral mode: species, side/chirality labels and mode number."""
-
-    species: str
-    value: Fraction
-    side: str = "left"
-    chirality: str = "chiral"
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", _as_fraction(self.value))
-        _validate_mode_value(self.species, self.value)
-        if self.side not in ("left", "right"):
-            raise ValueError(f"bad side {self.side!r}")
-        if self.chirality not in ("chiral", "anti-chiral"):
-            raise ValueError(f"bad chirality {self.chirality!r}")
-
-    @property
-    def is_creation(self):
-        return self.value < 0
-
-
-@dataclass(frozen=True)
 class FockState:
     """Occupation configuration: creation mode values in canonical order."""
 
@@ -231,11 +209,10 @@ def apply_mode_to_config(species, value, occupied):
 
 @dataclass
 class StateVector:
-    """Sparse vector over a StateSpace basis; `truncated` flags dropped weight."""
+    """Sparse vector over a StateSpace basis."""
 
     space: object
     amplitudes: dict
-    truncated: bool = False
 
     @classmethod
     def vacuum(cls, space):
@@ -243,33 +220,6 @@ class StateVector:
 
     def is_zero(self):
         return not self.amplitudes
-
-    def __eq__(self, other):
-        return self.space is other.space and _clean(self.amplitudes) == _clean(other.amplitudes)
-
-
-def _clean(amps):
-    return {k: v for k, v in amps.items() if v != 0}
-
-
-def apply_mode(mode, vec):
-    """Act with b_s or a_n on a vector; components above the cutoff are dropped and flagged."""
-    space = vec.space
-    if mode.species != space.species:
-        raise ValueError(f"species mismatch: mode {mode.species}, space {space.species}")
-    out = {}
-    truncated = vec.truncated
-    for i, amp in vec.amplitudes.items():
-        res = apply_mode_to_config(space.species, mode.value, space.states[i].occupied)
-        if res is None:
-            continue
-        coeff, occ = res
-        j = space.index_of(occ)
-        if j is None:
-            truncated = True
-            continue
-        out[j] = out.get(j, 0) + coeff * amp
-    return StateVector(space, _clean(out), truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +277,7 @@ class GradedOperator:
                     out.pop(row, None)
                 else:
                     out[row] = acc
-        return StateVector(self.codomain, _clean(out), vec.truncated)
+        return StateVector(self.codomain, out)
 
     def __matmul__(self, other):
         if other.codomain.dimension != self.domain.dimension:
@@ -370,13 +320,6 @@ class GradedOperator:
 
     __rmul__ = __mul__
 
-    def transpose(self):
-        cols = {}
-        for j, c in self.columns.items():
-            for row, val in c.items():
-                cols.setdefault(row, {})[j] = val
-        return GradedOperator(self.codomain, self.domain, -self.level_shift, self.parity_shift, cols)
-
     def max_abs_entry(self, max_col_level=None):
         best = 0
         for j, c in self.columns.items():
@@ -387,10 +330,6 @@ class GradedOperator:
                 if a > best:
                     best = a
         return best
-
-    def restrict_columns(self, max_level):
-        cols = {j: dict(c) for j, c in self.columns.items() if self.domain.level(j) <= max_level}
-        return GradedOperator(self.domain, self.codomain, self.level_shift, self.parity_shift, cols)
 
     def check_grading(self):
         for j, c in self.columns.items():
@@ -418,11 +357,6 @@ def mode_operator(space, value):
         if row is not None:
             op.add_entry(row, j, coeff)
     return op
-
-
-def safe_max_deviation(a, b, max_col_level):
-    """Largest entry of a - b over columns in the safe subspace."""
-    return (a - b).max_abs_entry(max_col_level=max_col_level)
 
 
 # ---------------------------------------------------------------------------
@@ -563,42 +497,3 @@ def invert_graded(op):
             for ri, r in enumerate(idx):
                 inv.add_entry(r, c, b[ri][ci])
     return inv
-
-
-def level_block_determinants(op):
-    """Determinant of each level block of a grading-preserving operator."""
-    if op.level_shift != 0 or op.parity_shift != 0:
-        raise ValueError("determinants per level block need a grading-preserving operator")
-    space = op.domain
-    blocks = {}
-    for n in range(space.dimension):
-        blocks.setdefault(space.level(n), []).append(n)
-    dets = {}
-    for level, idx in sorted(blocks.items()):
-        k = len(idx)
-        a = [[op.entry(r, c) for c in idx] for r in idx]
-        det = 1
-        sign = 1
-        for col in range(k):
-            piv = None
-            best = 0
-            for r in range(col, k):
-                m = abs(a[r][col])
-                if m > best:
-                    best = m
-                    piv = r
-            if piv is None:
-                det = 0
-                break
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                sign = -sign
-            det *= a[col][col]
-            inv = a[col][col]
-            for r in range(col + 1, k):
-                f = a[r][col] / inv
-                if f == 0:
-                    continue
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        dets[level] = sign * det if det != 0 else 0
-    return dets

@@ -164,9 +164,6 @@ class FieldExpression:
         terms.sort(key=lambda t: tuple(str(f) for f in t[1]))
         return FieldExpression(tuple(terms))
 
-    def subs(self, mapping):
-        return FieldExpression(tuple((sp.expand(c.subs(mapping)), fs) for c, fs in self.terms))
-
     def __str__(self):
         if not self.terms:
             return "0"

@@ -13,7 +13,6 @@ probed independently via <0|[L_m, L_-m]|0>.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fock
@@ -22,17 +21,6 @@ from .fock import FERMION, BOSON, GradedOperator, enumerate_basis
 HALF = Fraction(1, 2)
 
 MODELS = (FERMION, BOSON)
-
-
-@dataclass(frozen=True)
-class VirasoroGenerator:
-    model: str
-    n: int
-    realization: GradedOperator
-
-    @property
-    def space(self):
-        return self.realization.domain
 
 
 def _fermion_terms(n, cutoff):
@@ -95,7 +83,7 @@ def build_virasoro(model, n, space):
             row = space.index_of(occ2)
             if row is not None:
                 op.add_entry(row, j, coeff * sign * c1 * c2)
-    return VirasoroGenerator(model, n, op)
+    return op
 
 
 def central_charge_probe(model, m, cutoff):
@@ -106,8 +94,8 @@ def central_charge_probe(model, m, cutoff):
     if cutoff < m:
         raise ValueError(f"cutoff {cutoff} < m = {m}: matrix elements missing")
     space = enumerate_basis(model, cutoff)
-    lp = build_virasoro(model, m, space).realization
-    lm = build_virasoro(model, -m, space).realization
+    lp = build_virasoro(model, m, space)
+    lm = build_virasoro(model, -m, space)
     vac = space.vacuum_index
     comm = lp @ lm - lm @ lp
     return Fraction(12) * comm.entry(vac, vac) / (m ** 3 - m)
@@ -117,12 +105,12 @@ def commutator_deviation(model, m, n, space, central=None):
     """Largest entry of [L_m, L_n] - (m-n) L_{m+n} - central term, on the safe subspace."""
     if central is None:
         central = central_charge_probe(model, 2, space.cutoff)
-    lm = build_virasoro(model, m, space).realization
-    ln = build_virasoro(model, n, space).realization
+    lm = build_virasoro(model, m, space)
+    ln = build_virasoro(model, n, space)
     comm = lm @ ln - ln @ lm
     expect = GradedOperator.zero(space, space, Fraction(-(m + n)), 0)
     if m != n:
-        expect = expect + (m - n) * build_virasoro(model, m + n, space).realization
+        expect = expect + (m - n) * build_virasoro(model, m + n, space)
     if m + n == 0:
         cterm = Fraction(central) * (m ** 3 - m) / 12
         expect = expect + cterm * GradedOperator.identity(space)
@@ -132,8 +120,8 @@ def commutator_deviation(model, m, n, space, central=None):
 
 def hermiticity_deviation(model, n, space):
     """Check L_n^dag = L_{-n} against the gram matrix of the basis."""
-    ln = build_virasoro(model, n, space).realization
-    lmn = build_virasoro(model, -n, space).realization
+    ln = build_virasoro(model, n, space)
+    lmn = build_virasoro(model, -n, space)
     gram = fock.gram_diagonal(space)
     dev = 0
     for j in range(space.dimension):
@@ -148,7 +136,7 @@ def hermiticity_deviation(model, n, space):
 
 def level_spectrum_deviation(model, space):
     """L_0 must be diagonal with eigenvalue equal to the state level."""
-    l0 = build_virasoro(model, 0, space).realization
+    l0 = build_virasoro(model, 0, space)
     dev = 0
     for j in range(space.dimension):
         for i in range(space.dimension):

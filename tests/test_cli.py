@@ -2,8 +2,11 @@
 
 import json
 import math
+import sys
 
-from neqcft import cli
+import pytest
+
+from neqcft import cli, lattice
 
 
 def run(capsys, *argv):
@@ -92,6 +95,18 @@ def test_su2k_current_subcommand(capsys):
     assert abs(report["J_E_numeric"] - math.pi / 32) < 1e-12
 
 
+@pytest.mark.parametrize("k", range(1, 13))
+def test_su2k_current_exact_temperatures(capsys, k):
+    # the verdict is an exact symbolic comparison: float temperatures would
+    # leave a rounding residue of order 1e-17 * pi at some k
+    code, out = run(capsys, "su2k-current", "--k", str(k), "--rr-bar", "1/2",
+                    "--Tl", "1", "--Tr", "0")
+    assert code == 0
+    report = json.loads(out)
+    assert report["J_E"] == report["closed_form"]
+    assert abs(report["J_E_numeric"] - math.pi / 24 * (k - 1) / k) < 1e-12
+
+
 def test_su2k_fermionize_subcommand(capsys):
     code, out = run(capsys, "su2k-fermionize", "--rr-bar", "3/4")
     assert code == 0
@@ -123,11 +138,21 @@ def test_out_file(capsys, tmp_path):
 
 def test_config_file_supplies_defaults(capsys, tmp_path):
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"tl": 2.0, "tr": 1.0}))
+    cfg.write_text(json.dumps({"tl": 3.0, "tr": 1.0}))
     code, out = run(capsys, "--config", str(cfg), "entropy", "--alpha", "0")
     assert code == 0
     report = json.loads(out)
-    assert abs(report["sigma_numeric"] - math.pi / 16) < 1e-12
+    # J = (pi/24)(9 - 1), sigma = J (1/T_r - 1/T_l); the defaults would give pi/16
+    assert abs(report["sigma_numeric"] - 2 * math.pi / 9) < 1e-12
+
+
+def test_config_does_not_reach_full_suite_steps(capsys, tmp_path):
+    # zero temperatures would make the entropy step a usage error
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"tl": 0.0, "tr": 0.0}))
+    code, out = run(capsys, "--config", str(cfg), "full-suite", "--quick")
+    assert code == 0
+    assert json.loads(out)["passed"]
 
 
 def test_flags_override_config(capsys, tmp_path):
@@ -163,20 +188,47 @@ def test_lattice_run_with_series(capsys, tmp_path):
     assert path.read_text().splitlines()[0] == "t,current"
 
 
+def test_lattice_run_runs_protocol_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    original = lattice.steady_current
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "steady_current", counting)
+    path = tmp_path / "series.csv"
+    code, out = run(capsys, "lattice-run", "--sites", "120", "--samples", "30",
+                    "--series-out", str(path))
+    assert code == 0
+    assert len(calls) == 1
+    assert json.loads(out)["series_csv"] == str(path)
+    assert len(path.read_text().splitlines()) == 31
+
+
+class _ClosedStdout:
+    """Stands in for a pipe whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv, verdict", [
+    (["reflection-phases"], 0),
+    (["intertwiner", "--cutoff", "3", "--cos-sin", "3/5,4/5", "--skew", "0.01"], 1),
+])
+def test_closed_stdout_keeps_verdict(capsys, monkeypatch, argv, verdict):
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert cli.main(argv) == verdict
+    assert capsys.readouterr().err == ""
+
+
 def test_full_suite_quick(capsys):
     code, out = run(capsys, "full-suite", "--quick")
     assert code == 0
     report = json.loads(out)
     assert report["passed"] and len(report["steps"]) == 13
 
-
-def test_cache_directory_env_var(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("NEQCFT_CACHE", str(tmp_path))
-    code, _ = run(capsys, "virasoro-check", "--model", "fermion", "--cutoff", "4")
-    assert code == 0
-    cached = list(tmp_path.glob("fermion_*_basis.json"))
-    assert len(cached) == 1
-    # second run loads the cached basis and still passes
-    code, out = run(capsys, "virasoro-check", "--model", "fermion", "--cutoff", "4")
-    assert code == 0
-    assert json.loads(out)["models"]["fermion"]["central_charge"] == "1/2"

@@ -157,7 +157,7 @@ def test_transmission_maps_stress_sidewise():
     real = build_theta_fermion(TRANSMISSION, 4)
     space = real.space
     from neqcft import virasoro
-    gen = virasoro.build_virasoro("fermion", -2, space.right).realization
+    gen = virasoro.build_virasoro("fermion", -2, space.right)
     for pos in ("left", "right"):
         state = fock.graded_tensor(gen, pos, space).apply(StateVector.vacuum(space))
         assert real.theta.apply(state) == state
@@ -170,7 +170,7 @@ def test_reflection_swaps_stress_chirality():
     real = build_theta_fermion(REFLECTION, 4)
     space = real.space
     from neqcft import virasoro
-    gen = virasoro.build_virasoro("fermion", -2, space.right).realization
+    gen = virasoro.build_virasoro("fermion", -2, space.right)
     incoming = fock.graded_tensor(gen, "right", space).apply(StateVector.vacuum(space))
     outgoing = fock.graded_tensor(gen, "left", space).apply(StateVector.vacuum(space))
     image = real.theta.apply(incoming)
@@ -205,8 +205,11 @@ def test_inverse_law():
 
 def test_invertible_on_every_level_block():
     real = build_theta_fermion(BogoliubovSpec(Fraction(20, 29), Fraction(21, 29)), 4)
-    dets = fock.level_block_determinants(real.theta)
-    assert all(d != 0 for d in dets.values())
+    # invert_graded raises on a singular level block, and its result is exact
+    inv = fock.invert_graded(real.theta)
+    ident = GradedOperator.identity(real.space)
+    assert (inv @ real.theta - ident).max_abs_entry() == 0
+    assert (real.theta @ inv - ident).max_abs_entry() == 0
 
 
 def test_ope_preservation_zero_for_rotations():

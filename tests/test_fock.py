@@ -4,10 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from neqcft import cache
-from neqcft.fock import (BOSON, FERMION, FockState, GradedOperator, ModeIndex,
-                         StateVector, apply_mode, enumerate_basis, graded_tensor,
-                         mode_operator, tensor_space)
+from neqcft.fock import (BOSON, FERMION, FockState, GradedOperator, StateVector,
+                         enumerate_basis, graded_tensor, mode_operator, tensor_space)
 
 HALF = Fraction(1, 2)
 
@@ -85,37 +83,56 @@ def test_state_invariants():
     assert FockState(BOSON, (-2, -1, -1)).parity == 0
 
 
+def _act(space, value, vec):
+    return mode_operator(space, value).apply(vec)
+
+
 def test_annihilator_kills_vacuum():
     space = enumerate_basis(FERMION, 2)
-    out = apply_mode(ModeIndex(FERMION, HALF), StateVector.vacuum(space))
-    assert out.is_zero()
+    assert _act(space, HALF, StateVector.vacuum(space)).is_zero()
+    assert mode_operator(space, HALF).columns.get(space.vacuum_index) is None
 
 
 def test_pauli_exclusion():
     space = enumerate_basis(FERMION, 2)
-    one = apply_mode(ModeIndex(FERMION, -HALF), StateVector.vacuum(space))
-    two = apply_mode(ModeIndex(FERMION, -HALF), one)
-    assert two.is_zero()
+    one = _act(space, -HALF, StateVector.vacuum(space))
+    assert one.amplitudes == {space.index_of((-HALF,)): 1}
+    assert _act(space, -HALF, one).is_zero()
+    create = mode_operator(space, -HALF)
+    assert (create @ create).columns == {}
 
 
 def test_anticommutator_on_single_state():
-    # b_{1/2} b_{-1/2} |0> = |0>
-    space = enumerate_basis(FERMION, 2)
-    vec = apply_mode(ModeIndex(FERMION, HALF),
-                     apply_mode(ModeIndex(FERMION, -HALF), StateVector.vacuum(space)))
-    assert vec == StateVector.vacuum(space)
+    # b_{1/2} b_{-1/2} |0> = |0>, and {b_{1/2}, b_{-1/2}} acts as 1 on b_{-3/2}|0>
+    space = enumerate_basis(FERMION, 3)
+    vac = StateVector.vacuum(space)
+    assert _act(space, HALF, _act(space, -HALF, vac)).amplitudes == {space.vacuum_index: 1}
+    lo, hi = mode_operator(space, HALF), mode_operator(space, -HALF)
+    anti = lo @ hi + hi @ lo
+    state = StateVector(space, {space.index_of((Fraction(-3, 2),)): Fraction(1)})
+    assert anti.apply(state).amplitudes == state.amplitudes
 
 
 def test_species_mismatch_raises():
-    space = enumerate_basis(FERMION, 2)
-    with pytest.raises(ValueError, match="species mismatch"):
-        apply_mode(ModeIndex(BOSON, 1), StateVector.vacuum(space))
+    fermions = enumerate_basis(FERMION, 3)
+    bosons = enumerate_basis(BOSON, 2)
+    with pytest.raises(ValueError, match="half-odd"):
+        mode_operator(fermions, 1)
+    with pytest.raises(ValueError, match="nonzero integer"):
+        mode_operator(bosons, HALF)
+    with pytest.raises(ValueError, match="domain"):
+        mode_operator(bosons, -1).apply(StateVector.vacuum(fermions))
 
 
 def test_truncation_is_flagged():
-    space = enumerate_basis(FERMION, 1)
-    out = apply_mode(ModeIndex(FERMION, Fraction(-3, 2)), StateVector.vacuum(space))
-    assert out.is_zero() and out.truncated
+    # b_{-3/2}|0> sits above cutoff 1, so the vacuum column of the operator
+    # is absent there; one level higher it is present
+    low = enumerate_basis(FERMION, 1)
+    assert mode_operator(low, Fraction(-3, 2)).columns == {}
+    assert _act(low, Fraction(-3, 2), StateVector.vacuum(low)).is_zero()
+    high = enumerate_basis(FERMION, 2)
+    out = _act(high, Fraction(-3, 2), StateVector.vacuum(high))
+    assert out.amplitudes == {high.index_of((Fraction(-3, 2),)): 1}
 
 
 def _values_upto(species, bound):
@@ -226,7 +243,7 @@ def test_insertion_signs_match_brute_force():
     for seq in seqs:
         vec = StateVector.vacuum(space)
         for v in reversed(seq):
-            vec = apply_mode(ModeIndex(FERMION, v), vec)
+            vec = _act(space, v, vec)
         # parity of the permutation sorting seq ascending
         perm = sorted(range(len(seq)), key=lambda i: seq[i])
         inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
@@ -235,29 +252,3 @@ def test_insertion_signs_match_brute_force():
         idx = space.index_of(tuple(sorted(seq)))
         assert vec.amplitudes == {idx: want_sign}, seq
 
-
-def test_cache_roundtrip(tmp_path):
-    space = enumerate_basis(BOSON, 3)
-    cache.save_space(tmp_path, space)
-    loaded = cache.load_space(tmp_path, BOSON, 3)
-    assert loaded.dimension == space.dimension
-    assert [s.occupied for s in loaded.states] == [s.occupied for s in space.states]
-
-    op = mode_operator(space, -2)
-    cache.save_operator(tmp_path, space, "a_minus2", op)
-    back = cache.load_operator(tmp_path, space, "a_minus2")
-    assert (back - op).max_abs_entry() == 0
-    assert back.level_shift == op.level_shift and back.parity_shift == op.parity_shift
-
-
-def test_cache_header_mismatch(tmp_path):
-    space = enumerate_basis(BOSON, 3)
-    path = cache.save_space(tmp_path, space)
-    text = open(path).read().replace('"dimension": %d' % space.dimension, '"dimension": 1')
-    open(path, "w").write(text)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        cache.load_space(tmp_path, BOSON, 3)
-
-
-def test_cache_miss_returns_none(tmp_path):
-    assert cache.load_space(tmp_path, FERMION, 5) is None

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neqcft import lattice
 from neqcft.lattice import (ChainSpec, CovarianceMatrix, PlateauError,
@@ -192,6 +194,47 @@ def test_hot_left_drives_positive_current():
 # ---------------------------------------------------------------------------
 # scattering and Landauer
 
+def transfer_matrix_transmission(defect, omega, coupling=1.0, n_sites=400):
+    """Independent oracle: wave matching through an explicit transfer-matrix product.
+
+    The bulk recursion phi_{m+1} = -i(w/t) phi_m + phi_{m-1} has unimodular
+    roots z^2 + i(w/t) z - 1 = 0, i.e. e^{ik} with eps(k) = -2 t sin k; the
+    root with negative real part is the right mover.  The product runs over
+    an auxiliary chain of n_sites Majorana sites with the defect at its
+    center; the bulk factors only contribute phases.  The matching loses
+    precision at the band edges, where the two roots merge, and overflows
+    for defects far below 1e-3.
+    """
+    if defect == 0.0:
+        return 0.0
+    b = 1j * omega / coupling
+    disc = np.sqrt(b * b + 4)
+    z1, z2 = (-b - disc) / 2, (-b + disc) / 2
+    if z1.real > z2.real:
+        z1, z2 = z2, z1
+    bonds = np.full(n_sites - 1, float(coupling))
+    bonds[n_sites // 2] *= defect
+    m_tot = np.eye(2, dtype=complex)
+    for m in range(1, n_sites - 1):
+        tm, tp = bonds[m], bonds[m - 1]
+        m_tot = np.array([[-1j * omega / tm, tp / tm], [1.0, 0.0]], dtype=complex) @ m_tot
+    w = np.array([[z1, z2], [1.0, 1.0]], dtype=complex)
+    w_inv = np.array([[1.0, -z2], [-1.0, z1]], dtype=complex) / (z1 - z2)
+    g = w_inv @ m_tot @ w
+    return float(abs(np.linalg.det(g) / g[1, 1]) ** 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=st.one_of(st.just(0.0), st.floats(1e-3, 2.0)),
+       coupling=st.floats(0.5, 2.0),
+       band_fraction=st.floats(1e-3, 1 - 1e-3))
+def test_closed_form_transmission_matches_transfer_matrix(lam, coupling, band_fraction):
+    omega = 2 * coupling * band_fraction
+    got = transmission(lam, omega, coupling)
+    assert 0.0 <= got <= 1.0
+    assert abs(got - transfer_matrix_transmission(lam, omega, coupling)) <= 1e-10
+
+
 def test_transmission_perfect_chain():
     for w in (0.2, 0.7, 1.4):
         assert abs(transmission(1.0, w) - 1.0) < 1e-10
@@ -209,12 +252,13 @@ def test_transmission_band_edges_rejected():
 
 
 def test_transmission_low_energy_limit_is_reproducible():
-    t400 = transmission(0.5, 1e-6, n_sites=400)
-    t800 = transmission(0.5, 1e-6, n_sites=800)
-    assert 0 < t400 < 1
-    assert abs(t400 - t800) < 1e-6
+    t0 = transmission_dc(0.5)
+    assert abs(t0 - 4 * 0.25 / 1.25 ** 2) < 1e-12  # 4 lam^2 / (1 + lam^2)^2
+    # the transfer-matrix oracle gives the same limit at any chain length
+    for n_sites in (400, 800):
+        assert abs(transfer_matrix_transmission(0.5, 1e-6, n_sites=n_sites) - t0) < 1e-9
     # the limit is approached smoothly
-    assert abs(transmission(0.5, 1e-4) - t400) < 1e-4
+    assert abs(transmission(0.5, 1e-4) - t0) < 1e-4
 
 
 def test_transmission_survives_extreme_defect_values():
@@ -330,6 +374,6 @@ def test_series_csv_and_summary(tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == "t,current"
     assert len(text) == 31
-    summary = lattice.transport_summary(spec, 0.2, 0.1, samples=30)
+    summary = lattice.transport_summary(spec, 0.2, 0.1, series)
     for key in ("plateau_mean", "landauer", "cft_prediction", "ratios"):
         assert key in summary

@@ -14,9 +14,9 @@ HALF = Fraction(1, 2)
 
 
 def _apply(gen, occupied):
-    space = gen.space
+    space = gen.domain
     vec = StateVector(space, {space.index_of(tuple(occupied)): Fraction(1)})
-    return gen.realization.apply(vec).amplitudes
+    return gen.apply(vec).amplitudes
 
 
 def test_l0_is_diagonal_with_level_eigenvalues():
@@ -35,7 +35,7 @@ def test_fermion_weight_one_half():
 def test_lowering_ladder_matches_factorial_rule():
     # (L_-1)^n applied to the weight-1/2 state gives n! times a single mode
     space = enumerate_basis(FERMION, Fraction(11, 2))
-    lm1 = build_virasoro(FERMION, -1, space).realization
+    lm1 = build_virasoro(FERMION, -1, space)
     vec = StateVector(space, {space.index_of((-HALF,)): Fraction(1)})
     fact = 1
     for n in range(1, 5):
@@ -130,9 +130,9 @@ def test_generator_grading_invariant():
         space = enumerate_basis(model, 4)
         for n in (-2, -1, 0, 1, 2):
             gen = build_virasoro(model, n, space)
-            assert gen.realization.level_shift == -n
-            assert gen.realization.parity_shift == 0
-            gen.realization.check_grading()
+            assert gen.level_shift == -n
+            assert gen.parity_shift == 0
+            gen.check_grading()
 
 
 def test_boson_gram_matrix():
