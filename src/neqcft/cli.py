@@ -1,10 +1,10 @@
 """Command line front end: one subcommand per check or computation.
 
 Exit codes: 0 all checks passed, 1 a verification failed (deviation above
-tolerance), 2 usage or configuration error.  Reports are JSON documents on
-stdout (or --out); --format csv emits key,value rows, and lattice-run
-emits the t,current series.  A JSON config file may supply defaults; flags
-override it.
+tolerance) or the numerics broke down, 2 usage or configuration error.
+Reports are JSON documents on stdout (or --out); --format csv emits
+key,value rows, and lattice-run emits the t,current series.  A JSON config
+file may supply defaults; flags override it.
 """
 
 from __future__ import annotations
@@ -252,7 +252,7 @@ def cmd_su2k_decompose(args):
 
 def cmd_su2k_current(args):
     p = _params_from_args(args)
-    w = ness.GibbsWeights(args.tl, args.tr) if args.tl is not None else ness.GibbsWeights()
+    w = ness.GibbsWeights(args.tl, args.tr)
     j = su2k.energy_current_k(p, w)
     ref = su2k.closed_form_current(p, w)
     ok = sp.simplify(j - ref) == 0
@@ -431,7 +431,8 @@ def build_parser():
     p = sub.add_parser("su2k-current", help="level-k energy current")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--rr-bar", dest="rr_bar", default=None)
-    _add_temps(p, kind=Fraction)  # exact, so the symbolic verdict sees no rounding residue
+    # exact, so the symbolic verdict sees no rounding residue
+    _add_temps(p, ness.T_LEFT, ness.T_RIGHT, kind=Fraction)
     p.set_defaults(fn=cmd_su2k_current)
 
     p = sub.add_parser("su2k-fermionize", help="k=2 fermionization cross-check")
@@ -492,9 +493,20 @@ def _emit(report, args):
         print(text)
 
 
-def _subcommand_parser(parser, command):
+def _apply_config(parser, args):
+    """Make the config file's values the defaults of the chosen subcommand.
+
+    Defaults set on the top-level parser never reach the subcommand options.
+    Argparse runs an option's ``type`` only on string defaults, so typed
+    values go in as strings and are parsed exactly as flags are.
+    """
     action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return action.choices[command]
+    sub = action.choices[args.command]
+    typed = {a.dest for a in sub._actions if a.type is not None}
+    with open(args.config) as fh:
+        config = dict(json.load(fh))
+    sub.set_defaults(**{k: str(v) if k in typed and v is not None else v
+                        for k, v in config.items()})
 
 
 def _silence_stdout():
@@ -517,23 +529,22 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            _apply_config(parser, args)
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
-    if args.config:
-        # defaults set on the top-level parser never reach the subcommand
-        # options, so the config goes to the chosen subparser
-        try:
-            with open(args.config) as fh:
-                _subcommand_parser(parser, args.command).set_defaults(**json.load(fh))
-        except (OSError, TypeError, ValueError) as exc:
-            print(f"bad config: {exc}", file=sys.stderr)
-            return USAGE
-        args = parser.parse_args(argv)
+    except (OSError, TypeError, ValueError) as exc:
+        print(f"bad config: {exc}", file=sys.stderr)
+        return USAGE
     try:
         report, passed = args.fn(args)
-    except (ValueError, OSError, RuntimeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except RuntimeError as exc:  # a numerical breakdown is a failed verification
+        print(f"error: {exc}", file=sys.stderr)
+        return FAIL
     try:
         _emit(report, args)
     except BrokenPipeError:

@@ -123,13 +123,24 @@ def scattering_space(cutoff):
     return fock.tensor_space(factor, factor, cutoff)
 
 
-def _creation_values(cutoff):
-    vals = []
-    v = Fraction(1, 2)
-    while v <= cutoff:
-        vals.append(-v)
-        v += 1
-    return vals
+def _mode_images(space, values, matrix):
+    """Factor modes embedded in the product space, and their images under ``matrix``.
+
+    Keys are (factor, value).  The image of c^A_v is
+    m[0][0] c^A_v + m[0][1] c^B_v and that of c^B_v is
+    m[1][0] c^A_v + m[1][1] c^B_v; without a matrix the images are None.
+    """
+    raw = {}
+    for v in values:
+        raw[("A", v)] = fock.graded_tensor(fock.mode_operator(space.left, v), ANTI, space)
+        raw[("B", v)] = fock.graded_tensor(fock.mode_operator(space.right, v), CHI, space)
+    if matrix is None:
+        return raw, None
+    images = {}
+    for (f, v) in raw:
+        row = matrix[0] if f == "A" else matrix[1]
+        images[(f, v)] = row[0] * raw[("A", v)] + row[1] * raw[("B", v)]
+    return raw, images
 
 
 def build_mode_automorphism(matrix, cutoff, source=None):
@@ -141,33 +152,15 @@ def build_mode_automorphism(matrix, cutoff, source=None):
     can also build the deliberately broken maps used as negative controls.
     """
     space = scattering_space(cutoff)
-    emb = {}
-    for v in _creation_values(space.cutoff):
-        emb[("A", v)] = fock.graded_tensor(fock.mode_operator(space.left, v), ANTI, space)
-        emb[("B", v)] = fock.graded_tensor(fock.mode_operator(space.right, v), CHI, space)
-    images = {}
-    for v in _creation_values(space.cutoff):
-        images[("A", v)] = [(matrix[0][0], ("A", v)), (matrix[0][1], ("B", v))]
-        images[("B", v)] = [(matrix[1][0], ("A", v)), (matrix[1][1], ("B", v))]
-
+    creation = [v for v in fock.mode_values(FERMION, space.cutoff) if v < 0]
+    _, images = _mode_images(space, creation, matrix)
     theta = GradedOperator.zero(space, space, Fraction(0), 0)
     for col, (i, j) in enumerate(space.pairs):
         ops = [("A", v) for v in space.left.states[i].occupied]
         ops += [("B", v) for v in space.right.states[j].occupied]
         vec = StateVector.vacuum(space)
         for key in reversed(ops):
-            acc = {}
-            for coeff, mkey in images[key]:
-                if coeff == 0:
-                    continue
-                part = emb[mkey].apply(vec)
-                for idx, amp in part.amplitudes.items():
-                    s = acc.get(idx, 0) + coeff * amp
-                    if s == 0:
-                        acc.pop(idx, None)
-                    else:
-                        acc[idx] = s
-            vec = StateVector(space, acc)
+            vec = images[key].apply(vec)
         for row, amp in vec.amplitudes.items():
             theta.add_entry(row, col, amp)
     return DefectRealization(space, theta, source, mode_map=matrix)
@@ -245,24 +238,8 @@ def check_ope_preservation(real, mode_bound=Fraction(3, 2)):
     the exact block inverse.
     """
     space = real.space
-    mode_bound = Fraction(mode_bound)
-    values = []
-    v = Fraction(1, 2)
-    while v <= mode_bound:
-        values.extend([v, -v])
-        v += 1
-    raw = {}
-    for f, pos in (("A", ANTI), ("B", CHI)):
-        factor = space.left if f == "A" else space.right
-        for val in values:
-            raw[(f, val)] = fock.graded_tensor(fock.mode_operator(factor, val), pos, space)
-    if real.mode_map is not None:
-        m = real.mode_map
-        images = {}
-        for (f, v) in raw:
-            row = m[0] if f == "A" else m[1]
-            images[(f, v)] = row[0] * raw[("A", v)] + row[1] * raw[("B", v)]
-    else:
+    raw, images = _mode_images(space, fock.mode_values(FERMION, mode_bound), real.mode_map)
+    if images is None:
         inv = fock.invert_graded(real.theta)
         images = {k: real.theta @ op @ inv for k, op in raw.items()}
     dev = 0
@@ -287,7 +264,7 @@ def check_ope_preservation(real, mode_bound=Fraction(3, 2)):
 
 def compose_defects(a, b):
     """Matrix product of two realizations on the same space."""
-    if a.space is not b.space and a.space.dimension != b.space.dimension:
+    if not fock.same_space(a.space, b.space):
         raise ValueError("realizations live on different spaces")
     src = None
     if isinstance(a.source, BogoliubovSpec) and isinstance(b.source, BogoliubovSpec):

@@ -28,6 +28,7 @@ hermiticity checks.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -115,13 +116,19 @@ class StateSpace:
         return f"StateSpace({self.species}, cutoff={self.cutoff}, dim={self.dimension})"
 
 
+def mode_values(species, bound):
+    """Mode values v of the species with |v| <= bound, in ascending order."""
+    bound = _as_fraction(bound)
+    if species == FERMION:
+        positive = [Fraction(2 * k + 1, 2) for k in range(math.floor(bound + HALF))]
+    else:
+        positive = [Fraction(k) for k in range(1, math.floor(bound) + 1)]
+    return [-v for v in reversed(positive)] + positive
+
+
 def _fermion_configs(cutoff):
     # parts are positive half-odd levels; subsets with distinct parts, sum <= cutoff
-    parts = []
-    v = HALF
-    while v <= cutoff:
-        parts.append(v)
-        v += 1
+    parts = [v for v in mode_values(FERMION, cutoff) if v > 0]
     configs = [()]
 
     def extend(prefix, budget, start):
@@ -200,13 +207,6 @@ def _apply_boson(value, occupied):
     return mult * value, occupied[:i] + occupied[i + 1:]
 
 
-def apply_mode_to_config(species, value, occupied):
-    """(coefficient, new configuration) or None if the action annihilates."""
-    if species == FERMION:
-        return _apply_fermion(value, occupied)
-    return _apply_boson(value, occupied)
-
-
 @dataclass
 class StateVector:
     """Sparse vector over a StateSpace basis."""
@@ -224,6 +224,11 @@ class StateVector:
 
 # ---------------------------------------------------------------------------
 # graded sparse operators
+
+def same_space(a, b):
+    """Spaces are the same when they are one object or equal in value."""
+    return a is b or a == b
+
 
 @dataclass
 class GradedOperator:
@@ -267,7 +272,7 @@ class GradedOperator:
         return self.columns.get(col, {}).get(row, 0)
 
     def apply(self, vec):
-        if vec.space is not self.domain and vec.space.dimension != self.domain.dimension:
+        if not same_space(vec.space, self.domain):
             raise ValueError("vector space does not match operator domain")
         out = {}
         for j, amp in vec.amplitudes.items():
@@ -280,8 +285,8 @@ class GradedOperator:
         return StateVector(self.codomain, out)
 
     def __matmul__(self, other):
-        if other.codomain.dimension != self.domain.dimension:
-            raise ValueError("operator shapes do not compose")
+        if not same_space(other.codomain, self.domain):
+            raise ValueError("operator spaces do not compose")
         cols = {}
         for j, mid in other.columns.items():
             acc = {}
@@ -299,6 +304,8 @@ class GradedOperator:
                               (self.parity_shift + other.parity_shift) % 2, cols)
 
     def __add__(self, other):
+        if not (same_space(self.domain, other.domain) and same_space(self.codomain, other.codomain)):
+            raise ValueError("cannot add operators on different spaces")
         if (self.level_shift, self.parity_shift) != (other.level_shift, other.parity_shift):
             raise ValueError("cannot add operators with different grading")
         cols = {j: dict(c) for j, c in self.columns.items()}
@@ -346,10 +353,10 @@ def mode_operator(space, value):
     """Matrix of b_s / a_n on a truncated space (entries outside the cutoff dropped)."""
     value = _as_fraction(value)
     _validate_mode_value(space.species, value)
-    parity = 1 if space.species == FERMION else 0
+    parity, act = (1, _apply_fermion) if space.species == FERMION else (0, _apply_boson)
     op = GradedOperator.zero(space, space, -value, parity)
     for j, st in enumerate(space.states):
-        res = apply_mode_to_config(space.species, value, st.occupied)
+        res = act(value, st.occupied)
         if res is None:
             continue
         coeff, occ = res

@@ -9,10 +9,18 @@ Normal ordering puts annihilation modes (positive index) to the right and
 drops the contraction, which is exactly the subtraction that makes
 L_0|0> = 0; the central term of the algebra then emerges on its own and is
 probed independently via <0|[L_m, L_-m]|0>.
+
+Each generator is a finite sum of products of truncated mode matrices, one
+per mode pair with |s| <= cutoff.  The annihilator acts first, so no
+intermediate state lies above the final one and the product of truncated
+matrices equals the truncated product exactly.  Generators are built once
+per (model, n, space) and shared, which is safe because built operators
+are never mutated.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from . import fock
@@ -21,33 +29,6 @@ from .fock import FERMION, BOSON, GradedOperator, enumerate_basis
 HALF = Fraction(1, 2)
 
 MODELS = (FERMION, BOSON)
-
-
-def _fermion_terms(n, cutoff):
-    # pairs (s1, s2) = (n-m+1/2, m-1/2) with the prefactor m/2; a finite
-    # window of m suffices on the truncated space
-    bound = 2 * cutoff + abs(n) + 2
-    m = -int(bound)
-    terms = []
-    while m <= bound:
-        if m != 0:
-            s1 = Fraction(n) - m + HALF
-            s2 = Fraction(m) - HALF
-            terms.append((Fraction(m, 2), s1, s2))
-        m += 1
-    return terms
-
-
-def _boson_terms(n, cutoff):
-    bound = int(2 * cutoff + abs(n) + 2)
-    terms = []
-    for m in range(-bound, bound + 1):
-        s1 = Fraction(n - m)
-        s2 = Fraction(m)
-        if s1 == 0 or s2 == 0:
-            continue
-        terms.append((HALF, s1, s2))
-    return terms
 
 
 def _normal_order(species, s1, s2):
@@ -59,30 +40,25 @@ def _normal_order(species, s1, s2):
     return s1, s2, 1
 
 
+@functools.cache
 def build_virasoro(model, n, space):
-    """Matrix of L_n on the truncated space."""
+    """Matrix of L_n on the truncated space, built once per (model, n, space)."""
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
     if space.species != model:
         raise ValueError("state space species does not match the model")
     if abs(n) > space.cutoff:
         raise ValueError(f"cutoff {space.cutoff} too small to represent L_{n}")
-    terms = _fermion_terms(n, space.cutoff) if model == FERMION else _boson_terms(n, space.cutoff)
+    values = fock.mode_values(model, space.cutoff)
     op = GradedOperator.zero(space, space, Fraction(-n), 0)
-    for j, st in enumerate(space.states):
-        for coeff, s1, s2 in terms:
-            left_mode, inner_first, sign = _normal_order(model, s1, s2)
-            res = fock.apply_mode_to_config(model, inner_first, st.occupied)
-            if res is None:
-                continue
-            c1, occ1 = res
-            res = fock.apply_mode_to_config(model, left_mode, occ1)
-            if res is None:
-                continue
-            c2, occ2 = res
-            row = space.index_of(occ2)
-            if row is not None:
-                op.add_entry(row, j, coeff * sign * c1 * c2)
+    for s2 in values:
+        s1 = n - s2
+        if s1 not in values:
+            continue  # a_0 is excluded; modes with |s| > cutoff vanish on the space
+        coeff = (s2 + HALF) / 2 if model == FERMION else HALF  # fermion: m/2 with s2 = m - 1/2
+        left_mode, inner_first, sign = _normal_order(model, s1, s2)
+        term = fock.mode_operator(space, left_mode) @ fock.mode_operator(space, inner_first)
+        op = op + coeff * sign * term
     return op
 
 

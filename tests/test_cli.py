@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from neqcft import cli, lattice
+from neqcft import cli, lattice, virasoro
 
 
 def run(capsys, *argv):
@@ -22,6 +22,14 @@ def test_virasoro_check_reports_exact_central_charges(capsys):
     assert report["models"]["fermion"]["central_charge"] == "1/2"
     assert report["models"]["boson"]["central_charge"] == "1"
     assert report["models"]["fermion"]["commutator_max_deviation"] == "0"
+
+
+def test_virasoro_check_builds_each_generator_once(tmp_path):
+    virasoro.build_virasoro.cache_clear()
+    code = cli.main(["--out", str(tmp_path / "report.json"), "virasoro-check", "--cutoff", "6"])
+    assert code == 0
+    # L_-3 .. L_3 for each of the two models
+    assert virasoro.build_virasoro.cache_info().misses == 14
 
 
 def test_current_at_full_transmission(capsys):
@@ -107,6 +115,13 @@ def test_su2k_current_exact_temperatures(capsys, k):
     assert abs(report["J_E_numeric"] - math.pi / 24 * (k - 1) / k) < 1e-12
 
 
+def test_su2k_current_with_one_temperature(capsys):
+    code, out = run(capsys, "su2k-current", "--k", "2", "--rr-bar", "1/2", "--Tl", "1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["J_E"] == report["closed_form"] == "pi*(1 - T_r**2)/48"
+
+
 def test_su2k_fermionize_subcommand(capsys):
     code, out = run(capsys, "su2k-fermionize", "--rr-bar", "3/4")
     assert code == 0
@@ -146,6 +161,15 @@ def test_config_file_supplies_defaults(capsys, tmp_path):
     assert abs(report["sigma_numeric"] - 2 * math.pi / 9) < 1e-12
 
 
+def test_config_values_take_the_option_type(capsys, tmp_path):
+    # float temperatures would leave the exact verdict a rounding residue
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"tl": 1.0, "tr": 0.0}))
+    code, out = run(capsys, "--config", str(cfg), "su2k-current", "--k", "2", "--rr-bar", "1/2")
+    assert code == 0
+    assert json.loads(out)["J_E"] == "pi/48"
+
+
 def test_config_does_not_reach_full_suite_steps(capsys, tmp_path):
     # zero temperatures would make the entropy step a usage error
     cfg = tmp_path / "config.json"
@@ -169,6 +193,13 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert cli.main(["--config", "/does/not/exist.json", "smatrix"]) == 2
     capsys.readouterr()
+
+
+def test_numerical_breakdown_is_a_failed_verification(capsys):
+    # six samples leave too few in the plateau window
+    code = cli.main(["lattice-run", "--sites", "120", "--samples", "6"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: plateau window")
 
 
 def test_bad_ring_path_is_usage_error(capsys):

@@ -203,6 +203,15 @@ def test_inverse_law():
     assert defect.max_matrix_deviation(compose_defects(inv, real), ident) == 0
 
 
+def test_compose_refuses_foreign_spaces():
+    fermions = fock.enumerate_basis("fermion", 2)
+    bosons = fock.enumerate_basis("boson", 2)
+    a = DefectRealization(fermions, GradedOperator.identity(fermions))
+    b = DefectRealization(bosons, GradedOperator.identity(bosons))
+    with pytest.raises(ValueError):
+        compose_defects(a, b)
+
+
 def test_invertible_on_every_level_block():
     real = build_theta_fermion(BogoliubovSpec(Fraction(20, 29), Fraction(21, 29)), 4)
     # invert_graded raises on a singular level block, and its result is exact

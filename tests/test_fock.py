@@ -124,6 +124,32 @@ def test_species_mismatch_raises():
         mode_operator(bosons, -1).apply(StateVector.vacuum(fermions))
 
 
+def test_operators_refuse_foreign_spaces():
+    # both spaces have dimension 4, which used to be enough to combine them
+    fermions = enumerate_basis(FERMION, 2)
+    bosons = enumerate_basis(BOSON, 2)
+    assert fermions.dimension == bosons.dimension
+    a = mode_operator(bosons, -1)
+    b = mode_operator(fermions, -HALF)
+    with pytest.raises(ValueError):
+        a.apply(StateVector.vacuum(fermions))
+    with pytest.raises(ValueError):
+        a @ b
+    with pytest.raises(ValueError, match="different spaces"):
+        a + GradedOperator.zero(fermions, fermions, a.level_shift, a.parity_shift)
+
+
+def test_operators_on_equal_spaces_compose():
+    first = enumerate_basis(FERMION, 3)
+    second = enumerate_basis(FERMION, 3)
+    assert first is not second and first == second
+    create = mode_operator(first, -HALF)
+    destroy = mode_operator(second, HALF)
+    anti = create @ destroy + destroy @ create
+    assert (anti - GradedOperator.identity(second)).max_abs_entry(max_col_level=Fraction(5, 2)) == 0
+    assert create.apply(StateVector.vacuum(second)).amplitudes == {first.index_of((-HALF,)): 1}
+
+
 def test_truncation_is_flagged():
     # b_{-3/2}|0> sits above cutoff 1, so the vacuum column of the operator
     # is absent there; one level higher it is present

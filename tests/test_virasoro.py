@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neqcft import fock
 from neqcft.fock import BOSON, FERMION, StateVector, enumerate_basis
@@ -76,10 +78,18 @@ def test_boson_current_primary_structure():
         space.index_of((-2,)): Fraction(1)}
 
 
-def test_commutator_law_beyond_default_range():
-    space = enumerate_basis(FERMION, 6)
-    assert commutator_deviation(FERMION, 3, -3, space) == 0
-    assert commutator_deviation(FERMION, 3, -1, space) == 0
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_commutator_law_beyond_default_range(data):
+    # half-integer cutoffs exercise the mode window of the fermion generators
+    model = data.draw(st.sampled_from((FERMION, BOSON)))
+    twice = data.draw(st.integers(6, 14).filter(lambda t: model == FERMION or t % 2 == 0))
+    cutoff = Fraction(twice, 2)
+    top = int(cutoff)
+    m = data.draw(st.integers(-top, top))
+    n = data.draw(st.integers(-top, top).filter(lambda k: k == m or abs(m + k) <= top))
+    space = enumerate_basis(model, cutoff)
+    assert commutator_deviation(model, m, n, space) == 0
 
 
 def test_central_charge_probe_values():
