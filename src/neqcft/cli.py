@@ -282,11 +282,15 @@ def cmd_lattice_run(args):
     spec = lattice.ChainSpec(sites=args.sites, coupling=args.coupling, defect=args.lam)
     series = lattice.steady_current(spec, args.tl, args.tr, samples=args.samples)
     summary = lattice.transport_summary(spec, args.tl, args.tr, series)
-    ratio = summary["ratios"]["plateau_over_landauer"]
-    ok = ratio is None or abs(ratio - 1) <= 0.03
+    if summary["landauer"]:
+        ok = abs(summary["ratios"]["plateau_over_landauer"] - 1) <= 0.03
+        diagnostic = "plateau current deviates from the Landauer integral by more than 3%"
+    else:  # equal temperatures or a cut chain: nothing may flow
+        ok = abs(summary["plateau_mean"]) <= 1e-10
+        diagnostic = "plateau current exceeds 1e-10 where the Landauer integral vanishes"
     summary["passed"] = bool(ok)
     if not ok:
-        summary["diagnostic"] = "plateau current deviates from the Landauer integral by more than 3%"
+        summary["diagnostic"] = diagnostic
     if args.series_out:
         series.to_csv(args.series_out)
         summary["series_csv"] = args.series_out

@@ -21,6 +21,14 @@ contraction against C.  Splitting the bond energy symmetrically makes the
 equilibrium current vanish identically rather than only after the
 transient.
 
+The protocol runs in real arithmetic.  iA is Hermitian tridiagonal with
+imaginary off-diagonals; the gauge D = diag(i^m) turns it into the real
+symmetric D* (iA) D = tridiag(0, -t), so one tridiagonal eigensolve gives
+real orthogonal modes of the defect chain.  The uniform Gibbs halves need
+no eigensolve at all: their modes are the sine waves of the open chain
+(the covariance method of Peschel, J. Phys. A 36 (2003) L205), summed by
+one FFT.  Memory is O(N^2), with the 2N x 2N mode matrix the largest array.
+
 Everything here is double precision; tolerances are stated per operation.
 The dispersion is eps(k) = -2 t sin k on Majorana sites, so the band is
 (0, 2t) for positive energies and the maximal group velocity is 2t.
@@ -106,39 +114,42 @@ def _as_matrix(c):
     return c.matrix if isinstance(c, CovarianceMatrix) else np.asarray(c)
 
 
+# Re and Im of i^d, indexed by d mod 4
+_RE_I_POW = np.array([1.0, 0.0, -1.0, 0.0])
+_IM_I_POW = np.array([0.0, 1.0, 0.0, -1.0])
+
+
 def gibbs_covariance(n_sites, temperature, coupling=1.0):
     """Covariance of the Gibbs state of a decoupled uniform chain.
 
-    Built from the single-particle modes with Fermi occupations: with
-    iA = U diag(eps) U*, the covariance is C = i U tanh(eps / 2T) U*.
+    With iA = U diag(eps) U*, the covariance is C = i U tanh(eps / 2T) U*.
+    In the gauge D = diag(i^m) the L = 2 n_sites Majorana chain has the
+    open-chain sine modes sqrt(2/(L+1)) sin(q_k (m+1)), q_k = pi k/(L+1),
+    with eps_k = -2t cos q_k.  Then C_mn = Re(i^(m-n+1)) G_mn with
+    G_mn = f(m-n) - f(m+n+2) and f(d) = sum_k tanh(eps_k / 2T) cos(q_k d) / (L+1),
+    all of f from one FFT of length 2(L+1).
     temperature = 0 gives the ground state (iC has eigenvalues +-1),
     numpy.inf the maximally mixed state (C = 0).
     """
     if temperature < 0:
         raise ValueError("temperature must be >= 0")
-    bonds = np.full(2 * n_sites - 1, coupling)
-    return _gibbs_from_quadratic(quadratic_form(bonds), temperature)
-
-
-def _gibbs_from_quadratic(a, temperature):
-    evals, u = np.linalg.eigh(1j * a)
+    size = 2 * n_sites
+    eps = -2.0 * coupling * np.cos(np.pi * np.arange(1, size + 1) / (size + 1))
+    occ = np.zeros(2 * (size + 1))
     if temperature == 0:
-        occ = np.sign(evals)
-    elif math.isinf(temperature):
-        occ = np.zeros_like(evals)
-    else:
-        occ = np.tanh(evals / (2.0 * temperature))
-    c = 1j * (u * occ) @ u.conj().T
-    c = c.real
-    return 0.5 * (c - c.T)
+        occ[1:size + 1] = np.sign(eps)
+    elif not math.isinf(temperature):
+        occ[1:size + 1] = np.tanh(eps / (2.0 * temperature))
+    f = np.fft.fft(occ).real / (size + 1)
+    m = np.arange(size)
+    diff = m[:, None] - m[None, :]
+    g = f[np.abs(diff)] - f[m[:, None] + m[None, :] + 2]
+    return _RE_I_POW[(diff + 1) % 4] * g
 
 
-def partitioned_covariance(spec, t_left, t_right):
-    """Product of left/right Gibbs states of the decoupled halves."""
-    half = spec.sites // 2
-    cl = gibbs_covariance(half, t_left, spec.coupling)
-    cr = gibbs_covariance(half, t_right, spec.coupling)
-    return scipy.linalg.block_diag(cl, cr)
+def _chain_modes(bonds):
+    """Eigenpairs of D* (iA) D = tridiag(0, -t): iA = (D v) diag(eps) (D v)*."""
+    return scipy.linalg.eigh_tridiagonal(np.zeros(len(bonds) + 1), -np.asarray(bonds))
 
 
 def evolve_covariance(c, a, t, orth_tol=1e-10):
@@ -226,8 +237,13 @@ def transmission(defect, omega, coupling=1.0):
 
 
 def transmission_dc(defect, coupling=1.0):
-    """Low-energy limit of the transmission (the lattice analog of cos^2 a)."""
-    return transmission(defect, 1e-6 * coupling, coupling)
+    """Low-energy limit of the transmission (the lattice analog of cos^2 a).
+
+    The omega -> 0 limit of transmission, 4 lam^2 / (1 + lam^2)^2; it does not
+    depend on the coupling.
+    """
+    lam2 = defect * defect
+    return float(4.0 * lam2 / (1.0 + lam2) ** 2)
 
 
 def fermi_occupation(omega, temperature):
@@ -271,6 +287,7 @@ class CurrentSeries:
     times: np.ndarray
     values: np.ndarray
     plateau: PlateauStats
+    orth_drift: float  # largest deviation of the propagator rows from orthonormality
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -283,10 +300,18 @@ def steady_current(spec, t_left, t_right, t_max=None, samples=60,
                    window=(0.25, 0.45), orth_tol=1e-10):
     """Run the partitioning protocol and extract the plateau current.
 
-    The evolution is done spectrally: only the four propagator rows around
-    the defect are needed for the current, which keeps large chains cheap.
-    The plateau window defaults to [0.25, 0.45] N / v_max, past the local
-    transient and safely before the boundary revival.
+    The evolution is done spectrally and in real arithmetic.  With the real
+    orthogonal modes v of D* (iA) D (see _chain_modes), the propagator is
+
+        exp(A t)[r, n] = Re(i^(r-n)) P[r, n] + Im(i^(r-n)) Q[r, n],
+        P = v cos(eps t) v^T,   Q = v sin(eps t) v^T,
+
+    and only the four rows around the defect are needed for the current.
+    They are contracted against the two Gibbs halves separately, so no
+    2N x 2N covariance is formed and memory stays O(N^2).  Each sample checks
+    that the rows stay orthonormal to orth_tol; the largest deviation is
+    kept as orth_drift.  The plateau window defaults to [0.25, 0.45] N / v_max,
+    past the local transient and safely before the boundary revival.
     """
     n = spec.sites
     w0, w1 = window
@@ -295,14 +320,16 @@ def steady_current(spec, t_left, t_right, t_max=None, samples=60,
     if not t_max < n / (2 * spec.v_max) + 1e-9:
         raise ValueError(f"t_max {t_max} reaches the boundary revival (limit {n / (2 * spec.v_max)})")
     bonds = spec.bonds()
-    a = quadratic_form(bonds)
-    c0 = partitioned_covariance(spec, t_left, t_right)
-    evals, u = np.linalg.eigh(1j * a)
+    c_left = gibbs_covariance(n // 2, t_left, spec.coupling)
+    c_right = gibbs_covariance(n // 2, t_right, spec.coupling)
+    evals, v = _chain_modes(bonds)
 
     jc = spec.defect_bond
-    rows = [jc - 1, jc, jc + 1, jc + 2]
-    u_rows = u[rows, :]
-    uc = u.conj().T
+    rows = np.array([jc - 1, jc, jc + 1, jc + 2])
+    v_rows = v[rows, :]
+    vt = v.T
+    gauge = (rows[:, None] - np.arange(spec.majoranas)[None, :]) % 4
+    re_gauge, im_gauge = _RE_I_POW[gauge], _IM_I_POW[gauge]
 
     t_def = bonds[jc]
     t_lm = bonds[jc - 1]
@@ -310,13 +337,18 @@ def steady_current(spec, t_left, t_right, t_max=None, samples=60,
 
     times = np.linspace(0.0, t_max, samples)
     values = np.empty(samples)
+    drift = 0.0
     for i, t in enumerate(times):
-        phase = np.exp(-1j * evals * t)
-        w_rows = np.real((u_rows * phase) @ uc)  # rows of exp(A t)
+        et = evals * t
+        w_rows = (re_gauge * ((v_rows * np.cos(et)) @ vt)
+                  + im_gauge * ((v_rows * np.sin(et)) @ vt))  # rows of exp(A t)
         gram = w_rows @ w_rows.T
-        if np.max(np.abs(gram - np.eye(len(rows)))) > orth_tol:
+        dev = float(np.max(np.abs(gram - np.eye(len(rows)))))
+        if dev > orth_tol:
             raise RuntimeError("propagator rows lost orthonormality")
-        block = w_rows @ c0 @ w_rows.T
+        drift = max(drift, dev)
+        w_left, w_right = w_rows[:, :n], w_rows[:, n:]
+        block = w_left @ c_left @ w_left.T + w_right @ c_right @ w_right.T
         # J = -(t_def/4) (t_{j-1} C[j-1,j+1] + t_{j+1} C[j,j+2])
         values[i] = -0.25 * t_def * (t_lm * block[0, 2] + t_rp * block[1, 3])
 
@@ -329,7 +361,7 @@ def steady_current(spec, t_left, t_right, t_max=None, samples=60,
     vals = values[mask]
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
-    return CurrentSeries(times, values, PlateauStats(float(lo), float(hi), mean, stderr))
+    return CurrentSeries(times, values, PlateauStats(float(lo), float(hi), mean, stderr), drift)
 
 
 def transport_summary(spec, t_left, t_right, series):
@@ -348,6 +380,7 @@ def transport_summary(spec, t_left, t_right, series):
         "landauer": landauer,
         "transmission_dc": tdc,
         "cft_prediction": cft,
+        "orth_drift": series.orth_drift,
         "ratios": {
             "plateau_over_landauer": plateau.mean / landauer if landauer else None,
             "landauer_over_cft": landauer / cft if cft else None,

@@ -145,11 +145,15 @@ def parafermion_central_charge(k):
     return 2 * (k - 1) / (k + 2)
 
 
+class DecompositionError(RuntimeError):
+    """The rotated stress tensor did not close onto T_u1 and T_Zk."""
+
+
 def decomposition_coefficients(params):
     """(coefficient of T_u1, coefficient of T_Zk) after the rotation."""
     bil = rotate_u1_stress(params)
     if not bil.is_closed():
-        raise AssertionError("rewrite did not close onto the stress tensors")
+        raise DecompositionError("rewrite did not close onto the stress tensors")
     return bil.coeffs["T_u1"], bil.coeffs["T_Zk"]
 
 

@@ -1,12 +1,13 @@
 """Command line front end: reports, formats, exit codes."""
 
+import dataclasses
 import json
 import math
 import sys
 
 import pytest
 
-from neqcft import cli, lattice, virasoro
+from neqcft import cli, lattice, su2k, virasoro
 
 
 def run(capsys, *argv):
@@ -122,6 +123,13 @@ def test_su2k_current_with_one_temperature(capsys):
     assert report["J_E"] == report["closed_form"] == "pi*(1 - T_r**2)/48"
 
 
+def test_su2k_decompose_breakdown_is_a_failed_verification(capsys, monkeypatch):
+    monkeypatch.setattr(su2k.CurrentBilinear, "is_closed", lambda self: False)
+    code = cli.main(["su2k-decompose"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: rewrite did not close")
+
+
 def test_su2k_fermionize_subcommand(capsys):
     code, out = run(capsys, "su2k-fermionize", "--rr-bar", "3/4")
     assert code == 0
@@ -216,6 +224,7 @@ def test_lattice_run_with_series(capsys, tmp_path):
     assert code == 0
     report = json.loads(out)
     assert abs(report["ratios"]["plateau_over_landauer"] - 1) < 0.03
+    assert 0.0 <= report["orth_drift"] <= 1e-10
     assert path.read_text().splitlines()[0] == "t,current"
 
 
@@ -235,6 +244,24 @@ def test_lattice_run_runs_protocol_once(capsys, tmp_path, monkeypatch):
     assert len(calls) == 1
     assert json.loads(out)["series_csv"] == str(path)
     assert len(path.read_text().splitlines()) == 31
+
+
+def test_equal_temperature_lattice_run_checks_the_plateau(capsys, monkeypatch):
+    argv = ("lattice-run", "--sites", "120", "--Tl", "0.1", "--Tr", "0.1", "--samples", "30")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["landauer"] == 0.0
+    original = lattice.steady_current
+
+    def leaking(*args, **kwargs):
+        series = original(*args, **kwargs)
+        return dataclasses.replace(series, plateau=dataclasses.replace(series.plateau, mean=1e-6))
+
+    monkeypatch.setattr(lattice, "steady_current", leaking)
+    code, out = run(capsys, *argv)
+    assert code == 1
+    report = json.loads(out)
+    assert report["passed"] is False and "1e-10" in report["diagnostic"]
 
 
 class _ClosedStdout:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,6 +50,30 @@ def exact_gibbs_covariance(n_sites, temperature, coupling=1.0):
         for j in range(m):
             c[i, j] = (0.5j * np.trace(rho @ (g[i] @ g[j] - g[j] @ g[i]))).real
     return c
+
+
+def dense_gibbs_covariance(n_sites, temperature, coupling=1.0):
+    """Independent oracle: C = i U occ U* from a dense complex eigensolve of iA."""
+    a = quadratic_form(np.full(2 * n_sites - 1, coupling))
+    evals, u = np.linalg.eigh(1j * a)
+    if temperature == 0:
+        occ = np.sign(evals)
+    elif math.isinf(temperature):
+        occ = np.zeros_like(evals)
+    else:
+        occ = np.tanh(evals / (2.0 * temperature))
+    c = (1j * (u * occ) @ u.conj().T).real
+    return 0.5 * (c - c.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_sites=st.integers(2, 60),
+       temperature=st.one_of(st.just(0.0), st.just(math.inf), st.floats(0.01, 5.0)),
+       coupling=st.floats(0.5, 2.0))
+def test_closed_form_gibbs_matches_dense_eigensolve(n_sites, temperature, coupling):
+    got = gibbs_covariance(n_sites, temperature, coupling)
+    ref = dense_gibbs_covariance(n_sites, temperature, coupling)
+    assert np.max(np.abs(got - ref)) <= 1e-12
 
 
 def test_gibbs_covariance_matches_exact_density_matrix():
@@ -180,6 +205,35 @@ def test_equilibrium_current_vanishes():
     assert abs(series.plateau.mean) < 1e-10
 
 
+def dense_current_series(spec, t_left, t_right, times):
+    """Independent oracle: defect current from dense expm(A t) rows and the dense halves."""
+    bonds = spec.bonds()
+    a = quadratic_form(bonds)
+    half = spec.sites // 2
+    c0 = scipy.linalg.block_diag(dense_gibbs_covariance(half, t_left, spec.coupling),
+                                 dense_gibbs_covariance(half, t_right, spec.coupling))
+    j = spec.defect_bond
+    out = []
+    for t in times:
+        r = scipy.linalg.expm(a * t)[j - 1:j + 3]
+        block = r @ c0 @ r.T
+        out.append(-0.25 * bonds[j] * (bonds[j - 1] * block[0, 2] + bonds[j + 1] * block[1, 3]))
+    return np.array(out)
+
+
+@settings(max_examples=15, deadline=None)
+@given(half_sites=st.integers(20, 60),
+       lam=st.one_of(st.just(0.0), st.floats(1e-9, 1.0)),
+       t_left=st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+       t_right=st.one_of(st.just(0.0), st.floats(0.01, 1.0)))
+def test_steady_current_matches_dense_propagator(half_sites, lam, t_left, t_right):
+    spec = ChainSpec(sites=2 * half_sites, defect=lam)
+    series = steady_current(spec, t_left, t_right, samples=10)
+    ref = dense_current_series(spec, t_left, t_right, series.times)
+    assert np.max(np.abs(series.values - ref)) <= 1e-14
+    assert 0.0 <= series.orth_drift <= 1e-10
+
+
 def test_cut_chain_carries_nothing():
     spec = ChainSpec(sites=120, defect=0.0)
     series = steady_current(spec, 0.3, 0.1, samples=30)
@@ -259,6 +313,14 @@ def test_transmission_low_energy_limit_is_reproducible():
         assert abs(transfer_matrix_transmission(0.5, 1e-6, n_sites=n_sites) - t0) < 1e-9
     # the limit is approached smoothly
     assert abs(transmission(0.5, 1e-4) - t0) < 1e-4
+
+
+def test_transmission_dc_closed_form_at_the_ends():
+    assert transmission_dc(0.0) == 0.0
+    assert transmission_dc(1.0) == 1.0
+    assert transmission_dc(0.5) == 0.64
+    for lam in (0.0, 1.0):
+        assert abs(transmission(lam, 1e-6) - transmission_dc(lam)) < 1e-12
 
 
 def test_transmission_survives_extreme_defect_values():
