@@ -24,6 +24,16 @@ from . import defect, lattice, ness, su2k, virasoro
 PASS, FAIL, USAGE = 0, 1, 2
 
 
+def _finite_float(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_cos_sin(text):
     try:
         c, s = text.split(",")
@@ -233,8 +243,7 @@ def cmd_continuity(args):
 
 def _params_from_args(args):
     if args.rr_bar is not None:
-        rr = Fraction(args.rr_bar)
-        return su2k.RotationParams.from_rr_bar(args.k, rr)
+        return su2k.RotationParams.from_rr_bar(args.k, args.rr_bar)
     return su2k.RotationParams.symbolic(args.k)
 
 
@@ -266,8 +275,7 @@ def cmd_su2k_current(args):
 
 
 def cmd_su2k_fermionize(args):
-    rr = Fraction(args.rr_bar) if args.rr_bar is not None else Fraction(1, 2)
-    p = su2k.RotationParams.from_rr_bar(2, rr)
+    p = su2k.RotationParams.from_rr_bar(2, args.rr_bar)
     report = su2k.fermionize_k2(p, matrix_cutoff=Fraction(5, 2) if args.matrix_check else None)
     ok = report["agree"]
     if args.matrix_check:
@@ -361,12 +369,12 @@ def cmd_full_suite(args):
 # ---------------------------------------------------------------------------
 
 def _add_theta_args(p):
-    p.add_argument("--alpha", type=float, default=None, help="rotation angle in radians")
+    p.add_argument("--alpha", type=_finite_float, default=None, help="rotation angle in radians")
     p.add_argument("--cos-sin", dest="cos_sin", type=_parse_cos_sin, default=None,
                    help="exact rational point on the circle, e.g. 3/5,4/5")
 
 
-def _add_temps(p, default_tl=None, default_tr=None, kind=float):
+def _add_temps(p, default_tl=None, default_tr=None, kind=_finite_float):
     p.add_argument("--Tl", dest="tl", type=kind, default=default_tl)
     p.add_argument("--Tr", dest="tr", type=kind, default=default_tr)
 
@@ -387,19 +395,19 @@ def build_parser():
     p = sub.add_parser("intertwiner", help="Virasoro intertwining of the defect map")
     p.add_argument("--cutoff", type=Fraction, default=Fraction(5))
     p.add_argument("--n-range", type=int, default=2)
-    p.add_argument("--skew", type=float, default=0.0, help="negative control perturbation")
+    p.add_argument("--skew", type=_finite_float, default=0.0, help="negative control perturbation")
     _add_theta_args(p)
     p.set_defaults(fn=cmd_intertwiner)
 
     p = sub.add_parser("momentum-continuity", help="stress continuity on the vacuum")
     p.add_argument("--cutoff", type=Fraction, default=Fraction(4))
-    p.add_argument("--skew", type=float, default=0.0)
+    p.add_argument("--skew", type=_finite_float, default=0.0)
     _add_theta_args(p)
     p.set_defaults(fn=cmd_momentum_continuity)
 
     p = sub.add_parser("ope-preservation", help="anticommutator preservation under conjugation")
     p.add_argument("--cutoff", type=Fraction, default=Fraction(4))
-    p.add_argument("--skew", type=float, default=0.0)
+    p.add_argument("--skew", type=_finite_float, default=0.0)
     _add_theta_args(p)
     p.set_defaults(fn=cmd_ope_preservation)
 
@@ -429,42 +437,42 @@ def build_parser():
 
     p = sub.add_parser("su2k-decompose", help="rotation coefficients of the u(1) stress tensor")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--rr-bar", dest="rr_bar", default=None)
+    p.add_argument("--rr-bar", dest="rr_bar", type=Fraction, default=None)
     p.set_defaults(fn=cmd_su2k_decompose)
 
     p = sub.add_parser("su2k-current", help="level-k energy current")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--rr-bar", dest="rr_bar", default=None)
+    p.add_argument("--rr-bar", dest="rr_bar", type=Fraction, default=None)
     # exact, so the symbolic verdict sees no rounding residue
     _add_temps(p, ness.T_LEFT, ness.T_RIGHT, kind=Fraction)
     p.set_defaults(fn=cmd_su2k_current)
 
     p = sub.add_parser("su2k-fermionize", help="k=2 fermionization cross-check")
-    p.add_argument("--rr-bar", dest="rr_bar", default="1/2")
+    p.add_argument("--rr-bar", dest="rr_bar", type=Fraction, default=Fraction(1, 2))
     p.add_argument("--matrix-check", action="store_true")
     p.set_defaults(fn=cmd_su2k_fermionize)
 
     p = sub.add_parser("lattice-run", help="partitioning protocol on the defect chain")
     p.add_argument("--sites", type=int, default=400)
-    p.add_argument("--coupling", type=float, default=1.0)
-    p.add_argument("--lam", type=float, default=1.0)
+    p.add_argument("--coupling", type=_finite_float, default=1.0)
+    p.add_argument("--lam", type=_finite_float, default=1.0)
     p.add_argument("--samples", type=int, default=60)
     p.add_argument("--series-out", default=None, help="write the t,current series as CSV")
     _add_temps(p, 0.1, 0.05)
     p.set_defaults(fn=cmd_lattice_run)
 
     p = sub.add_parser("lattice-transmission", help="transmission through the defect bond")
-    p.add_argument("--lam", type=float, default=0.5)
-    p.add_argument("--coupling", type=float, default=1.0)
-    p.add_argument("--omega-min", type=float, default=1e-3)
-    p.add_argument("--omega-max", type=float, default=1.9)
+    p.add_argument("--lam", type=_finite_float, default=0.5)
+    p.add_argument("--coupling", type=_finite_float, default=1.0)
+    p.add_argument("--omega-min", type=_finite_float, default=1e-3)
+    p.add_argument("--omega-max", type=_finite_float, default=1.9)
     p.add_argument("--omega-points", type=int, default=20)
     p.set_defaults(fn=cmd_lattice_transmission)
 
     p = sub.add_parser("landauer", help="Landauer integral against the low-T closed form")
-    p.add_argument("--lam", type=float, default=None)
-    p.add_argument("--t0", type=float, default=1.0, help="constant transmission when --lam is absent")
-    p.add_argument("--coupling", type=float, default=1.0)
+    p.add_argument("--lam", type=_finite_float, default=None)
+    p.add_argument("--t0", type=_finite_float, default=1.0, help="constant transmission when --lam is absent")
+    p.add_argument("--coupling", type=_finite_float, default=1.0)
     _add_temps(p, 0.1, 0.0)
     p.set_defaults(fn=cmd_landauer)
 
@@ -502,15 +510,16 @@ def _apply_config(parser, args):
 
     Defaults set on the top-level parser never reach the subcommand options.
     Argparse runs an option's ``type`` only on string defaults, so typed
-    values go in as strings and are parsed exactly as flags are.
+    values go in as strings and are parsed exactly as flags are.  A null
+    value leaves the option's own default in place.
     """
     action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     sub = action.choices[args.command]
     typed = {a.dest for a in sub._actions if a.type is not None}
     with open(args.config) as fh:
         config = dict(json.load(fh))
-    sub.set_defaults(**{k: str(v) if k in typed and v is not None else v
-                        for k, v in config.items()})
+    sub.set_defaults(**{k: str(v) if k in typed else v
+                        for k, v in config.items() if v is not None})
 
 
 def _silence_stdout():

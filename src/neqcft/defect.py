@@ -58,6 +58,8 @@ class BogoliubovSpec:
             if self.cos_a ** 2 + self.sin_a ** 2 != 1:
                 raise ValueError("cos^2 + sin^2 must equal 1 exactly")
         else:
+            if not (math.isfinite(c) and math.isfinite(s)):
+                raise ValueError("cos and sin must be finite")
             if abs(float(c) ** 2 + float(s) ** 2 - 1.0) > FLOAT_TOL:
                 raise ValueError("cos^2 + sin^2 deviates from 1 beyond tolerance")
 

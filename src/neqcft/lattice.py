@@ -17,19 +17,23 @@ reads off the energy current at the defect once the front has passed.  The
 current operator is derived from the discrete continuity equation: with
 E_j the energy to the left of bond j plus half the bond energy,
 dE_j/dt = i[H, E_j] is again quadratic and its expectation is a matrix
-contraction against C.  Splitting the bond energy symmetrically makes the
-equilibrium current vanish identically rather than only after the
-transient.
+contraction against C (current_form).  Splitting the bond energy
+symmetrically makes the equilibrium current vanish identically rather than
+only after the transient.  At the defect the contraction needs only two
+covariance entries, which steady_current evaluates from four rows of the
+propagator.
 
 The protocol runs in real arithmetic.  iA is Hermitian tridiagonal with
 imaginary off-diagonals; the gauge D = diag(i^m) turns it into the real
 symmetric D* (iA) D = tridiag(0, -t), so one tridiagonal eigensolve gives
-real orthogonal modes of the defect chain.  The uniform Gibbs halves need
+real orthogonal modes of the defect chain, from which propagator_rows
+builds any rows of exp(A t).  The uniform Gibbs halves need
 no eigensolve at all: their modes are the sine waves of the open chain
 (the covariance method of Peschel, J. Phys. A 36 (2003) L205), summed by
 one FFT.  Memory is O(N^2), with the 2N x 2N mode matrix the largest array.
 
-Everything here is double precision; tolerances are stated per operation.
+Everything here is double precision; tolerances are module constants or
+stated per operation.
 The dispersion is eps(k) = -2 t sin k on Majorana sites, so the band is
 (0, 2t) for positive energies and the maximal group velocity is 2t.
 """
@@ -93,27 +97,6 @@ def quadratic_form(bonds):
     return a
 
 
-@dataclass
-class CovarianceMatrix:
-    """Majorana two-point matrix with its defining invariants checkable."""
-
-    matrix: np.ndarray
-
-    def validate(self, tol=1e-9):
-        c = self.matrix
-        asym = np.max(np.abs(c + c.T))
-        if asym > tol * max(1.0, np.max(np.abs(c))):
-            raise ValueError(f"covariance not antisymmetric ({asym:.2e})")
-        ev = np.linalg.eigvalsh(1j * c)
-        if ev.min() < -1 - 1e-8 or ev.max() > 1 + 1e-8:
-            raise ValueError("spectrum of iC leaves [-1, 1]")
-        return True
-
-
-def _as_matrix(c):
-    return c.matrix if isinstance(c, CovarianceMatrix) else np.asarray(c)
-
-
 # Re and Im of i^d, indexed by d mod 4
 _RE_I_POW = np.array([1.0, 0.0, -1.0, 0.0])
 _IM_I_POW = np.array([0.0, 1.0, 0.0, -1.0])
@@ -139,7 +122,10 @@ def gibbs_covariance(n_sites, temperature, coupling=1.0):
     if temperature == 0:
         occ[1:size + 1] = np.sign(eps)
     elif not math.isinf(temperature):
-        occ[1:size + 1] = np.tanh(eps / (2.0 * temperature))
+        # a subnormal temperature overflows eps / 2T to +-inf, and tanh(+-inf) = +-1
+        # is the exact limit
+        with np.errstate(over="ignore"):
+            occ[1:size + 1] = np.tanh(eps / (2.0 * temperature))
     f = np.fft.fft(occ).real / (size + 1)
     m = np.arange(size)
     diff = m[:, None] - m[None, :]
@@ -152,22 +138,21 @@ def _chain_modes(bonds):
     return scipy.linalg.eigh_tridiagonal(np.zeros(len(bonds) + 1), -np.asarray(bonds))
 
 
-def evolve_covariance(c, a, t, orth_tol=1e-10):
-    """C(t) = R C R^T with the one-particle propagator R = exp(A t)."""
-    mat = _as_matrix(c)
-    r = scipy.linalg.expm(a * t)
-    drift = np.max(np.abs(r @ r.T - np.eye(len(r))))
-    if drift > orth_tol:
-        raise RuntimeError(f"propagator lost orthogonality ({drift:.2e})")
-    out = r @ mat @ r.T
-    if isinstance(c, CovarianceMatrix):
-        return CovarianceMatrix(out)
-    return out
+def propagator_rows(evals, v, rows, t):
+    """The given rows of the one-particle propagator exp(A t), in real arithmetic.
 
+    With the real orthogonal modes v and energies evals of D* (iA) D (see
+    _chain_modes),
 
-def energy_expectation(a, c):
-    """<H> for H = (i/4) gamma^T A gamma in the Gaussian state C."""
-    return 0.25 * float(np.sum(a * _as_matrix(c)))
+        exp(A t)[r, n] = Re(i^(r-n)) P[r, n] + Im(i^(r-n)) Q[r, n],
+        P = v cos(eps t) v^T,   Q = v sin(eps t) v^T.
+    """
+    rows = np.asarray(rows)
+    gauge = (rows[:, None] - np.arange(len(evals))[None, :]) % 4
+    et = evals * t
+    v_rows = v[rows, :]
+    return (_RE_I_POW[gauge] * ((v_rows * np.cos(et)) @ v.T)
+            + _IM_I_POW[gauge] * ((v_rows * np.sin(et)) @ v.T))
 
 
 def _left_energy_form(bonds, j):
@@ -191,28 +176,6 @@ def current_form(bonds, j):
     a = quadratic_form(bonds)
     b = _left_energy_form(bonds, j)
     return b @ a - a @ b
-
-
-def bond_current(c, bonds, j):
-    """Energy current through interior bond j, positive from left to right."""
-    k = current_form(bonds, j)
-    return -0.25 * float(np.sum(k * _as_matrix(c)))
-
-
-def bond_current_profile(c, bonds):
-    """Current at every interior bond, from the closed form of the contraction.
-
-    For the symmetric energy split the current at bond j contracts the two
-    second-diagonal covariance entries adjacent to the bond.
-    """
-    mat = _as_matrix(c)
-    t = np.asarray(bonds, dtype=float)
-    off2 = np.diagonal(mat, offset=2)
-    nb = len(t)
-    out = np.full(nb, np.nan)
-    for j in range(1, nb - 1):
-        out[j] = -0.25 * t[j] * (t[j - 1] * off2[j - 1] + t[j + 1] * off2[j])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +235,13 @@ def landauer_current(transmission_fn, t_left, t_right, coupling=1.0, rel_tol=1e-
 # ---------------------------------------------------------------------------
 # partitioning protocol
 
+# plateau window in units of N / v_max: past the local transient and safely
+# before the boundary revival at N / (2 v_max)
+PLATEAU_WINDOW = (0.25, 0.45)
+# largest deviation of the propagator rows from orthonormality
+ORTH_TOL = 1e-10
+
+
 @dataclass
 class PlateauStats:
     start: float
@@ -296,29 +266,20 @@ class CurrentSeries:
                 fh.write(f"{t:.10g},{v:.12e}\n")
 
 
-def steady_current(spec, t_left, t_right, t_max=None, samples=60,
-                   window=(0.25, 0.45), orth_tol=1e-10):
+def steady_current(spec, t_left, t_right, samples=60):
     """Run the partitioning protocol and extract the plateau current.
 
-    The evolution is done spectrally and in real arithmetic.  With the real
-    orthogonal modes v of D* (iA) D (see _chain_modes), the propagator is
-
-        exp(A t)[r, n] = Re(i^(r-n)) P[r, n] + Im(i^(r-n)) Q[r, n],
-        P = v cos(eps t) v^T,   Q = v sin(eps t) v^T,
-
-    and only the four rows around the defect are needed for the current.
-    They are contracted against the two Gibbs halves separately, so no
-    2N x 2N covariance is formed and memory stays O(N^2).  Each sample checks
-    that the rows stay orthonormal to orth_tol; the largest deviation is
-    kept as orth_drift.  The plateau window defaults to [0.25, 0.45] N / v_max,
-    past the local transient and safely before the boundary revival.
+    The evolution is done spectrally and in real arithmetic: only the four
+    rows of exp(A t) around the defect are needed for the current (see
+    propagator_rows).  They are contracted against the two Gibbs halves
+    separately, so no 2N x 2N covariance is formed and memory stays O(N^2).
+    Each sample checks that the rows stay orthonormal to ORTH_TOL; the
+    largest deviation is kept as orth_drift.  The samples run from t = 0 to
+    the end of PLATEAU_WINDOW, and the plateau is their mean inside it.
     """
     n = spec.sites
-    w0, w1 = window
-    if t_max is None:
-        t_max = w1 * n / spec.v_max
-    if not t_max < n / (2 * spec.v_max) + 1e-9:
-        raise ValueError(f"t_max {t_max} reaches the boundary revival (limit {n / (2 * spec.v_max)})")
+    w0, w1 = PLATEAU_WINDOW
+    lo, hi = w0 * n / spec.v_max, w1 * n / spec.v_max
     bonds = spec.bonds()
     c_left = gibbs_covariance(n // 2, t_left, spec.coupling)
     c_right = gibbs_covariance(n // 2, t_right, spec.coupling)
@@ -326,25 +287,18 @@ def steady_current(spec, t_left, t_right, t_max=None, samples=60,
 
     jc = spec.defect_bond
     rows = np.array([jc - 1, jc, jc + 1, jc + 2])
-    v_rows = v[rows, :]
-    vt = v.T
-    gauge = (rows[:, None] - np.arange(spec.majoranas)[None, :]) % 4
-    re_gauge, im_gauge = _RE_I_POW[gauge], _IM_I_POW[gauge]
-
     t_def = bonds[jc]
     t_lm = bonds[jc - 1]
     t_rp = bonds[jc + 1]
 
-    times = np.linspace(0.0, t_max, samples)
+    times = np.linspace(0.0, hi, samples)
     values = np.empty(samples)
     drift = 0.0
     for i, t in enumerate(times):
-        et = evals * t
-        w_rows = (re_gauge * ((v_rows * np.cos(et)) @ vt)
-                  + im_gauge * ((v_rows * np.sin(et)) @ vt))  # rows of exp(A t)
+        w_rows = propagator_rows(evals, v, rows, t)
         gram = w_rows @ w_rows.T
         dev = float(np.max(np.abs(gram - np.eye(len(rows)))))
-        if dev > orth_tol:
+        if dev > ORTH_TOL:
             raise RuntimeError("propagator rows lost orthonormality")
         drift = max(drift, dev)
         w_left, w_right = w_rows[:, :n], w_rows[:, n:]
@@ -352,12 +306,11 @@ def steady_current(spec, t_left, t_right, t_max=None, samples=60,
         # J = -(t_def/4) (t_{j-1} C[j-1,j+1] + t_{j+1} C[j,j+2])
         values[i] = -0.25 * t_def * (t_lm * block[0, 2] + t_rp * block[1, 3])
 
-    lo, hi = w0 * n / spec.v_max, w1 * n / spec.v_max
     mask = (times >= lo) & (times <= hi)
     if mask.sum() < 4:
         raise PlateauError(
             f"plateau window [{lo:.1f}, {hi:.1f}] holds {int(mask.sum())} samples; "
-            "increase samples or t_max")
+            "increase samples")
     vals = values[mask]
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))

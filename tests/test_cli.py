@@ -178,6 +178,17 @@ def test_config_values_take_the_option_type(capsys, tmp_path):
     assert json.loads(out)["J_E"] == "pi/48"
 
 
+def test_config_rr_bar_is_exact_and_null_keeps_the_default(capsys, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"rr_bar": 0.1}))
+    code, out = run(capsys, "--config", str(cfg), "su2k-decompose", "--k", "2")
+    assert code == 0
+    assert json.loads(out)["rr_bar"] == "1/10"
+    cfg.write_text(json.dumps({"rr_bar": None}))
+    code, out = run(capsys, "--config", str(cfg), "su2k-fermionize")
+    assert (code, out) == run(capsys, "su2k-fermionize")
+
+
 def test_config_does_not_reach_full_suite_steps(capsys, tmp_path):
     # zero temperatures would make the entropy step a usage error
     cfg = tmp_path / "config.json"
@@ -201,6 +212,22 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert cli.main(["--config", "/does/not/exist.json", "smatrix"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["current", "--alpha", "nan"],
+    ["entropy", "--Tl", "nan"],
+    ["lattice-run", "--Tl", "nan"],
+    ["landauer", "--Tl", "nan"],
+    ["landauer", "--t0", "inf"],
+    ["lattice-transmission", "--lam", "nan"],
+    ["intertwiner", "--skew=-inf"],
+])
+def test_non_finite_float_flags_are_usage_errors(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a finite number" in captured.err
 
 
 def test_numerical_breakdown_is_a_failed_verification(capsys):

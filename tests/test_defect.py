@@ -50,6 +50,13 @@ def test_spec_validation():
     assert m[0][0] * m[0][1] + m[1][0] * m[1][1] == 0
 
 
+@pytest.mark.parametrize("cos_sin", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0)])
+def test_spec_rejects_non_finite_floats(cos_sin):
+    # abs(nan) > tol is False, so the tolerance check alone lets NaN through
+    with pytest.raises(ValueError, match="finite"):
+        BogoliubovSpec(*cos_sin)
+
+
 def test_transmission_relabels_sides():
     # at cos=1 the map is the identity matrix: the incoming right fermion is
     # read out as the outgoing left one with no mixing

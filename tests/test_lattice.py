@@ -1,6 +1,7 @@
 """Lattice oracle: Gibbs states, evolution invariants, scattering, transport."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neqcft import lattice
-from neqcft.lattice import (ChainSpec, CovarianceMatrix, PlateauError,
-                            bond_current, bond_current_profile, current_form,
-                            evolve_covariance, energy_expectation,
-                            gibbs_covariance, landauer_current, quadratic_form,
-                            steady_current, transmission, transmission_dc)
+from neqcft.lattice import (ChainSpec, PlateauError, current_form,
+                            gibbs_covariance, landauer_current,
+                            propagator_rows, quadratic_form, steady_current,
+                            transmission, transmission_dc)
 
 
 # ---------------------------------------------------------------------------
@@ -94,17 +94,20 @@ def test_infinite_temperature_covariance_vanishes():
 
 
 def test_covariance_validation():
-    CovarianceMatrix(gibbs_covariance(6, 0.3)).validate()
-    with pytest.raises(ValueError):
-        CovarianceMatrix(np.eye(4)).validate()
+    # a Gaussian-state covariance is real antisymmetric with iC in [-1, 1]
+    for temp in (0.0, 0.3, 2.0, math.inf):
+        c = gibbs_covariance(6, temp)
+        assert np.max(np.abs(c + c.T)) == 0.0, temp
+        ev = np.linalg.eigvalsh(1j * c)
+        assert ev.min() >= -1 - 1e-12 and ev.max() <= 1 + 1e-12, temp
 
 
-def test_evolve_preserves_wrapper_type():
-    _, a, c0 = _small_protocol()
-    wrapped = CovarianceMatrix(c0)
-    out = evolve_covariance(wrapped, a, 4.0)
-    assert isinstance(out, CovarianceMatrix)
-    out.validate()
+@pytest.mark.parametrize("temp", [1e-310, 5e-324])
+def test_subnormal_temperature_is_the_ground_state(temp):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = gibbs_covariance(20, temp)
+    assert np.array_equal(got, gibbs_covariance(20, 0.0))
 
 
 def test_negative_temperature_rejected():
@@ -113,7 +116,7 @@ def test_negative_temperature_rejected():
 
 
 # ---------------------------------------------------------------------------
-# evolution invariants
+# evolution invariants, with every row of the engine's propagator
 
 def _small_protocol(n_sites=60, lam=0.8, tl=0.3, tr=0.1):
     bonds = np.full(2 * n_sites - 1, 1.0)
@@ -126,48 +129,70 @@ def _small_protocol(n_sites=60, lam=0.8, tl=0.3, tr=0.1):
     return bonds, a, c0
 
 
+def evolve(bonds, c0, t):
+    """C(t) = R C0 R^T with R = exp(A t) assembled from all rows of propagator_rows."""
+    evals, v = lattice._chain_modes(bonds)
+    r = propagator_rows(evals, v, np.arange(len(bonds) + 1), t)
+    return r @ c0 @ r.T
+
+
+def energy(a, c):
+    """<H> for H = (i/4) gamma^T A gamma in the Gaussian state C."""
+    return 0.25 * float(np.sum(a * c))
+
+
 def test_zero_time_evolution_is_identity():
-    _, a, c0 = _small_protocol()
-    assert np.max(np.abs(evolve_covariance(c0, a, 0.0) - c0)) < 1e-12
+    bonds, _, c0 = _small_protocol()
+    assert np.max(np.abs(evolve(bonds, c0, 0.0) - c0)) < 1e-12
 
 
 def test_energy_conservation_along_evolution():
-    _, a, c0 = _small_protocol()
-    e0 = energy_expectation(a, c0)
+    bonds, a, c0 = _small_protocol()
+    e0 = energy(a, c0)
     for t in (3.0, 7.0, 12.0):
-        ct = evolve_covariance(c0, a, t)
-        assert abs(energy_expectation(a, ct) - e0) <= 1e-10 * max(1.0, abs(e0)), t
+        ct = evolve(bonds, c0, t)
+        assert abs(energy(a, ct) - e0) <= 1e-10 * max(1.0, abs(e0)), t
 
 
 def test_antisymmetry_and_spectrum_preserved():
-    _, a, c0 = _small_protocol()
+    bonds, _, c0 = _small_protocol()
     s0 = np.sort(np.linalg.eigvalsh(1j * c0))
-    ct = evolve_covariance(c0, a, 9.0)
+    ct = evolve(bonds, c0, 9.0)
     assert np.max(np.abs(ct + ct.T)) < 1e-10
     st = np.sort(np.linalg.eigvalsh(1j * ct))
     assert np.max(np.abs(st - s0)) < 1e-10
 
 
-def test_nonorthogonal_propagator_is_detected():
-    _, a, c0 = _small_protocol()
-    bad = a.copy()
-    bad[0, 0] = 0.05  # not antisymmetric, exp is not orthogonal
-    with pytest.raises(RuntimeError, match="orthogonality"):
-        evolve_covariance(c0, bad, 5.0)
+def test_nonorthogonal_propagator_is_detected(monkeypatch):
+    chain_modes = lattice._chain_modes
+
+    def scaled_modes(bonds):
+        evals, v = chain_modes(bonds)
+        return evals, 1.001 * v  # rows of exp(A t) no longer orthonormal
+
+    monkeypatch.setattr(lattice, "_chain_modes", scaled_modes)
+    with pytest.raises(RuntimeError, match="orthonormality"):
+        steady_current(ChainSpec(sites=60, defect=0.8), 0.3, 0.1, samples=10)
 
 
 def test_front_spreads_at_the_group_velocity():
     # sharp temperature step, homogeneous chain: the disturbed region grows
     # at the maximal group velocity v = 2t of eps(k) = -2 t sin k
-    bonds, a, c0 = _small_protocol(n_sites=120, lam=1.0, tl=0.5, tr=0.05)
+    bonds, _, c0 = _small_protocol(n_sites=120, lam=1.0, tl=0.5, tr=0.05)
     center = 119
+    interior = range(1, len(bonds) - 1)
+    forms = {}
+    for j in interior:
+        k = current_form(bonds, j)
+        nz = np.nonzero(k)
+        forms[j] = (nz, k[nz])
     fronts = []
     times = (12.0, 20.0, 28.0)
     for t in times:
-        ct = evolve_covariance(c0, a, t)
-        prof = np.abs(bond_current_profile(ct, bonds))
+        ct = evolve(bonds, c0, t)
+        prof = {j: abs(0.25 * np.sum(vals * ct[nz])) for j, (nz, vals) in forms.items()}
         threshold = 1e-4 * prof[center]
-        active = [j for j in range(1, len(bonds) - 1) if prof[j] > threshold]
+        active = [j for j in interior if prof[j] > threshold]
         fronts.append(max(abs(j - center) for j in active))
     v_fit = np.polyfit(times, fronts, 1)[0]
     assert abs(v_fit - 2.0) < 0.3, v_fit
@@ -175,15 +200,6 @@ def test_front_spreads_at_the_group_velocity():
 
 # ---------------------------------------------------------------------------
 # bond current
-
-def test_bond_current_closed_form_matches_commutator_route():
-    bonds, a, c0 = _small_protocol()
-    ct = evolve_covariance(c0, a, 10.0)
-    jc = len(bonds) // 2
-    direct = bond_current(ct, bonds, jc)
-    profile = bond_current_profile(ct, bonds)
-    assert abs(direct - profile[jc]) < 1e-12
-
 
 def test_current_form_is_local():
     bonds = np.full(19, 1.0)
@@ -206,18 +222,18 @@ def test_equilibrium_current_vanishes():
 
 
 def dense_current_series(spec, t_left, t_right, times):
-    """Independent oracle: defect current from dense expm(A t) rows and the dense halves."""
+    """Independent oracle: -(1/4) sum K.C(t) with the continuity-equation form K,
+    the full C(t) = R C0 R^T from dense expm(A t) and the dense Gibbs halves."""
     bonds = spec.bonds()
     a = quadratic_form(bonds)
+    k = current_form(bonds, spec.defect_bond)
     half = spec.sites // 2
     c0 = scipy.linalg.block_diag(dense_gibbs_covariance(half, t_left, spec.coupling),
                                  dense_gibbs_covariance(half, t_right, spec.coupling))
-    j = spec.defect_bond
     out = []
     for t in times:
-        r = scipy.linalg.expm(a * t)[j - 1:j + 3]
-        block = r @ c0 @ r.T
-        out.append(-0.25 * bonds[j] * (bonds[j - 1] * block[0, 2] + bonds[j + 1] * block[1, 3]))
+        r = scipy.linalg.expm(a * t)
+        out.append(-0.25 * np.sum(k * (r @ c0 @ r.T)))
     return np.array(out)
 
 
@@ -408,15 +424,10 @@ def test_low_temperature_scaling_exponent():
 
 
 def test_plateau_error_when_window_empty():
+    # six samples over [0, 0.45 N / v_max] leave three in the window
     spec = ChainSpec(sites=120)
-    with pytest.raises(PlateauError):
-        steady_current(spec, 0.2, 0.1, t_max=5.0, samples=6)
-
-
-def test_t_max_guard_against_revivals():
-    spec = ChainSpec(sites=120)
-    with pytest.raises(ValueError, match="revival"):
-        steady_current(spec, 0.2, 0.1, t_max=100.0)
+    with pytest.raises(PlateauError, match="holds 3 samples"):
+        steady_current(spec, 0.2, 0.1, samples=6)
 
 
 def test_chain_spec_validation():
