@@ -34,6 +34,28 @@ def _finite_float(text):
     return value
 
 
+def _exact_fraction(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"expected an exact fraction, got {text!r}") from exc
+
+
+def _count(minimum):
+    """Argparse type for an integer count of at least ``minimum``."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = minimum - 1
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _parse_cos_sin(text):
     try:
         c, s = text.split(",")
@@ -191,12 +213,12 @@ def cmd_reflection_phases(args):
 def cmd_smatrix(args):
     theta = _theta_from_args(args)
     f = ness.FieldExpression.from_field(ness.fermion("r", ness.X))
-    t = ness.FieldExpression.from_field(ness.stress("r", ness.X))
+    t = ness.apply_smatrix(ness.FieldExpression.from_field(ness.stress("r", ness.X)), theta)
     report = {
         "S[psi_r(x)]": str(ness.apply_smatrix(f, theta)),
-        "S[T_r(x)]": str(ness.apply_smatrix(t, theta)),
+        "S[T_r(x)]": str(t),
     }
-    coeffs = ness.stress_coefficients(ness.apply_smatrix(t, theta))
+    coeffs = ness.stress_coefficients(t)
     total = sp.simplify(sum(coeffs.values()))
     report["stress_weight_sum"] = str(total)
     ok = sp.simplify(total - 1) == 0
@@ -242,9 +264,10 @@ def cmd_continuity(args):
 
 
 def _params_from_args(args):
+    k = su2k.K_PARAM if args.k is None else args.k
     if args.rr_bar is not None:
-        return su2k.RotationParams.from_rr_bar(args.k, args.rr_bar)
-    return su2k.RotationParams.symbolic(args.k)
+        return su2k.RotationParams.from_rr_bar(k, args.rr_bar)
+    return su2k.RotationParams.symbolic(k)
 
 
 def cmd_su2k_decompose(args):
@@ -323,7 +346,7 @@ def cmd_landauer(args):
         t0 = args.t0
         fn = lambda w: t0
     j = lattice.landauer_current(fn, args.tl, args.tr, args.coupling)
-    cft = math.pi * t0 / 24 * (args.tl ** 2 - args.tr ** 2)
+    cft = lattice.low_temperature_current(t0, args.tl, args.tr)
     ok = cft == 0 or abs(j / cft - 1) <= 0.05
     report = {"J": j, "transmission_dc": t0, "low_T_form": cft, "passed": bool(ok)}
     if not ok:
@@ -388,25 +411,25 @@ def build_parser():
 
     p = sub.add_parser("virasoro-check", help="central charges and commutator law")
     p.add_argument("--model", choices=("fermion", "boson", "both"), default="both")
-    p.add_argument("--cutoff", type=Fraction, default=Fraction(6))
-    p.add_argument("--commutator-range", type=int, default=2)
+    p.add_argument("--cutoff", type=_exact_fraction, default=Fraction(6))
+    p.add_argument("--commutator-range", type=_count(0), default=2)
     p.set_defaults(fn=cmd_virasoro_check)
 
     p = sub.add_parser("intertwiner", help="Virasoro intertwining of the defect map")
-    p.add_argument("--cutoff", type=Fraction, default=Fraction(5))
-    p.add_argument("--n-range", type=int, default=2)
+    p.add_argument("--cutoff", type=_exact_fraction, default=Fraction(5))
+    p.add_argument("--n-range", type=_count(0), default=2)
     p.add_argument("--skew", type=_finite_float, default=0.0, help="negative control perturbation")
     _add_theta_args(p)
     p.set_defaults(fn=cmd_intertwiner)
 
     p = sub.add_parser("momentum-continuity", help="stress continuity on the vacuum")
-    p.add_argument("--cutoff", type=Fraction, default=Fraction(4))
+    p.add_argument("--cutoff", type=_exact_fraction, default=Fraction(4))
     p.add_argument("--skew", type=_finite_float, default=0.0)
     _add_theta_args(p)
     p.set_defaults(fn=cmd_momentum_continuity)
 
     p = sub.add_parser("ope-preservation", help="anticommutator preservation under conjugation")
-    p.add_argument("--cutoff", type=Fraction, default=Fraction(4))
+    p.add_argument("--cutoff", type=_exact_fraction, default=Fraction(4))
     p.add_argument("--skew", type=_finite_float, default=0.0)
     _add_theta_args(p)
     p.set_defaults(fn=cmd_ope_preservation)
@@ -437,18 +460,18 @@ def build_parser():
 
     p = sub.add_parser("su2k-decompose", help="rotation coefficients of the u(1) stress tensor")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--rr-bar", dest="rr_bar", type=Fraction, default=None)
+    p.add_argument("--rr-bar", dest="rr_bar", type=_exact_fraction, default=None)
     p.set_defaults(fn=cmd_su2k_decompose)
 
     p = sub.add_parser("su2k-current", help="level-k energy current")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--rr-bar", dest="rr_bar", type=Fraction, default=None)
+    p.add_argument("--rr-bar", dest="rr_bar", type=_exact_fraction, default=None)
     # exact, so the symbolic verdict sees no rounding residue
-    _add_temps(p, ness.T_LEFT, ness.T_RIGHT, kind=Fraction)
+    _add_temps(p, ness.T_LEFT, ness.T_RIGHT, kind=_exact_fraction)
     p.set_defaults(fn=cmd_su2k_current)
 
     p = sub.add_parser("su2k-fermionize", help="k=2 fermionization cross-check")
-    p.add_argument("--rr-bar", dest="rr_bar", type=Fraction, default=Fraction(1, 2))
+    p.add_argument("--rr-bar", dest="rr_bar", type=_exact_fraction, default=Fraction(1, 2))
     p.add_argument("--matrix-check", action="store_true")
     p.set_defaults(fn=cmd_su2k_fermionize)
 
@@ -466,7 +489,7 @@ def build_parser():
     p.add_argument("--coupling", type=_finite_float, default=1.0)
     p.add_argument("--omega-min", type=_finite_float, default=1e-3)
     p.add_argument("--omega-max", type=_finite_float, default=1.9)
-    p.add_argument("--omega-points", type=int, default=20)
+    p.add_argument("--omega-points", type=_count(1), default=20)
     p.set_defaults(fn=cmd_lattice_transmission)
 
     p = sub.add_parser("landauer", help="Landauer integral against the low-T closed form")

@@ -195,19 +195,18 @@ def vacuum_preservation_deviation(real):
     return dev
 
 
-def check_intertwining(real, n, cutoff=None):
+def check_intertwining(real, n):
     """Largest entry of Theta (Lbar^l_n + L^r_n) - (L^l_n + Lbar^r_n) Theta on the safe subspace.
 
     Both sides are the diagonal Virasoro action on the concrete product
     space, so the condition is the vanishing commutator [Theta, L^tot_n].
+    The safe subspace is the columns at level <= cutoff - |n| of the
+    realization, where L_n does not leave the truncated space.
     """
     space = real.space
-    cutoff = space.cutoff if cutoff is None else Fraction(cutoff)
-    if cutoff > space.cutoff:
-        raise ValueError(f"cutoff {cutoff} exceeds the realization cutoff {space.cutoff}")
-    safe = cutoff - abs(n)
+    safe = space.cutoff - abs(n)
     if not any(space.level(i) <= safe for i in range(space.dimension)):
-        raise ValueError(f"empty safe subspace for n={n} at cutoff {cutoff}")
+        raise ValueError(f"empty safe subspace for n={n} at cutoff {space.cutoff}")
     ltot = total_virasoro(space, n)
     dev = (real.theta @ ltot - ltot @ real.theta).max_abs_entry(max_col_level=safe)
     return dev
@@ -229,7 +228,7 @@ def check_momentum_continuity(real):
     return dev <= real.tolerance
 
 
-def check_ope_preservation(real, mode_bound=Fraction(3, 2)):
+def check_ope_preservation(real):
     """Deviation of the mode images from an algebra automorphism.
 
     With a claimed mode map the check is twofold: the image combinations
@@ -240,7 +239,8 @@ def check_ope_preservation(real, mode_bound=Fraction(3, 2)):
     the exact block inverse.
     """
     space = real.space
-    raw, images = _mode_images(space, fock.mode_values(FERMION, mode_bound), real.mode_map)
+    # the modes b_s with |s| <= 3/2
+    raw, images = _mode_images(space, fock.mode_values(FERMION, Fraction(3, 2)), real.mode_map)
     if images is None:
         inv = fock.invert_graded(real.theta)
         images = {k: real.theta @ op @ inv for k, op in raw.items()}
@@ -274,8 +274,8 @@ def compose_defects(a, b):
     return DefectRealization(a.space, a.theta @ b.theta, src)
 
 
-def max_matrix_deviation(a, b, max_col_level=None):
-    return (a.theta - b.theta).max_abs_entry(max_col_level=max_col_level)
+def max_matrix_deviation(a, b):
+    return (a.theta - b.theta).max_abs_entry()
 
 
 def reflection_block_mixing(real):

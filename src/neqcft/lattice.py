@@ -218,7 +218,11 @@ def fermi_occupation(omega, temperature):
     return 1.0 / (math.exp(x) + 1.0)
 
 
-def landauer_current(transmission_fn, t_left, t_right, coupling=1.0, rel_tol=1e-8):
+# relative accuracy asked of the Landauer quadrature
+QUAD_REL_TOL = 1e-8
+
+
+def landauer_current(transmission_fn, t_left, t_right, coupling=1.0):
     """J = (1/2 pi) int dw w T(w) [f_l(w) - f_r(w)] over the positive band."""
 
     def integrand(w):
@@ -226,10 +230,15 @@ def landauer_current(transmission_fn, t_left, t_right, coupling=1.0, rel_tol=1e-
         return w * transmission_fn(w) * df / (2 * math.pi)
 
     val, err = scipy.integrate.quad(integrand, 0.0, 2 * coupling,
-                                    epsabs=1e-14, epsrel=rel_tol, limit=200)
-    if err > max(rel_tol * abs(val), 1e-12):
+                                    epsabs=1e-14, epsrel=QUAD_REL_TOL, limit=200)
+    if err > max(QUAD_REL_TOL * abs(val), 1e-12):
         raise RuntimeError(f"quadrature did not converge (estimate {err:.2e})")
     return val
+
+
+def low_temperature_current(t0, t_left, t_right):
+    """(pi T0 / 24)(T_l^2 - T_r^2): the Landauer current at constant transmission T0."""
+    return math.pi * t0 / 24 * (t_left ** 2 - t_right ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +331,7 @@ def transport_summary(spec, t_left, t_right, series):
     tdc = transmission_dc(spec.defect, spec.coupling)
     landauer = landauer_current(lambda w: transmission(spec.defect, w, spec.coupling),
                                 t_left, t_right, spec.coupling)
-    cft = math.pi * tdc / 24.0 * (t_left ** 2 - t_right ** 2)
+    cft = low_temperature_current(tdc, t_left, t_right)
     plateau = series.plateau
     return {
         "spec": {"sites": spec.sites, "coupling": spec.coupling, "defect": spec.defect,

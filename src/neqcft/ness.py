@@ -43,7 +43,7 @@ KNOWN_NAMES = FERMION_NAMES + EVEN_NAMES
 
 
 class UnsupportedFieldError(ValueError):
-    """Field name outside the configured scattering rules."""
+    """Field name or factor that the scattering and evolution rules do not cover."""
 
 
 class RegimeError(ValueError):
@@ -54,7 +54,12 @@ class UnsupportedExpressionError(ValueError):
     """Expression outside the class the averages are defined for."""
 
 
-def _coeff(c):
+# central charge of the Majorana fermion on either side of the impurity
+MAJORANA_C = sp.Rational(1, 2)
+
+
+def to_sympy(c):
+    """Exact sympy scalar: a Fraction becomes a Rational, anything else is sympified."""
     if isinstance(c, Fraction):
         return sp.Rational(c.numerator, c.denominator)
     return sp.sympify(c)
@@ -83,10 +88,6 @@ class LocalField:
     def parity(self):
         return 1 if self.name in FERMION_NAMES else 0
 
-    @property
-    def chirality(self):
-        return "anti-chiral" if self.bar else "chiral"
-
     def shifted(self, delta):
         return replace(self, position=sp.expand(self.position + delta))
 
@@ -110,8 +111,8 @@ class FieldExpression:
     terms: tuple  # of (coeff, factors)
 
     @classmethod
-    def from_field(cls, f, coeff=1):
-        return cls(((_coeff(coeff), (f,)),))
+    def from_field(cls, f):
+        return cls(((sp.Integer(1), (f,)),))
 
     @classmethod
     def zero(cls):
@@ -119,7 +120,7 @@ class FieldExpression:
 
     @classmethod
     def one(cls, coeff=1):
-        return cls(((_coeff(coeff), ()),))
+        return cls(((to_sympy(coeff), ()),))
 
     def __add__(self, other):
         return FieldExpression(self.terms + other.terms)
@@ -128,7 +129,7 @@ class FieldExpression:
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = _coeff(c)
+        c = to_sympy(c)
         return FieldExpression(tuple((c * k, fs) for k, fs in self.terms))
 
     def product(self, other):
@@ -205,8 +206,8 @@ def stress(side, position, bar=False):
     return LocalField("T", side, bar=bar, position=position)
 
 
-def fermion(side, position, bar=False, deriv=0, name="psi"):
-    return LocalField(name, side, bar=bar, deriv=deriv, position=position)
+def fermion(side, position, bar=False, deriv=0):
+    return LocalField("psi", side, bar=bar, deriv=deriv, position=position)
 
 
 def expand_stress(expr, left_field="psi", right_field="psi"):
@@ -230,10 +231,8 @@ def collect_stress(expr):
     for coeff, factors in expr.terms:
         if len(factors) == 2:
             a, b = factors
-            same = (a.name == b.name and a.side == b.side and a.bar == b.bar
-                    and sp.expand(a.position - b.position) == 0
-                    and a.name in FERMION_NAMES)
-            if same and a.deriv == 1 and b.deriv == 0:
+            if (_group_key(a) == _group_key(b) and a.name in FERMION_NAMES
+                    and a.deriv == 1 and b.deriv == 0):
                 k = coeff * (-2 * sp.I) if a.bar else coeff * (2 * sp.I)
                 out.append((sp.expand(k), (stress(a.side, a.position, bar=a.bar),)))
                 continue
@@ -249,28 +248,9 @@ def _theta_pair(theta):
     if theta is None:
         return sp.cos(ALPHA), sp.sin(ALPHA)
     if hasattr(theta, "cos_a"):
-        return _coeff(theta.cos_a), _coeff(theta.sin_a)
+        return to_sympy(theta.cos_a), to_sympy(theta.sin_a)
     c, s = theta
-    return _coeff(c), _coeff(s)
-
-
-@dataclass(frozen=True)
-class ScatteringRules:
-    """Mode rotation for the fermion doublet crossing the impurity.
-
-    ``left_field`` names the anti-chiral fermion arriving from the left,
-    ``right_field`` the chiral fermion arriving from the right.
-    """
-
-    cos_a: object
-    sin_a: object
-    left_field: str = "psi"
-    right_field: str = "psi"
-
-    @classmethod
-    def from_theta(cls, theta, left_field="psi", right_field="psi"):
-        c, s = _theta_pair(theta)
-        return cls(c, s, left_field, right_field)
+    return to_sympy(c), to_sympy(s)
 
 
 def _require_symmetric(f):
@@ -282,17 +262,18 @@ def _require_symmetric(f):
             f"(left fields at -x, right fields at +x)")
 
 
-def evolve(expr, t, rules, regime=AFTER):
-    """Ballistic evolution with scattering on the impurity.
+def evolve(expr, t, theta, regime=AFTER):
+    """Ballistic evolution of psi factors with scattering on the impurity.
 
     Chiral factors shift to x - t, anti-chiral ones to x + t; in the
     crossed regime (t > x) the factors that reach the impurity are replaced
-    by their rotated images relocated to the mirror point.
+    by their images under the rotation theta (see _theta_pair), relocated
+    to the mirror point.
     """
     if regime not in (BEFORE, AFTER):
         raise RegimeError(f"unknown regime {regime!r}")
     t = sp.sympify(t)
-    c, s = _coeff(rules.cos_a), _coeff(rules.sin_a)
+    c, s = _theta_pair(theta)
 
     def fn(f):
         if f.name == "identity":
@@ -308,44 +289,40 @@ def evolve(expr, t, rules, regime=AFTER):
         if not f.bar and f.side == "r":
             if not crossing:
                 return FieldExpression.from_field(f.shifted(-t))
-            if f.name != rules.right_field:
+            if f.name != "psi":
                 raise UnsupportedFieldError(f"no crossing rule for {f.name!r}")
             km = (-1) ** f.deriv
-            trans = LocalField(rules.left_field, "l", bar=False, deriv=f.deriv,
+            trans = LocalField("psi", "l", bar=False, deriv=f.deriv,
                                position=f.position - t)
-            refl = LocalField(rules.right_field, "r", bar=True, deriv=f.deriv,
+            refl = LocalField("psi", "r", bar=True, deriv=f.deriv,
                               position=t - f.position)
             return FieldExpression(((c, (trans,)), (km * s, (refl,))))
         # anti-chiral on the left
         if not crossing:
             return FieldExpression.from_field(f.shifted(t))
-        if f.name != rules.left_field:
+        if f.name != "psi":
             raise UnsupportedFieldError(f"no crossing rule for {f.name!r}")
         km = (-1) ** f.deriv
-        trans = LocalField(rules.right_field, "r", bar=True, deriv=f.deriv,
+        trans = LocalField("psi", "r", bar=True, deriv=f.deriv,
                            position=f.position + t)
-        refl = LocalField(rules.left_field, "l", bar=False, deriv=f.deriv,
+        refl = LocalField("psi", "l", bar=False, deriv=f.deriv,
                           position=-f.position - t)
         return FieldExpression(((c, (trans,)), (-km * s, (refl,))))
 
     return expr.map_factors(fn).normalize()
 
 
-def apply_smatrix(expr, theta, theta0=None, left_field="psi", right_field="psi"):
+def apply_smatrix(expr, theta, left_field="psi", right_field="psi"):
     """Stationary scattering map relating coupled and decoupled dynamics.
 
     Chiral fields at x < 0 and anti-chiral fields at x > 0 pass through;
-    the complementary cases are rotated by the relative angle between the
-    defect and the decoupled (pure reflection) dynamics, relocated to the
-    mirror point.  With theta equal to theta0 the map is the identity.
+    the complementary cases are rotated by the angle between the defect
+    and the decoupled dynamics, which is the pure reflection (0, 1), and
+    relocated to the mirror point: psi^r(x) keeps weight sin(alpha) and its
+    partner psibar^l(-x) gets -cos(alpha).  For the pure reflection itself
+    the map is the identity.
     """
     c, s = _theta_pair(theta)
-    if theta0 is None:
-        c0, s0 = sp.Integer(0), sp.Integer(1)
-    else:
-        c0, s0 = _theta_pair(theta0)
-    tcoef = sp.expand(c * c0 + s * s0)
-    rcoef = sp.expand(s * c0 - c * s0)
     expr = expand_stress(expr, left_field, right_field)
 
     def fn(f):
@@ -361,12 +338,12 @@ def apply_smatrix(expr, theta, theta0=None, left_field="psi", right_field="psi")
                 raise UnsupportedFieldError(f"no scattering rule for {f.name!r}")
             partner = LocalField(left_field, "l", bar=True, deriv=f.deriv,
                                  position=-f.position)
-            return FieldExpression(((tcoef, (f,)), (km * rcoef, (partner,))))
+            return FieldExpression(((s, (f,)), (-km * c, (partner,))))
         if f.name != left_field:
             raise UnsupportedFieldError(f"no scattering rule for {f.name!r}")
         partner = LocalField(right_field, "r", bar=False, deriv=f.deriv,
                              position=-f.position)
-        return FieldExpression(((tcoef, (f,)), (-km * rcoef, (partner,))))
+        return FieldExpression(((s, (f,)), (km * c, (partner,))))
 
     return collect_stress(expr.map_factors(fn))
 
@@ -391,12 +368,18 @@ class GibbsWeights:
                 raise ValueError("temperatures must be >= 0")
 
 
-def expectation(expr, weights=None, c_left=sp.Rational(1, 2), c_right=sp.Rational(1, 2)):
+def stress_average(c, temperature):
+    """Thermal average <T> = pi c T^2 / 12 of one stress factor."""
+    return sp.pi * c / 12 * temperature ** 2
+
+
+def expectation(expr, weights=None):
     """Average of stress factors and mismatched fermion bilinears.
 
-    Stress factors contribute (pi c / 12) T^2 for their side; products of
-    fermions at mismatched points or sides average to zero by parity of
-    the Gaussian state; anything else is outside the supported class.
+    Stress factors contribute stress_average(MAJORANA_C, T) for their
+    side; products of fermions at mismatched points or sides average to
+    zero by parity of the Gaussian state; anything else is outside the
+    supported class.
     """
     weights = weights or GibbsWeights()
     tl, tr = sp.sympify(weights.t_left), sp.sympify(weights.t_right)
@@ -407,19 +390,15 @@ def expectation(expr, weights=None, c_left=sp.Rational(1, 2), c_right=sp.Rationa
             total += coeff
             continue
         if len(factors) == 1 and factors[0].name == "T":
-            f = factors[0]
-            c = c_left if f.side == "l" else c_right
-            temp = tl if f.side == "l" else tr
-            total += coeff * sp.pi * c / 12 * temp ** 2
+            temp = tl if factors[0].side == "l" else tr
+            total += coeff * stress_average(MAJORANA_C, temp)
             continue
         if all(f.name in FERMION_NAMES for f in factors):
             if len(factors) % 2 == 1:
                 continue  # odd fermion number averages to zero
             if len(factors) == 2:
                 a, b = factors
-                matched = (a.name == b.name and a.side == b.side and a.bar == b.bar
-                           and sp.expand(a.position - b.position) == 0)
-                if matched:
+                if _group_key(a) == _group_key(b):
                     raise UnsupportedExpressionError(
                         f"coincident-point pair {a}, {b} was not recognized as a stress factor")
                 continue  # mismatched pair: zero by Gaussian parity per side
@@ -429,8 +408,7 @@ def expectation(expr, weights=None, c_left=sp.Rational(1, 2), c_right=sp.Rationa
     return sp.simplify(total)
 
 
-def energy_current(theta, theta0=None, weights=None, side="r", c_left=sp.Rational(1, 2),
-                   c_right=sp.Rational(1, 2), left_field="psi", right_field="psi"):
+def energy_current(theta, weights=None, side="r", left_field="psi", right_field="psi"):
     """Steady energy current, computed by scattering the momentum density.
 
     Evaluates the average of S[T(x) - Tbar(x)] with the fields placed on
@@ -440,8 +418,8 @@ def energy_current(theta, theta0=None, weights=None, side="r", c_left=sp.Rationa
     pos = X if side == "r" else -X
     p = (FieldExpression.from_field(stress(side, pos))
          - FieldExpression.from_field(stress(side, pos, bar=True)))
-    scattered = apply_smatrix(p, theta, theta0, left_field, right_field)
-    return sp.simplify(expectation(scattered, weights, c_left, c_right))
+    scattered = apply_smatrix(p, theta, left_field, right_field)
+    return expectation(scattered, weights)
 
 
 def entropy_production(j_e, weights=None):
@@ -453,10 +431,9 @@ def entropy_production(j_e, weights=None):
 
 def check_global_continuity(theta=None, regime=AFTER):
     """Verify T(x,t) + Tbar(-x,t) = T(x-t) + Tbar(-x+t) by symbolic cancellation."""
-    rules = ScatteringRules.from_theta(theta)
     lhs = (expand_stress(FieldExpression.from_field(stress("r", X)))
            + expand_stress(FieldExpression.from_field(stress("l", -X, bar=True))))
-    lhs = evolve(lhs, T, rules, regime=regime)
+    lhs = evolve(lhs, T, theta, regime=regime)
     if regime == AFTER:
         rhs = (FieldExpression.from_field(stress("l", X - T))
                + FieldExpression.from_field(stress("r", T - X, bar=True)))
@@ -479,10 +456,10 @@ def stress_coefficients(expr):
     return out
 
 
-def current_report(theta, theta0=None, weights=None):
+def current_report(theta, weights=None):
     """JSON-ready record of a current computation."""
     weights = weights or GibbsWeights()
-    j = energy_current(theta, theta0, weights)
+    j = energy_current(theta, weights)
     degenerate = any(isinstance(v, (int, float, Fraction)) and v == 0
                      for v in (weights.t_left, weights.t_right))
     sigma = None if degenerate else entropy_production(j, weights)

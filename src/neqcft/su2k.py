@@ -38,12 +38,6 @@ NEUTRAL_KEYS = ("J0J0", "{J+,J-}", "T_su2", "T_u1", "T_Zk")
 CHARGED_KEYS = ("{J0,J+}", "{J0,J-}", "J+J+", "J-J-")
 
 
-def _sym(v):
-    if isinstance(v, Fraction):
-        return sp.Rational(v.numerator, v.denominator)
-    return sp.sympify(v)
-
-
 @dataclass(frozen=True)
 class RotationParams:
     """Rotation data (k, s, r rbar, beta) with s^2 + r rbar = 1."""
@@ -55,7 +49,7 @@ class RotationParams:
 
     def __post_init__(self):
         for name in ("k", "s", "rr_bar", "beta"):
-            object.__setattr__(self, name, _sym(getattr(self, name)))
+            object.__setattr__(self, name, ness.to_sympy(getattr(self, name)))
         if self.s.is_number and self.rr_bar.is_number:
             if sp.simplify(self.s ** 2 + self.rr_bar - 1) != 0:
                 raise ValueError("s^2 + r rbar must equal 1")
@@ -63,13 +57,13 @@ class RotationParams:
                 raise ValueError("r rbar must lie in [0, 1]")
 
     @classmethod
-    def symbolic(cls, k=None):
-        return cls(k if k is not None else K_PARAM, S_PARAM, RR_PARAM, BETA)
+    def symbolic(cls, k=K_PARAM):
+        return cls(k, S_PARAM, RR_PARAM, BETA)
 
     @classmethod
-    def from_rr_bar(cls, k, rr_bar, beta=0, s_sign=1):
-        rr = _sym(rr_bar)
-        return cls(k, s_sign * sp.sqrt(1 - rr), rr, beta)
+    def from_rr_bar(cls, k, rr_bar):
+        rr = ness.to_sympy(rr_bar)
+        return cls(k, sp.sqrt(1 - rr), rr)
 
     @property
     def r(self):
@@ -175,10 +169,8 @@ def energy_current_k(params, weights=None, charged_value=0):
     tl, tr = sp.sympify(weights.t_left), sp.sympify(weights.t_right)
     bil = rotate_u1_stress(params)
     cu1, czk = bil.coeffs["T_u1"], bil.coeffs["T_Zk"]
-    cl = sp.Integer(1)
-    cr = parafermion_central_charge(params.k)
-    omega_tl = sp.pi * cl / 12 * tl ** 2
-    omega_tr = sp.pi * cr / 12 * tr ** 2
+    omega_tl = ness.stress_average(1, tl)
+    omega_tr = ness.stress_average(parafermion_central_charge(params.k), tr)
     scattered_tbar = cu1 * omega_tl + czk * omega_tr
     if charged_value != 0:
         scattered_tbar += charged_value * sum(bil.charged.values())
@@ -207,7 +199,7 @@ def decomposition_report(params):
     }
 
 
-def fermionize_k2(params, weights=None, matrix_cutoff=None):
+def fermionize_k2(params, matrix_cutoff=None):
     """Cross-check the k = 2 current through the fermion scattering engine.
 
     At k = 2 the left theory fermionizes into two Majorana fields; one of
@@ -217,17 +209,14 @@ def fermionize_k2(params, weights=None, matrix_cutoff=None):
     """
     if sp.sympify(params.k) != 2:
         raise ValueError("fermionization cross-check is specific to k = 2")
-    weights = weights or ness.GibbsWeights()
     cos_eff = sp.sqrt(params.rr_bar)
     sin_eff = params.s
     # rotating pair: left chi2 with the right fermion, both c = 1/2 sectors
-    j_pair = ness.energy_current((cos_eff, sin_eff), weights=weights,
-                                 left_field="chi2", right_field="psi")
+    j_pair = ness.energy_current((cos_eff, sin_eff), left_field="chi2", right_field="psi")
     # chi1 decouples through a pure reflection and carries nothing
-    j_chi1 = ness.energy_current((0, 1), weights=weights,
-                                 left_field="chi1", right_field="chi1")
+    j_chi1 = ness.energy_current((0, 1), left_field="chi1", right_field="chi1")
     j_fermionized = sp.simplify(j_pair + j_chi1)
-    j_algebraic = energy_current_k(params, weights)
+    j_algebraic = energy_current_k(params)
     agree = sp.simplify(j_fermionized - j_algebraic) == 0
 
     report = {

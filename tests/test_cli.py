@@ -230,6 +230,98 @@ def test_non_finite_float_flags_are_usage_errors(capsys, argv):
     assert "expected a finite number" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["virasoro-check", "--cutoff", "1/0"],
+    ["intertwiner", "--cutoff", "1/0"],
+    ["su2k-fermionize", "--rr-bar", "1/0"],
+    ["su2k-decompose", "--rr-bar", "1/0"],
+    ["su2k-current", "--Tl", "1/0"],
+    ["su2k-current", "--Tr", "x"],
+])
+def test_bad_fraction_flags_are_usage_errors(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected an exact fraction" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice-transmission", "--omega-points", "0"],
+    ["intertwiner", "--n-range", "-1"],
+    ["virasoro-check", "--commutator-range", "-1"],
+    ["virasoro-check", "--commutator-range", "1.5"],
+])
+def test_counts_that_would_check_nothing_are_usage_errors(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected an integer >=" in captured.err
+
+
+def test_smallest_counts_still_check(capsys):
+    code, out = run(capsys, "lattice-transmission", "--omega-points", "1")
+    assert code == 0 and len(json.loads(out)["grid"]) == 1
+    code, out = run(capsys, "intertwiner", "--cutoff", "2", "--n-range", "0")
+    assert code == 0 and {c["n"] for c in json.loads(out)["checks"]} == {0}
+
+
+@pytest.mark.parametrize("command", ["su2k-current", "su2k-decompose"])
+def test_rr_bar_without_k_uses_the_symbolic_level(capsys, command):
+    code, out = run(capsys, command, "--rr-bar", "1/2")
+    assert code == 0
+    report = json.loads(out)
+    assert report["k"] == "k" and report["rr_bar"] == "1/2"
+    assert report["passed"]
+
+
+# reports of the symbolic layer, pinned string for string: a refactor of ness
+# or su2k must print exactly these
+SYMBOLIC_REPORTS = [
+    (["smatrix", "--cos-sin", "3/5,4/5"], {
+        "S[psi_r(x)]": "(4/5)*psi^r(x) + (-3/5)*psibar^l(-x)",
+        "S[T_r(x)]": "(16/25)*T^r(x) + (9/25)*Tbar^l(-x) + (-6*I/25)*dpsibar^l(-x)*psi^r(x)"
+                     " + (-6*I/25)*psibar^l(-x)*dpsi^r(x)",
+        "stress_weight_sum": "1",
+        "passed": True,
+    }),
+    (["current"], {
+        "inputs": {"theta_cos_sin": ["cos(alpha)", "sin(alpha)"], "T_l": "1.0", "T_r": "0.0"},
+        "symbolic_result": {"J_E": "0.0416666666666667*pi*cos(alpha)**2", "sigma": "None"},
+        "numeric_result": {"J_E": None, "sigma": None},
+        "passed": True,
+    }),
+    (["su2k-decompose"], {
+        "k": "k",
+        "s": "s",
+        "rr_bar": "r_rbar",
+        "coeff_Tu1": "-r_rbar + 1 + r_rbar/k",
+        "coeff_TZk": "r_rbar/2 + r_rbar/k",
+        "J_E_closed_form": "pi*r_rbar*(T_l**2*k - T_l**2 - T_r**2*k + T_r**2)/(12*k)",
+        "unit_sum_deviation": "0",
+        "passed": True,
+    }),
+    (["su2k-fermionize", "--rr-bar", "1/3"], {
+        "k": 2,
+        "s": "sqrt(6)/3",
+        "rr_bar": "1/3",
+        "cos_effective": "sqrt(3)/3",
+        "chi1": "pure reflection, zero current",
+        "J_fermionized": "pi*(T_l**2 - T_r**2)/72",
+        "J_algebraic": "pi*(T_l**2 - T_r**2)/72",
+        "agree": True,
+        "passed": True,
+    }),
+]
+
+
+@pytest.mark.parametrize("argv, expected", SYMBOLIC_REPORTS,
+                         ids=[" ".join(argv) for argv, _ in SYMBOLIC_REPORTS])
+def test_symbolic_reports_are_pinned(capsys, argv, expected):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out) == expected
+
+
 def test_numerical_breakdown_is_a_failed_verification(capsys):
     # six samples leave too few in the plateau window
     code = cli.main(["lattice-run", "--sites", "120", "--samples", "6"])

@@ -9,13 +9,13 @@ import sympy as sp
 from neqcft import ness
 from neqcft.ness import (AFTER, BEFORE, ALPHA, T, T_LEFT, T_RIGHT, X,
                          FieldExpression, GibbsWeights, LocalField, RegimeError,
-                         ScatteringRules, UnsupportedExpressionError,
+                         UnsupportedExpressionError,
                          UnsupportedFieldError, apply_smatrix,
                          check_global_continuity, energy_current,
                          entropy_production, evolve, expectation, fermion,
                          stress, stress_coefficients)
 
-SYMB = ScatteringRules.from_theta(None)
+SYMB = None  # the symbolic angle
 
 
 def _single(expr):
@@ -95,6 +95,7 @@ def test_smatrix_on_right_chiral_fermion():
 
 
 def test_smatrix_is_identity_when_theta_equals_theta0():
+    # theta0 is the decoupled dynamics, the pure reflection (0, 1)
     for expr in (FieldExpression.from_field(fermion("r", X)),
                  FieldExpression.from_field(stress("r", X)),
                  FieldExpression.from_field(fermion("l", -X, bar=True, deriv=2))):
