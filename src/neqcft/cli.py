@@ -94,7 +94,7 @@ def cmd_virasoro_check(args):
     for model in models:
         expected = wanted[model]
         space = virasoro.enumerate_basis(model, args.cutoff)
-        c = virasoro.central_charge_probe(model, 2, args.cutoff)
+        c = virasoro.central_charge_probe(model, 2, space)
         worst = 0
         for m in range(-args.commutator_range, args.commutator_range + 1):
             for n in range(-args.commutator_range, args.commutator_range + 1):
@@ -459,12 +459,12 @@ def build_parser():
     p.set_defaults(fn=cmd_continuity)
 
     p = sub.add_parser("su2k-decompose", help="rotation coefficients of the u(1) stress tensor")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_count(1), default=None)
     p.add_argument("--rr-bar", dest="rr_bar", type=_exact_fraction, default=None)
     p.set_defaults(fn=cmd_su2k_decompose)
 
     p = sub.add_parser("su2k-current", help="level-k energy current")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_count(1), default=None)
     p.add_argument("--rr-bar", dest="rr_bar", type=_exact_fraction, default=None)
     # exact, so the symbolic verdict sees no rounding residue
     _add_temps(p, ness.T_LEFT, ness.T_RIGHT, kind=_exact_fraction)

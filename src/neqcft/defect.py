@@ -20,11 +20,15 @@ br^l -> -b^l).
 
 The map is defined on states through the operator-state correspondence:
 it fixes the vacuum and acts on creation modes by the rotation above.
-All checks below compare honest truncated matrices on the safe subspace.
+All checks below compare honest truncated matrices on the safe subspace,
+and multiply only its columns.  The product space, the embedded factor
+modes and the diagonal Virasoro action are built once per cutoff (or
+space) and shared by every realization on it; none of them is mutated.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -119,10 +123,22 @@ class DefectRealization:
         return 0 if self.is_exact else FLOAT_TOL
 
 
+@functools.cache
 def scattering_space(cutoff):
-    """Product of the anti-chiral and chiral fermion spaces, total level <= cutoff."""
+    """Product of the anti-chiral and chiral fermion spaces, total level <= cutoff.
+
+    Built once per cutoff, so every realization at that cutoff shares it.
+    """
     factor = fock.enumerate_basis(FERMION, cutoff)
     return fock.tensor_space(factor, factor, cutoff)
+
+
+@functools.cache
+def _embedded_mode(space, factor, value):
+    """The mode c^A_v or c^B_v of one factor, embedded in the product space."""
+    if factor == "A":
+        return fock.graded_tensor(fock.mode_operator(space.left, value), ANTI, space)
+    return fock.graded_tensor(fock.mode_operator(space.right, value), CHI, space)
 
 
 def _mode_images(space, values, matrix):
@@ -132,10 +148,7 @@ def _mode_images(space, values, matrix):
     m[0][0] c^A_v + m[0][1] c^B_v and that of c^B_v is
     m[1][0] c^A_v + m[1][1] c^B_v; without a matrix the images are None.
     """
-    raw = {}
-    for v in values:
-        raw[("A", v)] = fock.graded_tensor(fock.mode_operator(space.left, v), ANTI, space)
-        raw[("B", v)] = fock.graded_tensor(fock.mode_operator(space.right, v), CHI, space)
+    raw = {(f, v): _embedded_mode(space, f, v) for v in values for f in ("A", "B")}
     if matrix is None:
         return raw, None
     images = {}
@@ -177,8 +190,9 @@ def build_theta_fermion(spec, cutoff):
     return build_mode_automorphism(matrix, cutoff, source=spec)
 
 
+@functools.cache
 def total_virasoro(space, n):
-    """L_n acting on both factors of the product space (the diagonal action)."""
+    """L_n acting on both factors of the product space (the diagonal action), built once per (space, n)."""
     return (fock.graded_tensor(virasoro.build_virasoro(FERMION, n, space.left), ANTI, space)
             + fock.graded_tensor(virasoro.build_virasoro(FERMION, n, space.right), CHI, space))
 
@@ -208,8 +222,9 @@ def check_intertwining(real, n):
     if not any(space.level(i) <= safe for i in range(space.dimension)):
         raise ValueError(f"empty safe subspace for n={n} at cutoff {space.cutoff}")
     ltot = total_virasoro(space, n)
-    dev = (real.theta @ ltot - ltot @ real.theta).max_abs_entry(max_col_level=safe)
-    return dev
+    theta = real.theta
+    comm = theta @ ltot.restrict_columns(safe) - ltot @ theta.restrict_columns(safe)
+    return comm.max_abs_entry(max_col_level=safe)
 
 
 def check_momentum_continuity(real):
@@ -241,25 +256,28 @@ def check_ope_preservation(real):
     space = real.space
     # the modes b_s with |s| <= 3/2
     raw, images = _mode_images(space, fock.mode_values(FERMION, Fraction(3, 2)), real.mode_map)
+    theta = real.theta
     if images is None:
-        inv = fock.invert_graded(real.theta)
-        images = {k: real.theta @ op @ inv for k, op in raw.items()}
+        inv = fock.invert_graded(theta)
+        images = {k: theta @ op @ inv for k, op in raw.items()}
     dev = 0
     keys = sorted(raw, key=str)
     for a in keys:
         # the realization must implement the images: Theta b = B Theta
-        resid = real.theta @ raw[a] - images[a] @ real.theta
-        dev = max(dev, resid.max_abs_entry(max_col_level=space.cutoff - abs(a[1])))
+        safe = space.cutoff - abs(a[1])
+        resid = theta @ raw[a].restrict_columns(safe) - images[a] @ theta.restrict_columns(safe)
+        dev = max(dev, resid.max_abs_entry(max_col_level=safe))
         for b in keys:
             fa, va = a
             fb, vb = b
-            anti = images[a] @ images[b] + images[b] @ images[a]
-            expect = GradedOperator.zero(space, space, anti.level_shift, anti.parity_shift)
-            if fa == fb and va + vb == 0:
-                expect = expect + GradedOperator.identity(space)
             safe = space.cutoff - max(abs(va), abs(vb))
             if safe < 0:
                 continue
+            anti = (images[a] @ images[b].restrict_columns(safe)
+                    + images[b] @ images[a].restrict_columns(safe))
+            expect = GradedOperator.zero(space, space, anti.level_shift, anti.parity_shift)
+            if fa == fb and va + vb == 0:
+                expect = expect + GradedOperator.identity(space)
             dev = max(dev, (anti - expect).max_abs_entry(max_col_level=safe))
     return dev
 

@@ -18,7 +18,12 @@ Operators are honest truncations ``P L P`` of the full Fock-space operators
 to levels <= cutoff.  Algebraic identities therefore hold only on the safe
 subspace of states that cannot leak past the cutoff, levels
 <= cutoff - |level_shift|; every check in this package restricts itself
-there.
+there, and multiplies only the columns it reads
+(``GradedOperator.restrict_columns``).
+
+Spaces hash once, at construction, and compare by value.  Mode matrices are
+built once per (space, mode value) and shared by every caller, which is safe
+because neither spaces nor built operators are ever mutated.
 
 Hermitian structure: ``b_s^dag = b_{-s}`` and ``a_n^dag = a_{-n}``.  This
 is a convention (consistent with a real fermion) used only by the
@@ -28,6 +33,7 @@ hermiticity checks.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -94,6 +100,10 @@ class StateSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "_index", {s.occupied: i for i, s in enumerate(self.states)})
+        object.__setattr__(self, "_hash", hash((self.species, self.cutoff, self.states)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def dimension(self):
@@ -238,7 +248,8 @@ class GradedOperator:
     entry connects states whose levels differ by exactly ``level_shift``
     and whose parities differ by ``parity_shift``.  Mutation is limited to
     construction time (``add_entry``); all algebraic operations return new
-    operators, so built operators are safe to share across threads.
+    operators (``restrict_columns`` shares the column maps it keeps), so
+    built operators are safe to share across callers and threads.
     """
 
     domain: object
@@ -278,10 +289,10 @@ class GradedOperator:
         for j, amp in vec.amplitudes.items():
             for row, val in self.columns.get(j, {}).items():
                 acc = out.get(row, 0) + val * amp
-                if acc == 0:
-                    out.pop(row, None)
-                else:
+                if acc:
                     out[row] = acc
+                else:
+                    out.pop(row, None)
         return StateVector(self.codomain, out)
 
     def __matmul__(self, other):
@@ -292,11 +303,12 @@ class GradedOperator:
             acc = {}
             for m, v1 in mid.items():
                 for row, v2 in self.columns.get(m, {}).items():
-                    s = acc.get(row, 0) + v2 * v1
-                    if s == 0:
-                        acc.pop(row, None)
-                    else:
+                    prev = acc.get(row)
+                    s = v2 * v1 if prev is None else prev + v2 * v1
+                    if s:
                         acc[row] = s
+                    else:
+                        acc.pop(row, None)
             if acc:
                 cols[j] = acc
         return GradedOperator(other.domain, self.codomain,
@@ -304,19 +316,30 @@ class GradedOperator:
                               (self.parity_shift + other.parity_shift) % 2, cols)
 
     def __add__(self, other):
+        return self._sum(other, 1)
+
+    def __sub__(self, other):
+        return self._sum(other, -1)
+
+    def _sum(self, other, sign):
+        """self + sign * other, for sign +1 or -1."""
         if not (same_space(self.domain, other.domain) and same_space(self.codomain, other.codomain)):
             raise ValueError("cannot add operators on different spaces")
         if (self.level_shift, self.parity_shift) != (other.level_shift, other.parity_shift):
             raise ValueError("cannot add operators with different grading")
         cols = {j: dict(c) for j, c in self.columns.items()}
-        out = GradedOperator(self.domain, self.codomain, self.level_shift, self.parity_shift, cols)
         for j, c in other.columns.items():
+            acc = cols.setdefault(j, {})
             for row, val in c.items():
-                out.add_entry(row, j, val)
-        return out
-
-    def __sub__(self, other):
-        return self + (other * -1)
+                prev = acc.get(row, 0)
+                s = prev + val if sign > 0 else prev - val
+                if s:
+                    acc[row] = s
+                else:
+                    acc.pop(row, None)
+            if not acc:
+                del cols[j]
+        return GradedOperator(self.domain, self.codomain, self.level_shift, self.parity_shift, cols)
 
     def __mul__(self, scalar):
         if scalar == 0:
@@ -326,6 +349,15 @@ class GradedOperator:
         return GradedOperator(self.domain, self.codomain, self.level_shift, self.parity_shift, cols)
 
     __rmul__ = __mul__
+
+    def restrict_columns(self, max_level):
+        """The operator on the domain states at level <= max_level, zero above.
+
+        A check that reads only those columns of a product A @ B needs only
+        the same columns of B.  The column maps are shared, not copied.
+        """
+        cols = {j: c for j, c in self.columns.items() if self.domain.level(j) <= max_level}
+        return GradedOperator(self.domain, self.codomain, self.level_shift, self.parity_shift, cols)
 
     def max_abs_entry(self, max_col_level=None):
         best = 0
@@ -349,8 +381,12 @@ class GradedOperator:
         return True
 
 
+@functools.cache
 def mode_operator(space, value):
-    """Matrix of b_s / a_n on a truncated space (entries outside the cutoff dropped)."""
+    """Matrix of b_s / a_n on a truncated space (entries outside the cutoff dropped).
+
+    Built once per (space, value) and shared; callers must not mutate it.
+    """
     value = _as_fraction(value)
     _validate_mode_value(space.species, value)
     parity, act = (1, _apply_fermion) if space.species == FERMION else (0, _apply_boson)
@@ -388,6 +424,12 @@ class ProductSpace:
                                        ij[0], ij[1]))
             object.__setattr__(self, "pairs", tuple(pairs))
         object.__setattr__(self, "_index", {p: n for n, p in enumerate(self.pairs)})
+        object.__setattr__(self, "_levels",
+                           tuple(self.left.level(i) + self.right.level(j) for i, j in self.pairs))
+        object.__setattr__(self, "_hash", hash((self.left, self.right, self.cutoff, self.pairs)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def dimension(self):
@@ -401,8 +443,7 @@ class ProductSpace:
         return self._index.get(pair)
 
     def level(self, n):
-        i, j = self.pairs[n]
-        return self.left.level(i) + self.right.level(j)
+        return self._levels[n]
 
     def parity(self, n):
         i, j = self.pairs[n]

@@ -14,8 +14,10 @@ Each generator is a finite sum of products of truncated mode matrices, one
 per mode pair with |s| <= cutoff.  The annihilator acts first, so no
 intermediate state lies above the final one and the product of truncated
 matrices equals the truncated product exactly.  Generators are built once
-per (model, n, space) and shared, which is safe because built operators
-are never mutated.
+per (model, n, space), from mode matrices built once per (space, value),
+and shared, which is safe because spaces and built operators are never
+mutated.  The checks multiply only the columns they read, those of the
+safe subspace.
 """
 
 from __future__ import annotations
@@ -58,39 +60,47 @@ def build_virasoro(model, n, space):
         coeff = (s2 + HALF) / 2 if model == FERMION else HALF  # fermion: m/2 with s2 = m - 1/2
         left_mode, inner_first, sign = _normal_order(model, s1, s2)
         term = fock.mode_operator(space, left_mode) @ fock.mode_operator(space, inner_first)
-        op = op + coeff * sign * term
+        scale = coeff * sign
+        for j, col in term.columns.items():
+            for row, val in col.items():
+                op.add_entry(row, j, scale * val)
     return op
 
 
-def central_charge_probe(model, m, cutoff):
-    """12 <0|[L_m, L_-m]|0> / (m^3 - m), which must equal c exactly."""
+def central_charge_probe(model, m, space):
+    """12 <0|[L_m, L_-m]|0> / (m^3 - m), which must equal c exactly.
+
+    ``space`` is the truncated space to probe, or a cutoff to enumerate one
+    at; passing the space shares its generators with the caller's checks.
+    """
     if m < 2:
         raise ValueError("probe needs m >= 2 (the central term vanishes below)")
-    cutoff = Fraction(cutoff)
-    if cutoff < m:
-        raise ValueError(f"cutoff {cutoff} < m = {m}: matrix elements missing")
-    space = enumerate_basis(model, cutoff)
+    if not isinstance(space, fock.StateSpace):
+        space = enumerate_basis(model, Fraction(space))
+    if space.cutoff < m:
+        raise ValueError(f"cutoff {space.cutoff} < m = {m}: matrix elements missing")
     lp = build_virasoro(model, m, space)
     lm = build_virasoro(model, -m, space)
     vac = space.vacuum_index
-    comm = lp @ lm - lm @ lp
+    # the vacuum is the only state at level 0, so only its column is formed
+    comm = lp @ lm.restrict_columns(0) - lm @ lp.restrict_columns(0)
     return Fraction(12) * comm.entry(vac, vac) / (m ** 3 - m)
 
 
 def commutator_deviation(model, m, n, space, central=None):
     """Largest entry of [L_m, L_n] - (m-n) L_{m+n} - central term, on the safe subspace."""
     if central is None:
-        central = central_charge_probe(model, 2, space.cutoff)
+        central = central_charge_probe(model, 2, space)
+    safe = space.cutoff - max(abs(m), abs(n))
     lm = build_virasoro(model, m, space)
     ln = build_virasoro(model, n, space)
-    comm = lm @ ln - ln @ lm
+    comm = lm @ ln.restrict_columns(safe) - ln @ lm.restrict_columns(safe)
     expect = GradedOperator.zero(space, space, Fraction(-(m + n)), 0)
     if m != n:
-        expect = expect + (m - n) * build_virasoro(model, m + n, space)
+        expect = expect + (m - n) * build_virasoro(model, m + n, space).restrict_columns(safe)
     if m + n == 0:
         cterm = Fraction(central) * (m ** 3 - m) / 12
         expect = expect + cterm * GradedOperator.identity(space)
-    safe = space.cutoff - max(abs(m), abs(n))
     return (comm - expect).max_abs_entry(max_col_level=safe)
 
 
@@ -111,13 +121,19 @@ def hermiticity_deviation(model, n, space):
 
 
 def level_spectrum_deviation(model, space):
-    """L_0 must be diagonal with eigenvalue equal to the state level."""
+    """L_0 must be diagonal with eigenvalue equal to the state level.
+
+    Walks the stored entries of L_0 and its diagonal; every other entry is
+    zero, as it should be.
+    """
     l0 = build_virasoro(model, 0, space)
     dev = 0
     for j in range(space.dimension):
-        for i in range(space.dimension):
-            want = space.level(j) if i == j else 0
-            d = abs(l0.entry(i, j) - want)
+        col = l0.columns.get(j, {})
+        for i, val in col.items():
+            d = abs(val - space.level(j)) if i == j else abs(val)
             if d > dev:
                 dev = d
+        if j not in col and abs(space.level(j)) > dev:
+            dev = abs(space.level(j))
     return dev

@@ -1,13 +1,16 @@
 """Command line front end: reports, formats, exit codes."""
 
 import dataclasses
+import importlib
+import importlib.util
 import json
 import math
+import pathlib
 import sys
 
 import pytest
 
-from neqcft import cli, lattice, su2k, virasoro
+from neqcft import cli, defect, fock, lattice, su2k, virasoro
 
 
 def run(capsys, *argv):
@@ -31,6 +34,41 @@ def test_virasoro_check_builds_each_generator_once(tmp_path):
     assert code == 0
     # L_-3 .. L_3 for each of the two models
     assert virasoro.build_virasoro.cache_info().misses == 14
+
+
+def test_virasoro_check_builds_each_mode_matrix_once(tmp_path):
+    virasoro.build_virasoro.cache_clear()
+    fock.mode_operator.cache_clear()
+    code = cli.main(["--out", str(tmp_path / "report.json"), "virasoro-check", "--cutoff", "6"])
+    assert code == 0
+    # the 12 mode values with |s| <= 6 on each model's one space, each built once
+    info = fock.mode_operator.cache_info()
+    assert info.misses == 24 and info.hits > 0
+
+
+def test_intertwiner_builds_each_product_operator_once(tmp_path):
+    defect.total_virasoro.cache_clear()
+    defect.scattering_space.cache_clear()
+    code = cli.main(["--out", str(tmp_path / "report.json"), "intertwiner", "--cutoff", "8"])
+    assert code == 0
+    # 8 angles x n in -2..2 share one space and its L_-2 .. L_2
+    assert defect.total_virasoro.cache_info().misses == 5
+    assert defect.scattering_space.cache_info().misses == 1
+
+
+def test_traced_names_resolve_to_neqcft_callables():
+    # the benchmark's tracer replaces these by name; a memoizing wrapper must
+    # keep each one defined, and callable, where the tracer looks for it
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for dotted in tracer.TRACED:
+        *owner_path, attr = dotted.split(".")
+        owner = importlib.import_module("neqcft." + owner_path[0])
+        for part in owner_path[1:]:
+            owner = getattr(owner, part)
+        assert callable(vars(owner).get(attr)), dotted
 
 
 def test_current_at_full_transmission(capsys):
@@ -250,6 +288,11 @@ def test_bad_fraction_flags_are_usage_errors(capsys, argv):
     ["intertwiner", "--n-range", "-1"],
     ["virasoro-check", "--commutator-range", "-1"],
     ["virasoro-check", "--commutator-range", "1.5"],
+    # an su(2)_k level is a positive integer
+    ["su2k-decompose", "--k", "0"],
+    ["su2k-decompose", "--k", "-1"],
+    ["su2k-current", "--k", "0", "--rr-bar", "1/2"],
+    ["su2k-current", "--k", "-1", "--rr-bar", "1/2"],
 ])
 def test_counts_that_would_check_nothing_are_usage_errors(capsys, argv):
     assert cli.main(argv) == 2
@@ -263,6 +306,8 @@ def test_smallest_counts_still_check(capsys):
     assert code == 0 and len(json.loads(out)["grid"]) == 1
     code, out = run(capsys, "intertwiner", "--cutoff", "2", "--n-range", "0")
     assert code == 0 and {c["n"] for c in json.loads(out)["checks"]} == {0}
+    code, out = run(capsys, "su2k-current", "--k", "1", "--rr-bar", "1/2", "--Tl", "1", "--Tr", "0")
+    assert code == 0 and json.loads(out)["J_E_numeric"] == 0
 
 
 @pytest.mark.parametrize("command", ["su2k-current", "su2k-decompose"])

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neqcft import defect, fock
 from neqcft.defect import (REFLECTION, TRANSMISSION, BogoliubovSpec,
@@ -123,6 +125,79 @@ def test_intertwining_exact_on_rational_grid():
         real = build_theta_fermion(spec, 5)
         for n in range(-2, 3):
             assert check_intertwining(real, n) == 0, (spec, n)
+
+
+# oracles for the column-restricted checks: form every product in full,
+# then mask the columns above the safe level
+
+def _intertwining_full(real, n):
+    ltot = defect.total_virasoro(real.space, n)
+    comm = real.theta @ ltot - ltot @ real.theta
+    return comm.max_abs_entry(max_col_level=real.space.cutoff - abs(n))
+
+
+def _ope_full(real):
+    space, theta = real.space, real.theta
+    raw, images = defect._mode_images(space, fock.mode_values("fermion", Fraction(3, 2)),
+                                      real.mode_map)
+    if images is None:
+        inv = fock.invert_graded(theta)
+        images = {k: theta @ op @ inv for k, op in raw.items()}
+    dev = 0
+    for a in raw:
+        resid = theta @ raw[a] - images[a] @ theta
+        dev = max(dev, resid.max_abs_entry(max_col_level=space.cutoff - abs(a[1])))
+        for b in raw:
+            anti = images[a] @ images[b] + images[b] @ images[a]
+            if a[0] == b[0] and a[1] + b[1] == 0:
+                anti = anti - GradedOperator.identity(space)
+            safe = space.cutoff - max(abs(a[1]), abs(b[1]))
+            dev = max(dev, anti.max_abs_entry(max_col_level=safe))
+    return dev
+
+
+@st.composite
+def pythagorean_points(draw):
+    # (p^2 - q^2, 2pq) / (p^2 + q^2), with random signs and order
+    p = draw(st.integers(1, 9))
+    q = draw(st.integers(0, 9))
+    a, b, c = p * p - q * q, 2 * p * q, p * p + q * q
+    if draw(st.booleans()):
+        a, b = b, a
+    return BogoliubovSpec(Fraction(draw(st.sampled_from((1, -1))) * a, c),
+                          Fraction(draw(st.sampled_from((1, -1))) * b, c))
+
+
+@settings(max_examples=25, deadline=None)
+@given(pythagorean_points(), st.integers(2, 5), st.integers(-2, 2))
+def test_intertwining_on_random_pythagorean_points(spec, cutoff, n):
+    real = build_theta_fermion(spec, cutoff)
+    assert check_intertwining(real, n) == 0 == _intertwining_full(real, n)
+
+
+@settings(max_examples=10, deadline=None)
+@given(pythagorean_points(), st.integers(1, 4))
+def test_ope_preservation_on_random_pythagorean_points(spec, cutoff):
+    real = build_theta_fermion(spec, cutoff)
+    assert check_ope_preservation(real) == 0 == _ope_full(real)
+
+
+@settings(max_examples=8, deadline=None)
+@given(pythagorean_points(), st.integers(3, 4), st.integers(-2, 0), st.integers(1, 12),
+       st.fractions(min_value=Fraction(-1, 2), max_value=HALF, max_denominator=100).filter(bool))
+def test_skewed_realizations_deviate_alike_with_and_without_restriction(spec, cutoff, n, count, eps):
+    # the corruption of `--skew`: eps on the first `count` subdiagonal entries.
+    # Theta|0> picks up eps |1>, and L_n |1> != 0 for n <= 0, so the vacuum
+    # column alone makes the deviation nonzero.  Theta is orthogonal and the
+    # corruption has norm |eps| < 1, so every level block stays invertible.
+    real = build_theta_fermion(spec, cutoff)
+    theta = real.theta * 1
+    for i in range(count):
+        theta.add_entry(i + 1, i, eps)
+    broken = DefectRealization(real.space, theta, None)
+    dev = check_intertwining(broken, n)
+    assert dev != 0 and dev == _intertwining_full(broken, n)
+    assert check_ope_preservation(broken) == _ope_full(broken) != 0
 
 
 def test_intertwining_float_angles():

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neqcft import fock
-from neqcft.fock import BOSON, FERMION, StateVector, enumerate_basis
+from neqcft import fock, virasoro
+from neqcft.fock import BOSON, FERMION, GradedOperator, StateVector, enumerate_basis
 from neqcft.virasoro import (build_virasoro, central_charge_probe,
                              commutator_deviation, hermiticity_deviation,
                              level_spectrum_deviation)
@@ -90,6 +90,70 @@ def test_commutator_law_beyond_default_range(data):
     n = data.draw(st.integers(-top, top).filter(lambda k: k == m or abs(m + k) <= top))
     space = enumerate_basis(model, cutoff)
     assert commutator_deviation(model, m, n, space) == 0
+
+
+def _commutator_full(model, m, n, space, central):
+    # oracle: the full products, masked to the safe columns afterwards
+    lm = build_virasoro(model, m, space)
+    ln = build_virasoro(model, n, space)
+    diff = lm @ ln - ln @ lm
+    if m != n:
+        diff = diff - (m - n) * build_virasoro(model, m + n, space)
+    if m + n == 0:
+        diff = diff - Fraction(central) * (m ** 3 - m) / 12 * GradedOperator.identity(space)
+    return diff.max_abs_entry(max_col_level=space.cutoff - max(abs(m), abs(n)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_restricted_commutator_matches_full_products(data):
+    # a wrong central charge is the corruption: it must show up alike on both sides
+    model = data.draw(st.sampled_from((FERMION, BOSON)))
+    twice = data.draw(st.integers(4, 10).filter(lambda t: model == FERMION or t % 2 == 0))
+    cutoff = Fraction(twice, 2)
+    top = int(cutoff)
+    m = data.draw(st.integers(-top, top))
+    n = data.draw(st.integers(-top, top).filter(lambda k: k == m or abs(m + k) <= top))
+    true_c = HALF if model == FERMION else Fraction(1)
+    central = data.draw(st.sampled_from((true_c, true_c + Fraction(1, 3), Fraction(0))))
+    space = enumerate_basis(model, cutoff)
+    dev = commutator_deviation(model, m, n, space, central=central)
+    assert dev == _commutator_full(model, m, n, space, central)
+    if central == true_c:
+        assert dev == 0
+
+
+def test_central_charge_probe_shares_the_callers_space():
+    # generators are cached by space value; a probe on a space of its own would
+    # leave the caller's checks with operators on a different object
+    build_virasoro.cache_clear()
+    space = enumerate_basis(FERMION, 4)
+    assert central_charge_probe(FERMION, 2, space) == HALF
+    assert build_virasoro(FERMION, 2, space).domain is space
+    assert central_charge_probe(FERMION, 2, 4) == HALF
+
+
+def _corrupt(op, row, col, delta):
+    out = op * 1
+    out.add_entry(row, col, delta)
+    return out
+
+
+@pytest.mark.parametrize("model", [FERMION, BOSON])
+def test_level_spectrum_negative_controls(monkeypatch, model):
+    space = enumerate_basis(model, 4)
+    l0 = build_virasoro(model, 0, space)
+    j = space.index_of((-2,) if model == BOSON else (Fraction(-3, 2), -HALF))
+    level = space.level(j)
+    corrupted = [
+        (_corrupt(l0, j, j, Fraction(1, 7)), Fraction(1, 7)),              # wrong diagonal entry
+        (_corrupt(l0, 0, j, Fraction(-1, 3)), Fraction(1, 3)),             # stray off-diagonal entry
+        (_corrupt(l0, j, j, -level), level),                               # missing diagonal entry
+    ]
+    assert level != 0 and level_spectrum_deviation(model, space) == 0
+    for bad, want in corrupted:
+        monkeypatch.setattr(virasoro, "build_virasoro", lambda *_, op=bad: op)
+        assert level_spectrum_deviation(model, space) == want
 
 
 def test_central_charge_probe_values():
