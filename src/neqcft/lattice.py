@@ -25,12 +25,17 @@ propagator.
 
 The protocol runs in real arithmetic.  iA is Hermitian tridiagonal with
 imaginary off-diagonals; the gauge D = diag(i^m) turns it into the real
-symmetric D* (iA) D = tridiag(0, -t), so one tridiagonal eigensolve gives
-real orthogonal modes of the defect chain, from which propagator_rows
-builds any rows of exp(A t).  The uniform Gibbs halves need
-no eigensolve at all: their modes are the sine waves of the open chain
-(the covariance method of Peschel, J. Phys. A 36 (2003) L205), summed by
-one FFT.  Memory is O(N^2), with the 2N x 2N mode matrix the largest array.
+symmetric D* (iA) D = tridiag(0, -t), whose real orthogonal modes are known
+in closed form (_chain_modes): the chain is mirror symmetric about the
+defect, so each mode is sin(k(m+1)) on the left half and s = +-1 times its
+mirror image on the right, with eps = -2t cos k and k a root of the secular
+equation sin(k(N+1)) = s lam sin(kN), one in each interval
+(pi(j-1)/N, pi j/N).  From these modes propagator_rows builds any rows of
+exp(A t).  The uniform Gibbs halves are the lam = 0 case: their modes are
+the sine waves of the open chain (the covariance method of Peschel,
+J. Phys. A 36 (2003) L205), summed by one FFT.  Nothing is diagonalised
+numerically, and memory is O(N^2), with the 2N x 2N mode matrix the largest
+array.
 
 Everything here is double precision; tolerances are module constants or
 stated per operation.
@@ -40,12 +45,11 @@ The dispersion is eps(k) = -2 t sin k on Majorana sites, so the band is
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
-import scipy.linalg
 
 
 class PlateauError(RuntimeError):
@@ -133,9 +137,56 @@ def gibbs_covariance(n_sites, temperature, coupling=1.0):
     return _RE_I_POW[(diff + 1) % 4] * g
 
 
-def _chain_modes(bonds):
-    """Eigenpairs of D* (iA) D = tridiag(0, -t): iA = (D v) diag(eps) (D v)*."""
-    return scipy.linalg.eigh_tridiagonal(np.zeros(len(bonds) + 1), -np.asarray(bonds))
+# bisection steps for the secular roots: halving the bracket pi/N this often
+# leaves less than its last bit
+_ROOT_STEPS = 60
+# rows of the mode matrix filled per step, which bounds the temporaries
+_MODE_ROWS = 64
+
+
+def _chain_modes(spec):
+    """Eigenpairs of D* (iA) D = tridiag(0, -t) for the defect chain, in closed form.
+
+    The 2N-site chain is mirror symmetric about its central bond lam t.  A
+    mode with mirror parity s = +-1 is sin(k(m+1)) on the left half
+    (m = 0..N-1) and s times its mirror image on the right; the bulk rows
+    give eps = -2t cos k, and the rows at the defect hold when
+
+        sin(k(N+1)) = s lam sin(kN).
+
+    Each sector has exactly one root in every bracket (pi(j-1)/N, pi j/N),
+    j = 1..N.  With k = pi(j-1)/N + d the equation reads
+    sin(pi(j-1)/N + d(N+1)) = s lam sin(dN), positive just above d = 0 and
+    negative just below d = pi/N, so one vectorised bisection in d finds all
+    2N roots.  The phases k(m+1) are reduced exactly, as
+    ((j-1)(m+1) mod 2N) pi/N + d(m+1); sin(k(m+1)) itself would lose
+    orthogonality as N grows.  Returns the energies and the orthogonal mode
+    matrix (one mode per column): the N even modes, then the N odd ones.
+    """
+    n = spec.sites
+    j = np.arange(n)  # j - 1, for the brackets j = 1..N
+    parity = np.array([[1.0], [-1.0]])
+    lo = np.zeros((2, n))
+    hi = np.full((2, n), np.pi / n)
+    for _ in range(_ROOT_STEPS):
+        d = 0.5 * (lo + hi)
+        above = np.sin(j * (np.pi / n) + d * (n + 1)) > parity * spec.defect * np.sin(d * n)
+        lo = np.where(above, d, lo)
+        hi = np.where(above, hi, d)
+    d = (0.5 * (lo + hi)).ravel()
+    evals = -2.0 * spec.coupling * np.cos(np.tile(j * (np.pi / n), 2) + d)
+
+    v = np.empty((2 * n, 2 * n))
+    for m0 in range(0, n, _MODE_ROWS):
+        m1 = np.arange(m0, min(m0 + _MODE_ROWS, n))[:, None] + 1  # m + 1
+        phase = (m1 * j) % (2 * n) * (np.pi / n)
+        np.sin(phase + m1 * d[:n], out=v[m0:m0 + len(m1), :n])
+        np.sin(phase + m1 * d[n:], out=v[m0:m0 + len(m1), n:])
+    left = v[:n]
+    left *= 1.0 / np.sqrt(2.0 * np.einsum("mk,mk->k", left, left))
+    v[n:, :n] = left[::-1, :n]
+    np.negative(left[::-1, n:], out=v[n:, n:])
+    return evals, v
 
 
 def propagator_rows(evals, v, rows, t):
@@ -192,6 +243,8 @@ def transmission(defect, omega, coupling=1.0):
     numerator never exceeds the denominator, so T stays in [0, 1] without
     clamping.
     """
+    if coupling <= 0:
+        raise ValueError("coupling must be positive")
     if not 0 < omega < 2 * coupling:
         raise ValueError(f"energy {omega} outside the open band (0, {2 * coupling})")
     v2 = 1.0 - (omega / (2.0 * coupling)) ** 2
@@ -218,19 +271,77 @@ def fermi_occupation(omega, temperature):
     return 1.0 / (math.exp(x) + 1.0)
 
 
-# relative accuracy asked of the Landauer quadrature
+# relative accuracy asked of the Landauer quadrature, and its most panels
 QUAD_REL_TOL = 1e-8
+QUAD_PANEL_LIMIT = 200
+
+# 21-point Gauss-Kronrod rule on [-1, 1], one row per node x >= 0: node,
+# Kronrod weight, weight of the 10-point Gauss rule on every other node
+_GK_TABLE = np.array([
+    (0.995657163025808081, 0.011694638867371874, 0.0),
+    (0.973906528517171720, 0.032558162307964727, 0.066671344308688138),
+    (0.930157491355708226, 0.054755896574351996, 0.0),
+    (0.865063366688984511, 0.075039674810919953, 0.149451349150580593),
+    (0.780817726586416897, 0.093125454583697606, 0.0),
+    (0.679409568299024406, 0.109387158802297642, 0.219086362515982044),
+    (0.562757134668604683, 0.123491976262065851, 0.0),
+    (0.433395394129247191, 0.134709217311473326, 0.269266719309996355),
+    (0.294392862701460198, 0.142775938577060081, 0.0),
+    (0.148874338981631211, 0.147739104901338491, 0.295524224714752870),
+    (0.0, 0.149445554002916906, 0.0),
+])
+_GK_NODES, _KRONROD_WEIGHTS, _GAUSS_WEIGHTS = np.concatenate(
+    [_GK_TABLE, _GK_TABLE[:-1] * [-1.0, 1.0, 1.0]]).T
+
+
+def _gauss_kronrod(f, a, b):
+    """Kronrod estimate of int_a^b f and its distance from the embedded Gauss estimate."""
+    half = 0.5 * (b - a)
+    fx = np.array([f(x) for x in 0.5 * (a + b) + half * _GK_NODES])
+    kronrod = half * float(_KRONROD_WEIGHTS @ fx)
+    return kronrod, abs(kronrod - half * float(_GAUSS_WEIGHTS @ fx))
 
 
 def landauer_current(transmission_fn, t_left, t_right, coupling=1.0):
-    """J = (1/2 pi) int dw w T(w) [f_l(w) - f_r(w)] over the positive band."""
+    """J = (1/2 pi) int dw w T(w) [f_l(w) - f_r(w)] over the positive band.
+
+    Adaptive 21-point Gauss-Kronrod quadrature: the panel with the largest
+    error estimate (the distance between the Kronrod and the embedded Gauss
+    sums) is halved until the estimates sum to at most
+    max(1e-14, QUAD_REL_TOL |J|), with at most QUAD_PANEL_LIMIT panels.
+    """
+    if t_left < 0 or t_right < 0:
+        raise ValueError("temperature must be >= 0")
+    if coupling <= 0:
+        raise ValueError("coupling must be positive")
 
     def integrand(w):
         df = fermi_occupation(w, t_left) - fermi_occupation(w, t_right)
         return w * transmission_fn(w) * df / (2 * math.pi)
 
-    val, err = scipy.integrate.quad(integrand, 0.0, 2 * coupling,
-                                    epsabs=1e-14, epsrel=QUAD_REL_TOL, limit=200)
+    panels = []  # a heap, largest error estimate first
+
+    def add(lo, hi):
+        part, part_err = _gauss_kronrod(integrand, lo, hi)
+        heapq.heappush(panels, (-part_err, lo, hi, part))
+
+    # start from panels that halve toward both band ends, down to 2^-40 of the
+    # band, where the integrand varies fastest: the Fermi factors on the scale
+    # T near w = 0, and the transmission of a nearly perfect bond on the scale
+    # (1 - lam^2)^2 t / 4 lam^2 below w = 2t
+    band = 2.0 * coupling
+    grade = 2.0 ** -np.arange(40, 0, -1)
+    cuts = np.concatenate([[0.0], band * grade, band * (1.0 - grade[-2::-1]), [band]]).tolist()
+    for lo, hi in zip(cuts, cuts[1:]):
+        add(lo, hi)
+    while True:
+        val = math.fsum(p[3] for p in panels)
+        err = math.fsum(-p[0] for p in panels)
+        if err <= max(1e-14, QUAD_REL_TOL * abs(val)) or len(panels) >= QUAD_PANEL_LIMIT:
+            break
+        _, a, b, _ = heapq.heappop(panels)
+        add(a, 0.5 * (a + b))
+        add(0.5 * (a + b), b)
     if err > max(QUAD_REL_TOL * abs(val), 1e-12):
         raise RuntimeError(f"quadrature did not converge (estimate {err:.2e})")
     return val
@@ -292,7 +403,7 @@ def steady_current(spec, t_left, t_right, samples=60):
     bonds = spec.bonds()
     c_left = gibbs_covariance(n // 2, t_left, spec.coupling)
     c_right = gibbs_covariance(n // 2, t_right, spec.coupling)
-    evals, v = _chain_modes(bonds)
+    evals, v = _chain_modes(spec)
 
     jc = spec.defect_bond
     rows = np.array([jc - 1, jc, jc + 1, jc + 2])

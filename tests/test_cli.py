@@ -5,7 +5,9 @@ import importlib
 import importlib.util
 import json
 import math
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -301,6 +303,20 @@ def test_counts_that_would_check_nothing_are_usage_errors(capsys, argv):
     assert "expected an integer >=" in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["landauer", "--Tl", "-1"], "temperature must be >= 0"),
+    (["landauer", "--Tr", "-0.5"], "temperature must be >= 0"),
+    (["landauer", "--coupling", "0"], "coupling must be positive"),
+    (["landauer", "--coupling", "-1"], "coupling must be positive"),
+    (["lattice-transmission", "--coupling", "0"], "coupling must be positive"),
+])
+def test_out_of_domain_lattice_parameters_are_usage_errors(capsys, argv, message):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_smallest_counts_still_check(capsys):
     code, out = run(capsys, "lattice-transmission", "--omega-points", "1")
     assert code == 0 and len(json.loads(out)["grid"]) == 1
@@ -454,3 +470,13 @@ def test_full_suite_quick(capsys):
     report = json.loads(out)
     assert report["passed"] and len(report["steps"]) == 13
 
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test oracle only; importing it would cost every command ~0.5 s
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, neqcft.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

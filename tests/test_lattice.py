@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -119,20 +120,19 @@ def test_negative_temperature_rejected():
 # evolution invariants, with every row of the engine's propagator
 
 def _small_protocol(n_sites=60, lam=0.8, tl=0.3, tr=0.1):
-    bonds = np.full(2 * n_sites - 1, 1.0)
-    bonds[n_sites - 1] *= lam
-    a = quadratic_form(bonds)
+    spec = ChainSpec(sites=n_sites, defect=lam)
+    a = quadratic_form(spec.bonds())
     half = n_sites // 2
     c0 = np.zeros((2 * n_sites, 2 * n_sites))
     c0[:n_sites, :n_sites] = gibbs_covariance(half, tl)
     c0[n_sites:, n_sites:] = gibbs_covariance(half, tr)
-    return bonds, a, c0
+    return spec, a, c0
 
 
-def evolve(bonds, c0, t):
+def evolve(spec, c0, t):
     """C(t) = R C0 R^T with R = exp(A t) assembled from all rows of propagator_rows."""
-    evals, v = lattice._chain_modes(bonds)
-    r = propagator_rows(evals, v, np.arange(len(bonds) + 1), t)
+    evals, v = lattice._chain_modes(spec)
+    r = propagator_rows(evals, v, np.arange(spec.majoranas), t)
     return r @ c0 @ r.T
 
 
@@ -142,22 +142,22 @@ def energy(a, c):
 
 
 def test_zero_time_evolution_is_identity():
-    bonds, _, c0 = _small_protocol()
-    assert np.max(np.abs(evolve(bonds, c0, 0.0) - c0)) < 1e-12
+    spec, _, c0 = _small_protocol()
+    assert np.max(np.abs(evolve(spec, c0, 0.0) - c0)) < 1e-12
 
 
 def test_energy_conservation_along_evolution():
-    bonds, a, c0 = _small_protocol()
+    spec, a, c0 = _small_protocol()
     e0 = energy(a, c0)
     for t in (3.0, 7.0, 12.0):
-        ct = evolve(bonds, c0, t)
+        ct = evolve(spec, c0, t)
         assert abs(energy(a, ct) - e0) <= 1e-10 * max(1.0, abs(e0)), t
 
 
 def test_antisymmetry_and_spectrum_preserved():
-    bonds, _, c0 = _small_protocol()
+    spec, _, c0 = _small_protocol()
     s0 = np.sort(np.linalg.eigvalsh(1j * c0))
-    ct = evolve(bonds, c0, 9.0)
+    ct = evolve(spec, c0, 9.0)
     assert np.max(np.abs(ct + ct.T)) < 1e-10
     st = np.sort(np.linalg.eigvalsh(1j * ct))
     assert np.max(np.abs(st - s0)) < 1e-10
@@ -166,8 +166,8 @@ def test_antisymmetry_and_spectrum_preserved():
 def test_nonorthogonal_propagator_is_detected(monkeypatch):
     chain_modes = lattice._chain_modes
 
-    def scaled_modes(bonds):
-        evals, v = chain_modes(bonds)
+    def scaled_modes(spec):
+        evals, v = chain_modes(spec)
         return evals, 1.001 * v  # rows of exp(A t) no longer orthonormal
 
     monkeypatch.setattr(lattice, "_chain_modes", scaled_modes)
@@ -175,10 +175,26 @@ def test_nonorthogonal_propagator_is_detected(monkeypatch):
         steady_current(ChainSpec(sites=60, defect=0.8), 0.3, 0.1, samples=10)
 
 
+@settings(max_examples=40, deadline=None)
+@given(half_sites=st.integers(20, 200),
+       lam=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-9, 1.0)),
+       coupling=st.floats(0.5, 2.0))
+def test_closed_form_modes_match_tridiagonal_eigensolve(half_sites, lam, coupling):
+    spec = ChainSpec(sites=2 * half_sites, coupling=coupling, defect=lam)
+    evals, v = lattice._chain_modes(spec)
+    bonds = spec.bonds()
+    ref = scipy.linalg.eigh_tridiagonal(np.zeros(spec.majoranas), -bonds, eigvals_only=True)
+    assert np.max(np.abs(np.sort(evals) - ref)) <= 1e-13
+    m = -(np.diag(bonds, 1) + np.diag(bonds, -1))
+    assert np.max(np.abs(m @ v - v * evals)) <= 1e-13
+    assert np.max(np.abs(v.T @ v - np.eye(spec.majoranas))) <= 1e-12
+
+
 def test_front_spreads_at_the_group_velocity():
     # sharp temperature step, homogeneous chain: the disturbed region grows
     # at the maximal group velocity v = 2t of eps(k) = -2 t sin k
-    bonds, _, c0 = _small_protocol(n_sites=120, lam=1.0, tl=0.5, tr=0.05)
+    spec, _, c0 = _small_protocol(n_sites=120, lam=1.0, tl=0.5, tr=0.05)
+    bonds = spec.bonds()
     center = 119
     interior = range(1, len(bonds) - 1)
     forms = {}
@@ -189,7 +205,7 @@ def test_front_spreads_at_the_group_velocity():
     fronts = []
     times = (12.0, 20.0, 28.0)
     for t in times:
-        ct = evolve(bonds, c0, t)
+        ct = evolve(spec, c0, t)
         prof = {j: abs(0.25 * np.sum(vals * ct[nz])) for j, (nz, vals) in forms.items()}
         threshold = 1e-4 * prof[center]
         active = [j for j in interior if prof[j] > threshold]
@@ -375,6 +391,54 @@ def test_landauer_constant_transmission_scales_linearly():
     j1 = landauer_current(lambda w: 1.0, 0.1, 0.05)
     j_half = landauer_current(lambda w: 0.5, 0.1, 0.05)
     assert abs(j_half - 0.5 * j1) < 1e-12
+
+
+def test_gauss_kronrod_rule_degrees():
+    # the 21-point Kronrod rule is exact through degree 31, its Gauss subrule through 19
+    x = lattice._GK_NODES
+    for p in range(32):
+        exact = 2.0 / (p + 1) if p % 2 == 0 else 0.0
+        assert abs(lattice._KRONROD_WEIGHTS @ x ** p - exact) <= 1e-15, p
+        if p < 20:
+            assert abs(lattice._GAUSS_WEIGHTS @ x ** p - exact) <= 1e-15, p
+
+
+def library_landauer_current(transmission_fn, t_left, t_right, coupling):
+    """Independent oracle: the same integral by QUADPACK, summed over a partition
+    graded toward both band ends, each panel to 1e-14 of a first whole-band estimate."""
+    def integrand(w):
+        df = lattice.fermi_occupation(w, t_left) - lattice.fermi_occupation(w, t_right)
+        return w * transmission_fn(w) * df / (2 * math.pi)
+
+    band = 2 * coupling
+    scale = abs(scipy.integrate.quad(integrand, 0.0, band)[0])
+    cuts = sorted({0.0, band} | {band * 2.0 ** -k for k in range(1, 41)}
+                  | {band * (1 - 2.0 ** -k) for k in range(1, 41)})
+    return math.fsum(scipy.integrate.quad(integrand, lo, hi, epsabs=1e-14 * scale,
+                                          epsrel=1e-12)[0]
+                     for lo, hi in zip(cuts, cuts[1:]))
+
+
+_reservoir_temperature = st.one_of(st.just(0.0), st.floats(0.005, 2.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lam=st.floats(0.0, 1.0), t_left=_reservoir_temperature,
+       t_right=_reservoir_temperature, coupling=st.floats(0.5, 2.0))
+def test_landauer_matches_library_quadrature(lam, t_left, t_right, coupling):
+    fn = lambda w: transmission(lam, w, coupling)  # noqa: E731
+    got = landauer_current(fn, t_left, t_right, coupling)
+    ref = library_landauer_current(fn, t_left, t_right, coupling)
+    assert abs(got - ref) <= 1e-10 * abs(ref)
+
+
+def test_landauer_panel_limit_breaks_convergence(monkeypatch):
+    # a transmission that oscillates faster than the starting panels resolve
+    fn = lambda w: math.sin(50 * w) ** 2  # noqa: E731
+    assert landauer_current(fn, 0.5, 0.0) > 0
+    monkeypatch.setattr(lattice, "QUAD_PANEL_LIMIT", 1)
+    with pytest.raises(RuntimeError, match="quadrature did not converge"):
+        landauer_current(fn, 0.5, 0.0)
 
 
 # ---------------------------------------------------------------------------
