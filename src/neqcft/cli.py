@@ -34,6 +34,13 @@ def _finite_float(text):
     return value
 
 
+def _transmission(text):
+    value = _finite_float(text)
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"transmission must lie in [0, 1], got {text!r}")
+    return value
+
+
 def _exact_fraction(text):
     try:
         return Fraction(text)
@@ -479,7 +486,7 @@ def build_parser():
     p.add_argument("--sites", type=int, default=400)
     p.add_argument("--coupling", type=_finite_float, default=1.0)
     p.add_argument("--lam", type=_finite_float, default=1.0)
-    p.add_argument("--samples", type=int, default=60)
+    p.add_argument("--samples", type=_count(1), default=60)
     p.add_argument("--series-out", default=None, help="write the t,current series as CSV")
     _add_temps(p, 0.1, 0.05)
     p.set_defaults(fn=cmd_lattice_run)
@@ -494,7 +501,7 @@ def build_parser():
 
     p = sub.add_parser("landauer", help="Landauer integral against the low-T closed form")
     p.add_argument("--lam", type=_finite_float, default=None)
-    p.add_argument("--t0", type=_finite_float, default=1.0, help="constant transmission when --lam is absent")
+    p.add_argument("--t0", type=_transmission, default=1.0, help="constant transmission when --lam is absent")
     p.add_argument("--coupling", type=_finite_float, default=1.0)
     _add_temps(p, 0.1, 0.0)
     p.set_defaults(fn=cmd_landauer)

@@ -30,12 +30,15 @@ in closed form (_chain_modes): the chain is mirror symmetric about the
 defect, so each mode is sin(k(m+1)) on the left half and s = +-1 times its
 mirror image on the right, with eps = -2t cos k and k a root of the secular
 equation sin(k(N+1)) = s lam sin(kN), one in each interval
-(pi(j-1)/N, pi j/N).  From these modes propagator_rows builds any rows of
-exp(A t).  The uniform Gibbs halves are the lam = 0 case: their modes are
-the sine waves of the open chain (the covariance method of Peschel,
-J. Phys. A 36 (2003) L205), summed by one FFT.  Nothing is diagonalised
-numerically, and memory is O(N^2), with the 2N x 2N mode matrix the largest
-array.
+(pi(j-1)/N, pi j/N).  Only the left half is stored, as two N x N parity
+blocks.  propagator_rows folds any row of exp(A t) onto a left row of the
+two blocks and stacks the rows of many times into one matrix product per
+parity; steady_current builds its rows in blocks of samples.  The uniform
+Gibbs halves are the lam = 0 case: their modes are the sine waves of the
+open chain (the covariance method of Peschel, J. Phys. A 36 (2003) L205),
+summed by one FFT into a Toeplitz-minus-Hankel matrix.  Nothing is
+diagonalised numerically.  Memory is O(N^2): the two parity blocks
+(2 N^2 floats) are freed before the first Gibbs half (N^2 floats) is built.
 
 Everything here is double precision; tolerances are module constants or
 stated per operation.
@@ -50,6 +53,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class PlateauError(RuntimeError):
@@ -114,7 +118,9 @@ def gibbs_covariance(n_sites, temperature, coupling=1.0):
     open-chain sine modes sqrt(2/(L+1)) sin(q_k (m+1)), q_k = pi k/(L+1),
     with eps_k = -2t cos q_k.  Then C_mn = Re(i^(m-n+1)) G_mn with
     G_mn = f(m-n) - f(m+n+2) and f(d) = sum_k tanh(eps_k / 2T) cos(q_k d) / (L+1),
-    all of f from one FFT of length 2(L+1).
+    all of f from one FFT of length 2(L+1).  G is a Toeplitz minus a Hankel
+    matrix, read as sliding windows of f into the one L x L array, and the
+    sign Re(i^(m-n+1)) is applied in place on the 16 classes of (m, n) mod 4.
     temperature = 0 gives the ground state (iC has eigenvalues +-1),
     numpy.inf the maximally mixed state (C = 0).
     """
@@ -131,16 +137,22 @@ def gibbs_covariance(n_sites, temperature, coupling=1.0):
         with np.errstate(over="ignore"):
             occ[1:size + 1] = np.tanh(eps / (2.0 * temperature))
     f = np.fft.fft(occ).real / (size + 1)
-    m = np.arange(size)
-    diff = m[:, None] - m[None, :]
-    g = f[np.abs(diff)] - f[m[:, None] + m[None, :] + 2]
-    return _RE_I_POW[(diff + 1) % 4] * g
+    toeplitz = sliding_window_view(np.concatenate([f[size - 1:0:-1], f[:size]]), size)[::-1]
+    hankel = sliding_window_view(f[2:2 * size + 1], size)
+    c = toeplitz - hankel
+    for i in range(4):
+        for j in range(4):
+            if (i - j) % 2 == 0:
+                c[i::4, j::4] = 0.0
+            elif (i - j + 1) % 4 == 2:
+                np.negative(c[i::4, j::4], out=c[i::4, j::4])
+    return c
 
 
 # bisection steps for the secular roots: halving the bracket pi/N this often
 # leaves less than its last bit
 _ROOT_STEPS = 60
-# rows of the mode matrix filled per step, which bounds the temporaries
+# rows of the parity blocks filled per step, which bounds the temporaries
 _MODE_ROWS = 64
 
 
@@ -160,8 +172,13 @@ def _chain_modes(spec):
     negative just below d = pi/N, so one vectorised bisection in d finds all
     2N roots.  The phases k(m+1) are reduced exactly, as
     ((j-1)(m+1) mod 2N) pi/N + d(m+1); sin(k(m+1)) itself would lose
-    orthogonality as N grows.  Returns the energies and the orthogonal mode
-    matrix (one mode per column): the N even modes, then the N odd ones.
+    orthogonality as N grows.
+
+    Returns the energies, shape (2, N), and the left half of the normalised
+    modes as two N x N parity blocks, shape (2, N, N): modes[0] = L_e holds
+    the even modes and modes[1] = L_o the odd ones, one mode per column.  The
+    full orthogonal mode matrix is v = [[L_e, L_o], [F L_e, -F L_o]] with F
+    the row reversal; it is never formed (see propagator_rows).
     """
     n = spec.sites
     j = np.arange(n)  # j - 1, for the brackets j = 1..N
@@ -173,37 +190,51 @@ def _chain_modes(spec):
         above = np.sin(j * (np.pi / n) + d * (n + 1)) > parity * spec.defect * np.sin(d * n)
         lo = np.where(above, d, lo)
         hi = np.where(above, hi, d)
-    d = (0.5 * (lo + hi)).ravel()
-    evals = -2.0 * spec.coupling * np.cos(np.tile(j * (np.pi / n), 2) + d)
+    d = 0.5 * (lo + hi)
+    evals = -2.0 * spec.coupling * np.cos(j * (np.pi / n) + d)
 
-    v = np.empty((2 * n, 2 * n))
+    modes = np.empty((2, n, n))
     for m0 in range(0, n, _MODE_ROWS):
         m1 = np.arange(m0, min(m0 + _MODE_ROWS, n))[:, None] + 1  # m + 1
         phase = (m1 * j) % (2 * n) * (np.pi / n)
-        np.sin(phase + m1 * d[:n], out=v[m0:m0 + len(m1), :n])
-        np.sin(phase + m1 * d[n:], out=v[m0:m0 + len(m1), n:])
-    left = v[:n]
-    left *= 1.0 / np.sqrt(2.0 * np.einsum("mk,mk->k", left, left))
-    v[n:, :n] = left[::-1, :n]
-    np.negative(left[::-1, n:], out=v[n:, n:])
-    return evals, v
+        for p in range(2):
+            np.sin(phase + m1 * d[p], out=modes[p, m0:m0 + len(m1)])
+    # each mode has equal weight on the two halves
+    modes *= 1.0 / np.sqrt(2.0 * np.einsum("pmk,pmk->pk", modes, modes))[:, None, :]
+    return evals, modes
 
 
-def propagator_rows(evals, v, rows, t):
-    """The given rows of the one-particle propagator exp(A t), in real arithmetic.
+def propagator_rows(evals, modes, rows, times):
+    """The given rows of the one-particle propagator exp(A t) at each time, in real arithmetic.
 
-    With the real orthogonal modes v and energies evals of D* (iA) D (see
-    _chain_modes),
+    With the parity blocks modes = (L_e, L_o) and energies evals of
+    D* (iA) D (see _chain_modes), and v = [[L_e, L_o], [F L_e, -F L_o]],
 
         exp(A t)[r, n] = Re(i^(r-n)) P[r, n] + Im(i^(r-n)) Q[r, n],
         P = v cos(eps t) v^T,   Q = v sin(eps t) v^T.
+
+    The mirror symmetry folds every row onto the left half: row r reads the
+    left row l = r of L_e and L_o with sigma = +1 when r < N, and its mirror
+    image l = 2N-1-r with sigma = -1 otherwise.  With
+    A_p = (L_p[l] o trig(eps_p t)) L_p^T for p in {e, o} and trig in
+    {cos, sin}, the left columns of the row are A_e + sigma A_o and the
+    right columns are the reversal of A_e - sigma A_o.  All (time, left row,
+    trig) triples are stacked, so each parity costs one matrix product.
+    Returns an array of shape (len(times), len(rows), 2N).
     """
+    n = modes.shape[1]
     rows = np.asarray(rows)
-    gauge = (rows[:, None] - np.arange(len(evals))[None, :]) % 4
-    et = evals * t
-    v_rows = v[rows, :]
-    return (_RE_I_POW[gauge] * ((v_rows * np.cos(et)) @ v.T)
-            + _IM_I_POW[gauge] * ((v_rows * np.sin(et)) @ v.T))
+    mirrored = rows >= n
+    left, pick = np.unique(np.where(mirrored, 2 * n - 1 - rows, rows), return_inverse=True)
+    et = evals[:, None, :] * np.asarray(times, dtype=float)[None, :, None]  # (parity, time, mode)
+    trig = np.stack([np.cos(et), np.sin(et)], axis=2)
+    weighted = modes[:, None, left, None, :] * trig[:, :, None]  # (parity, time, row, trig, mode)
+    a = np.matmul(weighted.reshape(2, -1, n), modes.transpose(0, 2, 1)).reshape(weighted.shape)
+    a_even, a_odd = a[0][:, pick], a[1][:, pick]
+    a_odd[:, mirrored] *= -1.0
+    folded = np.concatenate([a_even + a_odd, (a_even - a_odd)[..., ::-1]], axis=-1)
+    gauge = (rows[:, None] - np.arange(2 * n)[None, :]) % 4
+    return _RE_I_POW[gauge] * folded[:, :, 0] + _IM_I_POW[gauge] * folded[:, :, 1]
 
 
 def _left_energy_form(bonds, j):
@@ -360,6 +391,8 @@ def low_temperature_current(t0, t_left, t_right):
 PLATEAU_WINDOW = (0.25, 0.45)
 # largest deviation of the propagator rows from orthonormality
 ORTH_TOL = 1e-10
+# samples whose propagator rows are built together, which bounds the temporaries
+_SAMPLE_BLOCK = 16
 
 
 @dataclass
@@ -390,47 +423,55 @@ def steady_current(spec, t_left, t_right, samples=60):
     """Run the partitioning protocol and extract the plateau current.
 
     The evolution is done spectrally and in real arithmetic: only the four
-    rows of exp(A t) around the defect are needed for the current (see
-    propagator_rows).  They are contracted against the two Gibbs halves
-    separately, so no 2N x 2N covariance is formed and memory stays O(N^2).
-    Each sample checks that the rows stay orthonormal to ORTH_TOL; the
-    largest deviation is kept as orth_drift.  The samples run from t = 0 to
-    the end of PLATEAU_WINDOW, and the plateau is their mean inside it.
+    rows of exp(A t) around the defect are needed for the current.  The
+    samples run from t = 0 to the end of PLATEAU_WINDOW, and the plateau is
+    their mean inside it; a window holding fewer than four samples raises
+    PlateauError before any O(N^2) work.  The rows are built in blocks of
+    _SAMPLE_BLOCK samples, one propagator_rows call per block, and every
+    sample checks that its rows stay orthonormal to ORTH_TOL; the largest
+    deviation is kept as orth_drift.  The mode blocks are then freed, and
+    each Gibbs half is built in turn and contracted against the rows of all
+    samples in one matrix product, so no 2N x 2N covariance is formed.
     """
     n = spec.sites
     w0, w1 = PLATEAU_WINDOW
     lo, hi = w0 * n / spec.v_max, w1 * n / spec.v_max
-    bonds = spec.bonds()
-    c_left = gibbs_covariance(n // 2, t_left, spec.coupling)
-    c_right = gibbs_covariance(n // 2, t_right, spec.coupling)
-    evals, v = _chain_modes(spec)
-
-    jc = spec.defect_bond
-    rows = np.array([jc - 1, jc, jc + 1, jc + 2])
-    t_def = bonds[jc]
-    t_lm = bonds[jc - 1]
-    t_rp = bonds[jc + 1]
-
     times = np.linspace(0.0, hi, samples)
-    values = np.empty(samples)
-    drift = 0.0
-    for i, t in enumerate(times):
-        w_rows = propagator_rows(evals, v, rows, t)
-        gram = w_rows @ w_rows.T
-        dev = float(np.max(np.abs(gram - np.eye(len(rows)))))
-        if dev > ORTH_TOL:
-            raise RuntimeError("propagator rows lost orthonormality")
-        drift = max(drift, dev)
-        w_left, w_right = w_rows[:, :n], w_rows[:, n:]
-        block = w_left @ c_left @ w_left.T + w_right @ c_right @ w_right.T
-        # J = -(t_def/4) (t_{j-1} C[j-1,j+1] + t_{j+1} C[j,j+2])
-        values[i] = -0.25 * t_def * (t_lm * block[0, 2] + t_rp * block[1, 3])
-
     mask = (times >= lo) & (times <= hi)
     if mask.sum() < 4:
         raise PlateauError(
             f"plateau window [{lo:.1f}, {hi:.1f}] holds {int(mask.sum())} samples; "
             "increase samples")
+
+    jc = spec.defect_bond
+    rows = np.array([jc - 1, jc, jc + 1, jc + 2])
+    evals, modes = _chain_modes(spec)
+    w_rows = np.empty((samples, len(rows), 2 * n))
+    drift = 0.0
+    for b0 in range(0, samples, _SAMPLE_BLOCK):
+        block = w_rows[b0:b0 + _SAMPLE_BLOCK]
+        block[...] = propagator_rows(evals, modes, rows, times[b0:b0 + _SAMPLE_BLOCK])
+        gram = block @ block.transpose(0, 2, 1)
+        dev = np.max(np.abs(gram - np.eye(len(rows))), axis=(1, 2))
+        if np.any(dev > ORTH_TOL):
+            raise RuntimeError("propagator rows lost orthonormality")
+        drift = max(drift, float(dev.max()))
+    del modes
+
+    # C[j-1, j+1] and C[j, j+2] of C(t) = W C0 W^T, one Gibbs half of C0 at a time
+    c02 = np.zeros(samples)
+    c13 = np.zeros(samples)
+    for half, temperature in ((slice(0, n), t_left), (slice(n, 2 * n), t_right)):
+        w_half = w_rows[:, :, half]
+        c_half = gibbs_covariance(n // 2, temperature, spec.coupling)
+        x = (w_half[:, :2].reshape(-1, n) @ c_half).reshape(samples, 2, n)
+        del c_half
+        c02 += np.einsum("sn,sn->s", x[:, 0], w_half[:, 2])
+        c13 += np.einsum("sn,sn->s", x[:, 1], w_half[:, 3])
+    bonds = spec.bonds()
+    # J = -(t_def/4) (t_{j-1} C[j-1,j+1] + t_{j+1} C[j,j+2])
+    values = -0.25 * bonds[jc] * (bonds[jc - 1] * c02 + bonds[jc + 1] * c13)
+
     vals = values[mask]
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))

@@ -181,6 +181,9 @@ def test_landauer_subcommand(capsys):
     assert code == 0
     report = json.loads(out)
     assert abs(report["J"] - 1.3090e-3) < 1e-6
+    # both ends of [0, 1] are transmissions
+    code, out = run(capsys, "landauer", "--t0", "0")
+    assert code == 0 and json.loads(out)["J"] == 0.0
 
 
 def test_lattice_transmission_csv_format(capsys):
@@ -295,6 +298,7 @@ def test_bad_fraction_flags_are_usage_errors(capsys, argv):
     ["su2k-decompose", "--k", "-1"],
     ["su2k-current", "--k", "0", "--rr-bar", "1/2"],
     ["su2k-current", "--k", "-1", "--rr-bar", "1/2"],
+    ["lattice-run", "--samples", "-5"],
 ])
 def test_counts_that_would_check_nothing_are_usage_errors(capsys, argv):
     assert cli.main(argv) == 2
@@ -309,6 +313,8 @@ def test_counts_that_would_check_nothing_are_usage_errors(capsys, argv):
     (["landauer", "--coupling", "0"], "coupling must be positive"),
     (["landauer", "--coupling", "-1"], "coupling must be positive"),
     (["lattice-transmission", "--coupling", "0"], "coupling must be positive"),
+    (["landauer", "--t0", "2"], "transmission must lie in [0, 1]"),
+    (["landauer", "--t0", "-1"], "transmission must lie in [0, 1]"),
 ])
 def test_out_of_domain_lattice_parameters_are_usage_errors(capsys, argv, message):
     assert cli.main(argv) == 2

@@ -131,8 +131,8 @@ def _small_protocol(n_sites=60, lam=0.8, tl=0.3, tr=0.1):
 
 def evolve(spec, c0, t):
     """C(t) = R C0 R^T with R = exp(A t) assembled from all rows of propagator_rows."""
-    evals, v = lattice._chain_modes(spec)
-    r = propagator_rows(evals, v, np.arange(spec.majoranas), t)
+    evals, modes = lattice._chain_modes(spec)
+    r = propagator_rows(evals, modes, np.arange(spec.majoranas), [t])[0]
     return r @ c0 @ r.T
 
 
@@ -167,12 +167,28 @@ def test_nonorthogonal_propagator_is_detected(monkeypatch):
     chain_modes = lattice._chain_modes
 
     def scaled_modes(spec):
-        evals, v = chain_modes(spec)
-        return evals, 1.001 * v  # rows of exp(A t) no longer orthonormal
+        evals, modes = chain_modes(spec)
+        return evals, 1.001 * modes  # rows of exp(A t) no longer orthonormal
 
     monkeypatch.setattr(lattice, "_chain_modes", scaled_modes)
     with pytest.raises(RuntimeError, match="orthonormality"):
         steady_current(ChainSpec(sites=60, defect=0.8), 0.3, 0.1, samples=10)
+
+
+def test_one_nonorthogonal_sample_is_detected(monkeypatch):
+    # only the last sample of the ragged last block goes wrong
+    samples = 2 * lattice._SAMPLE_BLOCK + 3
+    rows_at = lattice.propagator_rows
+
+    def last_sample_scaled(evals, modes, rows, times):
+        w = rows_at(evals, modes, rows, times)
+        if len(times) < lattice._SAMPLE_BLOCK:
+            w[-1] *= 1.001
+        return w
+
+    monkeypatch.setattr(lattice, "propagator_rows", last_sample_scaled)
+    with pytest.raises(RuntimeError, match="orthonormality"):
+        steady_current(ChainSpec(sites=60, defect=0.8), 0.3, 0.1, samples=samples)
 
 
 @settings(max_examples=40, deadline=None)
@@ -181,13 +197,33 @@ def test_nonorthogonal_propagator_is_detected(monkeypatch):
        coupling=st.floats(0.5, 2.0))
 def test_closed_form_modes_match_tridiagonal_eigensolve(half_sites, lam, coupling):
     spec = ChainSpec(sites=2 * half_sites, coupling=coupling, defect=lam)
-    evals, v = lattice._chain_modes(spec)
+    evals, (l_even, l_odd) = lattice._chain_modes(spec)
+    evals = evals.ravel()
+    v = np.block([[l_even, l_odd], [l_even[::-1], -l_odd[::-1]]])
     bonds = spec.bonds()
     ref = scipy.linalg.eigh_tridiagonal(np.zeros(spec.majoranas), -bonds, eigvals_only=True)
     assert np.max(np.abs(np.sort(evals) - ref)) <= 1e-13
     m = -(np.diag(bonds, 1) + np.diag(bonds, -1))
     assert np.max(np.abs(m @ v - v * evals)) <= 1e-13
     assert np.max(np.abs(v.T @ v - np.eye(spec.majoranas))) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(half_sites=st.integers(20, 100),
+       lam=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-9, 1.0)),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+def test_folded_propagator_rows_match_dense_eigensolve(half_sites, lam, fractions):
+    # every row, on both sides of the mirror fold, at times t in [0, N/4].  The
+    # oracle is exp(A t) = U exp(-i eps t) U* from a dense eigensolve of iA:
+    # scipy.linalg.expm itself is off by 1.2e-13 at N = 94, lam = 0, t = 16.9
+    spec = ChainSpec(sites=2 * half_sites, defect=lam)
+    times = [f * spec.sites / 4 for f in fractions]
+    evals, modes = lattice._chain_modes(spec)
+    got = propagator_rows(evals, modes, np.arange(spec.majoranas), times)
+    eps, u = np.linalg.eigh(1j * quadratic_form(spec.bonds()))
+    for t, r in zip(times, got):
+        ref = ((u * np.exp(-1j * eps * t)) @ u.conj().T).real
+        assert np.max(np.abs(r - ref)) <= 1e-13
 
 
 def test_front_spreads_at_the_group_velocity():
@@ -253,17 +289,37 @@ def dense_current_series(spec, t_left, t_right, times):
     return np.array(out)
 
 
+def _check_against_dense(spec, t_left, t_right, samples):
+    series = steady_current(spec, t_left, t_right, samples=samples)
+    ref = dense_current_series(spec, t_left, t_right, series.times)
+    assert np.max(np.abs(series.values - ref)) <= 1e-14
+    assert 0.0 <= series.orth_drift <= 1e-10
+
+
 @settings(max_examples=15, deadline=None)
 @given(half_sites=st.integers(20, 60),
        lam=st.one_of(st.just(0.0), st.floats(1e-9, 1.0)),
        t_left=st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
        t_right=st.one_of(st.just(0.0), st.floats(0.01, 1.0)))
 def test_steady_current_matches_dense_propagator(half_sites, lam, t_left, t_right):
+    _check_against_dense(ChainSpec(sites=2 * half_sites, defect=lam), t_left, t_right, samples=10)
+
+
+@pytest.mark.parametrize("lam, t_left, t_right", [(0.6, 0.3, 0.05), (1.0, 0.0, 0.4)])
+def test_steady_current_matches_dense_propagator_across_sample_blocks(lam, t_left, t_right):
+    # two full blocks of samples and a ragged tail
+    _check_against_dense(ChainSpec(sites=60, defect=lam), t_left, t_right,
+                         samples=2 * lattice._SAMPLE_BLOCK + 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(half_sites=st.integers(20, 100),
+       lam=st.one_of(st.just(0.0), st.floats(1e-9, 1.0)),
+       temperature=st.one_of(st.just(0.0), st.floats(0.01, 1.0)))
+def test_equal_temperatures_carry_no_current(half_sites, lam, temperature):
     spec = ChainSpec(sites=2 * half_sites, defect=lam)
-    series = steady_current(spec, t_left, t_right, samples=10)
-    ref = dense_current_series(spec, t_left, t_right, series.times)
-    assert np.max(np.abs(series.values - ref)) <= 1e-14
-    assert 0.0 <= series.orth_drift <= 1e-10
+    series = steady_current(spec, temperature, temperature)
+    assert np.max(np.abs(series.values)) <= 1e-15
 
 
 def test_cut_chain_carries_nothing():
@@ -487,8 +543,14 @@ def test_low_temperature_scaling_exponent():
     assert abs(p - 2.0) <= 0.1, p
 
 
-def test_plateau_error_when_window_empty():
-    # six samples over [0, 0.45 N / v_max] leave three in the window
+def test_plateau_error_when_window_empty(monkeypatch):
+    # six samples over [0, 0.45 N / v_max] leave three in the window, which
+    # is known before the Gibbs halves or the modes are built
+    def unreachable(*args):
+        raise AssertionError("O(N^2) work before the plateau check")
+
+    monkeypatch.setattr(lattice, "gibbs_covariance", unreachable)
+    monkeypatch.setattr(lattice, "_chain_modes", unreachable)
     spec = ChainSpec(sites=120)
     with pytest.raises(PlateauError, match="holds 3 samples"):
         steady_current(spec, 0.2, 0.1, samples=6)
