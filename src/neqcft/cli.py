@@ -124,14 +124,14 @@ def cmd_virasoro_check(args):
     return report, passed
 
 
-def _build_theta(args, cutoff):
-    spec = _theta_from_args(args)
+def _build_theta(args, spec=None):
+    """Theta for ``spec`` at --cutoff, broken by --skew; by default at the flags' point."""
     if spec is None:
-        # a generic rational point; the axis points satisfy several checks
-        # trivially and would not exercise them
-        spec = defect.BogoliubovSpec(Fraction(3, 5), Fraction(4, 5))
-    real = defect.build_theta_fermion(spec, cutoff)
-    if getattr(args, "skew", 0.0):
+        # a generic rational point unless the flags give one; the axis points
+        # satisfy several checks trivially and would not exercise them
+        spec = _theta_from_args(args) or defect.BogoliubovSpec(Fraction(3, 5), Fraction(4, 5))
+    real = defect.build_theta_fermion(spec, args.cutoff)
+    if args.skew:
         real = _skewed(real, args.skew)
     return real
 
@@ -148,11 +148,9 @@ def _skewed(real, eps):
 def cmd_intertwiner(args):
     report = {"cutoff": str(args.cutoff), "checks": []}
     passed = True
-    specs = [_theta_from_args(args)] if (args.alpha is not None or args.cos_sin) else _alpha_grid()
-    for spec in specs:
-        real = defect.build_theta_fermion(spec, args.cutoff)
-        if args.skew:
-            real = _skewed(real, args.skew)
+    chosen = _theta_from_args(args)
+    for spec in [chosen] if chosen else _alpha_grid():
+        real = _build_theta(args, spec)
         tol = real.tolerance
         for n in range(-args.n_range, args.n_range + 1):
             dev = defect.check_intertwining(real, n)
@@ -167,7 +165,7 @@ def cmd_intertwiner(args):
 
 
 def cmd_momentum_continuity(args):
-    real = _build_theta(args, args.cutoff)
+    real = _build_theta(args)
     ok = defect.check_momentum_continuity(real)
     report = {"cutoff": str(args.cutoff), "theta": _theta_label(real.source) if real.source else "skewed",
               "passed": bool(ok)}
@@ -178,7 +176,7 @@ def cmd_momentum_continuity(args):
 
 
 def cmd_ope_preservation(args):
-    real = _build_theta(args, args.cutoff)
+    real = _build_theta(args)
     vac = defect.vacuum_preservation_deviation(real)
     try:
         dev = defect.check_ope_preservation(real)
@@ -365,8 +363,8 @@ def cmd_full_suite(args):
     steps = [
         ("virasoro-check", ["virasoro-check"]),
         ("intertwiner", ["intertwiner"]),
-        ("momentum-continuity", ["momentum-continuity", "--cos-sin", "3/5,4/5"]),
-        ("ope-preservation", ["ope-preservation", "--cos-sin", "3/5,4/5"]),
+        ("momentum-continuity", ["momentum-continuity"]),
+        ("ope-preservation", ["ope-preservation"]),
         ("reflection-phases", ["reflection-phases"]),
         ("smatrix", ["smatrix"]),
         ("current", ["current"]),
@@ -444,7 +442,7 @@ def build_parser():
     p = sub.add_parser("reflection-phases", help="solve the fusion constraints on reflection phases")
     p.add_argument("--ring", default="ising",
                    help="builtin name (ising, z3, trivial) or path to a JSON ring")
-    p.add_argument("--max-order", type=int, default=24)
+    p.add_argument("--max-order", type=_count(1), default=24)
     p.set_defaults(fn=cmd_reflection_phases)
 
     p = sub.add_parser("smatrix", help="scattering map on fields and stress weights")

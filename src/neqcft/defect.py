@@ -20,6 +20,8 @@ br^l -> -b^l).
 
 The map is defined on states through the operator-state correspondence:
 it fixes the vacuum and acts on creation modes by the rotation above.
+Theta is built column by column in level order: each column is one mode
+image applied to the column of a state of lower level.
 All checks below compare honest truncated matrices on the safe subspace,
 and multiply only its columns.  The product space, the embedded factor
 modes and the diagonal Virasoro action are built once per cutoff (or
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import fock, virasoro
-from .fock import FERMION, GradedOperator, ProductSpace, StateVector
+from .fock import FERMION, GradedOperator, ProductSpace
 
 FLOAT_TOL = 1e-12
 
@@ -165,19 +167,27 @@ def build_mode_automorphism(matrix, cutoff, source=None):
     m[0][0] c^A_s + m[0][1] c^B_s, image of c^B_s is
     m[1][0] c^A_s + m[1][1] c^B_s.  Orthogonality is not assumed, so this
     can also build the deliberately broken maps used as negative controls.
+    Column (i, j) is the image of its leftmost mode (the first A mode, else
+    the first B mode) applied to the column of the state without that mode.
     """
     space = scattering_space(cutoff)
     creation = [v for v in fock.mode_values(FERMION, space.cutoff) if v < 0]
     _, images = _mode_images(space, creation, matrix)
     theta = GradedOperator.zero(space, space, Fraction(0), 0)
+    # pairs run in level order, so the column of ``rest`` is already built
     for col, (i, j) in enumerate(space.pairs):
-        ops = [("A", v) for v in space.left.states[i].occupied]
-        ops += [("B", v) for v in space.right.states[j].occupied]
-        vec = StateVector.vacuum(space)
-        for key in reversed(ops):
-            vec = images[key].apply(vec)
-        for row, amp in vec.amplitudes.items():
-            theta.add_entry(row, col, amp)
+        left, right = space.left.states[i].occupied, space.right.states[j].occupied
+        if left:
+            key, rest = ("A", left[0]), (space.left.index_of(left[1:]), j)
+        elif right:
+            key, rest = ("B", right[0]), (i, space.right.index_of(right[1:]))
+        else:  # the vacuum is fixed
+            theta.add_entry(col, col, Fraction(1))
+            continue
+        image = images[key].columns
+        for m, amp in theta.columns.get(space.index_of(rest), {}).items():
+            for row, val in image.get(m, {}).items():
+                theta.add_entry(row, col, val * amp)
     return DefectRealization(space, theta, source, mode_map=matrix)
 
 
@@ -232,15 +242,9 @@ def check_momentum_continuity(real):
     space = real.space
     if space.cutoff < 2:
         raise ValueError("cutoff must be >= 2 to host the stress state")
-    ltot = total_virasoro(space, -2)
-    vac = StateVector.vacuum(space)
-    state = ltot.apply(vac)
-    image = real.theta.apply(state)
-    dev = 0
-    keys = set(state.amplitudes) | set(image.amplitudes)
-    for k in keys:
-        dev = max(dev, abs(image.amplitudes.get(k, 0) - state.amplitudes.get(k, 0)))
-    return dev <= real.tolerance
+    # the vacuum column of L^tot_-2 is the stress state
+    stress = total_virasoro(space, -2).restrict_columns(0)
+    return (real.theta @ stress - stress).max_abs_entry() <= real.tolerance
 
 
 def check_ope_preservation(real):
@@ -338,24 +342,37 @@ class FusionRing:
                 raise ValueError(f"conjugation undefined for label {j!r}")
             if self.conjugation.get(jj) != j:
                 raise ValueError("conjugation must be an involution")
-        for j, k, m in self.pattern:
-            for lbl in (j, k, m):
-                if lbl not in self.labels:
-                    raise ValueError(f"fusion triple uses unknown label {lbl!r}")
+        for t in self.pattern:
+            if len(t) != 3 or not set(t) <= set(self.labels):
+                raise ValueError(f"fusion triple {list(t)!r} must name three known labels")
         for j in self.labels:
             if (j, self.conjugation[j], self.identity) not in self.pattern:
                 raise ValueError(f"(j, jbar, identity) missing from pattern for {j!r}")
 
     @classmethod
     def from_dict(cls, data):
-        return cls(labels=tuple(data["labels"]),
+        """Ring from its JSON form; a malformed document raises ValueError naming the problem."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a ring must be a JSON object, got {type(data).__name__}")
+        missing = [k for k in ("labels", "identity", "fusion", "conjugation") if k not in data]
+        if missing:
+            raise ValueError(f"ring is missing {', '.join(missing)}")
+        if not (isinstance(data["fusion"], list) and isinstance(data["conjugation"], dict)):
+            raise ValueError("fusion must be a list of triples and conjugation an object")
+        return cls(labels=_labels(data["labels"], "labels"),
                    identity=data["identity"],
-                   pattern=frozenset(tuple(t) for t in data["fusion"]),
+                   pattern=frozenset(_labels(t, "fusion triple") for t in data["fusion"]),
                    conjugation=dict(data["conjugation"]))
 
     @classmethod
     def from_json(cls, text):
         return cls.from_dict(json.loads(text))
+
+
+def _labels(value, what):
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise ValueError(f"{what} must be a list of label strings, got {value!r}")
+    return tuple(value)
 
 
 def ising_ring():
@@ -416,6 +433,8 @@ def solve_reflection_phases(ring, max_order=24):
     means nothing is consistent within that bound (the all-ones assignment
     always is, so valid rings report at least one solution).
     """
+    if max_order < 1:
+        raise ValueError(f"max_order must be >= 1, got {max_order}")
     labels = [l for l in ring.labels if l != ring.identity]
     candidates = _phase_candidates(max_order)
     solutions = []

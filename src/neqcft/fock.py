@@ -19,7 +19,9 @@ to levels <= cutoff.  Algebraic identities therefore hold only on the safe
 subspace of states that cannot leak past the cutoff, levels
 <= cutoff - |level_shift|; every check in this package restricts itself
 there, and multiplies only the columns it reads
-(``GradedOperator.restrict_columns``).
+(``GradedOperator.restrict_columns``).  There is no separate vector type:
+a state is an operator column ``{row: amplitude}``, and column ``j`` of
+``A @ B`` is ``A`` applied to column ``j`` of ``B``.
 
 Spaces hash once, at construction, and compare by value.  Mode matrices are
 built once per (space, mode value) and shared by every caller, which is safe
@@ -217,21 +219,6 @@ def _apply_boson(value, occupied):
     return mult * value, occupied[:i] + occupied[i + 1:]
 
 
-@dataclass
-class StateVector:
-    """Sparse vector over a StateSpace basis."""
-
-    space: object
-    amplitudes: dict
-
-    @classmethod
-    def vacuum(cls, space):
-        return cls(space, {space.vacuum_index: Fraction(1)})
-
-    def is_zero(self):
-        return not self.amplitudes
-
-
 # ---------------------------------------------------------------------------
 # graded sparse operators
 
@@ -281,19 +268,6 @@ class GradedOperator:
 
     def entry(self, row, col):
         return self.columns.get(col, {}).get(row, 0)
-
-    def apply(self, vec):
-        if not same_space(vec.space, self.domain):
-            raise ValueError("vector space does not match operator domain")
-        out = {}
-        for j, amp in vec.amplitudes.items():
-            for row, val in self.columns.get(j, {}).items():
-                acc = out.get(row, 0) + val * amp
-                if acc:
-                    out[row] = acc
-                else:
-                    out.pop(row, None)
-        return StateVector(self.codomain, out)
 
     def __matmul__(self, other):
         if not same_space(other.codomain, self.domain):

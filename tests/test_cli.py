@@ -299,6 +299,9 @@ def test_bad_fraction_flags_are_usage_errors(capsys, argv):
     ["su2k-current", "--k", "0", "--rr-bar", "1/2"],
     ["su2k-current", "--k", "-1", "--rr-bar", "1/2"],
     ["lattice-run", "--samples", "-5"],
+    # no root of unity of order below 1
+    ["reflection-phases", "--max-order", "0"],
+    ["reflection-phases", "--ring", "trivial", "--max-order", "-3"],
 ])
 def test_counts_that_would_check_nothing_are_usage_errors(capsys, argv):
     assert cli.main(argv) == 2
@@ -389,6 +392,70 @@ def test_symbolic_reports_are_pinned(capsys, argv, expected):
     assert json.loads(out) == expected
 
 
+_ALPHA_03 = "(cos, sin) = (0.955336489125606, 0.29552020666133955)"
+_SKEW_DIAGNOSTIC = ("defect map fails to intertwine the incoming and outgoing Virasoro actions: "
+                    "Theta (Lbar^l_n + L^r_n) != (L^l_n + Lbar^r_n) Theta")
+
+# reports of the exact layer on its float and skewed paths, pinned string for
+# string with their exit codes: a rewrite of fock or defect must not move a
+# trailing digit
+EXACT_REPORTS = [
+    (["intertwiner", "--cutoff", "4", "--alpha", "0.3", "--n-range", "1"], 0, {
+        "cutoff": "4",
+        "checks": [
+            {"theta": _ALPHA_03, "n": -1, "deviation": "1.1102230246251565e-16", "passed": True},
+            {"theta": _ALPHA_03, "n": 0, "deviation": "0", "passed": True},
+            {"theta": _ALPHA_03, "n": 1, "deviation": "0", "passed": True},
+        ],
+    }),
+    (["intertwiner", "--cutoff", "3", "--cos-sin", "3/5,4/5", "--skew", "0.01", "--n-range", "1"], 1, {
+        "cutoff": "3",
+        "checks": [
+            {"theta": "(cos, sin) = (3/5, 4/5)", "n": -1, "deviation": "0.020000000000000018",
+             "passed": False},
+            {"theta": "(cos, sin) = (3/5, 4/5)", "n": 0, "deviation": "0.005000000000000001",
+             "passed": False},
+            {"theta": "(cos, sin) = (3/5, 4/5)", "n": 1, "deviation": "0.02", "passed": False},
+        ],
+        "diagnostic": _SKEW_DIAGNOSTIC,
+    }),
+    (["ope-preservation", "--skew", "0.01"], 1, {
+        "cutoff": "4",
+        "vacuum_deviation": "0.01",
+        "anticommutator_deviation": "0.016",
+        "passed": False,
+        "diagnostic": "mode conjugation does not preserve the anticommutation relations "
+                      "or the identity field",
+    }),
+    (["ope-preservation", "--alpha", "1.1"], 0, {
+        "cutoff": "4",
+        "vacuum_deviation": "0",
+        "anticommutator_deviation": "5.551115123125783e-17",
+        "passed": True,
+    }),
+    (["momentum-continuity", "--alpha", "0.7"], 0, {
+        "cutoff": "4",
+        "theta": "(cos, sin) = (0.7648421872844885, 0.644217687237691)",
+        "passed": True,
+    }),
+    (["momentum-continuity", "--skew", "0.01"], 1, {
+        "cutoff": "4",
+        "theta": "skewed",
+        "passed": False,
+        "diagnostic": "momentum density not continuous across the impurity: "
+                      "Theta[Tbar^l + T^r] != T^l + Tbar^r on the vacuum",
+    }),
+]
+
+
+@pytest.mark.parametrize("argv, verdict, expected", EXACT_REPORTS,
+                         ids=[" ".join(argv) for argv, _, _ in EXACT_REPORTS])
+def test_exact_reports_are_pinned(capsys, argv, verdict, expected):
+    code, out = run(capsys, *argv)
+    assert code == verdict
+    assert json.loads(out) == expected
+
+
 def test_numerical_breakdown_is_a_failed_verification(capsys):
     # six samples leave too few in the plateau window
     code = cli.main(["lattice-run", "--sites", "120", "--samples", "6"])
@@ -400,6 +467,27 @@ def test_bad_ring_path_is_usage_error(capsys):
     code = cli.main(["reflection-phases", "--ring", "/does/not/exist.json"])
     capsys.readouterr()
     assert code == 2
+
+
+_ISING = {"labels": ["1", "psi"], "identity": "1",
+          "fusion": [["1", "1", "1"], ["1", "psi", "psi"], ["psi", "1", "psi"], ["psi", "psi", "1"]],
+          "conjugation": {"1": "1", "psi": "psi"}}
+
+
+@pytest.mark.parametrize("ring, message", [
+    ({k: v for k, v in _ISING.items() if k != "fusion"}, "ring is missing fusion"),
+    ([_ISING], "a ring must be a JSON object, got list"),
+    (dict(_ISING, fusion=[["1", "1", "1"], ["psi", "psi"]]), "must name three known labels"),
+    (dict(_ISING, labels=5), "labels must be a list of label strings"),
+    (dict(_ISING, fusion=[5]), "fusion triple must be a list of label strings"),
+])
+def test_malformed_ring_file_is_usage_error(capsys, tmp_path, ring, message):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(ring))
+    assert cli.main(["reflection-phases", "--ring", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
 
 
 def test_lattice_run_with_series(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Defect map construction and every algebraic consistency check."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from neqcft.defect import (REFLECTION, TRANSMISSION, BogoliubovSpec,
                            compose_defects, ising_ring, solve_reflection_phases,
                            trivial_ring, vacuum_preservation_deviation,
                            z3_parafermion_ring)
-from neqcft.fock import GradedOperator, StateVector
+from neqcft.fock import GradedOperator
 
 HALF = Fraction(1, 2)
 
@@ -168,6 +169,68 @@ def pythagorean_points(draw):
                           Fraction(draw(st.sampled_from((1, -1))) * b, c))
 
 
+def _rotation(spec):
+    c, s = spec.cos_a, spec.sin_a
+    return [[c, -s], [s, c]]
+
+
+_ENTRIES = st.fractions(min_value=-2, max_value=2, max_denominator=12)
+
+
+@st.composite
+def mode_matrices(draw):
+    """Exact and float rotations, a skewed rotation, and general and singular 2x2 matrices."""
+    kind = draw(st.sampled_from(("exact", "float", "skew", "general", "singular")))
+    if kind == "exact":
+        return _rotation(draw(pythagorean_points()))
+    if kind == "float":
+        return _rotation(BogoliubovSpec.from_angle(draw(st.floats(-math.pi, math.pi))))
+    if kind == "skew":
+        m = _rotation(draw(pythagorean_points()))
+        m[0][1] += draw(_ENTRIES.filter(bool)) / 50
+        return m
+    entries = st.one_of(_ENTRIES, st.floats(-2, 2))
+    a, b, k = draw(entries), draw(entries), draw(entries)
+    if kind == "singular":
+        return [[a, b], [k * a, k * b]]
+    return [[a, b], [k, draw(entries)]]
+
+
+def _theta_oracle(matrix, cutoff):
+    """Theta without reusing a column: each state's mode images applied to the vacuum, right to left."""
+    space = defect.scattering_space(cutoff)
+
+    @functools.cache
+    def image(factor, value):
+        a = fock.graded_tensor(fock.mode_operator(space.left, value), "left", space)
+        b = fock.graded_tensor(fock.mode_operator(space.right, value), "right", space)
+        row = matrix[0] if factor == "A" else matrix[1]
+        return row[0] * a + row[1] * b
+
+    vacuum = GradedOperator.identity(space).restrict_columns(0)
+    columns = {}
+    for col, (i, j) in enumerate(space.pairs):
+        modes = [("A", v) for v in space.left.states[i].occupied]
+        modes += [("B", v) for v in space.right.states[j].occupied]
+        state = functools.reduce(lambda acc, key: image(*key) @ acc, reversed(modes), vacuum)
+        if state.columns:
+            columns[col] = state.columns[space.vacuum_index]
+    return columns
+
+
+def _typed_entries(columns):
+    return [(col, [(row, val, type(val)) for row, val in c.items()]) for col, c in columns.items()]
+
+
+@settings(max_examples=30, deadline=None)
+@given(mode_matrices(), st.integers(1, 6))
+def test_mode_automorphism_matches_vacuum_walk_oracle(matrix, cutoff):
+    # same values, same types and same order of columns and rows, so the
+    # float reports built on Theta keep their trailing digits
+    theta = build_mode_automorphism(matrix, cutoff).theta
+    assert _typed_entries(theta.columns) == _typed_entries(_theta_oracle(matrix, cutoff))
+
+
 @settings(max_examples=25, deadline=None)
 @given(pythagorean_points(), st.integers(2, 5), st.integers(-2, 2))
 def test_intertwining_on_random_pythagorean_points(spec, cutoff, n):
@@ -238,9 +301,11 @@ def test_transmission_maps_stress_sidewise():
     space = real.space
     from neqcft import virasoro
     gen = virasoro.build_virasoro("fermion", -2, space.right)
+    vac = space.vacuum_index
     for pos in ("left", "right"):
-        state = fock.graded_tensor(gen, pos, space).apply(StateVector.vacuum(space))
-        assert real.theta.apply(state) == state
+        stress = fock.graded_tensor(gen, pos, space).restrict_columns(0)
+        state = stress.columns[vac]
+        assert state and (real.theta @ stress).columns[vac] == state
 
 
 def test_reflection_swaps_stress_chirality():
@@ -251,20 +316,23 @@ def test_reflection_swaps_stress_chirality():
     space = real.space
     from neqcft import virasoro
     gen = virasoro.build_virasoro("fermion", -2, space.right)
-    incoming = fock.graded_tensor(gen, "right", space).apply(StateVector.vacuum(space))
-    outgoing = fock.graded_tensor(gen, "left", space).apply(StateVector.vacuum(space))
-    image = real.theta.apply(incoming)
+    vac = space.vacuum_index
+    incoming = fock.graded_tensor(gen, "right", space).restrict_columns(0)
+    outgoing = fock.graded_tensor(gen, "left", space).columns[vac]
+    image = (real.theta @ incoming).columns[vac]
     assert image == outgoing
 
 
-def test_composition_law():
-    a = BogoliubovSpec(Fraction(3, 5), Fraction(4, 5))
-    b = BogoliubovSpec(Fraction(5, 13), Fraction(12, 13))
-    ra = build_theta_fermion(a, 4)
-    rb = build_theta_fermion(b, 4)
-    combined = compose_defects(ra, rb)
-    direct = build_theta_fermion(a.compose(b), 4)
-    assert defect.max_matrix_deviation(combined, direct) == 0
+@settings(max_examples=15, deadline=None)
+@given(pythagorean_points(), pythagorean_points(), st.integers(2, 5))
+def test_composition_law(a, b, cutoff):
+    ra = build_theta_fermion(a, cutoff)
+    rb = build_theta_fermion(b, cutoff)
+    direct = build_theta_fermion(a.compose(b), cutoff)
+    assert defect.max_matrix_deviation(compose_defects(ra, rb), direct) == 0
+    ident = DefectRealization(ra.space, GradedOperator.identity(ra.space))
+    inv = build_theta_fermion(a.inverse(), cutoff)
+    assert defect.max_matrix_deviation(compose_defects(ra, inv), ident) == 0
 
 
 def test_composition_law_float():
@@ -321,6 +389,7 @@ def test_negative_control_nonorthogonal_matrix():
     real = build_mode_automorphism(skewed, 3)
     assert check_ope_preservation(real) != 0
     assert check_intertwining(real, -2) != 0
+    assert not check_momentum_continuity(real)
 
 
 def test_negative_control_skewed_realization_fails_all_three():
@@ -384,6 +453,12 @@ def test_phase_bound_filters_high_order_solutions():
     assert sorted(s.zetas["p1"] for s in full) == [Fraction(0), Fraction(1, 5),
                                                    Fraction(2, 5), Fraction(3, 5),
                                                    Fraction(4, 5)]
+
+
+def test_phase_bound_below_one_is_refused():
+    for max_order in (0, -3):
+        with pytest.raises(ValueError, match="max_order must be >= 1"):
+            solve_reflection_phases(ising_ring(), max_order=max_order)
 
 
 def test_ring_validation():
