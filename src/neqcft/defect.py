@@ -219,6 +219,15 @@ def vacuum_preservation_deviation(real):
     return dev
 
 
+class EmptyCheckError(ValueError):
+    """A check whose comparisons would read no column of the truncated space."""
+
+
+def _require_safe_columns(space, safe, what):
+    if not any(space.level(i) <= safe for i in range(space.dimension)):
+        raise EmptyCheckError(f"empty safe subspace for {what} at cutoff {space.cutoff}")
+
+
 def check_intertwining(real, n):
     """Largest entry of Theta (Lbar^l_n + L^r_n) - (L^l_n + Lbar^r_n) Theta on the safe subspace.
 
@@ -229,8 +238,7 @@ def check_intertwining(real, n):
     """
     space = real.space
     safe = space.cutoff - abs(n)
-    if not any(space.level(i) <= safe for i in range(space.dimension)):
-        raise ValueError(f"empty safe subspace for n={n} at cutoff {space.cutoff}")
+    _require_safe_columns(space, safe, f"n={n}")
     ltot = total_virasoro(space, n)
     theta = real.theta
     comm = theta @ ltot.restrict_columns(safe) - ltot @ theta.restrict_columns(safe)
@@ -258,8 +266,11 @@ def check_ope_preservation(real):
     the exact block inverse.
     """
     space = real.space
-    # the modes b_s with |s| <= 3/2
-    raw, images = _mode_images(space, fock.mode_values(FERMION, Fraction(3, 2)), real.mode_map)
+    # the modes b_s with |s| <= 3/2; the smallest |s| leaves the widest safe subspace
+    values = fock.mode_values(FERMION, Fraction(3, 2))
+    _require_safe_columns(space, space.cutoff - min(abs(v) for v in values),
+                          "the OPE check on b_s with |s| <= 3/2")
+    raw, images = _mode_images(space, values, real.mode_map)
     theta = real.theta
     if images is None:
         inv = fock.invert_graded(theta)

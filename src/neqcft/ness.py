@@ -11,8 +11,11 @@ scattering map relating the coupled and decoupled dynamics,
 
 with the complementary cases rotated into the opposite chirality on the
 mirror point.  Coefficients are exact sympy scalars; for a symbolic angle
-they carry cos(alpha), sin(alpha) and the Pythagorean relation is applied
-as a rewrite during simplification.
+they carry cos(alpha), sin(alpha).  Every coefficient is brought to one
+exact normal form (see ``canonical``): expanded, with the Pythagorean
+relation applied as the rewrite sin(alpha)^2 -> 1 - cos(alpha)^2, then
+cancelled over a common denominator.  That form decides zero and is the
+form a report prints.
 
 The stress tensor is handled through its fermion bilinear form,
 T = -(i/2) (d psi) psi and Tbar = +(i/2) (d psibar) psibar, each factor
@@ -56,6 +59,32 @@ class UnsupportedExpressionError(ValueError):
 
 # central charge of the Majorana fermion on either side of the impurity
 MAJORANA_C = sp.Rational(1, 2)
+
+
+def rewrite_squares(expr, base, square):
+    """Expand ``expr`` with every power base^n, n >= 2, written as base^(n mod 2) square^(n div 2).
+
+    ``square`` is what base^2 equals and must not contain ``base``; the
+    result then holds ``base`` at most linearly in every term.
+    """
+    expr = sp.expand(expr)
+    powers = {p: base ** (p.exp % 2) * square ** (p.exp // 2)
+              for p in expr.atoms(sp.Pow)
+              if p.base == base and p.exp.is_Integer and p.exp >= 2}
+    return sp.expand(expr.xreplace(powers)) if powers else expr
+
+
+def canonical(expr):
+    """Exact normal form of a coefficient: zero if and only if it vanishes.
+
+    The expression is expanded with the Pythagorean relation applied as the
+    rewrite sin(alpha)^2 -> 1 - cos(alpha)^2, so sin(alpha) enters at most
+    linearly and no zero hides behind it.  ``cancel`` then puts the result
+    over one reduced denominator and ``factor_terms`` pulls out the common
+    content, which is the form reports print.
+    """
+    expr = rewrite_squares(expr, sp.sin(ALPHA), 1 - sp.cos(ALPHA) ** 2)
+    return sp.factor_terms(sp.cancel(expr))
 
 
 def to_sympy(c):
@@ -150,7 +179,7 @@ class FieldExpression:
         return out
 
     def normalize(self):
-        """Canonically order factors (with fermion signs), merge and simplify."""
+        """Canonically order factors (with fermion signs), merge, drop zero coefficients."""
         merged = {}
         for coeff, factors in self.terms:
             factors = tuple(f for f in factors if f.name != "identity")
@@ -159,7 +188,7 @@ class FieldExpression:
             merged[key] = merged.get(key, sp.Integer(0)) + sign * coeff
         terms = []
         for factors, coeff in merged.items():
-            c = sp.simplify(sp.expand(coeff))
+            c = canonical(coeff)
             if c != 0:
                 terms.append((c, factors))
         terms.sort(key=lambda t: tuple(str(f) for f in t[1]))
@@ -171,6 +200,9 @@ class FieldExpression:
         parts = []
         for coeff, factors in self.terms:
             fs = "*".join(str(f) for f in factors) if factors else "1"
+            # the normal form keeps sin(alpha) linear; print the short trig form
+            if coeff.has(ALPHA):
+                coeff = sp.trigsimp(coeff)
             parts.append(f"({coeff})*{fs}")
         return " + ".join(parts)
 
@@ -405,7 +437,7 @@ def expectation(expr, weights=None):
             raise UnsupportedExpressionError("only bilinear fermion products are supported")
         raise UnsupportedExpressionError(
             f"term with factors {[str(f) for f in factors]} is outside the averaging class")
-    return sp.simplify(total)
+    return canonical(total)
 
 
 def energy_current(theta, weights=None, side="r", left_field="psi", right_field="psi"):
@@ -426,7 +458,7 @@ def entropy_production(j_e, weights=None):
     """Entropy production rate (1/T_r - 1/T_l) J_E."""
     weights = weights or GibbsWeights()
     tl, tr = sp.sympify(weights.t_left), sp.sympify(weights.t_right)
-    return sp.simplify((1 / tr - 1 / tl) * j_e)
+    return canonical((1 / tr - 1 / tl) * j_e)
 
 
 def check_global_continuity(theta=None, regime=AFTER):
@@ -441,8 +473,8 @@ def check_global_continuity(theta=None, regime=AFTER):
         rhs = (FieldExpression.from_field(stress("r", X - T))
                + FieldExpression.from_field(stress("l", T - X, bar=True)))
     rhs = expand_stress(rhs).normalize()
-    diff = (lhs - rhs).normalize()
-    return all(sp.simplify(c) == 0 for c, _ in diff.terms)
+    # normalize drops every coefficient that is exactly zero
+    return not (lhs - rhs).normalize().terms
 
 
 def stress_coefficients(expr):

@@ -51,7 +51,7 @@ class RotationParams:
         for name in ("k", "s", "rr_bar", "beta"):
             object.__setattr__(self, name, ness.to_sympy(getattr(self, name)))
         if self.s.is_number and self.rr_bar.is_number:
-            if sp.simplify(self.s ** 2 + self.rr_bar - 1) != 0:
+            if ness.canonical(self.s ** 2 + self.rr_bar - 1) != 0:
                 raise ValueError("s^2 + r rbar must equal 1")
             if self.rr_bar < 0 or self.rr_bar > 1:
                 raise ValueError("r rbar must lie in [0, 1]")
@@ -76,7 +76,7 @@ class RotationParams:
 
 def _reduce_s(expr, params):
     # the constraint s^2 = 1 - r rbar, applied as a rewrite
-    return sp.expand(sp.expand(expr).subs(params.s ** 2, 1 - params.rr_bar))
+    return ness.rewrite_squares(expr, params.s, 1 - params.rr_bar)
 
 
 @dataclass
@@ -112,7 +112,7 @@ class CurrentBilinear:
         return CurrentBilinear(c, dict(self.charged))
 
     def is_closed(self):
-        return all(sp.simplify(self.coeffs[k]) == 0 for k in ("J0J0", "{J+,J-}", "T_su2"))
+        return all(ness.canonical(self.coeffs[k]) == 0 for k in ("J0J0", "{J+,J-}", "T_su2"))
 
 
 def rotate_u1_stress(params):
@@ -155,7 +155,7 @@ def unit_sum_deviation(params):
     """c-weighted sum of the decomposition coefficients minus the left central charge."""
     cu1, czk = decomposition_coefficients(params)
     cr = parafermion_central_charge(params.k)
-    return sp.simplify(_reduce_s(cu1 * 1 + czk * cr, params) - 1)
+    return ness.canonical(_reduce_s(cu1 * 1 + czk * cr, params) - 1)
 
 
 def energy_current_k(params, weights=None, charged_value=0):
@@ -175,7 +175,7 @@ def energy_current_k(params, weights=None, charged_value=0):
     if charged_value != 0:
         scattered_tbar += charged_value * sum(bil.charged.values())
     j = omega_tl - scattered_tbar
-    return sp.simplify(_reduce_s(j, params))
+    return ness.canonical(_reduce_s(j, params))
 
 
 def closed_form_current(params, weights=None):
@@ -215,9 +215,9 @@ def fermionize_k2(params, matrix_cutoff=None):
     j_pair = ness.energy_current((cos_eff, sin_eff), left_field="chi2", right_field="psi")
     # chi1 decouples through a pure reflection and carries nothing
     j_chi1 = ness.energy_current((0, 1), left_field="chi1", right_field="chi1")
-    j_fermionized = sp.simplify(j_pair + j_chi1)
+    j_fermionized = ness.canonical(j_pair + j_chi1)
     j_algebraic = energy_current_k(params)
-    agree = sp.simplify(j_fermionized - j_algebraic) == 0
+    agree = ness.canonical(j_fermionized - j_algebraic) == 0
 
     report = {
         "k": 2,

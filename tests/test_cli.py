@@ -326,6 +326,20 @@ def test_out_of_domain_lattice_parameters_are_usage_errors(capsys, argv, message
     assert message in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["intertwiner", "--cutoff", "0"], "empty safe subspace for n=-2 at cutoff 0"),
+    # every mode it checks has |s| >= 1/2, so below cutoff 1/2 no column is compared
+    (["ope-preservation", "--cutoff", "0"], "empty safe subspace for the OPE check"),
+    (["ope-preservation", "--cutoff", "1/4"], "empty safe subspace for the OPE check"),
+    (["ope-preservation", "--cutoff", "0", "--skew", "0.01"], "empty safe subspace for the OPE check"),
+])
+def test_checks_that_compare_no_column_are_usage_errors(capsys, argv, message):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_smallest_counts_still_check(capsys):
     code, out = run(capsys, "lattice-transmission", "--omega-points", "1")
     assert code == 0 and len(json.loads(out)["grid"]) == 1
@@ -333,6 +347,9 @@ def test_smallest_counts_still_check(capsys):
     assert code == 0 and {c["n"] for c in json.loads(out)["checks"]} == {0}
     code, out = run(capsys, "su2k-current", "--k", "1", "--rr-bar", "1/2", "--Tl", "1", "--Tr", "0")
     assert code == 0 and json.loads(out)["J_E_numeric"] == 0
+    # at cutoff 1/2 the OPE check still reads the vacuum column
+    code, out = run(capsys, "ope-preservation", "--cutoff", "1/2")
+    assert code == 0 and json.loads(out)["passed"]
 
 
 @pytest.mark.parametrize("command", ["su2k-current", "su2k-decompose"])
@@ -368,6 +385,54 @@ SYMBOLIC_REPORTS = [
         "coeff_TZk": "r_rbar/2 + r_rbar/k",
         "J_E_closed_form": "pi*r_rbar*(T_l**2*k - T_l**2 - T_r**2*k + T_r**2)/(12*k)",
         "unit_sum_deviation": "0",
+        "passed": True,
+    }),
+    (["smatrix"], {
+        "S[psi_r(x)]": "(sin(alpha))*psi^r(x) + (-cos(alpha))*psibar^l(-x)",
+        "S[T_r(x)]": "(sin(alpha)**2)*T^r(x) + (cos(alpha)**2)*Tbar^l(-x)"
+                     " + (-I*sin(2*alpha)/4)*dpsibar^l(-x)*psi^r(x)"
+                     " + (-I*sin(2*alpha)/4)*psibar^l(-x)*dpsi^r(x)",
+        "stress_weight_sum": "1",
+        "passed": True,
+    }),
+    (["entropy"], {
+        "J_E": "0.125*pi*cos(alpha)**2",
+        "sigma": "0.0625*pi*cos(alpha)**2",
+        "sigma_numeric": None,
+        "passed": True,
+    }),
+    (["entropy", "--alpha", "0.3"], {
+        "J_E": "0.114083475931855*pi",
+        "sigma": "0.0570417379659274*pi",
+        "sigma_numeric": 0.17920190494175164,
+        "passed": True,
+    }),
+    (["su2k-current"], {
+        "k": "k",
+        "rr_bar": "r_rbar",
+        "J_E": "pi*r_rbar*(T_l**2*k - T_l**2 - T_r**2*k + T_r**2)/(12*k)",
+        "closed_form": "pi*r_rbar*(T_l**2 - T_r**2)*(k - 1)/(12*k)",
+        "passed": True,
+    }),
+    (["su2k-decompose", "--k", "3", "--rr-bar", "1/4"], {
+        "k": "3",
+        "s": "sqrt(3)/2",
+        "rr_bar": "1/4",
+        "coeff_Tu1": "5/6",
+        "coeff_TZk": "5/24",
+        "J_E_closed_form": "pi*(T_l**2 - T_r**2)/72",
+        "unit_sum_deviation": "0",
+        "passed": True,
+    }),
+    (["su2k-fermionize", "--rr-bar", "9/25"], {
+        "k": 2,
+        "s": "4/5",
+        "rr_bar": "9/25",
+        "cos_effective": "3/5",
+        "chi1": "pure reflection, zero current",
+        "J_fermionized": "3*pi*(T_l**2 - T_r**2)/200",
+        "J_algebraic": "3*pi*(T_l**2 - T_r**2)/200",
+        "agree": True,
         "passed": True,
     }),
     (["su2k-fermionize", "--rr-bar", "1/3"], {
@@ -571,6 +636,28 @@ def test_cli_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, neqcft.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_symbolic_commands_load_no_sympy_physics():
+    # sp.simplify imports sympy.physics.units on its first call, about 0.2 s in
+    # every symbolic command; a fresh process shows whether any path still calls
+    # it (the tests' own sp.simplify oracle has loaded it into this process)
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    commands = [
+        ["full-suite", "--quick"], ["smatrix"], ["current"], ["entropy"], ["continuity"],
+        ["su2k-decompose"], ["su2k-current", "--k", "4", "--rr-bar", "1/2", "--Tl", "1", "--Tr", "0"],
+        ["su2k-fermionize", "--matrix-check"],
+    ]
+    code = ("import contextlib, io, sys\n"
+            "from neqcft import cli\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.startswith('sympy.physics')))\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from neqcft import ness
+from neqcft import ness, su2k
 from neqcft.ness import (AFTER, BEFORE, ALPHA, T, T_LEFT, T_RIGHT, X,
                          FieldExpression, GibbsWeights, LocalField, RegimeError,
                          UnsupportedExpressionError,
@@ -241,3 +243,52 @@ def test_current_report_structure():
     assert set(rep) == {"inputs", "symbolic_result", "numeric_result"}
     assert abs(rep["numeric_result"]["J_E"] - math.pi / 24 * 0.75) < 1e-12
     assert rep["numeric_result"]["sigma"] > 0
+
+
+# ---------------------------------------------------------------------------
+# the exact zero test, against sp.simplify as an independent oracle
+
+_COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+def _monomials(gens, coeffs=_COEFFS, max_degree=3):
+    """c * prod(g^e) over ``gens``, with a small rational c."""
+    exps = st.lists(st.integers(0, max_degree), min_size=len(gens), max_size=len(gens))
+    return st.builds(lambda c, es: sp.Rational(c.numerator, c.denominator)
+                     * sp.Mul(*(g ** e for g, e in zip(gens, es))), coeffs, exps)
+
+
+def _polynomials(gens, max_terms=3):
+    """Sums of up to ``max_terms`` monomials; the empty sum is zero."""
+    return st.lists(_monomials(gens), max_size=max_terms).map(lambda ms: sp.Add(*ms))
+
+
+_TRIG = (sp.cos(ALPHA), sp.sin(ALPHA), T_LEFT, T_RIGHT)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_polynomials(_TRIG), _monomials(_TRIG, _COEFFS.filter(bool)), _polynomials(_TRIG))
+def test_zero_test_is_exact_modulo_the_pythagorean_relation(q, monomial, p):
+    zero = q * (sp.sin(ALPHA) ** 2 + sp.cos(ALPHA) ** 2 - 1)
+    assert ness.canonical(zero) == 0
+    assert ness.canonical(zero + monomial) != 0
+    # the two verdicts agree, also where p cancels by itself
+    assert (ness.canonical(zero + p) == 0) == (sp.simplify(zero + p) == 0)
+
+
+_ROTATION = su2k.RotationParams.symbolic()
+_SU2K = (su2k.S_PARAM, su2k.RR_PARAM, T_LEFT, T_RIGHT)
+
+
+def _su2k_zero(expr):
+    return ness.canonical(su2k._reduce_s(expr, _ROTATION)) == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(_polynomials(_SU2K), _monomials(_SU2K, _COEFFS.filter(bool)), _polynomials(_SU2K))
+def test_su2k_zero_test_is_exact_modulo_the_rotation_constraint(q, monomial, p):
+    zero = q * (su2k.S_PARAM ** 2 + su2k.RR_PARAM - 1)
+    assert _su2k_zero(zero)
+    assert not _su2k_zero(zero + monomial)
+    # sp.simplify knows nothing of s^2 + r rbar = 1, so the oracle sees the rewritten form
+    assert _su2k_zero(zero + p) == (sp.simplify(su2k._reduce_s(zero + p, _ROTATION)) == 0)
