@@ -20,8 +20,8 @@ br^l -> -b^l).
 
 The map is defined on states through the operator-state correspondence:
 it fixes the vacuum and acts on creation modes by the rotation above.
-Theta is built column by column in level order: each column is one mode
-image applied to the column of a state of lower level.
+Theta is built one generation (number of modes) at a time: each column is
+one mode image applied to the column of the state with one mode fewer.
 All checks below compare honest truncated matrices on the safe subspace,
 and multiply only its columns.  The product space, the embedded factor
 modes and the diagonal Virasoro action are built once per cutoff (or
@@ -160,6 +160,29 @@ def _mode_images(space, values, matrix):
     return raw, images
 
 
+@functools.cache
+def _generations(space):
+    """The product states with k >= 1 modes, one list per k, grouped by leftmost mode.
+
+    Each group is ``(key, [(col, rest), ...])``: ``key`` is the leftmost
+    mode (the first A mode, else the first B mode) as (factor, value), and
+    ``rest`` is the column of the state without it, which has k - 1 modes.
+    """
+    gens = {}
+    for col, (i, j) in enumerate(space.pairs):
+        left, right = space.left.states[i].twice, space.right.states[j].twice
+        if left:
+            key, rest = ("A", left[0]), (space.left.index_of_twice(left[1:]), j)
+        elif right:
+            key, rest = ("B", right[0]), (i, space.right.index_of_twice(right[1:]))
+        else:
+            continue  # the vacuum
+        gens.setdefault(len(left) + len(right), {}).setdefault(key, []).append(
+            (col, space.index_of(rest)))
+    return [[((f, Fraction(t, 2)), cols) for (f, t), cols in gens[k].items()]
+            for k in sorted(gens)]
+
+
 def build_mode_automorphism(matrix, cutoff, source=None):
     """Vacuum-fixing operator acting on creation modes by the given 2x2 matrix.
 
@@ -169,26 +192,27 @@ def build_mode_automorphism(matrix, cutoff, source=None):
     can also build the deliberately broken maps used as negative controls.
     Column (i, j) is the image of its leftmost mode (the first A mode, else
     the first B mode) applied to the column of the state without that mode.
+    The columns are made one generation (number of modes) at a time, one
+    product per leftmost mode: its image times the operator that sends
+    each of its columns to the column of the state without it.
     """
     space = scattering_space(cutoff)
     creation = [v for v in fock.mode_values(FERMION, space.cutoff) if v < 0]
     _, images = _mode_images(space, creation, matrix)
-    theta = GradedOperator.zero(space, space, Fraction(0), 0)
-    # pairs run in level order, so the column of ``rest`` is already built
-    for col, (i, j) in enumerate(space.pairs):
-        left, right = space.left.states[i].occupied, space.right.states[j].occupied
-        if left:
-            key, rest = ("A", left[0]), (space.left.index_of(left[1:]), j)
-        elif right:
-            key, rest = ("B", right[0]), (i, space.right.index_of(right[1:]))
-        else:  # the vacuum is fixed
-            theta.add_entry(col, col, Fraction(1))
-            continue
-        image = images[key].columns
-        for m, amp in theta.columns.get(space.index_of(rest), {}).items():
-            for row, val in image.get(m, {}).items():
-                theta.add_entry(row, col, val * amp)
-    return DefectRealization(space, theta, source, mode_map=matrix)
+    generation = GradedOperator.identity(space).restrict_columns(0)  # the vacuum is fixed
+    parts = [generation]
+    for groups in _generations(space):
+        prev = generation.columns
+        products = []
+        for key, cols in groups:
+            image = images[key]
+            rest = GradedOperator(space, space, -image.level_shift, 1,
+                                  {col: prev[r] for col, r in cols if r in prev},
+                                  generation.denominator, generation.exact)
+            products.append(image @ rest)
+        generation = fock.join_columns(products)
+        parts.append(generation)
+    return DefectRealization(space, fock.join_columns(parts), source, mode_map=matrix)
 
 
 def build_theta_fermion(spec, cutoff):
@@ -210,7 +234,7 @@ def total_virasoro(space, n):
 def vacuum_preservation_deviation(real):
     vac = real.space.vacuum_index
     dev = 0
-    col = real.theta.columns.get(vac, {})
+    col = real.theta.column(vac)
     for row, val in col.items():
         want = 1 if row == vac else 0
         dev = max(dev, abs(val - want))
@@ -324,7 +348,7 @@ def reflection_block_mixing(real):
         b_only = i == space.left.vacuum_index and j != space.right.vacuum_index
         if not (a_only or b_only):
             continue
-        for row, val in real.theta.columns.get(col, {}).items():
+        for row, val in real.theta.column(col).items():
             ri, rj = space.pairs[row]
             ok = (ri == space.left.vacuum_index) if a_only else (rj == space.right.vacuum_index)
             if not ok:

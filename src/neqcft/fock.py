@@ -11,8 +11,21 @@ Two species of modes are supported:
 Basis states are products of creation modes applied to the vacuum, written
 in canonical ascending order (most negative value leftmost); fermionic
 reordering signs are transposition counts against that order, which makes
-every sign deterministic.  Levels are exact ``Fraction`` values and matrix
-entries stay exact whenever the inputs are exact.
+every sign deterministic.  Inside this module a mode value ``s`` is carried
+as the int ``2s`` and a level as the int ``2 * level`` ("twice" units), so
+basis lookups, ordering and level comparisons run on machine ints;
+``FockState.occupied`` and ``level``, ``StateSpace.level`` and ``index_of``
+and ``mode_values`` speak exact ``Fraction`` values.
+
+An exact operator stores int numerators over one positive int
+``denominator``.  A product's denominator is the product of its operands',
+a sum's is their lcm, and a builder divides out the gcd once, when the
+operator is finished.  ``entry``, ``column``, ``to_dict`` and
+``max_abs_entry`` give exact ``Fraction`` values.  An operator with an
+inexact entry (a float angle, a deliberately skewed map) stores its values
+as they are, over denominator 1, and runs through the same loops; an exact
+operand meets it by value, as ``Fraction(n, d)``, so its floats are the
+ones plain per-entry arithmetic would give.
 
 Operators are honest truncations ``P L P`` of the full Fock-space operators
 to levels <= cutoff.  Algebraic identities therefore hold only on the safe
@@ -37,22 +50,33 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 FERMION = "fermion"
 BOSON = "boson"
 
-HALF = Fraction(1, 2)
+_EMPTY = {}  # the column of a zero operator; read, never written
 
 
 def _as_fraction(x):
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _validate_mode_value(species, value):
+def _is_exact(x):
+    return isinstance(x, (int, Fraction))
+
+
+def _twice_floor(level):
+    """The largest twice-level at or below ``level``."""
+    return math.floor(2 * level)
+
+
+def _twice_mode(species, value):
+    """2 * value as an int, for a mode value of the species."""
+    value = _as_fraction(value)
+    twice = 2 * value
     if species == FERMION:
-        twice = 2 * value
         if twice.denominator != 1 or twice.numerator % 2 == 0:
             raise ValueError(f"fermion mode value must be half-odd, got {value}")
     elif species == BOSON:
@@ -60,33 +84,61 @@ def _validate_mode_value(species, value):
             raise ValueError(f"boson mode value must be a nonzero integer, got {value}")
     else:
         raise ValueError(f"unknown species {species!r}")
+    return twice.numerator
 
 
-@dataclass(frozen=True)
 class FockState:
-    """Occupation configuration: creation mode values in canonical order."""
+    """Occupation configuration: creation mode values in canonical order.
 
-    species: str
-    occupied: tuple
-    level: Fraction = field(init=False, compare=False)
-    parity: int = field(init=False, compare=False)
+    ``twice`` holds the values doubled, as ints, and ``twice_level`` the
+    level doubled; ``occupied`` and ``level`` give them back as Fractions.
+    States compare and hash by (species, twice) and are never mutated.
+    """
 
-    def __post_init__(self):
-        occ = tuple(_as_fraction(v) for v in self.occupied)
-        object.__setattr__(self, "occupied", occ)
-        for v in occ:
-            _validate_mode_value(self.species, v)
-            if v >= 0:
+    __slots__ = ("species", "twice", "twice_level", "parity")
+
+    def __init__(self, species, occupied):
+        twice = []
+        for v in occupied:
+            twice.append(_twice_mode(species, v))
+            if twice[-1] >= 0:
                 raise ValueError("occupied entries must be creation (negative) values")
-        if list(occ) != sorted(occ):
+        self._set(species, tuple(twice))
+
+    @classmethod
+    def from_twice(cls, species, twice):
+        state = cls.__new__(cls)
+        state._set(species, twice)
+        return state
+
+    def _set(self, species, twice):
+        if list(twice) != sorted(twice):
             raise ValueError("occupied list must be in canonical ascending order")
-        if self.species == FERMION and len(set(occ)) != len(occ):
+        if species == FERMION and len(set(twice)) != len(twice):
             raise ValueError("fermionic occupations must be distinct")
-        object.__setattr__(self, "level", -sum(occ, Fraction(0)))
-        object.__setattr__(self, "parity", len(occ) % 2 if self.species == FERMION else 0)
+        self.species = species
+        self.twice = twice
+        self.twice_level = -sum(twice)
+        self.parity = len(twice) % 2 if species == FERMION else 0
+
+    @property
+    def occupied(self):
+        return tuple(Fraction(t, 2) for t in self.twice)
+
+    @property
+    def level(self):
+        return Fraction(self.twice_level, 2)
+
+    def __eq__(self, other):
+        if not isinstance(other, FockState):
+            return NotImplemented
+        return self.species == other.species and self.twice == other.twice
+
+    def __hash__(self):
+        return hash((self.species, self.twice))
 
     def __repr__(self):
-        if not self.occupied:
+        if not self.twice:
             return "|0>"
         sym = "b" if self.species == FERMION else "a"
         return "".join(f"{sym}({v})" for v in self.occupied) + "|0>"
@@ -101,7 +153,8 @@ class StateSpace:
     states: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "_index", {s.occupied: i for i, s in enumerate(self.states)})
+        object.__setattr__(self, "_index", {s.twice: i for i, s in enumerate(self.states)})
+        object.__setattr__(self, "twice_levels", tuple(s.twice_level for s in self.states))
         object.__setattr__(self, "_hash", hash((self.species, self.cutoff, self.states)))
 
     def __hash__(self):
@@ -116,10 +169,16 @@ class StateSpace:
         return self._index[()]
 
     def index_of(self, occupied):
-        return self._index.get(tuple(occupied))
+        twice = tuple(2 * _as_fraction(v) for v in occupied)
+        if any(t.denominator != 1 for t in twice):
+            return None
+        return self._index.get(tuple(t.numerator for t in twice))
+
+    def index_of_twice(self, twice):
+        return self._index.get(twice)
 
     def level(self, i):
-        return self.states[i].level
+        return Fraction(self.twice_levels[i], 2)
 
     def parity(self, i):
         return self.states[i].parity
@@ -128,19 +187,19 @@ class StateSpace:
         return f"StateSpace({self.species}, cutoff={self.cutoff}, dim={self.dimension})"
 
 
+def twice_mode_values(species, bound):
+    """2v for the mode values v of the species with |v| <= bound, in ascending order."""
+    positive = range(1 if species == FERMION else 2, _twice_floor(_as_fraction(bound)) + 1, 2)
+    return [-t for t in reversed(positive)] + list(positive)
+
+
 def mode_values(species, bound):
     """Mode values v of the species with |v| <= bound, in ascending order."""
-    bound = _as_fraction(bound)
-    if species == FERMION:
-        positive = [Fraction(2 * k + 1, 2) for k in range(math.floor(bound + HALF))]
-    else:
-        positive = [Fraction(k) for k in range(1, math.floor(bound) + 1)]
-    return [-v for v in reversed(positive)] + positive
+    return [Fraction(t, 2) for t in twice_mode_values(species, bound)]
 
 
-def _fermion_configs(cutoff):
-    # parts are positive half-odd levels; subsets with distinct parts, sum <= cutoff
-    parts = [v for v in mode_values(FERMION, cutoff) if v > 0]
+def _partitions(parts, budget, distinct):
+    """Ascending tuples of ``parts`` (ascending) with sum <= budget, each part once if distinct."""
     configs = [()]
 
     def extend(prefix, budget, start):
@@ -150,24 +209,9 @@ def _fermion_configs(cutoff):
                 break
             cfg = prefix + (p,)
             configs.append(cfg)
-            extend(cfg, budget - p, i + 1)
+            extend(cfg, budget - p, i + 1 if distinct else i)
 
-    extend((), cutoff, 0)
-    return configs
-
-
-def _boson_configs(cutoff):
-    configs = [()]
-
-    def extend(prefix, budget, start):
-        p = start
-        while p <= budget:
-            cfg = prefix + (p,)
-            configs.append(cfg)
-            extend(cfg, budget - p, p)
-            p += 1
-    if cutoff >= 1:
-        extend((), int(cutoff), 1)
+    extend((), budget, 0)
     return configs
 
 
@@ -176,20 +220,20 @@ def enumerate_basis(species, cutoff):
     cutoff = _as_fraction(cutoff)
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
-    gen = _fermion_configs if species == FERMION else _boson_configs
     if species not in (FERMION, BOSON):
         raise ValueError(f"unknown species {species!r}")
-    states = []
-    for cfg in gen(cutoff):
-        # cfg holds positive levels of the parts; creation values are their negatives
-        occ = tuple(sorted(-p for p in cfg))
-        states.append(FockState(species, occ))
-    states.sort(key=lambda s: (s.level, s.occupied))
+    # twice the levels of the parts: odd and distinct for fermions, even for bosons
+    parts = [t for t in twice_mode_values(species, cutoff) if t > 0]
+    configs = _partitions(parts, _twice_floor(cutoff), species == FERMION)
+    # cfg holds the parts ascending; the creation values are their negatives, reversed
+    states = [FockState.from_twice(species, tuple(-p for p in reversed(cfg))) for cfg in configs]
+    states.sort(key=lambda s: (s.twice_level, s.twice))
     return StateSpace(species, cutoff, tuple(states))
 
 
 # ---------------------------------------------------------------------------
-# single-mode action on configurations (full Fock space, no truncation)
+# single-mode action on configurations (full Fock space, no truncation), in
+# twice units
 
 def _apply_fermion(value, occupied):
     if value < 0:
@@ -216,7 +260,7 @@ def _apply_boson(value, occupied):
     if mult == 0:
         return None
     i = occupied.index(target)
-    return mult * value, occupied[:i] + occupied[i + 1:]
+    return mult * (value // 2), occupied[:i] + occupied[i + 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +275,13 @@ def same_space(a, b):
 class GradedOperator:
     """Sparse level- and parity-graded linear map between truncated spaces.
 
-    ``columns[j]`` maps a domain basis index to ``{row: entry}``.  Every
-    entry connects states whose levels differ by exactly ``level_shift``
-    and whose parities differ by ``parity_shift``.  Mutation is limited to
-    construction time (``add_entry``); all algebraic operations return new
+    ``columns[j]`` maps a domain basis index to ``{row: stored}``.  On an
+    exact operator the stored numbers are int numerators over
+    ``denominator``; otherwise they are the entries themselves and the
+    denominator is 1.  Every entry connects states whose levels differ by
+    exactly ``level_shift`` and whose parities differ by ``parity_shift``.
+    Mutation is limited to construction time (``add_entry``,
+    ``accumulate``, ``normalize``); all algebraic operations return new
     operators (``restrict_columns`` shares the column maps it keeps), so
     built operators are safe to share across callers and threads.
     """
@@ -244,6 +291,8 @@ class GradedOperator:
     level_shift: Fraction
     parity_shift: int
     columns: dict
+    denominator: int = 1
+    exact: bool = True
 
     @classmethod
     def zero(cls, domain, codomain, level_shift, parity_shift):
@@ -251,12 +300,59 @@ class GradedOperator:
 
     @classmethod
     def identity(cls, space):
-        cols = {j: {j: Fraction(1)} for j in range(space.dimension)}
-        return cls(space, space, Fraction(0), 0, cols)
+        return cls(space, space, Fraction(0), 0, {j: {j: 1} for j in range(space.dimension)})
+
+    def _like(self, columns, denominator=None, exact=None):
+        """An operator with this one's spaces and grading."""
+        return GradedOperator(self.domain, self.codomain, self.level_shift, self.parity_shift,
+                              columns, self.denominator if denominator is None else denominator,
+                              self.exact if exact is None else exact)
+
+    def entry(self, row, col):
+        val = self.columns.get(col, _EMPTY).get(row, 0)
+        return Fraction(val, self.denominator) if self.exact else val
+
+    def column(self, col):
+        """Column ``col`` by value, ``{row: entry}`` in stored order; empty when zero."""
+        stored = self.columns.get(col, _EMPTY)
+        if not self.exact:
+            return dict(stored)
+        den = self.denominator
+        return {row: Fraction(val, den) for row, val in stored.items()}
+
+    def to_dict(self):
+        """Every nonzero column by value, ``{col: {row: entry}}`` in stored order."""
+        return {j: self.column(j) for j in self.columns}
+
+    def _by_value(self):
+        """This operator holding its entries by value (itself unless it is exact)."""
+        return self._like(self.to_dict(), 1, False) if self.exact else self
+
+    def _numerator(self, value):
+        """The numerator that stores the exact ``value``, raising the denominator when needed."""
+        if type(value) is int:
+            return value * self.denominator
+        value = Fraction(value)
+        q = value.denominator
+        if self.denominator % q:
+            den = math.lcm(self.denominator, q)
+            k = den // self.denominator
+            self.columns = {j: {r: v * k for r, v in c.items()} for j, c in self.columns.items()}
+            self.denominator = den
+        return value.numerator * (self.denominator // q)
+
+    def _hold_values(self):
+        """Switch to holding entries by value, ahead of an inexact one."""
+        if self.exact:
+            self.columns, self.denominator, self.exact = self.to_dict(), 1, False
 
     def add_entry(self, row, col, value):
         if value == 0:
             return
+        if self.exact and _is_exact(value):
+            value = self._numerator(value)
+        else:
+            self._hold_values()
         colmap = self.columns.setdefault(col, {})
         new = colmap.get(row, 0) + value
         if new == 0:
@@ -266,17 +362,54 @@ class GradedOperator:
         else:
             colmap[row] = new
 
-    def entry(self, row, col):
-        return self.columns.get(col, {}).get(row, 0)
+    def accumulate(self, other, factor=1):
+        """Add ``factor * other`` into this operator; construction time only, like add_entry."""
+        if not (same_space(self.domain, other.domain) and same_space(self.codomain, other.codomain)):
+            raise ValueError("cannot add operators on different spaces")
+        if (self.level_shift, self.parity_shift) != (other.level_shift, other.parity_shift):
+            raise ValueError("cannot add operators with different grading")
+        if self.exact and other.exact and _is_exact(factor):
+            factor = self._numerator(Fraction(factor, other.denominator))
+        else:
+            self._hold_values()
+            other = other._by_value()
+        cols = self.columns
+        for j, c in other.columns.items():
+            acc = cols.setdefault(j, {})
+            for row, val in c.items():
+                # +-val as plain adds and subtracts: no extra product per value
+                term = val if factor == 1 else -val if factor == -1 else factor * val
+                s = acc.get(row, 0) + term
+                if s:
+                    acc[row] = s
+                else:
+                    acc.pop(row, None)
+            if not acc:
+                del cols[j]
+
+    def normalize(self):
+        """Divide the numerators and the denominator by their gcd; returns the operator."""
+        if not self.exact or self.denominator == 1:
+            return self
+        g = self.denominator
+        for c in self.columns.values():
+            g = math.gcd(g, *c.values())
+            if g == 1:
+                return self
+        self.columns = {j: {r: v // g for r, v in c.items()} for j, c in self.columns.items()}
+        self.denominator //= g
+        return self
 
     def __matmul__(self, other):
         if not same_space(other.codomain, self.domain):
             raise ValueError("operator spaces do not compose")
+        a, b = (self, other) if self.exact == other.exact else (self._by_value(), other._by_value())
+        left = a.columns
         cols = {}
-        for j, mid in other.columns.items():
+        for j, mid in b.columns.items():
             acc = {}
             for m, v1 in mid.items():
-                for row, v2 in self.columns.get(m, {}).items():
+                for row, v2 in left.get(m, _EMPTY).items():
                     prev = acc.get(row)
                     s = v2 * v1 if prev is None else prev + v2 * v1
                     if s:
@@ -287,7 +420,8 @@ class GradedOperator:
                 cols[j] = acc
         return GradedOperator(other.domain, self.codomain,
                               self.level_shift + other.level_shift,
-                              (self.parity_shift + other.parity_shift) % 2, cols)
+                              (self.parity_shift + other.parity_shift) % 2, cols,
+                              a.denominator * b.denominator, a.exact)
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -297,30 +431,20 @@ class GradedOperator:
 
     def _sum(self, other, sign):
         """self + sign * other, for sign +1 or -1."""
-        if not (same_space(self.domain, other.domain) and same_space(self.codomain, other.codomain)):
-            raise ValueError("cannot add operators on different spaces")
-        if (self.level_shift, self.parity_shift) != (other.level_shift, other.parity_shift):
-            raise ValueError("cannot add operators with different grading")
-        cols = {j: dict(c) for j, c in self.columns.items()}
-        for j, c in other.columns.items():
-            acc = cols.setdefault(j, {})
-            for row, val in c.items():
-                prev = acc.get(row, 0)
-                s = prev + val if sign > 0 else prev - val
-                if s:
-                    acc[row] = s
-                else:
-                    acc.pop(row, None)
-            if not acc:
-                del cols[j]
-        return GradedOperator(self.domain, self.codomain, self.level_shift, self.parity_shift, cols)
+        out = self._like({j: dict(c) for j, c in self.columns.items()})
+        out.accumulate(other, sign)
+        return out
 
     def __mul__(self, scalar):
         if scalar == 0:
-            return GradedOperator(self.domain, self.codomain, self.level_shift,
-                                  self.parity_shift, {})
-        cols = {j: {r: v * scalar for r, v in c.items()} for j, c in self.columns.items()}
-        return GradedOperator(self.domain, self.codomain, self.level_shift, self.parity_shift, cols)
+            return self._like({}, 1, self.exact and _is_exact(scalar))
+        op = self if _is_exact(scalar) else self._by_value()
+        den = op.denominator
+        if op.exact:
+            scalar = Fraction(scalar)
+            scalar, den = scalar.numerator, den * scalar.denominator
+        cols = {j: {r: v * scalar for r, v in c.items()} for j, c in op.columns.items()}
+        return op._like(cols, den)
 
     __rmul__ = __mul__
 
@@ -330,29 +454,54 @@ class GradedOperator:
         A check that reads only those columns of a product A @ B needs only
         the same columns of B.  The column maps are shared, not copied.
         """
-        cols = {j: c for j, c in self.columns.items() if self.domain.level(j) <= max_level}
-        return GradedOperator(self.domain, self.codomain, self.level_shift, self.parity_shift, cols)
+        top, levels = _twice_floor(max_level), self.domain.twice_levels
+        return self._like({j: c for j, c in self.columns.items() if levels[j] <= top})
 
     def max_abs_entry(self, max_col_level=None):
+        top = None if max_col_level is None else _twice_floor(max_col_level)
+        levels = self.domain.twice_levels
         best = 0
         for j, c in self.columns.items():
-            if max_col_level is not None and self.domain.level(j) > max_col_level:
+            if top is not None and levels[j] > top:
                 continue
             for val in c.values():
                 a = abs(val)
                 if a > best:
                     best = a
-        return best
+        return Fraction(best, self.denominator) if self.exact else best
 
     def check_grading(self):
+        want = 2 * self.level_shift
         for j, c in self.columns.items():
             for row in c:
-                dl = self.codomain.level(row) - self.domain.level(j)
+                dl2 = self.codomain.twice_levels[row] - self.domain.twice_levels[j]
                 dp = (self.codomain.parity(row) - self.domain.parity(j)) % 2
-                if dl != self.level_shift or dp != self.parity_shift:
+                if dl2 != want or dp != self.parity_shift:
                     raise AssertionError(
-                        f"entry ({row},{j}) violates grading: dl={dl}, dp={dp}")
+                        f"entry ({row},{j}) violates grading: dl={Fraction(dl2, 2)}, dp={dp}")
         return True
+
+
+def join_columns(parts):
+    """Operators on one pair of spaces, with one grading and disjoint columns, as one operator.
+
+    Columns come in ascending order, over the lcm of the denominators (by
+    value when a part is not exact), reduced by the gcd.
+    """
+    first = parts[0]
+    for p in parts:
+        if not (same_space(p.domain, first.domain) and same_space(p.codomain, first.codomain)
+                and (p.level_shift, p.parity_shift) == (first.level_shift, first.parity_shift)):
+            raise ValueError("cannot join operators on different spaces or gradings")
+    if not all(p.exact for p in parts):
+        parts = [p._by_value() for p in parts]
+    den = math.lcm(*(p.denominator for p in parts))
+    cols = {}
+    for p in parts:
+        k = den // p.denominator
+        cols.update(p.columns if k == 1 else
+                    {j: {r: v * k for r, v in c.items()} for j, c in p.columns.items()})
+    return parts[0]._like(dict(sorted(cols.items())), den).normalize()
 
 
 @functools.cache
@@ -361,19 +510,18 @@ def mode_operator(space, value):
 
     Built once per (space, value) and shared; callers must not mutate it.
     """
-    value = _as_fraction(value)
-    _validate_mode_value(space.species, value)
+    twice = _twice_mode(space.species, value)
     parity, act = (1, _apply_fermion) if space.species == FERMION else (0, _apply_boson)
-    op = GradedOperator.zero(space, space, -value, parity)
+    cols = {}
     for j, st in enumerate(space.states):
-        res = act(value, st.occupied)
+        res = act(twice, st.twice)
         if res is None:
             continue
         coeff, occ = res
-        row = space.index_of(occ)
+        row = space.index_of_twice(occ)
         if row is not None:
-            op.add_entry(row, j, coeff)
-    return op
+            cols[j] = {row: coeff}
+    return GradedOperator(space, space, Fraction(-twice, 2), parity, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -386,20 +534,20 @@ class ProductSpace:
     left: StateSpace
     right: StateSpace
     cutoff: Fraction
-    pairs: tuple = field(default=None)
+    pairs: tuple = None
 
     def __post_init__(self):
+        left, right = self.left.twice_levels, self.right.twice_levels
         if self.pairs is None:
+            top = _twice_floor(self.cutoff)
             pairs = [(i, j)
                      for i in range(self.left.dimension)
                      for j in range(self.right.dimension)
-                     if self.left.level(i) + self.right.level(j) <= self.cutoff]
-            pairs.sort(key=lambda ij: (self.left.level(ij[0]) + self.right.level(ij[1]),
-                                       ij[0], ij[1]))
+                     if left[i] + right[j] <= top]
+            pairs.sort(key=lambda ij: (left[ij[0]] + right[ij[1]], ij[0], ij[1]))
             object.__setattr__(self, "pairs", tuple(pairs))
         object.__setattr__(self, "_index", {p: n for n, p in enumerate(self.pairs)})
-        object.__setattr__(self, "_levels",
-                           tuple(self.left.level(i) + self.right.level(j) for i, j in self.pairs))
+        object.__setattr__(self, "twice_levels", tuple(left[i] + right[j] for i, j in self.pairs))
         object.__setattr__(self, "_hash", hash((self.left, self.right, self.cutoff, self.pairs)))
 
     def __hash__(self):
@@ -417,7 +565,7 @@ class ProductSpace:
         return self._index.get(pair)
 
     def level(self, n):
-        return self._levels[n]
+        return Fraction(self.twice_levels[n], 2)
 
     def parity(self, n):
         i, j = self.pairs[n]
@@ -433,24 +581,23 @@ def graded_tensor(op, position, pspace):
 
     An operator of odd parity acting on the right factor picks up
     (-1)^(parity of the left factor state); left-factor operators carry no
-    sign.
+    sign.  The stored numbers are copied over the factor's denominator.
     """
     if position not in ("left", "right"):
         raise ValueError("position must be 'left' or 'right'")
-    out = GradedOperator.zero(pspace, pspace, op.level_shift, op.parity_shift)
+    index, cols = pspace._index, {}
     for n, (i, j) in enumerate(pspace.pairs):
         if position == "left":
-            for row, val in op.columns.get(i, {}).items():
-                m = pspace.index_of((row, j))
-                if m is not None:
-                    out.add_entry(m, n, val)
+            col = {m: val for row, val in op.columns.get(i, _EMPTY).items()
+                   if (m := index.get((row, j))) is not None}
         else:
             sign = -1 if (op.parity_shift and pspace.left.parity(i)) else 1
-            for row, val in op.columns.get(j, {}).items():
-                m = pspace.index_of((i, row))
-                if m is not None:
-                    out.add_entry(m, n, sign * val)
-    return out
+            col = {m: sign * val for row, val in op.columns.get(j, _EMPTY).items()
+                   if (m := index.get((i, row))) is not None}
+        if col:
+            cols[n] = col
+    return GradedOperator(pspace, pspace, op.level_shift, op.parity_shift, cols,
+                          op.denominator, op.exact)
 
 
 def gram_diagonal(space):
@@ -461,16 +608,15 @@ def gram_diagonal(space):
     """
     out = []
     for st in space.states:
-        g = Fraction(1)
+        g = 1
         if space.species == BOSON:
             run = {}
-            for v in st.occupied:
-                run[v] = run.get(v, 0) + 1
-            for v, n in run.items():
-                k = -v
+            for t in st.twice:
+                run[t] = run.get(t, 0) + 1
+            for t, n in run.items():
                 for r in range(1, n + 1):
-                    g *= r * k
-        out.append(g)
+                    g *= r * (-t // 2)
+        out.append(Fraction(g))
     return out
 
 
@@ -483,12 +629,11 @@ def invert_graded(op):
         raise ValueError("only grading-preserving operators are invertible in place")
     space = op.domain
     blocks = {}
-    for n in range(space.dimension):
-        blocks.setdefault(space.level(n), []).append(n)
+    for n, level in enumerate(space.twice_levels):
+        blocks.setdefault(level, []).append(n)
     inv = GradedOperator.zero(space, space, 0, 0)
     for level, idx in blocks.items():
         k = len(idx)
-        pos = {n: a for a, n in enumerate(idx)}
         # dense Gauss-Jordan on the block, exact when entries are exact
         a = [[op.entry(r, c) for c in idx] for r in idx]
         b = [[Fraction(1) if i == j else Fraction(0) for j in range(k)] for i in range(k)]
@@ -501,7 +646,7 @@ def invert_graded(op):
                     best = m
                     piv = r
             if piv is None:
-                raise ValueError(f"singular level block at level {level}")
+                raise ValueError(f"singular level block at level {Fraction(level, 2)}")
             a[col], a[piv] = a[piv], a[col]
             b[col], b[piv] = b[piv], b[col]
             pivval = a[col][col]
@@ -518,4 +663,4 @@ def invert_graded(op):
         for ci, c in enumerate(idx):
             for ri, r in enumerate(idx):
                 inv.add_entry(r, c, b[ri][ci])
-    return inv
+    return inv.normalize()

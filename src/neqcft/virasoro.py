@@ -44,27 +44,31 @@ def _normal_order(species, s1, s2):
 
 @functools.cache
 def build_virasoro(model, n, space):
-    """Matrix of L_n on the truncated space, built once per (model, n, space)."""
+    """Matrix of L_n on the truncated space, built once per (model, n, space).
+
+    Mode values run as the ints 2s; the coefficients are halves, so L_n is
+    summed over denominator 2 and reduced when finished.
+    """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
     if space.species != model:
         raise ValueError("state space species does not match the model")
     if abs(n) > space.cutoff:
         raise ValueError(f"cutoff {space.cutoff} too small to represent L_{n}")
-    values = fock.mode_values(model, space.cutoff)
+    twice = fock.twice_mode_values(model, space.cutoff)
+    present = set(twice)
     op = GradedOperator.zero(space, space, Fraction(-n), 0)
-    for s2 in values:
-        s1 = n - s2
-        if s1 not in values:
+    for t2 in twice:
+        t1 = 2 * n - t2
+        if t1 not in present:
             continue  # a_0 is excluded; modes with |s| > cutoff vanish on the space
-        coeff = (s2 + HALF) / 2 if model == FERMION else HALF  # fermion: m/2 with s2 = m - 1/2
-        left_mode, inner_first, sign = _normal_order(model, s1, s2)
-        term = fock.mode_operator(space, left_mode) @ fock.mode_operator(space, inner_first)
-        scale = coeff * sign
-        for j, col in term.columns.items():
-            for row, val in col.items():
-                op.add_entry(row, j, scale * val)
-    return op
+        # fermion: m/2 with s2 = m - 1/2
+        coeff = Fraction(t2 + 1, 4) if model == FERMION else HALF
+        left_mode, inner_first, sign = _normal_order(model, t1, t2)
+        term = (fock.mode_operator(space, Fraction(left_mode, 2))
+                @ fock.mode_operator(space, Fraction(inner_first, 2)))
+        op.accumulate(term, coeff * sign)
+    return op.normalize()
 
 
 def central_charge_probe(model, m, space):
@@ -105,18 +109,22 @@ def commutator_deviation(model, m, n, space, central=None):
 
 
 def hermiticity_deviation(model, n, space):
-    """Check L_n^dag = L_{-n} against the gram matrix of the basis."""
+    """Check L_n^dag = L_{-n} against the gram matrix of the basis.
+
+    Walks the stored entries of L_n and L_{-n}; where both are zero the
+    condition holds on its own.
+    """
     ln = build_virasoro(model, n, space)
     lmn = build_virasoro(model, -n, space)
     gram = fock.gram_diagonal(space)
+    # (i, j) for the stored L_n[i, j] and for the stored L_{-n}[j, i]
+    pairs = {(i, j) for j in ln.columns for i in ln.columns[j]}
+    pairs.update((i, j) for i in lmn.columns for j in lmn.columns[i])
     dev = 0
-    for j in range(space.dimension):
-        for i in range(space.dimension):
-            lhs = ln.entry(i, j) * gram[i]
-            rhs = lmn.entry(j, i) * gram[j]
-            d = abs(lhs - rhs)
-            if d > dev:
-                dev = d
+    for i, j in pairs:
+        d = abs(ln.entry(i, j) * gram[i] - lmn.entry(j, i) * gram[j])
+        if d > dev:
+            dev = d
     return dev
 
 
@@ -129,7 +137,7 @@ def level_spectrum_deviation(model, space):
     l0 = build_virasoro(model, 0, space)
     dev = 0
     for j in range(space.dimension):
-        col = l0.columns.get(j, {})
+        col = l0.column(j)
         for i, val in col.items():
             d = abs(val - space.level(j)) if i == j else abs(val)
             if d > dev:

@@ -60,6 +60,19 @@ def test_spec_rejects_non_finite_floats(cos_sin):
         BogoliubovSpec(*cos_sin)
 
 
+def test_exact_operators_store_ints_over_one_denominator():
+    # the exact layer's storage, checked without a timer: a regression to
+    # per-entry Fraction storage fails here
+    real = build_theta_fermion(BogoliubovSpec(Fraction(3, 5), Fraction(4, 5)), 4)
+    space = real.space
+    stored = [(real.theta, 625)]
+    stored += [(fock.mode_operator(space.left, v), 1) for v in fock.mode_values("fermion", 4)]
+    stored += [(defect.total_virasoro(space, n), 2) for n in range(-2, 3)]
+    for op, den in stored:
+        assert op.exact and den % op.denominator == 0
+        assert all(type(v) is int for c in op.columns.values() for v in c.values())
+
+
 def test_transmission_relabels_sides():
     # at cos=1 the map is the identity matrix: the incoming right fermion is
     # read out as the outgoing left one with no mixing
@@ -213,8 +226,9 @@ def _theta_oracle(matrix, cutoff):
         modes = [("A", v) for v in space.left.states[i].occupied]
         modes += [("B", v) for v in space.right.states[j].occupied]
         state = functools.reduce(lambda acc, key: image(*key) @ acc, reversed(modes), vacuum)
-        if state.columns:
-            columns[col] = state.columns[space.vacuum_index]
+        column = state.column(space.vacuum_index)
+        if column:
+            columns[col] = column
     return columns
 
 
@@ -228,7 +242,7 @@ def test_mode_automorphism_matches_vacuum_walk_oracle(matrix, cutoff):
     # same values, same types and same order of columns and rows, so the
     # float reports built on Theta keep their trailing digits
     theta = build_mode_automorphism(matrix, cutoff).theta
-    assert _typed_entries(theta.columns) == _typed_entries(_theta_oracle(matrix, cutoff))
+    assert _typed_entries(theta.to_dict()) == _typed_entries(_theta_oracle(matrix, cutoff))
 
 
 @settings(max_examples=25, deadline=None)
@@ -304,8 +318,8 @@ def test_transmission_maps_stress_sidewise():
     vac = space.vacuum_index
     for pos in ("left", "right"):
         stress = fock.graded_tensor(gen, pos, space).restrict_columns(0)
-        state = stress.columns[vac]
-        assert state and (real.theta @ stress).columns[vac] == state
+        state = stress.column(vac)
+        assert state and (real.theta @ stress).column(vac) == state
 
 
 def test_reflection_swaps_stress_chirality():
@@ -318,8 +332,8 @@ def test_reflection_swaps_stress_chirality():
     gen = virasoro.build_virasoro("fermion", -2, space.right)
     vac = space.vacuum_index
     incoming = fock.graded_tensor(gen, "right", space).restrict_columns(0)
-    outgoing = fock.graded_tensor(gen, "left", space).columns[vac]
-    image = (real.theta @ incoming).columns[vac]
+    outgoing = fock.graded_tensor(gen, "left", space).column(vac)
+    image = (real.theta @ incoming).column(vac)
     assert image == outgoing
 
 
@@ -433,6 +447,28 @@ def test_z3_ring_phases_are_cube_roots():
     for s in sols:
         # conjugate sector carries the conjugate phase
         assert s.zetas["psi2"] == (-s.zetas["psi1"]) % 1
+
+
+def _zn_ring(names, listed):
+    """The Z_n fusion ring whose label ``names[j]`` stands for j mod n, its labels in the order ``listed``."""
+    n = len(names)
+    return FusionRing(labels=tuple(listed), identity=names[0],
+                      pattern=frozenset((names[j], names[k], names[(j + k) % n])
+                                        for j in range(n) for k in range(n)),
+                      conjugation={names[j]: names[-j % n] for j in range(n)})
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(2, 6), st.data())
+def test_zn_ring_phases_are_exactly_the_nth_roots(n, data):
+    # zeta_j = omega^j for the n n-th roots of unity omega, whatever the
+    # labels are called and in whichever order they are listed
+    names = data.draw(st.permutations([f"g{j}" for j in range(n)]))
+    ring = _zn_ring(names, data.draw(st.permutations(names)))
+    sols = solve_reflection_phases(ring, max_order=n)
+    got = {tuple(s.zetas[names[j]] for j in range(n)) for s in sols}
+    assert len(sols) == n
+    assert got == {tuple(Fraction(p * j % n, n) for j in range(n)) for p in range(n)}
 
 
 def test_phase_bound_filters_high_order_solutions():

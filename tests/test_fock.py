@@ -5,6 +5,8 @@ import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neqcft.fock import (BOSON, FERMION, FockState, GradedOperator, enumerate_basis,
                          graded_tensor, mode_operator, tensor_space)
@@ -92,16 +94,16 @@ def _vacuum(space):
 
 def test_annihilator_kills_vacuum():
     space = enumerate_basis(FERMION, 2)
-    assert mode_operator(space, HALF).columns.get(space.vacuum_index) is None
+    assert mode_operator(space, HALF).column(space.vacuum_index) == {}
 
 
 def test_pauli_exclusion():
     space = enumerate_basis(FERMION, 2)
     create = mode_operator(space, -HALF)
     one = space.index_of((-HALF,))
-    assert create.columns[space.vacuum_index] == {one: 1}
-    assert create.columns.get(one) is None
-    assert (create @ create).columns == {}
+    assert create.column(space.vacuum_index) == {one: 1}
+    assert create.column(one) == {}
+    assert (create @ create).to_dict() == {}
 
 
 def test_anticommutator_on_single_state():
@@ -109,10 +111,10 @@ def test_anticommutator_on_single_state():
     space = enumerate_basis(FERMION, 3)
     vac = space.vacuum_index
     lo, hi = mode_operator(space, HALF), mode_operator(space, -HALF)
-    assert (lo @ hi).columns[vac] == {vac: 1}
+    assert (lo @ hi).column(vac) == {vac: 1}
     anti = lo @ hi + hi @ lo
     state = space.index_of((Fraction(-3, 2),))
-    assert anti.columns[state] == {state: 1}
+    assert anti.column(state) == {state: 1}
 
 
 def test_species_mismatch_raises():
@@ -149,16 +151,16 @@ def test_operators_on_equal_spaces_compose():
     destroy = mode_operator(second, HALF)
     anti = create @ destroy + destroy @ create
     assert (anti - GradedOperator.identity(second)).max_abs_entry(max_col_level=Fraction(5, 2)) == 0
-    assert (create @ _vacuum(second)).columns == {second.vacuum_index: {first.index_of((-HALF,)): 1}}
+    assert (create @ _vacuum(second)).to_dict() == {second.vacuum_index: {first.index_of((-HALF,)): 1}}
 
 
 def test_truncation_is_flagged():
     # b_{-3/2}|0> sits above cutoff 1, so the vacuum column of the operator
     # is absent there; one level higher it is present
     low = enumerate_basis(FERMION, 1)
-    assert mode_operator(low, Fraction(-3, 2)).columns == {}
+    assert mode_operator(low, Fraction(-3, 2)).to_dict() == {}
     high = enumerate_basis(FERMION, 2)
-    out = mode_operator(high, Fraction(-3, 2)).columns[high.vacuum_index]
+    out = mode_operator(high, Fraction(-3, 2)).column(high.vacuum_index)
     assert out == {high.index_of((Fraction(-3, 2),)): 1}
 
 
@@ -224,7 +226,7 @@ def test_graded_tensor_left_factor_carries_no_sign():
     create = mode_operator(f, -HALF)
     left = graded_tensor(create, "left", p)
     target = p.index_of((f.index_of((-HALF,)), f.vacuum_index))
-    assert left.columns[p.vacuum_index] == {target: 1}
+    assert left.column(p.vacuum_index) == {target: 1}
 
 
 def test_graded_tensor_koszul_sign():
@@ -234,7 +236,7 @@ def test_graded_tensor_koszul_sign():
     create_l = graded_tensor(mode_operator(f, -HALF), "left", p)
     create_r = graded_tensor(mode_operator(f, -HALF), "right", p)
     target = p.index_of((f.index_of((-HALF,)), f.index_of((-HALF,))))
-    assert (create_r @ create_l).columns[p.vacuum_index] == {target: -1}
+    assert (create_r @ create_l).column(p.vacuum_index) == {target: -1}
 
 
 def test_graded_tensor_order_swap_matches_parities():
@@ -272,5 +274,133 @@ def test_insertion_signs_match_brute_force():
                          if perm[i] > perm[j])
         want_sign = -1 if inversions % 2 else 1
         idx = space.index_of(tuple(sorted(seq)))
-        assert product.columns[space.vacuum_index] == {idx: want_sign}, seq
+        assert product.column(space.vacuum_index) == {idx: want_sign}, seq
 
+
+
+# ---------------------------------------------------------------------------
+# the operator kernel against a plain dict-of-values oracle
+
+# pairs of spaces of equal dimension and different species
+_KERNEL_SPACES = {
+    enumerate_basis(FERMION, 2): enumerate_basis(BOSON, 2),
+    enumerate_basis(BOSON, 2): enumerate_basis(FERMION, 2),
+    enumerate_basis(FERMION, Fraction(7, 2)): enumerate_basis(BOSON, 3),
+    enumerate_basis(BOSON, 3): enumerate_basis(FERMION, Fraction(7, 2)),
+}
+_EXACT = st.one_of(st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=6))
+# bounded away from zero, so no product underflows
+_FLOATS = st.one_of(st.floats(1e-3, 2.0), st.floats(-2.0, -1e-3))
+
+
+def _oracle_add(d, row, col, value):
+    c = d.setdefault(col, {})
+    s = c.get(row, 0) + value
+    if s:
+        c[row] = s
+    else:
+        c.pop(row, None)
+        if not c:
+            del d[col]
+
+
+@st.composite
+def _operators(draw, space):
+    """An operator built with add_entry, with its oracle ``({col: {row: value}}, exact)``.
+
+    The kernel does not read the grading, so entries go anywhere.  Exact
+    entries mix ints and Fractions of several denominators, and some are
+    added again negated so that they cancel; a float operator then takes
+    float entries on top of its exact ones.
+    """
+    cells = st.tuples(st.integers(0, space.dimension - 1), st.integers(0, space.dimension - 1))
+    exact = draw(st.lists(st.tuples(cells, _EXACT), max_size=10))
+    if exact and draw(st.booleans()):
+        exact += [(cell, -v) for cell, v in draw(st.lists(st.sampled_from(exact), max_size=5))]
+    floats = draw(st.lists(st.tuples(cells, _FLOATS), max_size=4)) if draw(st.booleans()) else []
+    op = GradedOperator.zero(space, space, 0, 0)
+    oracle = {}
+    for (row, col), v in exact:
+        op.add_entry(row, col, v)
+        _oracle_add(oracle, row, col, Fraction(v))
+    for (row, col), v in floats:
+        op.add_entry(row, col, v)
+        _oracle_add(oracle, row, col, v)
+    return op, (oracle, not floats)
+
+
+def _oracle_matmul(a, b):
+    out = {}
+    for j, mid in b[0].items():
+        for m, v1 in mid.items():
+            for row, v2 in a[0].get(m, {}).items():
+                _oracle_add(out, row, j, v2 * v1)
+    return out, a[1] and b[1]
+
+
+def _oracle_sum(a, b, sign):
+    out = {j: dict(c) for j, c in a[0].items()}
+    for j, c in b[0].items():
+        for row, v in c.items():
+            _oracle_add(out, row, j, sign * v)
+    return out, a[1] and b[1]
+
+
+def _oracle_scale(a, scalar):
+    exact = a[1] and isinstance(scalar, (int, Fraction))
+    scaled = {j: {r: v * scalar for r, v in c.items() if v * scalar} for j, c in a[0].items()}
+    return {j: c for j, c in scaled.items() if c}, exact
+
+
+def _oracle_restrict(space, a, level):
+    return {j: c for j, c in a[0].items() if space.level(j) <= level}, a[1]
+
+
+def _typed(d):
+    return {j: {r: (v, type(v)) for r, v in c.items()} for j, c in d.items()}
+
+
+def _assert_matches(op, want, level):
+    values, exact = want
+    assert op.exact == exact
+    assert _typed(op.to_dict()) == _typed(values)
+    space = op.domain
+    for col in range(space.dimension):
+        assert _typed({0: op.column(col)}) == _typed({0: values.get(col, {})})
+        for row in range(space.dimension):
+            got, ref = op.entry(row, col), values.get(col, {}).get(row, 0)
+            assert got == ref and type(got) is (Fraction if exact else type(ref))
+    for bound in (None, level):
+        kept = [abs(v) for j, c in values.items() for v in c.values()
+                if bound is None or space.level(j) <= bound]
+        best = op.max_abs_entry(max_col_level=bound)
+        assert best == max(kept, default=0)
+        assert type(best) is Fraction or not exact
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kernel_matches_dict_oracle(data):
+    space = data.draw(st.sampled_from(list(_KERNEL_SPACES)))
+    a, da = data.draw(_operators(space))
+    b, db = data.draw(_operators(space))
+    scalar = data.draw(st.one_of(_EXACT, _FLOATS, st.just(0.0)))
+    level = data.draw(st.sampled_from([Fraction(k, 2) for k in range(-1, 9)]))
+    cases = [
+        (a @ b, _oracle_matmul(da, db)),
+        (a + b, _oracle_sum(da, db, 1)),
+        (a - b, _oracle_sum(da, db, -1)),
+        (a * scalar, _oracle_scale(da, scalar)),
+        (scalar * a, _oracle_scale(da, scalar)),
+        (a.restrict_columns(level), _oracle_restrict(space, da, level)),
+        (a @ b.restrict_columns(level), _oracle_matmul(da, _oracle_restrict(space, db, level))),
+    ]
+    for op, want in cases:
+        _assert_matches(op, want, level)
+    # equal dimensions are not enough to combine operators
+    foreign, _ = data.draw(_operators(_KERNEL_SPACES[space]))
+    for combine in (operator.matmul, operator.add, operator.sub):
+        with pytest.raises(ValueError):
+            combine(a, foreign)
+        with pytest.raises(ValueError):
+            combine(foreign, a)

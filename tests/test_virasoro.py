@@ -17,7 +17,7 @@ HALF = Fraction(1, 2)
 
 def _apply(gen, occupied):
     """The generator's image of one basis state: the state's column."""
-    return gen.columns.get(gen.domain.index_of(tuple(occupied)), {})
+    return gen.column(gen.domain.index_of(tuple(occupied)))
 
 
 def test_l0_is_diagonal_with_level_eigenvalues():
@@ -196,6 +196,29 @@ def test_hermiticity_under_mode_conjugation():
         space = enumerate_basis(model, 4)
         for n in (0, 1, 2):
             assert hermiticity_deviation(model, n, space) == 0, (model, n)
+
+
+def _hermiticity_dense(ln, lmn, space):
+    # oracle: every entry pair of the space, stored or not
+    gram = fock.gram_diagonal(space)
+    return max(abs(ln.entry(i, j) * gram[i] - lmn.entry(j, i) * gram[j])
+               for i in range(space.dimension) for j in range(space.dimension))
+
+
+@pytest.mark.parametrize("model", [FERMION, BOSON])
+def test_hermiticity_negative_controls(monkeypatch, model):
+    # a stray entry in L_n, or one missing from it, shows up alike in the
+    # walk over the stored entries and in the dense oracle
+    space = enumerate_basis(model, 4)
+    ln, lmn = build_virasoro(model, 2, space), build_virasoro(model, -2, space)
+    j, col = next(iter(ln.to_dict().items()))
+    i = next(iter(col))
+    for bad in (_corrupt(ln, 0, space.dimension - 1, Fraction(1, 3)),
+                _corrupt(ln, i, j, -ln.entry(i, j))):
+        monkeypatch.setattr(virasoro, "build_virasoro",
+                            lambda _model, n, _space, bad=bad: bad if n == 2 else lmn)
+        dev = hermiticity_deviation(model, 2, space)
+        assert dev != 0 and dev == _hermiticity_dense(bad, lmn, space)
 
 
 def test_generator_grading_invariant():
