@@ -540,13 +540,20 @@ def _apply_config(parser, args):
     Defaults set on the top-level parser never reach the subcommand options.
     Argparse runs an option's ``type`` only on string defaults, so typed
     values go in as strings and are parsed exactly as flags are.  A null
-    value leaves the option's own default in place.
+    value leaves the option's own default in place.  A key that is no
+    subcommand's option is an error.
     """
     action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     sub = action.choices[args.command]
     typed = {a.dest for a in sub._actions if a.type is not None}
     with open(args.config) as fh:
         config = dict(json.load(fh))
+    # one file serves every subcommand, so another subcommand's option is fine
+    options = {a.dest for p in action.choices.values() for a in p._actions
+               if not isinstance(a, argparse._HelpAction)}
+    unknown = sorted(set(config) - options)
+    if unknown:
+        raise ValueError(f"no subcommand has the option {', '.join(map(repr, unknown))}")
     sub.set_defaults(**{k: str(v) if k in typed else v
                         for k, v in config.items() if v is not None})
 
@@ -591,6 +598,9 @@ def main(argv=None):
         _emit(report, args)
     except BrokenPipeError:
         _silence_stdout()
+    except OSError as exc:  # e.g. --out is a directory or its parent is missing
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE
     return PASS if passed else FAIL
 
 

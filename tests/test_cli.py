@@ -202,6 +202,14 @@ def test_out_file(capsys, tmp_path):
     assert json.loads(path.read_text())["passed"]
 
 
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_out_is_usage_error(capsys, tmp_path, where):
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "report.json"
+    assert cli.main(["--out", str(path), "smatrix"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and str(path) in captured.err
+
+
 def test_config_file_supplies_defaults(capsys, tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"tl": 3.0, "tr": 1.0}))
@@ -239,6 +247,19 @@ def test_config_does_not_reach_full_suite_steps(capsys, tmp_path):
     code, out = run(capsys, "--config", str(cfg), "full-suite", "--quick")
     assert code == 0
     assert json.loads(out)["passed"]
+
+
+@pytest.mark.parametrize("config, argv", [
+    ({"cutof": 12}, ["virasoro-check"]),  # a misspelt key would leave the default cutoff
+    ({"fn": "x"}, ["smatrix"]),  # internal names would replace the handler
+    ({"command": "current"}, ["smatrix"]),
+])
+def test_config_key_that_is_no_option_is_usage_error(capsys, tmp_path, config, argv):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["--config", str(cfg), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and repr(next(iter(config))) in captured.err
 
 
 def test_flags_override_config(capsys, tmp_path):
@@ -630,23 +651,25 @@ def test_full_suite_quick(capsys):
     assert report["passed"] and len(report["steps"]) == 13
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test oracle only; importing it would cost every command ~0.5 s
+def _fresh_python(code):
+    """Stdout of ``code`` run by a new interpreter that imports neqcft from this checkout."""
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test oracle only; importing it would cost every command ~0.5 s
     code = ("import sys, neqcft.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert _fresh_python(code).strip() == "[]"
 
 
 def test_symbolic_commands_load_no_sympy_physics():
     # sp.simplify imports sympy.physics.units on its first call, about 0.2 s in
     # every symbolic command; a fresh process shows whether any path still calls
     # it (the tests' own sp.simplify oracle has loaded it into this process)
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
     commands = [
         ["full-suite", "--quick"], ["smatrix"], ["current"], ["entropy"], ["continuity"],
         ["su2k-decompose"], ["su2k-current", "--k", "4", "--rr-bar", "1/2", "--Tl", "1", "--Tr", "0"],
@@ -658,6 +681,30 @@ def test_symbolic_commands_load_no_sympy_physics():
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert cli.main(argv) == 0, argv\n"
             "print(sorted(m for m in sys.modules if m.startswith('sympy.physics')))\n")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert _fresh_python(code).strip() == "[]"
+
+
+def test_import_runs_no_full_collection_and_freezes_its_heap():
+    # the numpy and sympy heap left by the import moves to the permanent
+    # generation, so no collection of the command or of the exit walks it
+    code = ("import gc\n"
+            "full = gc.get_stats()[2]['collections']\n"
+            "import neqcft.cli\n"
+            "print(gc.isenabled(), gc.get_freeze_count() > 0,"
+            " gc.get_stats()[2]['collections'] - full)\n")
+    assert _fresh_python(code).split() == ["True", "True", "0"]
+
+
+def test_import_keeps_a_disabled_gc_disabled():
+    code = "import gc\ngc.disable()\nimport neqcft.cli\nprint(gc.isenabled())\n"
+    assert _fresh_python(code).strip() == "False"
+
+
+def test_failed_import_leaves_gc_enabled():
+    code = ("import gc, sys\n"
+            "sys.modules['sympy'] = None\n"
+            "try:\n"
+            "    import neqcft\n"
+            "except ImportError:\n"
+            "    print(gc.isenabled())\n")
+    assert _fresh_python(code).strip() == "True"
