@@ -17,28 +17,29 @@ reads off the energy current at the defect once the front has passed.  The
 current operator is derived from the discrete continuity equation: with
 E_j the energy to the left of bond j plus half the bond energy,
 dE_j/dt = i[H, E_j] is again quadratic and its expectation is a matrix
-contraction against C (current_form).  Splitting the bond energy
-symmetrically makes the equilibrium current vanish identically rather than
-only after the transient.  At the defect the contraction needs only two
-covariance entries, which steady_current evaluates from four rows of the
-propagator.
+contraction against C.  Splitting the bond energy symmetrically makes the
+equilibrium current vanish identically rather than only after the
+transient.  At the defect the contraction needs only two covariance
+entries, which steady_current evaluates from four rows of the propagator.
 
 The protocol runs in real arithmetic.  iA is Hermitian tridiagonal with
 imaginary off-diagonals; the gauge D = diag(i^m) turns it into the real
 symmetric D* (iA) D = tridiag(0, -t), whose real orthogonal modes are known
-in closed form (_chain_modes): the chain is mirror symmetric about the
+in closed form (_chain_spectrum): the chain is mirror symmetric about the
 defect, so each mode is sin(k(m+1)) on the left half and s = +-1 times its
 mirror image on the right, with eps = -2t cos k and k a root of the secular
 equation sin(k(N+1)) = s lam sin(kN), one in each interval
-(pi(j-1)/N, pi j/N).  Only the left half is stored, as two N x N parity
-blocks.  propagator_rows folds any row of exp(A t) onto a left row of the
-two blocks and stacks the rows of many times into one matrix product per
-parity; steady_current builds its rows in blocks of samples.  The uniform
+(pi(j-1)/N, pi j/N); the norms are closed forms too.  The modes are never
+stored: _mode_rows builds any rows of the two N x N left-half parity
+blocks from the roots.  propagator_rows folds any row of exp(A t) onto a
+left row of the two blocks, stacks the rows of all times into one left
+factor and streams the blocks in _MODE_ROWS rows at a time.  The uniform
 Gibbs halves are the lam = 0 case: their modes are the sine waves of the
 open chain (the covariance method of Peschel, J. Phys. A 36 (2003) L205),
-summed by one FFT into a Toeplitz-minus-Hankel matrix.  Nothing is
-diagonalised numerically.  Memory is O(N^2): the two parity blocks
-(2 N^2 floats) are freed before the first Gibbs half (N^2 floats) is built.
+summed by one FFT into a Toeplitz-minus-Hankel matrix, whose rows
+_gibbs_rows builds in blocks as well.  Nothing is diagonalised
+numerically, and no N x N array is formed: steady_current holds O(S N)
+floats for S samples.
 
 Everything here is double precision; tolerances are module constants or
 stated per operation.
@@ -95,23 +96,13 @@ class ChainSpec:
         return t
 
 
-def quadratic_form(bonds):
-    """Antisymmetric A with H = (i/4) gamma^T A gamma for the given bond strengths."""
-    n = len(bonds) + 1
-    a = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    a[idx, idx + 1] = bonds
-    a[idx + 1, idx] = -bonds
-    return a
-
-
 # Re and Im of i^d, indexed by d mod 4
 _RE_I_POW = np.array([1.0, 0.0, -1.0, 0.0])
 _IM_I_POW = np.array([0.0, 1.0, 0.0, -1.0])
 
 
-def gibbs_covariance(n_sites, temperature, coupling=1.0):
-    """Covariance of the Gibbs state of a decoupled uniform chain.
+def _gibbs_rows(n_sites, temperature, coupling=1.0):
+    """Rows of the covariance of the Gibbs state of a decoupled uniform chain.
 
     With iA = U diag(eps) U*, the covariance is C = i U tanh(eps / 2T) U*.
     In the gauge D = diag(i^m) the L = 2 n_sites Majorana chain has the
@@ -119,10 +110,12 @@ def gibbs_covariance(n_sites, temperature, coupling=1.0):
     with eps_k = -2t cos q_k.  Then C_mn = Re(i^(m-n+1)) G_mn with
     G_mn = f(m-n) - f(m+n+2) and f(d) = sum_k tanh(eps_k / 2T) cos(q_k d) / (L+1),
     all of f from one FFT of length 2(L+1).  G is a Toeplitz minus a Hankel
-    matrix, read as sliding windows of f into the one L x L array, and the
-    sign Re(i^(m-n+1)) is applied in place on the 16 classes of (m, n) mod 4.
-    temperature = 0 gives the ground state (iC has eigenvalues +-1),
-    numpy.inf the maximally mixed state (C = 0).
+    matrix and the sign Re(i^(m-n+1)) a Toeplitz one, all three read as
+    sliding windows of one vector each.  temperature = 0 gives the ground
+    state (iC has eigenvalues +-1), numpy.inf the maximally mixed state (C = 0).
+
+    Returns rows(r0, r1), which builds C[r0:r1] as a fresh (r1 - r0, L)
+    array; in between only O(L) floats are held.
     """
     if temperature < 0:
         raise ValueError("temperature must be >= 0")
@@ -139,25 +132,33 @@ def gibbs_covariance(n_sites, temperature, coupling=1.0):
     f = np.fft.fft(occ).real / (size + 1)
     toeplitz = sliding_window_view(np.concatenate([f[size - 1:0:-1], f[:size]]), size)[::-1]
     hankel = sliding_window_view(f[2:2 * size + 1], size)
-    c = toeplitz - hankel
-    for i in range(4):
-        for j in range(4):
-            if (i - j) % 2 == 0:
-                c[i::4, j::4] = 0.0
-            elif (i - j + 1) % 4 == 2:
-                np.negative(c[i::4, j::4], out=c[i::4, j::4])
-    return c
+    lag = np.arange(size - 1, -size, -1)  # m - n of the entries that read each element
+    sign = sliding_window_view(_RE_I_POW[(lag + 1) % 4], size)[::-1]
+
+    def rows(r0, r1):
+        c = toeplitz[r0:r1] - hankel[r0:r1]
+        c *= sign[r0:r1]
+        return c
+
+    return rows
+
+
+def gibbs_covariance(n_sites, temperature, coupling=1.0):
+    """Covariance of the Gibbs state of a decoupled uniform chain: every row of _gibbs_rows."""
+    return _gibbs_rows(n_sites, temperature, coupling)(0, 2 * n_sites)
 
 
 # bisection steps for the secular roots: halving the bracket pi/N this often
 # leaves less than its last bit
 _ROOT_STEPS = 60
-# rows of the parity blocks filled per step, which bounds the temporaries
+# rows of the parity blocks built per step, which bounds the temporaries
 _MODE_ROWS = 64
+# rows of a Gibbs half built per step, likewise
+_GIBBS_ROWS = 64
 
 
-def _chain_modes(spec):
-    """Eigenpairs of D* (iA) D = tridiag(0, -t) for the defect chain, in closed form.
+def _chain_spectrum(spec):
+    """Energies and normalisations of the modes of D* (iA) D = tridiag(0, -t), in closed form.
 
     The 2N-site chain is mirror symmetric about its central bond lam t.  A
     mode with mirror parity s = +-1 is sin(k(m+1)) on the left half
@@ -170,45 +171,61 @@ def _chain_modes(spec):
     j = 1..N.  With k = pi(j-1)/N + d the equation reads
     sin(pi(j-1)/N + d(N+1)) = s lam sin(dN), positive just above d = 0 and
     negative just below d = pi/N, so one vectorised bisection in d finds all
-    2N roots.  The phases k(m+1) are reduced exactly, as
-    ((j-1)(m+1) mod 2N) pi/N + d(m+1); sin(k(m+1)) itself would lose
-    orthogonality as N grows.
+    2N roots.  The left half of a mode has the squared norm
 
-    Returns the energies, shape (2, N), and the left half of the normalised
-    modes as two N x N parity blocks, shape (2, N, N): modes[0] = L_e holds
-    the even modes and modes[1] = L_o the odd ones, one mode per column.  The
-    full orthogonal mode matrix is v = [[L_e, L_o], [F L_e, -F L_o]] with F
-    the row reversal; it is never formed (see propagator_rows).
+        sum_{m=1..N} sin^2(km) = N/2 - sin(Nk) cos((N+1)k) / (2 sin k),
+
+    and with the phases reduced exactly, sin(Nk) cos((N+1)k) =
+    sin(Nd) cos(pi(j-1)/N + (N+1)d) and, for k > pi/2,
+    sin k = sin(pi(N-j+1)/N - d); each mode has equal weight on the two
+    halves.
+
+    Returns the energies eps, the offsets d and the scales that normalise
+    the modes, each of shape (2, N): index 0 holds the even modes and 1 the
+    odd ones.
     """
     n = spec.sites
     j = np.arange(n)  # j - 1, for the brackets j = 1..N
+    bracket = j * (np.pi / n)
     parity = np.array([[1.0], [-1.0]])
     lo = np.zeros((2, n))
     hi = np.full((2, n), np.pi / n)
     for _ in range(_ROOT_STEPS):
         d = 0.5 * (lo + hi)
-        above = np.sin(j * (np.pi / n) + d * (n + 1)) > parity * spec.defect * np.sin(d * n)
+        above = np.sin(bracket + d * (n + 1)) > parity * spec.defect * np.sin(d * n)
         lo = np.where(above, d, lo)
         hi = np.where(above, hi, d)
     d = 0.5 * (lo + hi)
-    evals = -2.0 * spec.coupling * np.cos(j * (np.pi / n) + d)
-
-    modes = np.empty((2, n, n))
-    for m0 in range(0, n, _MODE_ROWS):
-        m1 = np.arange(m0, min(m0 + _MODE_ROWS, n))[:, None] + 1  # m + 1
-        phase = (m1 * j) % (2 * n) * (np.pi / n)
-        for p in range(2):
-            np.sin(phase + m1 * d[p], out=modes[p, m0:m0 + len(m1)])
-    # each mode has equal weight on the two halves
-    modes *= 1.0 / np.sqrt(2.0 * np.einsum("pmk,pmk->pk", modes, modes))[:, None, :]
-    return evals, modes
+    evals = -2.0 * spec.coupling * np.cos(bracket + d)
+    # sin k from pi - k when k > pi/2, where k itself has lost the low bits of pi - k
+    sin_k = np.sin(np.where(2 * j < n, bracket + d, (n - j) * (np.pi / n) - d))
+    weight = n - np.sin(n * d) * np.cos(bracket + (n + 1) * d) / sin_k
+    return evals, d, 1.0 / np.sqrt(weight)
 
 
-def propagator_rows(evals, modes, rows, times):
+def _mode_rows(d, scale, rows):
+    """The given left-half rows of the normalised modes, shape (2, len(rows), N).
+
+    Row m of parity p is scale_p sin(k_p (m+1)), one mode per column; the
+    full orthogonal mode matrix is v = [[L_e, L_o], [F L_e, -F L_o]] with F
+    the row reversal and L_p all N rows of parity p, and it is never formed
+    (see propagator_rows).  The phases k(m+1) are reduced exactly, as
+    ((j-1)(m+1) mod 2N) pi/N + d(m+1); sin(k(m+1)) itself would lose
+    orthogonality as N grows.
+    """
+    n = d.shape[1]
+    m1 = np.asarray(rows)[:, None] + 1  # m + 1
+    out = (m1 * np.arange(n)) % (2 * n) * (np.pi / n) + m1 * d[:, None, :]
+    np.sin(out, out=out)
+    out *= scale[:, None, :]
+    return out
+
+
+def propagator_rows(spec, rows, times):
     """The given rows of the one-particle propagator exp(A t) at each time, in real arithmetic.
 
-    With the parity blocks modes = (L_e, L_o) and energies evals of
-    D* (iA) D (see _chain_modes), and v = [[L_e, L_o], [F L_e, -F L_o]],
+    With the modes v = [[L_e, L_o], [F L_e, -F L_o]] and energies eps of
+    D* (iA) D (see _chain_spectrum and _mode_rows),
 
         exp(A t)[r, n] = Re(i^(r-n)) P[r, n] + Im(i^(r-n)) Q[r, n],
         P = v cos(eps t) v^T,   Q = v sin(eps t) v^T.
@@ -218,46 +235,40 @@ def propagator_rows(evals, modes, rows, times):
     image l = 2N-1-r with sigma = -1 otherwise.  With
     A_p = (L_p[l] o trig(eps_p t)) L_p^T for p in {e, o} and trig in
     {cos, sin}, the left columns of the row are A_e + sigma A_o and the
-    right columns are the reversal of A_e - sigma A_o.  All (time, left row,
-    trig) triples are stacked, so each parity costs one matrix product.
-    Returns an array of shape (len(times), len(rows), 2N).
+    right columns are the reversal of A_e - sigma A_o.  The left factors of
+    all (time, left row, trig) triples are stacked once; then each block of
+    _MODE_ROWS rows of L_e and L_o is built, multiplied, folded and gauged
+    into its left columns and their mirror images, so memory is
+    O(len(times) len(rows) N).  Returns an array of shape
+    (len(times), len(rows), 2N).
     """
-    n = modes.shape[1]
+    evals, d, scale = _chain_spectrum(spec)
+    n = spec.sites
     rows = np.asarray(rows)
+    times = np.asarray(times, dtype=float)
     mirrored = rows >= n
     left, pick = np.unique(np.where(mirrored, 2 * n - 1 - rows, rows), return_inverse=True)
-    et = evals[:, None, :] * np.asarray(times, dtype=float)[None, :, None]  # (parity, time, mode)
-    trig = np.stack([np.cos(et), np.sin(et)], axis=2)
-    weighted = modes[:, None, left, None, :] * trig[:, :, None]  # (parity, time, row, trig, mode)
-    a = np.matmul(weighted.reshape(2, -1, n), modes.transpose(0, 2, 1)).reshape(weighted.shape)
-    a_even, a_odd = a[0][:, pick], a[1][:, pick]
-    a_odd[:, mirrored] *= -1.0
-    folded = np.concatenate([a_even + a_odd, (a_even - a_odd)[..., ::-1]], axis=-1)
-    gauge = (rows[:, None] - np.arange(2 * n)[None, :]) % 4
-    return _RE_I_POW[gauge] * folded[:, :, 0] + _IM_I_POW[gauge] * folded[:, :, 1]
-
-
-def _left_energy_form(bonds, j):
-    # energy strictly left of bond j plus half the bond itself
-    b = np.array(bonds, dtype=float)
-    b[j] *= 0.5
-    b[j + 1:] = 0.0
-    return quadratic_form(b)
-
-
-def current_form(bonds, j):
-    """Quadratic form K of the current operator at bond j: J = -(1/4) sum K.C.
-
-    Derived from the continuity equation: dE_j/dt = i[H, E_j] is the
-    quadratic form (i/4) gamma^T [B_j, A] gamma, so the rightward current
-    is minus its expectation.
-    """
-    nb = len(bonds)
-    if not 1 <= j <= nb - 2:
-        raise ValueError(f"bond {j} is not interior")
-    a = quadratic_form(bonds)
-    b = _left_energy_form(bonds, j)
-    return b @ a - a @ b
+    sigma = np.where(mirrored, -1.0, 1.0)[:, None, None]
+    trig = np.empty((2, len(times), 2, n))  # (parity, time, trig, mode)
+    et = evals[:, None, :] * times[None, :, None]
+    np.cos(et, out=trig[:, :, 0])
+    np.sin(et, out=trig[:, :, 1])
+    del et
+    weighted = _mode_rows(d, scale, left)[:, None, :, None, :] * trig[:, :, None]
+    del trig
+    weighted = weighted.reshape(2, -1, n)  # (parity, time x row x trig, mode)
+    shape = (len(times), len(left), 2, -1)
+    out = np.empty((len(times), len(rows), 2 * n))
+    for b0 in range(0, n, _MODE_ROWS):
+        b1 = min(b0 + _MODE_ROWS, n)
+        a = np.matmul(weighted, _mode_rows(d, scale, np.arange(b0, b1)).transpose(0, 2, 1))
+        a_even = a[0].reshape(shape)[:, pick]
+        a_odd = sigma * a[1].reshape(shape)[:, pick]
+        for cols, folded in ((slice(b0, b1), a_even + a_odd),
+                             (slice(2 * n - b1, 2 * n - b0), (a_even - a_odd)[..., ::-1])):
+            gauge = (rows[:, None] - np.arange(cols.start, cols.stop)[None, :]) % 4
+            out[:, :, cols] = _RE_I_POW[gauge] * folded[:, :, 0] + _IM_I_POW[gauge] * folded[:, :, 1]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +311,21 @@ def fermi_occupation(omega, temperature):
     if x > 700:
         return 0.0
     return 1.0 / (math.exp(x) + 1.0)
+
+
+def fermi_difference(omega, t_left, t_right):
+    """f(w, T_l) - f(w, T_r), without the cancellation between nearby temperatures.
+
+    With x = w / T the difference is sinh((x_r - x_l)/2) / (2 cosh(x_l/2) cosh(x_r/2)),
+    where x_r - x_l = w (T_l - T_r) / (T_l T_r) and T_l - T_r is exact for
+    nearby floats.  A zero temperature, or an x past the cut of
+    fermi_occupation, takes the plain difference: one of its terms is then
+    exactly 0 or 1, and nothing cancels.
+    """
+    if t_left == 0 or t_right == 0 or omega / t_left > 700 or omega / t_right > 700:
+        return fermi_occupation(omega, t_left) - fermi_occupation(omega, t_right)
+    return (math.sinh(0.5 * omega * (t_left - t_right) / (t_left * t_right))
+            / (2.0 * math.cosh(0.5 * omega / t_left) * math.cosh(0.5 * omega / t_right)))
 
 
 # relative accuracy asked of the Landauer quadrature, and its most panels
@@ -347,8 +373,7 @@ def landauer_current(transmission_fn, t_left, t_right, coupling=1.0):
         raise ValueError("coupling must be positive")
 
     def integrand(w):
-        df = fermi_occupation(w, t_left) - fermi_occupation(w, t_right)
-        return w * transmission_fn(w) * df / (2 * math.pi)
+        return w * transmission_fn(w) * fermi_difference(w, t_left, t_right) / (2 * math.pi)
 
     panels = []  # a heap, largest error estimate first
 
@@ -391,8 +416,6 @@ def low_temperature_current(t0, t_left, t_right):
 PLATEAU_WINDOW = (0.25, 0.45)
 # largest deviation of the propagator rows from orthonormality
 ORTH_TOL = 1e-10
-# samples whose propagator rows are built together, which bounds the temporaries
-_SAMPLE_BLOCK = 16
 
 
 @dataclass
@@ -426,12 +449,13 @@ def steady_current(spec, t_left, t_right, samples=60):
     rows of exp(A t) around the defect are needed for the current.  The
     samples run from t = 0 to the end of PLATEAU_WINDOW, and the plateau is
     their mean inside it; a window holding fewer than four samples raises
-    PlateauError before any O(N^2) work.  The rows are built in blocks of
-    _SAMPLE_BLOCK samples, one propagator_rows call per block, and every
+    PlateauError before any O(N^2) work.  The rows of all samples come from
+    one propagator_rows call, one pass over blocks of mode rows, and every
     sample checks that its rows stay orthonormal to ORTH_TOL; the largest
-    deviation is kept as orth_drift.  The mode blocks are then freed, and
-    each Gibbs half is built in turn and contracted against the rows of all
-    samples in one matrix product, so no 2N x 2N covariance is formed.
+    deviation is kept as orth_drift.  Each Gibbs half is then built in
+    blocks of _GIBBS_ROWS rows, each contracted against the rows of all
+    samples as it is built.  No N x N array is formed: memory is O(S N) for
+    S samples.
     """
     n = spec.sites
     w0, w1 = PLATEAU_WINDOW
@@ -445,29 +469,29 @@ def steady_current(spec, t_left, t_right, samples=60):
 
     jc = spec.defect_bond
     rows = np.array([jc - 1, jc, jc + 1, jc + 2])
-    evals, modes = _chain_modes(spec)
-    w_rows = np.empty((samples, len(rows), 2 * n))
-    drift = 0.0
-    for b0 in range(0, samples, _SAMPLE_BLOCK):
-        block = w_rows[b0:b0 + _SAMPLE_BLOCK]
-        block[...] = propagator_rows(evals, modes, rows, times[b0:b0 + _SAMPLE_BLOCK])
-        gram = block @ block.transpose(0, 2, 1)
-        dev = np.max(np.abs(gram - np.eye(len(rows))), axis=(1, 2))
-        if np.any(dev > ORTH_TOL):
-            raise RuntimeError("propagator rows lost orthonormality")
-        drift = max(drift, float(dev.max()))
-    del modes
+    w_rows = propagator_rows(spec, rows, times)
+    gram = w_rows @ w_rows.transpose(0, 2, 1)
+    dev = np.max(np.abs(gram - np.eye(len(rows))), axis=(1, 2))
+    if np.any(dev > ORTH_TOL):
+        raise RuntimeError("propagator rows lost orthonormality")
+    drift = float(dev.max())
 
-    # C[j-1, j+1] and C[j, j+2] of C(t) = W C0 W^T, one Gibbs half of C0 at a time
+    # C[j-1, j+1] and C[j, j+2] of C(t) = W C0 W^T, one Gibbs half of C0 at a
+    # time.  C0 is antisymmetric, so a block of its rows gives minus the same
+    # columns of W C0.
     c02 = np.zeros(samples)
     c13 = np.zeros(samples)
+    x = np.empty((2 * samples, n))
     for half, temperature in ((slice(0, n), t_left), (slice(n, 2 * n), t_right)):
         w_half = w_rows[:, :, half]
-        c_half = gibbs_covariance(n // 2, temperature, spec.coupling)
-        x = (w_half[:, :2].reshape(-1, n) @ c_half).reshape(samples, 2, n)
-        del c_half
-        c02 += np.einsum("sn,sn->s", x[:, 0], w_half[:, 2])
-        c13 += np.einsum("sn,sn->s", x[:, 1], w_half[:, 3])
+        w_first = w_half[:, :2].reshape(-1, n)
+        c_rows = _gibbs_rows(n // 2, temperature, spec.coupling)
+        for r0 in range(0, n, _GIBBS_ROWS):
+            r1 = min(r0 + _GIBBS_ROWS, n)
+            x[:, r0:r1] = w_first @ c_rows(r0, r1).T
+        x_rows = x.reshape(samples, 2, n)
+        c02 -= np.einsum("sn,sn->s", x_rows[:, 0], w_half[:, 2])
+        c13 -= np.einsum("sn,sn->s", x_rows[:, 1], w_half[:, 3])
     bonds = spec.bonds()
     # J = -(t_def/4) (t_{j-1} C[j-1,j+1] + t_{j+1} C[j,j+2])
     values = -0.25 * bonds[jc] * (bonds[jc - 1] * c02 + bonds[jc + 1] * c13)

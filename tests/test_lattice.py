@@ -1,6 +1,7 @@
 """Lattice oracle: Gibbs states, evolution invariants, scattering, transport."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,10 +12,48 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neqcft import lattice
-from neqcft.lattice import (ChainSpec, PlateauError, current_form,
-                            gibbs_covariance, landauer_current,
-                            propagator_rows, quadratic_form, steady_current,
+from neqcft.lattice import (ChainSpec, PlateauError, gibbs_covariance,
+                            landauer_current, propagator_rows, steady_current,
                             transmission, transmission_dc)
+
+
+# ---------------------------------------------------------------------------
+# dense quadratic forms: H = (i/4) gamma^T A gamma and the bond current
+
+def quadratic_form(bonds):
+    """Antisymmetric A with H = (i/4) gamma^T A gamma for the given bond strengths."""
+    n = len(bonds) + 1
+    a = np.zeros((n, n))
+    idx = np.arange(n - 1)
+    a[idx, idx + 1] = bonds
+    a[idx + 1, idx] = -bonds
+    return a
+
+
+def _left_energy_form(bonds, j):
+    # energy strictly left of bond j plus half the bond itself
+    b = np.array(bonds, dtype=float)
+    b[j] *= 0.5
+    b[j + 1:] = 0.0
+    return quadratic_form(b)
+
+
+def current_form(bonds, j):
+    """Quadratic form K of the current operator at bond j: J = -(1/4) sum K.C.
+
+    Derived from the continuity equation: dE_j/dt = i[H, E_j] is the
+    quadratic form (i/4) gamma^T [B_j, A] gamma, so the rightward current
+    is minus its expectation.  Splitting the bond energy symmetrically makes
+    the equilibrium current vanish identically.  At the defect the
+    contraction needs only C[j-1, j+1] and C[j, j+2], which is what
+    steady_current evaluates.
+    """
+    nb = len(bonds)
+    if not 1 <= j <= nb - 2:
+        raise ValueError(f"bond {j} is not interior")
+    a = quadratic_form(bonds)
+    b = _left_energy_form(bonds, j)
+    return b @ a - a @ b
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +170,14 @@ def _small_protocol(n_sites=60, lam=0.8, tl=0.3, tr=0.1):
 
 def evolve(spec, c0, t):
     """C(t) = R C0 R^T with R = exp(A t) assembled from all rows of propagator_rows."""
-    evals, modes = lattice._chain_modes(spec)
-    r = propagator_rows(evals, modes, np.arange(spec.majoranas), [t])[0]
+    r = propagator_rows(spec, np.arange(spec.majoranas), [t])[0]
     return r @ c0 @ r.T
+
+
+def chain_modes(spec):
+    """Energies (2, N) and the two N x N parity blocks L_e, L_o: every row of _mode_rows."""
+    evals, d, scale = lattice._chain_spectrum(spec)
+    return evals, lattice._mode_rows(d, scale, np.arange(spec.sites))
 
 
 def energy(a, c):
@@ -164,31 +208,33 @@ def test_antisymmetry_and_spectrum_preserved():
 
 
 def test_nonorthogonal_propagator_is_detected(monkeypatch):
-    chain_modes = lattice._chain_modes
+    # one odd mode is 1.001 times too long in every row built from it, so the
+    # rows of exp(A t) are no longer orthonormal
+    spec = ChainSpec(sites=60, defect=0.8)
+    mode_rows = lattice._mode_rows
 
-    def scaled_modes(spec):
-        evals, modes = chain_modes(spec)
-        return evals, 1.001 * modes  # rows of exp(A t) no longer orthonormal
+    def one_mode_scaled(d, scale, rows):
+        scale = scale.copy()
+        scale[1, -1] *= 1.001
+        return mode_rows(d, scale, rows)
 
-    monkeypatch.setattr(lattice, "_chain_modes", scaled_modes)
+    monkeypatch.setattr(lattice, "_mode_rows", one_mode_scaled)
     with pytest.raises(RuntimeError, match="orthonormality"):
-        steady_current(ChainSpec(sites=60, defect=0.8), 0.3, 0.1, samples=10)
+        steady_current(spec, 0.3, 0.1, samples=10)
 
 
 def test_one_nonorthogonal_sample_is_detected(monkeypatch):
-    # only the last sample of the ragged last block goes wrong
-    samples = 2 * lattice._SAMPLE_BLOCK + 3
+    # only one sample, in the middle of the series, goes wrong
     rows_at = lattice.propagator_rows
 
-    def last_sample_scaled(evals, modes, rows, times):
-        w = rows_at(evals, modes, rows, times)
-        if len(times) < lattice._SAMPLE_BLOCK:
-            w[-1] *= 1.001
+    def one_sample_scaled(spec, rows, times):
+        w = rows_at(spec, rows, times)
+        w[len(times) // 2] *= 1.001
         return w
 
-    monkeypatch.setattr(lattice, "propagator_rows", last_sample_scaled)
+    monkeypatch.setattr(lattice, "propagator_rows", one_sample_scaled)
     with pytest.raises(RuntimeError, match="orthonormality"):
-        steady_current(ChainSpec(sites=60, defect=0.8), 0.3, 0.1, samples=samples)
+        steady_current(ChainSpec(sites=60, defect=0.8), 0.3, 0.1, samples=35)
 
 
 @settings(max_examples=40, deadline=None)
@@ -197,7 +243,7 @@ def test_one_nonorthogonal_sample_is_detected(monkeypatch):
        coupling=st.floats(0.5, 2.0))
 def test_closed_form_modes_match_tridiagonal_eigensolve(half_sites, lam, coupling):
     spec = ChainSpec(sites=2 * half_sites, coupling=coupling, defect=lam)
-    evals, (l_even, l_odd) = lattice._chain_modes(spec)
+    evals, (l_even, l_odd) = chain_modes(spec)
     evals = evals.ravel()
     v = np.block([[l_even, l_odd], [l_even[::-1], -l_odd[::-1]]])
     bonds = spec.bonds()
@@ -206,6 +252,25 @@ def test_closed_form_modes_match_tridiagonal_eigensolve(half_sites, lam, couplin
     m = -(np.diag(bonds, 1) + np.diag(bonds, -1))
     assert np.max(np.abs(m @ v - v * evals)) <= 1e-13
     assert np.max(np.abs(v.T @ v - np.eye(spec.majoranas))) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(half_sites=st.integers(20, 1500),
+       lam=st.one_of(st.sampled_from([0.0, 1e-9, 1.0]), st.floats(0.0, 1.0, exclude_min=True)))
+def test_closed_form_mode_norms_match_summed_norms(half_sites, lam):
+    # N - sin(Nd) cos(pi(j-1)/N + (N+1)d) / sin k against 2 sum_m sin^2(k m),
+    # summed over the exactly reduced phases, 256 modes at a time
+    spec = ChainSpec(sites=2 * half_sites, defect=lam)
+    _, d, scale = lattice._chain_spectrum(spec)
+    n = spec.sites
+    m1 = np.arange(1, n + 1)
+    summed = np.empty((2, n))
+    for j0 in range(0, n, 256):
+        j = np.arange(j0, min(j0 + 256, n))[:, None]
+        phase = (j * m1) % (2 * n) * (np.pi / n)
+        for p in range(2):
+            summed[p, j0:j0 + len(j)] = 2 * np.sum(np.sin(phase + d[p, j] * m1) ** 2, axis=1)
+    assert np.max(np.abs(scale ** -2 / summed - 1)) <= 1e-14
 
 
 @settings(max_examples=30, deadline=None)
@@ -218,8 +283,7 @@ def test_folded_propagator_rows_match_dense_eigensolve(half_sites, lam, fraction
     # scipy.linalg.expm itself is off by 1.2e-13 at N = 94, lam = 0, t = 16.9
     spec = ChainSpec(sites=2 * half_sites, defect=lam)
     times = [f * spec.sites / 4 for f in fractions]
-    evals, modes = lattice._chain_modes(spec)
-    got = propagator_rows(evals, modes, np.arange(spec.majoranas), times)
+    got = propagator_rows(spec, np.arange(spec.majoranas), times)
     eps, u = np.linalg.eigh(1j * quadratic_form(spec.bonds()))
     for t, r in zip(times, got):
         ref = ((u * np.exp(-1j * eps * t)) @ u.conj().T).real
@@ -267,6 +331,19 @@ def test_current_form_interior_only():
         current_form(bonds, 0)
 
 
+def test_steady_current_memory_is_below_one_dense_block():
+    # the rows of 60 samples and the row blocks stay under one N x N float
+    # array; the dense (2, N, N) parity blocks alone would be twice that
+    spec = ChainSpec(sites=2000, defect=0.7)
+    tracemalloc.start()
+    try:
+        steady_current(spec, 0.1, 0.05, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < spec.sites ** 2 * 8, peak / 2 ** 20
+
+
 def test_equilibrium_current_vanishes():
     spec = ChainSpec(sites=120, defect=0.6)
     series = steady_current(spec, 0.2, 0.2, samples=30)
@@ -306,10 +383,10 @@ def test_steady_current_matches_dense_propagator(half_sites, lam, t_left, t_righ
 
 
 @pytest.mark.parametrize("lam, t_left, t_right", [(0.6, 0.3, 0.05), (1.0, 0.0, 0.4)])
-def test_steady_current_matches_dense_propagator_across_sample_blocks(lam, t_left, t_right):
-    # two full blocks of samples and a ragged tail
-    _check_against_dense(ChainSpec(sites=60, defect=lam), t_left, t_right,
-                         samples=2 * lattice._SAMPLE_BLOCK + 3)
+def test_steady_current_matches_dense_propagator_across_row_blocks(lam, t_left, t_right):
+    # at least two full blocks of mode rows and of Gibbs rows, and a ragged tail
+    sites = 2 * max(lattice._MODE_ROWS, lattice._GIBBS_ROWS) + 6
+    _check_against_dense(ChainSpec(sites=sites, defect=lam), t_left, t_right, samples=10)
 
 
 @settings(max_examples=40, deadline=None)
@@ -461,9 +538,19 @@ def test_gauss_kronrod_rule_degrees():
 
 def library_landauer_current(transmission_fn, t_left, t_right, coupling):
     """Independent oracle: the same integral by QUADPACK, summed over a partition
-    graded toward both band ends, each panel to 1e-14 of a first whole-band estimate."""
+    graded toward both band ends, each panel to 1e-14 of a first whole-band estimate.
+    f(w, T_l) - f(w, T_r) is 1/(e^x_l + 1) - 1/(e^x_r + 1) with x = w/T, rewritten as
+    sinh((x_r - x_l)/2) / (2 cosh(x_l/2) cosh(x_r/2)) so that nearby temperatures do not
+    cancel; a zero temperature or an x past 700 has an occupation of exactly 0."""
+    def occupation(w, temperature):
+        return 0.0 if temperature == 0 or w / temperature > 700 else 1.0 / (math.exp(w / temperature) + 1.0)
+
     def integrand(w):
-        df = lattice.fermi_occupation(w, t_left) - lattice.fermi_occupation(w, t_right)
+        if min(t_left, t_right) == 0 or w / t_left > 700 or w / t_right > 700:
+            df = occupation(w, t_left) - occupation(w, t_right)
+        else:
+            half_gap = 0.5 * w * (t_left - t_right) / (t_left * t_right)
+            df = math.sinh(half_gap) / (2 * math.cosh(0.5 * w / t_left) * math.cosh(0.5 * w / t_right))
         return w * transmission_fn(w) * df / (2 * math.pi)
 
     band = 2 * coupling
@@ -482,6 +569,7 @@ _reservoir_temperature = st.one_of(st.just(0.0), st.floats(0.005, 2.0))
 @given(lam=st.floats(0.0, 1.0), t_left=_reservoir_temperature,
        t_right=_reservoir_temperature, coupling=st.floats(0.5, 2.0))
 @example(lam=1.44e-159, t_left=0.0, t_right=1.0, coupling=2.0)
+@example(lam=1.0, t_left=0.005, t_right=0.0050000000000001, coupling=0.5)
 def test_landauer_matches_library_quadrature(lam, t_left, t_right, coupling):
     # below lam ~ 1.5e-154 the current is a subnormal float, which carries
     # fewer than ten significant digits; the floor of a few subnormal steps
@@ -553,8 +641,9 @@ def test_plateau_error_when_window_empty(monkeypatch):
     def unreachable(*args):
         raise AssertionError("O(N^2) work before the plateau check")
 
-    monkeypatch.setattr(lattice, "gibbs_covariance", unreachable)
-    monkeypatch.setattr(lattice, "_chain_modes", unreachable)
+    monkeypatch.setattr(lattice, "_gibbs_rows", unreachable)
+    monkeypatch.setattr(lattice, "_chain_spectrum", unreachable)
+    monkeypatch.setattr(lattice, "_mode_rows", unreachable)
     spec = ChainSpec(sites=120)
     with pytest.raises(PlateauError, match="holds 3 samples"):
         steady_current(spec, 0.2, 0.1, samples=6)
