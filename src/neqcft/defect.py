@@ -321,41 +321,6 @@ def check_ope_preservation(real):
     return dev
 
 
-def compose_defects(a, b):
-    """Matrix product of two realizations on the same space."""
-    if not fock.same_space(a.space, b.space):
-        raise ValueError("realizations live on different spaces")
-    src = None
-    if isinstance(a.source, BogoliubovSpec) and isinstance(b.source, BogoliubovSpec):
-        src = a.source.compose(b.source)
-    return DefectRealization(a.space, a.theta @ b.theta, src)
-
-
-def max_matrix_deviation(a, b):
-    return (a.theta - b.theta).max_abs_entry()
-
-
-def reflection_block_mixing(real):
-    """Largest entry connecting a one-factor state to a mixed or same-factor state.
-
-    A pure reflection must send A-only states to B-only states and back,
-    with no mixing; returns the worst off-block entry over those columns.
-    """
-    space = real.space
-    dev = 0
-    for col, (i, j) in enumerate(space.pairs):
-        a_only = j == space.right.vacuum_index and i != space.left.vacuum_index
-        b_only = i == space.left.vacuum_index and j != space.right.vacuum_index
-        if not (a_only or b_only):
-            continue
-        for row, val in real.theta.column(col).items():
-            ri, rj = space.pairs[row]
-            ok = (ri == space.left.vacuum_index) if a_only else (rj == space.right.vacuum_index)
-            if not ok:
-                dev = max(dev, abs(val))
-    return dev
-
-
 # ---------------------------------------------------------------------------
 # pure reflection phases from the fusion ring
 

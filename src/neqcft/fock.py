@@ -17,15 +17,18 @@ basis lookups, ordering and level comparisons run on machine ints;
 ``FockState.occupied`` and ``level``, ``StateSpace.level`` and ``index_of``
 and ``mode_values`` speak exact ``Fraction`` values.
 
-An exact operator stores int numerators over one positive int
-``denominator``.  A product's denominator is the product of its operands',
-a sum's is their lcm, and a builder divides out the gcd once, when the
-operator is finished.  ``entry``, ``column``, ``to_dict`` and
-``max_abs_entry`` give exact ``Fraction`` values.  An operator with an
-inexact entry (a float angle, a deliberately skewed map) stores its values
-as they are, over denominator 1, and runs through the same loops; an exact
-operand meets it by value, as ``Fraction(n, d)``, so its floats are the
-ones plain per-entry arithmetic would give.
+An operator stores its exact entries as int numerators over one positive
+int ``denominator``.  A product's denominator is the product of its
+operands', a sum's is their lcm, and a builder divides out the gcd once,
+when the operator is finished.  ``entry``, ``column``, ``to_dict`` and
+``max_abs_entry`` give exact entries as ``Fraction`` values.  An inexact
+entry (a float angle, a deliberately skewed map) is stored as the float
+itself, in the same column maps; its exact neighbours stay numerators.
+Operands with no float run through int loops.  Otherwise one value loop
+keeps int x int terms and int + int sums exact, and reads an int ``n``
+that meets a float as ``n / d``, the correctly rounded float of
+``Fraction(n, d)``; so every float, and the order it is summed in, is the
+one plain per-entry arithmetic would give.
 
 Operators are honest truncations ``P L P`` of the full Fock-space operators
 to levels <= cutoff.  Algebraic identities therefore hold only on the safe
@@ -275,11 +278,11 @@ def same_space(a, b):
 class GradedOperator:
     """Sparse level- and parity-graded linear map between truncated spaces.
 
-    ``columns[j]`` maps a domain basis index to ``{row: stored}``.  On an
-    exact operator the stored numbers are int numerators over
-    ``denominator``; otherwise they are the entries themselves and the
-    denominator is 1.  Every entry connects states whose levels differ by
-    exactly ``level_shift`` and whose parities differ by ``parity_shift``.
+    ``columns[j]`` maps a domain basis index to ``{row: stored}``.  A
+    stored int is a numerator over ``denominator``; a stored float is the
+    entry itself.  ``exact`` means that no float entry was ever stored.
+    Every entry connects states whose levels differ by exactly
+    ``level_shift`` and whose parities differ by ``parity_shift``.
     Mutation is limited to construction time (``add_entry``,
     ``accumulate``, ``normalize``); all algebraic operations return new
     operators (``restrict_columns`` shares the column maps it keeps), so
@@ -309,24 +312,20 @@ class GradedOperator:
                               self.exact if exact is None else exact)
 
     def entry(self, row, col):
-        val = self.columns.get(col, _EMPTY).get(row, 0)
-        return Fraction(val, self.denominator) if self.exact else val
+        val = self.columns.get(col, _EMPTY).get(row)
+        if val is None:
+            return Fraction(0) if self.exact else 0
+        return Fraction(val, self.denominator) if type(val) is int else val
 
     def column(self, col):
         """Column ``col`` by value, ``{row: entry}`` in stored order; empty when zero."""
-        stored = self.columns.get(col, _EMPTY)
-        if not self.exact:
-            return dict(stored)
         den = self.denominator
-        return {row: Fraction(val, den) for row, val in stored.items()}
+        return {row: Fraction(val, den) if type(val) is int else val
+                for row, val in self.columns.get(col, _EMPTY).items()}
 
     def to_dict(self):
         """Every nonzero column by value, ``{col: {row: entry}}`` in stored order."""
         return {j: self.column(j) for j in self.columns}
-
-    def _by_value(self):
-        """This operator holding its entries by value (itself unless it is exact)."""
-        return self._like(self.to_dict(), 1, False) if self.exact else self
 
     def _numerator(self, value):
         """The numerator that stores the exact ``value``, raising the denominator when needed."""
@@ -336,25 +335,20 @@ class GradedOperator:
         q = value.denominator
         if self.denominator % q:
             den = math.lcm(self.denominator, q)
-            k = den // self.denominator
-            self.columns = {j: {r: v * k for r, v in c.items()} for j, c in self.columns.items()}
+            self.columns = _scaled(self.columns, den // self.denominator, self.exact)
             self.denominator = den
         return value.numerator * (self.denominator // q)
-
-    def _hold_values(self):
-        """Switch to holding entries by value, ahead of an inexact one."""
-        if self.exact:
-            self.columns, self.denominator, self.exact = self.to_dict(), 1, False
 
     def add_entry(self, row, col, value):
         if value == 0:
             return
-        if self.exact and _is_exact(value):
+        if _is_exact(value):
             value = self._numerator(value)
         else:
-            self._hold_values()
+            self.exact = False
         colmap = self.columns.setdefault(col, {})
-        new = colmap.get(row, 0) + value
+        prev = colmap.get(row)
+        new = value if prev is None else _add(prev, value, self.denominator)
         if new == 0:
             colmap.pop(row, None)
             if not colmap:
@@ -368,11 +362,10 @@ class GradedOperator:
             raise ValueError("cannot add operators on different spaces")
         if (self.level_shift, self.parity_shift) != (other.level_shift, other.parity_shift):
             raise ValueError("cannot add operators with different grading")
-        if self.exact and other.exact and _is_exact(factor):
-            factor = self._numerator(Fraction(factor, other.denominator))
-        else:
-            self._hold_values()
-            other = other._by_value()
+        if not (self.exact and other.exact and _is_exact(factor)):
+            self._accumulate_values(other, factor)
+            return
+        factor = self._numerator(Fraction(factor, other.denominator))
         cols = self.columns
         for j, c in other.columns.items():
             acc = cols.setdefault(j, {})
@@ -380,6 +373,37 @@ class GradedOperator:
                 # +-val as plain adds and subtracts: no extra product per value
                 term = val if factor == 1 else -val if factor == -1 else factor * val
                 s = acc.get(row, 0) + term
+                if s:
+                    acc[row] = s
+                else:
+                    acc.pop(row, None)
+            if not acc:
+                del cols[j]
+
+    def _accumulate_values(self, other, factor):
+        """``accumulate`` with a float on either side.
+
+        An exact factor (or a float +-1) keeps int terms exact, as numerators
+        over this operator's raised denominator; every other term is the float
+        that per-entry arithmetic gives, and a sum turns float at its first
+        float term.
+        """
+        exact_terms = _is_exact(factor) or factor in (1, -1)
+        if exact_terms:
+            k = self._numerator(Fraction(factor) / other.denominator)
+        self.exact = False
+        cols, den, oden, fl = self.columns, self.denominator, other.denominator, float(factor)
+        for j, c in other.columns.items():
+            acc = cols.setdefault(j, {})
+            for row, val in c.items():
+                if type(val) is not int:
+                    term = val if factor == 1 else -val if factor == -1 else fl * val
+                elif exact_terms:
+                    term = val if k == 1 else -val if k == -1 else k * val
+                else:
+                    term = fl * (val / oden)
+                prev = acc.get(row)
+                s = term if prev is None else _add(prev, term, den)
                 if s:
                     acc[row] = s
                 else:
@@ -403,10 +427,11 @@ class GradedOperator:
     def __matmul__(self, other):
         if not same_space(other.codomain, self.domain):
             raise ValueError("operator spaces do not compose")
-        a, b = (self, other) if self.exact == other.exact else (self._by_value(), other._by_value())
-        left = a.columns
+        if not (self.exact and other.exact):
+            return self._matmul_values(other)
+        left = self.columns
         cols = {}
-        for j, mid in b.columns.items():
+        for j, mid in other.columns.items():
             acc = {}
             for m, v1 in mid.items():
                 for row, v2 in left.get(m, _EMPTY).items():
@@ -418,10 +443,47 @@ class GradedOperator:
                         acc.pop(row, None)
             if acc:
                 cols[j] = acc
+        return self._product(other, cols, self.denominator * other.denominator, True)
+
+    def _matmul_values(self, other):
+        """``self @ other`` with a float on either side.
+
+        int x int terms stay numerators over the product denominator; a term
+        that meets a float reads the int side as ``n / d``, which is the float
+        of ``Fraction(n, d)``, so every float and every sum order is the one
+        per-entry arithmetic gives.
+        """
+        da, db = self.denominator, other.denominator
+        den = da * db
+        left = self.columns
+        cols = {}
+        for j, mid in other.columns.items():
+            acc = {}
+            for m, v1 in mid.items():
+                exact1 = type(v1) is int
+                f1 = v1 / db if exact1 else v1
+                for row, v2 in left.get(m, _EMPTY).items():
+                    if type(v2) is not int:
+                        t = v2 * f1
+                    elif exact1:
+                        t = v2 * v1
+                    else:
+                        t = v2 / da * v1
+                    prev = acc.get(row)
+                    s = t if prev is None else _add(prev, t, den)
+                    if s:
+                        acc[row] = s
+                    else:
+                        acc.pop(row, None)
+            if acc:
+                cols[j] = acc
+        return self._product(other, cols, den, False)
+
+    def _product(self, other, columns, denominator, exact):
         return GradedOperator(other.domain, self.codomain,
                               self.level_shift + other.level_shift,
-                              (self.parity_shift + other.parity_shift) % 2, cols,
-                              a.denominator * b.denominator, a.exact)
+                              (self.parity_shift + other.parity_shift) % 2, columns,
+                              denominator, exact)
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -438,13 +500,21 @@ class GradedOperator:
     def __mul__(self, scalar):
         if scalar == 0:
             return self._like({}, 1, self.exact and _is_exact(scalar))
-        op = self if _is_exact(scalar) else self._by_value()
-        den = op.denominator
-        if op.exact:
-            scalar = Fraction(scalar)
-            scalar, den = scalar.numerator, den * scalar.denominator
-        cols = {j: {r: v * scalar for r, v in c.items()} for j, c in op.columns.items()}
-        return op._like(cols, den)
+        if not _is_exact(scalar):
+            # a float scalar makes every entry a float
+            den = self.denominator
+            cols = {j: {r: v / den * scalar if type(v) is int else v * scalar for r, v in c.items()}
+                    for j, c in self.columns.items()}
+            return self._like(cols, 1, False)
+        scalar = Fraction(scalar)
+        num, den = scalar.numerator, self.denominator * scalar.denominator
+        if self.exact:
+            cols = {j: {r: v * num for r, v in c.items()} for j, c in self.columns.items()}
+        else:
+            fl = float(scalar)
+            cols = {j: {r: v * num if type(v) is int else v * fl for r, v in c.items()}
+                    for j, c in self.columns.items()}
+        return self._like(cols, den)
 
     __rmul__ = __mul__
 
@@ -460,48 +530,74 @@ class GradedOperator:
     def max_abs_entry(self, max_col_level=None):
         top = None if max_col_level is None else _twice_floor(max_col_level)
         levels = self.domain.twice_levels
+        kept = [c for j, c in self.columns.items() if top is None or levels[j] <= top]
+        if not self.exact:
+            return _max_abs_values(kept, self.denominator)
         best = 0
-        for j, c in self.columns.items():
-            if top is not None and levels[j] > top:
-                continue
+        for c in kept:
             for val in c.values():
                 a = abs(val)
                 if a > best:
                     best = a
-        return Fraction(best, self.denominator) if self.exact else best
+        return Fraction(best, self.denominator)
 
-    def check_grading(self):
-        want = 2 * self.level_shift
-        for j, c in self.columns.items():
-            for row in c:
-                dl2 = self.codomain.twice_levels[row] - self.domain.twice_levels[j]
-                dp = (self.codomain.parity(row) - self.domain.parity(j)) % 2
-                if dl2 != want or dp != self.parity_shift:
-                    raise AssertionError(
-                        f"entry ({row},{j}) violates grading: dl={Fraction(dl2, 2)}, dp={dp}")
-        return True
+
+def _scaled(columns, k, exact):
+    """``columns`` with every int numerator multiplied by ``k``; floats are kept."""
+    if exact:
+        return {j: {r: v * k for r, v in c.items()} for j, c in columns.items()}
+    return {j: {r: v * k if type(v) is int else v for r, v in c.items()} for j, c in columns.items()}
+
+
+def _add(x, y, den):
+    """The sum of two stored numbers over ``den``; a float reads an int side as ``n / den``."""
+    if type(x) is int:
+        return x + y if type(y) is int else x / den + y
+    return x + y / den if type(y) is int else x + y
+
+
+def _max_abs_values(columns, den):
+    """The largest |entry| of columns holding ints over ``den`` and floats, as stored.
+
+    The first such entry in stored order wins a tie between a float and an
+    int; with no nonzero entry the result is the int 0.
+    """
+    top, fbest = 0, 0.0
+    for c in columns:
+        for val in c.values():
+            if type(val) is int:
+                if val > top or -val > top:
+                    top = abs(val)
+            elif abs(val) > fbest:
+                fbest = abs(val)
+    best = Fraction(top, den)
+    if best != fbest:
+        return best if best > fbest else fbest
+    if not top:
+        return 0
+    for c in columns:
+        for val in c.values():
+            if abs(val) == (top if type(val) is int else fbest):
+                return best if type(val) is int else fbest
 
 
 def join_columns(parts):
     """Operators on one pair of spaces, with one grading and disjoint columns, as one operator.
 
-    Columns come in ascending order, over the lcm of the denominators (by
-    value when a part is not exact), reduced by the gcd.
+    Columns come in ascending order, with the int numerators over the lcm of
+    the denominators, reduced by the gcd when every part is exact.
     """
     first = parts[0]
     for p in parts:
         if not (same_space(p.domain, first.domain) and same_space(p.codomain, first.codomain)
                 and (p.level_shift, p.parity_shift) == (first.level_shift, first.parity_shift)):
             raise ValueError("cannot join operators on different spaces or gradings")
-    if not all(p.exact for p in parts):
-        parts = [p._by_value() for p in parts]
     den = math.lcm(*(p.denominator for p in parts))
     cols = {}
     for p in parts:
         k = den // p.denominator
-        cols.update(p.columns if k == 1 else
-                    {j: {r: v * k for r, v in c.items()} for j, c in p.columns.items()})
-    return parts[0]._like(dict(sorted(cols.items())), den).normalize()
+        cols.update(p.columns if k == 1 else _scaled(p.columns, k, p.exact))
+    return first._like(dict(sorted(cols.items())), den, all(p.exact for p in parts)).normalize()
 
 
 @functools.cache
@@ -621,8 +717,11 @@ def gram_diagonal(space):
 
 
 def invert_graded(op):
-    """Exact inverse of a level- and parity-preserving operator, block by block.
+    """Inverse of a level- and parity-preserving operator, block by block.
 
+    A level block with no float entry is inverted exactly, by fraction-free
+    Gauss-Jordan elimination on its int numerators (Bareiss); a block with a
+    float entry by Gauss-Jordan with partial pivoting on its values.
     Raises ValueError if any level block is singular.
     """
     if op.level_shift != 0 or op.parity_shift != 0:
@@ -631,36 +730,81 @@ def invert_graded(op):
     blocks = {}
     for n, level in enumerate(space.twice_levels):
         blocks.setdefault(level, []).append(n)
-    inv = GradedOperator.zero(space, space, 0, 0)
+    parts = []
     for level, idx in blocks.items():
-        k = len(idx)
-        # dense Gauss-Jordan on the block, exact when entries are exact
-        a = [[op.entry(r, c) for c in idx] for r in idx]
-        b = [[Fraction(1) if i == j else Fraction(0) for j in range(k)] for i in range(k)]
-        for col in range(k):
-            piv = None
-            best = 0
-            for r in range(col, k):
-                m = abs(a[r][col])
-                if m > best:
-                    best = m
-                    piv = r
-            if piv is None:
-                raise ValueError(f"singular level block at level {Fraction(level, 2)}")
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-            pivval = a[col][col]
-            a[col] = [x / pivval for x in a[col]]
-            b[col] = [x / pivval for x in b[col]]
-            for r in range(k):
-                if r == col:
-                    continue
-                f = a[r][col]
-                if f == 0:
-                    continue
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                b[r] = [x - f * y for x, y in zip(b[r], b[col])]
-        for ci, c in enumerate(idx):
-            for ri, r in enumerate(idx):
-                inv.add_entry(r, c, b[ri][ci])
-    return inv.normalize()
+        stored = [[op.columns.get(c, _EMPTY).get(r, 0) for c in idx] for r in idx]
+        if all(type(x) is int for row in stored for x in row):
+            part = _invert_exact_block(space, idx, stored, op.denominator)
+        else:
+            part = _invert_value_block(space, idx, [[op.entry(r, c) for c in idx] for r in idx])
+        if part is None:
+            raise ValueError(f"singular level block at level {Fraction(level, 2)}")
+        parts.append(part)
+    return join_columns(parts)
+
+
+def _invert_exact_block(space, idx, a, den):
+    """The inverse of the block ``a / den`` on the states ``idx``, or None when singular.
+
+    Fraction-free Gauss-Jordan (Bareiss) turns ``[a | 1]`` into
+    ``[p 1 | p a^-1]`` on ints, every division exact; then the block's
+    inverse is ``den a^-1``, with the numerators ``den p a^-1`` over ``p``.
+    """
+    k = len(a)
+    m = [row + [int(i == r) for i in range(k)] for r, row in enumerate(a)]
+    prev = 1
+    for col in range(k):
+        piv = next((r for r in range(col, k) if m[r][col]), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        top = m[col]
+        p = top[col]
+        for r in range(k):
+            if r != col:
+                f = m[r][col]
+                m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], top)]
+        prev = p
+    if p < 0:
+        p, den = -p, -den
+    cols = {}
+    for ci, c in enumerate(idx):
+        col = {r: m[ri][k + ci] * den for ri, r in enumerate(idx) if m[ri][k + ci]}
+        if col:
+            cols[c] = col
+    return GradedOperator(space, space, Fraction(0), 0, cols, p).normalize()
+
+
+def _invert_value_block(space, idx, a):
+    """The inverse of the block of values ``a`` on the states ``idx``, or None when singular."""
+    k = len(idx)
+    # dense Gauss-Jordan, pivoting on the largest |entry| of each column
+    b = [[Fraction(1) if i == j else Fraction(0) for j in range(k)] for i in range(k)]
+    for col in range(k):
+        piv = None
+        best = 0
+        for r in range(col, k):
+            m = abs(a[r][col])
+            if m > best:
+                best = m
+                piv = r
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        b[col], b[piv] = b[piv], b[col]
+        pivval = a[col][col]
+        a[col] = [x / pivval for x in a[col]]
+        b[col] = [x / pivval for x in b[col]]
+        for r in range(k):
+            if r == col:
+                continue
+            f = a[r][col]
+            if f == 0:
+                continue
+            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+            b[r] = [x - f * y for x, y in zip(b[r], b[col])]
+    inv = GradedOperator.zero(space, space, 0, 0)
+    for ci, c in enumerate(idx):
+        for ri, r in enumerate(idx):
+            inv.add_entry(r, c, b[ri][ci])
+    return inv

@@ -479,8 +479,25 @@ def test_symbolic_reports_are_pinned(capsys, argv, expected):
 
 
 _ALPHA_03 = "(cos, sin) = (0.955336489125606, 0.29552020666133955)"
+_ALPHA_07 = "(cos, sin) = (0.7648421872844885, 0.644217687237691)"
 _SKEW_DIAGNOSTIC = ("defect map fails to intertwine the incoming and outgoing Virasoro actions: "
                     "Theta (Lbar^l_n + L^r_n) != (L^l_n + Lbar^r_n) Theta")
+_OPE_DIAGNOSTIC = ("mode conjugation does not preserve the anticommutation relations "
+                   "or the identity field")
+
+
+def _failed_intertwiner(cutoff, theta, deviations):
+    """The report of an intertwiner run over n = -2..2 that fails at every n."""
+    checks = [{"theta": theta, "n": n, "deviation": dev, "passed": False}
+              for n, dev in zip(range(-2, 3), deviations)]
+    return {"cutoff": cutoff, "checks": checks, "diagnostic": _SKEW_DIAGNOSTIC}
+
+
+def _failed_ope(cutoff, vacuum, anticommutator):
+    return {"cutoff": cutoff, "vacuum_deviation": vacuum,
+            "anticommutator_deviation": anticommutator, "passed": False,
+            "diagnostic": _OPE_DIAGNOSTIC}
+
 
 # reports of the exact layer on its float and skewed paths, pinned string for
 # string with their exit codes: a rewrite of fock or defect must not move a
@@ -505,14 +522,7 @@ EXACT_REPORTS = [
         ],
         "diagnostic": _SKEW_DIAGNOSTIC,
     }),
-    (["ope-preservation", "--skew", "0.01"], 1, {
-        "cutoff": "4",
-        "vacuum_deviation": "0.01",
-        "anticommutator_deviation": "0.016",
-        "passed": False,
-        "diagnostic": "mode conjugation does not preserve the anticommutation relations "
-                      "or the identity field",
-    }),
+    (["ope-preservation", "--skew", "0.01"], 1, _failed_ope("4", "0.01", "0.016")),
     (["ope-preservation", "--alpha", "1.1"], 0, {
         "cutoff": "4",
         "vacuum_deviation": "0",
@@ -521,7 +531,7 @@ EXACT_REPORTS = [
     }),
     (["momentum-continuity", "--alpha", "0.7"], 0, {
         "cutoff": "4",
-        "theta": "(cos, sin) = (0.7648421872844885, 0.644217687237691)",
+        "theta": _ALPHA_07,
         "passed": True,
     }),
     (["momentum-continuity", "--skew", "0.01"], 1, {
@@ -531,6 +541,18 @@ EXACT_REPORTS = [
         "diagnostic": "momentum density not continuous across the impurity: "
                       "Theta[Tbar^l + T^r] != T^l + Tbar^r on the vacuum",
     }),
+    # digits that the order of float rounding decides: a float Theta skewed
+    # once more, and the two skewed controls of the benchmark
+    (["intertwiner", "--cutoff", "6", "--alpha", "0.7", "--skew", "0.003"], 1,
+     _failed_intertwiner("6", _ALPHA_07, ["0.0105", "0.009000000000000001", "0.0015000000000000005",
+                                          "0.009000000000000001", "0.007500000000000062"])),
+    (["ope-preservation", "--cutoff", "5", "--alpha", "0.3", "--skew", "0.01"], 1,
+     _failed_ope("5", "0.01", "0.01955336489125606")),
+    (["intertwiner", "--cutoff", "8", "--cos-sin=-3/5,4/5", "--skew", "0.01"], 1,
+     _failed_intertwiner("8", "(cos, sin) = (-3/5, 4/5)",
+                         ["0.035", "0.03", "0.005000000000000001", "0.03", "0.035"])),
+    (["ope-preservation", "--cutoff", "6", "--cos-sin=-3/5,4/5", "--skew", "0.01"], 1,
+     _failed_ope("6", "0.01", "0.016")),
 ]
 
 

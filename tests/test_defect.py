@@ -8,15 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neqcft import defect, fock
+from neqcft import cli, defect, fock
 from neqcft.defect import (REFLECTION, TRANSMISSION, BogoliubovSpec,
                            DefectRealization, FusionRing, build_mode_automorphism,
                            build_theta_fermion, check_intertwining,
                            check_momentum_continuity, check_ope_preservation,
-                           compose_defects, ising_ring, solve_reflection_phases,
+                           ising_ring, solve_reflection_phases,
                            trivial_ring, vacuum_preservation_deviation,
                            z3_parafermion_ring)
 from neqcft.fock import GradedOperator
+from oracles import check_grading, max_matrix_deviation, reflection_block_mixing
 
 HALF = Fraction(1, 2)
 
@@ -73,6 +74,20 @@ def test_exact_operators_store_ints_over_one_denominator():
         assert all(type(v) is int for c in op.columns.values() for v in c.values())
 
 
+def test_skewed_operators_store_ints_beside_floats():
+    # the skewed control of the CLI, checked without a timer: its exact
+    # entries stay int numerators, so a regression to per-entry Fraction
+    # storage fails here, and only the skew entries are floats
+    real = build_theta_fermion(BogoliubovSpec(Fraction(3, 5), Fraction(4, 5)), 4)
+    theta = cli._skewed(real, 0.01).theta
+    for op in (theta, fock.invert_graded(theta), theta @ defect.total_virasoro(real.space, 1)):
+        assert not op.exact
+        assert {type(v) for c in op.columns.values() for v in c.values()} == {int, float}
+    floats = {(row, col) for col, c in theta.columns.items() for row, v in c.items()
+              if type(v) is float}
+    assert floats == {(i + 1, i) for i in range(12)}
+
+
 def test_transmission_relabels_sides():
     # at cos=1 the map is the identity matrix: the incoming right fermion is
     # read out as the outgoing left one with no mixing
@@ -97,12 +112,12 @@ def test_reflection_action_on_modes():
 
 def test_reflection_factorizes():
     real = build_theta_fermion(REFLECTION, 4)
-    assert defect.reflection_block_mixing(real) == 0
+    assert reflection_block_mixing(real) == 0
 
 
 def test_generic_angle_does_not_factorize():
     real = build_theta_fermion(BogoliubovSpec(Fraction(3, 5), Fraction(4, 5)), 4)
-    assert defect.reflection_block_mixing(real) != 0
+    assert reflection_block_mixing(real) != 0
 
 
 def test_vacuum_preserved_for_every_angle():
@@ -114,7 +129,7 @@ def test_vacuum_preserved_for_every_angle():
 def test_realization_is_level_and_parity_preserving():
     real = build_theta_fermion(BogoliubovSpec(Fraction(3, 5), Fraction(4, 5)), 4)
     assert real.theta.level_shift == 0 and real.theta.parity_shift == 0
-    real.theta.check_grading()
+    check_grading(real.theta)
 
 
 def test_mode_conjugation_matches_defining_relations():
@@ -343,17 +358,17 @@ def test_composition_law(a, b, cutoff):
     ra = build_theta_fermion(a, cutoff)
     rb = build_theta_fermion(b, cutoff)
     direct = build_theta_fermion(a.compose(b), cutoff)
-    assert defect.max_matrix_deviation(compose_defects(ra, rb), direct) == 0
+    assert max_matrix_deviation(ra.theta @ rb.theta, direct.theta) == 0
     ident = DefectRealization(ra.space, GradedOperator.identity(ra.space))
     inv = build_theta_fermion(a.inverse(), cutoff)
-    assert defect.max_matrix_deviation(compose_defects(ra, inv), ident) == 0
+    assert max_matrix_deviation(ra.theta @ inv.theta, ident.theta) == 0
 
 
 def test_composition_law_float():
     ra = build_theta_fermion(BogoliubovSpec.from_angle(0.4), 3)
     rb = build_theta_fermion(BogoliubovSpec.from_angle(0.9), 3)
     direct = build_theta_fermion(BogoliubovSpec.from_angle(1.3), 3)
-    assert defect.max_matrix_deviation(compose_defects(ra, rb), direct) <= 1e-12
+    assert max_matrix_deviation(ra.theta @ rb.theta, direct.theta) <= 1e-12
 
 
 def test_inverse_law():
@@ -361,17 +376,17 @@ def test_inverse_law():
     real = build_theta_fermion(spec, 4)
     inv = build_theta_fermion(spec.inverse(), 4)
     ident = DefectRealization(real.space, GradedOperator.identity(real.space))
-    assert defect.max_matrix_deviation(compose_defects(real, inv), ident) == 0
-    assert defect.max_matrix_deviation(compose_defects(inv, real), ident) == 0
+    assert max_matrix_deviation(real.theta @ inv.theta, ident.theta) == 0
+    assert max_matrix_deviation(inv.theta @ real.theta, ident.theta) == 0
 
 
 def test_compose_refuses_foreign_spaces():
     fermions = fock.enumerate_basis("fermion", 2)
     bosons = fock.enumerate_basis("boson", 2)
-    a = DefectRealization(fermions, GradedOperator.identity(fermions))
-    b = DefectRealization(bosons, GradedOperator.identity(bosons))
-    with pytest.raises(ValueError):
-        compose_defects(a, b)
+    a = GradedOperator.identity(fermions)
+    b = GradedOperator.identity(bosons)
+    with pytest.raises(ValueError, match="do not compose"):
+        a @ b
 
 
 def test_invertible_on_every_level_block():
@@ -421,7 +436,7 @@ def test_negative_control_skewed_realization_fails_all_three():
     # composition law fails
     other = build_theta_fermion(BogoliubovSpec(Fraction(5, 13), Fraction(12, 13)), cutoff)
     direct = build_theta_fermion(spec.compose(other.source), cutoff)
-    assert defect.max_matrix_deviation(compose_defects(broken, other), direct) != 0
+    assert max_matrix_deviation(broken.theta @ other.theta, direct.theta) != 0
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neqcft import cli, defect
+from neqcft.defect import BogoliubovSpec, build_theta_fermion
 from neqcft.fock import (BOSON, FERMION, FockState, GradedOperator, enumerate_basis,
-                         graded_tensor, mode_operator, tensor_space)
+                         graded_tensor, invert_graded, join_columns, mode_operator, mode_values,
+                         tensor_space)
+from oracles import check_grading
 
 HALF = Fraction(1, 2)
 
@@ -209,7 +213,7 @@ def test_mode_operator_grading():
     space = enumerate_basis(FERMION, 3)
     op = mode_operator(space, Fraction(-3, 2))
     assert op.level_shift == Fraction(3, 2) and op.parity_shift == 1
-    op.check_grading()
+    check_grading(op)
 
 
 def test_graded_tensor_identity():
@@ -279,7 +283,9 @@ def test_insertion_signs_match_brute_force():
 
 
 # ---------------------------------------------------------------------------
-# the operator kernel against a plain dict-of-values oracle
+# the operator kernel against a plain dict-of-values oracle: every entry held
+# by value, exact ones as Fractions and the rest as floats, so each float is
+# the one per-entry arithmetic gives
 
 # pairs of spaces of equal dimension and different species
 _KERNEL_SPACES = {
@@ -294,14 +300,31 @@ _FLOATS = st.one_of(st.floats(1e-3, 2.0), st.floats(-2.0, -1e-3))
 
 
 def _oracle_add(d, row, col, value):
-    c = d.setdefault(col, {})
-    s = c.get(row, 0) + value
+    """add_entry: a column that cancels to zero goes at once."""
+    _oracle_accumulate(d.setdefault(col, {}), row, value)
+    if not d[col]:
+        del d[col]
+
+
+def _oracle_accumulate(column, row, value):
+    s = column.get(row, 0) + value
     if s:
-        c[row] = s
+        column[row] = s
     else:
-        c.pop(row, None)
-        if not c:
-            del d[col]
+        column.pop(row, None)
+
+
+def _build(space, exact, floats):
+    """An operator built with add_entry from exact then float cells, and its oracle."""
+    op = GradedOperator.zero(space, space, 0, 0)
+    oracle = {}
+    for (row, col), v in exact:
+        op.add_entry(row, col, v)
+        _oracle_add(oracle, row, col, Fraction(v))
+    for (row, col), v in floats:
+        op.add_entry(row, col, v)
+        _oracle_add(oracle, row, col, v)
+    return op, (oracle, not floats)
 
 
 @st.composite
@@ -318,31 +341,36 @@ def _operators(draw, space):
     if exact and draw(st.booleans()):
         exact += [(cell, -v) for cell, v in draw(st.lists(st.sampled_from(exact), max_size=5))]
     floats = draw(st.lists(st.tuples(cells, _FLOATS), max_size=4)) if draw(st.booleans()) else []
-    op = GradedOperator.zero(space, space, 0, 0)
-    oracle = {}
-    for (row, col), v in exact:
-        op.add_entry(row, col, v)
-        _oracle_add(oracle, row, col, Fraction(v))
-    for (row, col), v in floats:
-        op.add_entry(row, col, v)
-        _oracle_add(oracle, row, col, v)
-    return op, (oracle, not floats)
+    return _build(space, exact, floats)
 
+
+def _values(op):
+    """A built operator's entries as oracle input."""
+    return op.to_dict(), op.exact
+
+
+# a product or a sum drops a column only once every term of it is in
 
 def _oracle_matmul(a, b):
     out = {}
     for j, mid in b[0].items():
+        column = {}
         for m, v1 in mid.items():
             for row, v2 in a[0].get(m, {}).items():
-                _oracle_add(out, row, j, v2 * v1)
+                _oracle_accumulate(column, row, v2 * v1)
+        if column:
+            out[j] = column
     return out, a[1] and b[1]
 
 
 def _oracle_sum(a, b, sign):
     out = {j: dict(c) for j, c in a[0].items()}
     for j, c in b[0].items():
+        column = out.setdefault(j, {})
         for row, v in c.items():
-            _oracle_add(out, row, j, sign * v)
+            _oracle_accumulate(column, row, sign * v)
+        if not column:
+            del out[j]
     return out, a[1] and b[1]
 
 
@@ -356,8 +384,59 @@ def _oracle_restrict(space, a, level):
     return {j: c for j, c in a[0].items() if space.level(j) <= level}, a[1]
 
 
+def _oracle_join(parts):
+    cols = {}
+    for values, _ in parts:
+        cols.update(values)
+    return dict(sorted(cols.items())), all(exact for _, exact in parts)
+
+
+def _oracle_max_abs(space, a, level=None):
+    """The first largest |entry| in stored order; an exact operator gives a Fraction."""
+    kept = [abs(v) for j, c in a[0].items() for v in c.values()
+            if level is None or space.level(j) <= level]
+    best = max(kept, default=0)
+    return Fraction(best) if a[1] else best
+
+
+def _oracle_invert(space, a):
+    """Gauss-Jordan with partial pivoting on every level block's values."""
+    values, exact = a
+    blocks = {}
+    for n, level in enumerate(space.twice_levels):
+        blocks.setdefault(level, []).append(n)
+    zero = Fraction(0) if exact else 0
+    out = {}
+    for level, idx in blocks.items():
+        k = len(idx)
+        m = [[values.get(c, {}).get(r, zero) for c in idx] for r in idx]
+        inv = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+        for col in range(k):
+            piv, best = None, 0
+            for r in range(col, k):
+                if abs(m[r][col]) > best:
+                    piv, best = r, abs(m[r][col])
+            if piv is None:
+                raise ValueError(f"singular level block at level {Fraction(level, 2)}")
+            m[col], m[piv] = m[piv], m[col]
+            inv[col], inv[piv] = inv[piv], inv[col]
+            p = m[col][col]
+            m[col] = [x / p for x in m[col]]
+            inv[col] = [x / p for x in inv[col]]
+            for r in range(k):
+                f = m[r][col]
+                if r != col and f != 0:
+                    m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+                    inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+        for ci, c in enumerate(idx):
+            for ri, r in enumerate(idx):
+                _oracle_add(out, r, c, inv[ri][ci])
+    return out, all(type(v) is Fraction for c in out.values() for v in c.values())
+
+
 def _typed(d):
-    return {j: {r: (v, type(v)) for r, v in c.items()} for j, c in d.items()}
+    """Entries with their types, in stored order."""
+    return [(j, [(r, v, type(v)) for r, v in c.items()]) for j, c in d.items()]
 
 
 def _assert_matches(op, want, level):
@@ -371,11 +450,15 @@ def _assert_matches(op, want, level):
             got, ref = op.entry(row, col), values.get(col, {}).get(row, 0)
             assert got == ref and type(got) is (Fraction if exact else type(ref))
     for bound in (None, level):
-        kept = [abs(v) for j, c in values.items() for v in c.values()
-                if bound is None or space.level(j) <= bound]
-        best = op.max_abs_entry(max_col_level=bound)
-        assert best == max(kept, default=0)
-        assert type(best) is Fraction or not exact
+        best, ref = op.max_abs_entry(max_col_level=bound), _oracle_max_abs(space, want, bound)
+        assert best == ref and type(best) is type(ref)
+
+
+def _columns_of(op, want, keep):
+    """The operator and its oracle on the columns in ``keep`` only."""
+    part = GradedOperator(op.domain, op.codomain, op.level_shift, op.parity_shift,
+                          {j: c for j, c in op.columns.items() if j in keep}, op.denominator, op.exact)
+    return part, ({j: c for j, c in want[0].items() if j in keep}, want[1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -386,6 +469,11 @@ def test_kernel_matches_dict_oracle(data):
     b, db = data.draw(_operators(space))
     scalar = data.draw(st.one_of(_EXACT, _FLOATS, st.just(0.0)))
     level = data.draw(st.sampled_from([Fraction(k, 2) for k in range(-1, 9)]))
+    # disjoint columns of a, b and a * scalar, for join_columns
+    owner = data.draw(st.lists(st.integers(0, 2), min_size=space.dimension, max_size=space.dimension))
+    sources = [(a, da), (b, db), (a * scalar, _oracle_scale(da, scalar))]
+    parts = [_columns_of(op, want, {j for j, k in enumerate(owner) if k == i})
+             for i, (op, want) in enumerate(sources)]
     cases = [
         (a @ b, _oracle_matmul(da, db)),
         (a + b, _oracle_sum(da, db, 1)),
@@ -394,6 +482,7 @@ def test_kernel_matches_dict_oracle(data):
         (scalar * a, _oracle_scale(da, scalar)),
         (a.restrict_columns(level), _oracle_restrict(space, da, level)),
         (a @ b.restrict_columns(level), _oracle_matmul(da, _oracle_restrict(space, db, level))),
+        (join_columns([p for p, _ in parts]), _oracle_join([w for _, w in parts])),
     ]
     for op, want in cases:
         _assert_matches(op, want, level)
@@ -404,3 +493,133 @@ def test_kernel_matches_dict_oracle(data):
             combine(a, foreign)
         with pytest.raises(ValueError):
             combine(foreign, a)
+
+
+@st.composite
+def _level_graded(draw, space):
+    """A grading-preserving operator: dense exact level blocks, some of them carrying floats."""
+    exact, floats = [], []
+    blocks = {}
+    for n, level in enumerate(space.twice_levels):
+        blocks.setdefault(level, []).append(n)
+    for idx in blocks.values():
+        cells = [(r, c) for r in idx for c in idx]
+        exact += zip(cells, draw(st.lists(_EXACT, min_size=len(cells), max_size=len(cells))))
+        if draw(st.booleans()):
+            floats += draw(st.lists(st.tuples(st.sampled_from(cells), _FLOATS), min_size=1, max_size=3))
+    return _build(space, exact, floats)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([enumerate_basis(BOSON, 5), enumerate_basis(FERMION, 6)]), st.data())
+def test_invert_graded_matches_value_gauss_jordan(space, data):
+    # exact blocks are inverted on ints and float blocks on values; both give
+    # the oracle's entries, types and order, and a singular block raises alike
+    op, want = data.draw(_level_graded(space))
+    try:
+        inverse = _oracle_invert(space, want)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            invert_graded(op)
+        assert str(info.value) == str(exc)
+        return
+    _assert_matches(invert_graded(op), inverse, space.cutoff)
+
+
+# ---------------------------------------------------------------------------
+# the defect checks on float Theta against the same oracle
+
+def _oracle_theta(space, matrix):
+    """Theta by value: each state's mode images applied to the vacuum, right to left."""
+    images = {}
+
+    def image(factor, value):
+        if (factor, value) not in images:
+            row = matrix[0] if factor == "A" else matrix[1]
+            a = _oracle_scale(_values(defect._embedded_mode(space, "A", value)), row[0])
+            b = _oracle_scale(_values(defect._embedded_mode(space, "B", value)), row[1])
+            images[(factor, value)] = _oracle_sum(a, b, 1)
+        return images[(factor, value)]
+
+    vac = space.vacuum_index
+    columns, exact = {}, True
+    for col, (i, j) in enumerate(space.pairs):
+        modes = [("A", v) for v in space.left.states[i].occupied]
+        modes += [("B", v) for v in space.right.states[j].occupied]
+        state = ({vac: {vac: Fraction(1)}}, True)
+        for key in reversed(modes):
+            state = _oracle_matmul(image(*key), state)
+        exact = exact and state[1]
+        if state[0]:
+            columns[col] = state[0][vac]
+    return columns, exact
+
+
+def _oracle_intertwining(space, theta, n):
+    safe = space.cutoff - abs(n)
+    ltot = _values(defect.total_virasoro(space, n))
+    comm = _oracle_sum(_oracle_matmul(theta, _oracle_restrict(space, ltot, safe)),
+                       _oracle_matmul(ltot, _oracle_restrict(space, theta, safe)), -1)
+    return _oracle_max_abs(space, comm, safe)
+
+
+def _oracle_ope(space, theta, matrix):
+    values = mode_values(FERMION, Fraction(3, 2))
+    raw = {(f, v): _values(defect._embedded_mode(space, f, v)) for v in values for f in ("A", "B")}
+    if matrix is None:
+        inv = _oracle_invert(space, theta)
+        images = {k: _oracle_matmul(_oracle_matmul(theta, op), inv) for k, op in raw.items()}
+    else:
+        images = {(f, v): _oracle_sum(_oracle_scale(raw[("A", v)], row[0]),
+                                      _oracle_scale(raw[("B", v)], row[1]), 1)
+                  for (f, v) in raw for row in [matrix[0] if f == "A" else matrix[1]]}
+    ident = ({j: {j: Fraction(1)} for j in range(space.dimension)}, True)
+    dev = 0
+    keys = sorted(raw, key=str)
+    for a in keys:
+        safe = space.cutoff - abs(a[1])
+        resid = _oracle_sum(_oracle_matmul(theta, _oracle_restrict(space, raw[a], safe)),
+                            _oracle_matmul(images[a], _oracle_restrict(space, theta, safe)), -1)
+        dev = max(dev, _oracle_max_abs(space, resid, safe))
+        for b in keys:
+            safe = space.cutoff - max(abs(a[1]), abs(b[1]))
+            if safe < 0:
+                continue
+            anti = _oracle_sum(_oracle_matmul(images[a], _oracle_restrict(space, images[b], safe)),
+                               _oracle_matmul(images[b], _oracle_restrict(space, images[a], safe)), 1)
+            expect = ident if a[0] == b[0] and a[1] + b[1] == 0 else ({}, True)
+            dev = max(dev, _oracle_max_abs(space, _oracle_sum(anti, expect, -1), safe))
+    return dev
+
+
+_POINTS = [(Fraction(3, 5), Fraction(4, 5)), (Fraction(-3, 5), Fraction(4, 5)),
+           (Fraction(4, 5), Fraction(-3, 5)), (Fraction(5, 13), Fraction(12, 13))]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(("skew", "alpha", "alpha-skew")), st.integers(3, 5), st.data())
+def test_float_theta_checks_match_value_oracle(kind, cutoff, data):
+    # a skewed or float Theta, built and checked on ints beside floats, gives
+    # the deviations (value and type) that per-entry arithmetic gives
+    if kind == "skew":
+        spec = BogoliubovSpec(*data.draw(st.sampled_from(_POINTS)))
+    else:
+        spec = BogoliubovSpec.from_angle(data.draw(st.floats(-3.0, 3.0)))
+    real = build_theta_fermion(spec, cutoff)
+    space = real.space
+    theta, matrix = _oracle_theta(space, real.mode_map), real.mode_map
+    if kind != "alpha":
+        eps = data.draw(st.one_of(st.floats(1e-3, 0.5), st.floats(-0.5, -1e-3)))
+        real = cli._skewed(real, eps)
+        for i in range(min(space.dimension - 1, 12)):
+            _oracle_add(theta[0], i + 1, i, eps)
+        theta, matrix = (theta[0], False), None
+    assert real.theta.exact == theta[1] and _typed(real.theta.to_dict()) == _typed(theta[0])
+    ltot = defect.total_virasoro(space, -1)
+    want = _oracle_matmul(theta, _values(ltot))
+    assert _typed((real.theta @ ltot).to_dict()) == _typed(want[0])
+    for n in range(-2, 3):
+        got, ref = defect.check_intertwining(real, n), _oracle_intertwining(space, theta, n)
+        assert got == ref and type(got) is type(ref), n
+    got, ref = defect.check_ope_preservation(real), _oracle_ope(space, theta, matrix)
+    assert got == ref and type(got) is type(ref)
