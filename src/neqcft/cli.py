@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import defect, lattice, ness, su2k, virasoro
+from . import defect, fock, lattice, ness, su2k, virasoro
 
 PASS, FAIL, USAGE = 0, 1, 2
 
@@ -78,11 +78,10 @@ def _theta_from_args(args):
     return None  # symbolic angle
 
 
-def _alpha_grid(n=8):
-    """Rational points on the circle, so the headline checks stay exact."""
-    triples = [(1, 0, 1), (0, 1, 1), (3, 4, 5), (4, 3, 5),
-               (5, 12, 13), (12, 5, 13), (8, 15, 17), (20, 21, 29)]
-    return [defect.BogoliubovSpec(Fraction(a, c), Fraction(b, c)) for a, b, c in triples[:n]]
+# rational points on the circle, so the headline checks stay exact
+_ALPHA_GRID = tuple(defect.BogoliubovSpec(Fraction(a, c), Fraction(b, c))
+                    for a, b, c in ((1, 0, 1), (0, 1, 1), (3, 4, 5), (4, 3, 5),
+                                    (5, 12, 13), (12, 5, 13), (8, 15, 17), (20, 21, 29)))
 
 
 def _theta_label(spec):
@@ -99,7 +98,7 @@ def cmd_virasoro_check(args):
     models = list(wanted) if args.model == "both" else [args.model]
     for model in models:
         expected = wanted[model]
-        space = virasoro.enumerate_basis(model, args.cutoff)
+        space = fock.enumerate_basis(model, args.cutoff)
         c = virasoro.central_charge_probe(model, 2, space)
         worst = 0
         for m in range(-args.commutator_range, args.commutator_range + 1):
@@ -148,7 +147,7 @@ def cmd_intertwiner(args):
     report = {"cutoff": str(args.cutoff), "checks": []}
     passed = True
     chosen = _theta_from_args(args)
-    for spec in [chosen] if chosen else _alpha_grid():
+    for spec in [chosen] if chosen else _ALPHA_GRID:
         real = _build_theta(args, spec)
         tol = real.tolerance
         for n in range(-args.n_range, args.n_range + 1):
@@ -338,7 +337,7 @@ def cmd_lattice_transmission(args):
     lam = args.lam
     grid = np.linspace(args.omega_min, args.omega_max, args.omega_points)
     rows = [(float(w), lattice.transmission(lam, float(w), args.coupling)) for w in grid]
-    report = {"defect": lam, "transmission_dc": lattice.transmission_dc(lam, args.coupling),
+    report = {"defect": lam, "transmission_dc": lattice.transmission_dc(lam),
               "grid": [{"omega": w, "T": t} for w, t in rows],
               "passed": all(0 <= t <= 1 for _, t in rows)}
     return report, report["passed"]
@@ -347,7 +346,7 @@ def cmd_lattice_transmission(args):
 def cmd_landauer(args):
     if args.lam is not None:
         fn = lambda w: lattice.transmission(args.lam, w, args.coupling)
-        t0 = lattice.transmission_dc(args.lam, args.coupling)
+        t0 = lattice.transmission_dc(args.lam)
     else:
         t0 = args.t0
         fn = lambda w: t0

@@ -84,12 +84,6 @@ class BogoliubovSpec:
     def is_exact(self):
         return _is_exact(self.cos_a) and _is_exact(self.sin_a)
 
-    @property
-    def mode_matrix(self):
-        """Rotation acting on the doublet (b^r_s, br^l_s); orthogonal, det 1."""
-        c, s = self.cos_a, self.sin_a
-        return [[c, s], [-s, c]]
-
     def compose(self, other):
         c = self.cos_a * other.cos_a - self.sin_a * other.sin_a
         s = self.sin_a * other.cos_a + self.cos_a * other.sin_a
@@ -170,11 +164,11 @@ def _generations(space):
     """
     gens = {}
     for col, (i, j) in enumerate(space.pairs):
-        left, right = space.left.states[i].twice, space.right.states[j].twice
+        left, right = space.left.states[i], space.right.states[j]
         if left:
-            key, rest = ("A", left[0]), (space.left.index_of_twice(left[1:]), j)
+            key, rest = ("A", left[0]), (space.left.index_of(left[1:]), j)
         elif right:
-            key, rest = ("B", right[0]), (i, space.right.index_of_twice(right[1:]))
+            key, rest = ("B", right[0]), (i, space.right.index_of(right[1:]))
         else:
             continue  # the vacuum
         gens.setdefault(len(left) + len(right), {}).setdefault(key, []).append(
@@ -232,15 +226,9 @@ def total_virasoro(space, n):
 
 
 def vacuum_preservation_deviation(real):
-    vac = real.space.vacuum_index
-    dev = 0
-    col = real.theta.column(vac)
-    for row, val in col.items():
-        want = 1 if row == vac else 0
-        dev = max(dev, abs(val - want))
-    if vac not in col:
-        dev = max(dev, 1)
-    return dev
+    """Largest entry of (Theta - 1)|0>: Theta must fix the vacuum."""
+    vacuum = GradedOperator.identity(real.space).restrict_columns(0)
+    return (real.theta.restrict_columns(0) - vacuum).max_abs_entry()
 
 
 class EmptyCheckError(ValueError):
@@ -248,7 +236,8 @@ class EmptyCheckError(ValueError):
 
 
 def _require_safe_columns(space, safe, what):
-    if not any(space.level(i) <= safe for i in range(space.dimension)):
+    # the level-0 vacuum is in every space, so no column is safe only when safe < 0
+    if safe < 0:
         raise EmptyCheckError(f"empty safe subspace for {what} at cutoff {space.cutoff}")
 
 

@@ -8,14 +8,15 @@ Two species of modes are supported:
   ``[a_m, a_n] = m delta_{m+n,0}``.  The zero mode is dropped, so the
   level operator is diagonal on occupation states.
 
-Basis states are products of creation modes applied to the vacuum, written
+A basis state is a product of creation modes applied to the vacuum, written
 in canonical ascending order (most negative value leftmost); fermionic
 reordering signs are transposition counts against that order, which makes
 every sign deterministic.  Inside this module a mode value ``s`` is carried
 as the int ``2s`` and a level as the int ``2 * level`` ("twice" units), so
-basis lookups, ordering and level comparisons run on machine ints;
-``FockState.occupied`` and ``level``, ``StateSpace.level`` and ``index_of``
-and ``mode_values`` speak exact ``Fraction`` values.
+basis lookups, ordering and level comparisons run on machine ints: a state
+is the ascending tuple of twice its mode values, ``StateSpace.states`` holds
+those tuples and ``twice_levels`` their twice-levels.  Cutoffs, level
+shifts and ``mode_values`` stay exact ``Fraction`` values at the API.
 
 An operator stores its exact entries as int numerators over one positive
 int ``denominator``.  A product's denominator is the product of its
@@ -42,10 +43,6 @@ a state is an operator column ``{row: amplitude}``, and column ``j`` of
 Spaces hash once, at construction, and compare by value.  Mode matrices are
 built once per (space, mode value) and shared by every caller, which is safe
 because neither spaces nor built operators are ever mutated.
-
-Hermitian structure: ``b_s^dag = b_{-s}`` and ``a_n^dag = a_{-n}``.  This
-is a convention (consistent with a real fermion) used only by the
-hermiticity checks.
 """
 
 from __future__ import annotations
@@ -90,74 +87,21 @@ def _twice_mode(species, value):
     return twice.numerator
 
 
-class FockState:
-    """Occupation configuration: creation mode values in canonical order.
-
-    ``twice`` holds the values doubled, as ints, and ``twice_level`` the
-    level doubled; ``occupied`` and ``level`` give them back as Fractions.
-    States compare and hash by (species, twice) and are never mutated.
-    """
-
-    __slots__ = ("species", "twice", "twice_level", "parity")
-
-    def __init__(self, species, occupied):
-        twice = []
-        for v in occupied:
-            twice.append(_twice_mode(species, v))
-            if twice[-1] >= 0:
-                raise ValueError("occupied entries must be creation (negative) values")
-        self._set(species, tuple(twice))
-
-    @classmethod
-    def from_twice(cls, species, twice):
-        state = cls.__new__(cls)
-        state._set(species, twice)
-        return state
-
-    def _set(self, species, twice):
-        if list(twice) != sorted(twice):
-            raise ValueError("occupied list must be in canonical ascending order")
-        if species == FERMION and len(set(twice)) != len(twice):
-            raise ValueError("fermionic occupations must be distinct")
-        self.species = species
-        self.twice = twice
-        self.twice_level = -sum(twice)
-        self.parity = len(twice) % 2 if species == FERMION else 0
-
-    @property
-    def occupied(self):
-        return tuple(Fraction(t, 2) for t in self.twice)
-
-    @property
-    def level(self):
-        return Fraction(self.twice_level, 2)
-
-    def __eq__(self, other):
-        if not isinstance(other, FockState):
-            return NotImplemented
-        return self.species == other.species and self.twice == other.twice
-
-    def __hash__(self):
-        return hash((self.species, self.twice))
-
-    def __repr__(self):
-        if not self.twice:
-            return "|0>"
-        sym = "b" if self.species == FERMION else "a"
-        return "".join(f"{sym}({v})" for v in self.occupied) + "|0>"
-
-
 @dataclass(frozen=True)
 class StateSpace:
-    """Enumerated truncated Fock space with a deterministic basis order."""
+    """Enumerated truncated Fock space with a deterministic basis order.
+
+    ``states[i]`` is basis state ``i``: the ascending tuple of twice its
+    creation mode values, so ``()`` is the vacuum.
+    """
 
     species: str
     cutoff: Fraction
     states: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "_index", {s.twice: i for i, s in enumerate(self.states)})
-        object.__setattr__(self, "twice_levels", tuple(s.twice_level for s in self.states))
+        object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.states)})
+        object.__setattr__(self, "twice_levels", tuple(-sum(s) for s in self.states))
         object.__setattr__(self, "_hash", hash((self.species, self.cutoff, self.states)))
 
     def __hash__(self):
@@ -171,20 +115,12 @@ class StateSpace:
     def vacuum_index(self):
         return self._index[()]
 
-    def index_of(self, occupied):
-        twice = tuple(2 * _as_fraction(v) for v in occupied)
-        if any(t.denominator != 1 for t in twice):
-            return None
-        return self._index.get(tuple(t.numerator for t in twice))
-
-    def index_of_twice(self, twice):
+    def index_of(self, twice):
+        """The index of the state with the ascending twice mode values ``twice``, or None."""
         return self._index.get(twice)
 
-    def level(self, i):
-        return Fraction(self.twice_levels[i], 2)
-
     def parity(self, i):
-        return self.states[i].parity
+        return len(self.states[i]) % 2 if self.species == FERMION else 0
 
     def __repr__(self):
         return f"StateSpace({self.species}, cutoff={self.cutoff}, dim={self.dimension})"
@@ -229,8 +165,8 @@ def enumerate_basis(species, cutoff):
     parts = [t for t in twice_mode_values(species, cutoff) if t > 0]
     configs = _partitions(parts, _twice_floor(cutoff), species == FERMION)
     # cfg holds the parts ascending; the creation values are their negatives, reversed
-    states = [FockState.from_twice(species, tuple(-p for p in reversed(cfg))) for cfg in configs]
-    states.sort(key=lambda s: (s.twice_level, s.twice))
+    states = [tuple(-p for p in reversed(cfg)) for cfg in configs]
+    states.sort(key=lambda s: (-sum(s), s))
     return StateSpace(species, cutoff, tuple(states))
 
 
@@ -609,12 +545,12 @@ def mode_operator(space, value):
     twice = _twice_mode(space.species, value)
     parity, act = (1, _apply_fermion) if space.species == FERMION else (0, _apply_boson)
     cols = {}
-    for j, st in enumerate(space.states):
-        res = act(twice, st.twice)
+    for j, state in enumerate(space.states):
+        res = act(twice, state)
         if res is None:
             continue
         coeff, occ = res
-        row = space.index_of_twice(occ)
+        row = space.index_of(occ)
         if row is not None:
             cols[j] = {row: coeff}
     return GradedOperator(space, space, Fraction(-twice, 2), parity, cols)
@@ -660,9 +596,6 @@ class ProductSpace:
     def index_of(self, pair):
         return self._index.get(pair)
 
-    def level(self, n):
-        return Fraction(self.twice_levels[n], 2)
-
     def parity(self, n):
         i, j = self.pairs[n]
         return (self.left.parity(i) + self.right.parity(j)) % 2
@@ -694,26 +627,6 @@ def graded_tensor(op, position, pspace):
             cols[n] = col
     return GradedOperator(pspace, pspace, op.level_shift, op.parity_shift, cols,
                           op.denominator, op.exact)
-
-
-def gram_diagonal(space):
-    """Norms squared of the basis states under b_s^dag = b_{-s}, a_n^dag = a_{-n}.
-
-    Fermionic states are orthonormal; a bosonic mode occupied n times at
-    value -k contributes n! * k^n.
-    """
-    out = []
-    for st in space.states:
-        g = 1
-        if space.species == BOSON:
-            run = {}
-            for t in st.twice:
-                run[t] = run.get(t, 0) + 1
-            for t, n in run.items():
-                for r in range(1, n + 1):
-                    g *= r * (-t // 2)
-        out.append(Fraction(g))
-    return out
 
 
 def invert_graded(op):

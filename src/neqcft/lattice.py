@@ -294,7 +294,7 @@ def transmission(defect, omega, coupling=1.0):
     return float(x / ((1.0 - defect * defect) ** 2 + x))
 
 
-def transmission_dc(defect, coupling=1.0):
+def transmission_dc(defect):
     """Low-energy limit of the transmission (the lattice analog of cos^2 a).
 
     The omega -> 0 limit of transmission, 4 lam^2 / (1 + lam^2)^2; it does not
@@ -504,7 +504,7 @@ def steady_current(spec, t_left, t_right, samples=60):
 
 def transport_summary(spec, t_left, t_right, series):
     """Three-way comparison: plateau of a steady_current series, Landauer integral, constant-T form."""
-    tdc = transmission_dc(spec.defect, spec.coupling)
+    tdc = transmission_dc(spec.defect)
     landauer = landauer_current(lambda w: transmission(spec.defect, w, spec.coupling),
                                 t_left, t_right, spec.coupling)
     cft = low_temperature_current(tdc, t_left, t_right)

@@ -26,7 +26,7 @@ import functools
 from fractions import Fraction
 
 from . import fock
-from .fock import FERMION, BOSON, GradedOperator, enumerate_basis
+from .fock import FERMION, BOSON, GradedOperator
 
 HALF = Fraction(1, 2)
 
@@ -72,15 +72,13 @@ def build_virasoro(model, n, space):
 
 
 def central_charge_probe(model, m, space):
-    """12 <0|[L_m, L_-m]|0> / (m^3 - m), which must equal c exactly.
+    """12 <0|[L_m, L_-m]|0> / (m^3 - m) on the truncated ``space``, which must equal c exactly.
 
-    ``space`` is the truncated space to probe, or a cutoff to enumerate one
-    at; passing the space shares its generators with the caller's checks.
+    The probe builds its generators on the caller's space, so the caller's
+    checks share them.
     """
     if m < 2:
         raise ValueError("probe needs m >= 2 (the central term vanishes below)")
-    if not isinstance(space, fock.StateSpace):
-        space = enumerate_basis(model, Fraction(space))
     if space.cutoff < m:
         raise ValueError(f"cutoff {space.cutoff} < m = {m}: matrix elements missing")
     lp = build_virasoro(model, m, space)
@@ -91,10 +89,8 @@ def central_charge_probe(model, m, space):
     return Fraction(12) * comm.entry(vac, vac) / (m ** 3 - m)
 
 
-def commutator_deviation(model, m, n, space, central=None):
+def commutator_deviation(model, m, n, space, central):
     """Largest entry of [L_m, L_n] - (m-n) L_{m+n} - central term, on the safe subspace."""
-    if central is None:
-        central = central_charge_probe(model, 2, space)
     safe = space.cutoff - max(abs(m), abs(n))
     lm = build_virasoro(model, m, space)
     ln = build_virasoro(model, n, space)
@@ -108,40 +104,8 @@ def commutator_deviation(model, m, n, space, central=None):
     return (comm - expect).max_abs_entry(max_col_level=safe)
 
 
-def hermiticity_deviation(model, n, space):
-    """Check L_n^dag = L_{-n} against the gram matrix of the basis.
-
-    Walks the stored entries of L_n and L_{-n}; where both are zero the
-    condition holds on its own.
-    """
-    ln = build_virasoro(model, n, space)
-    lmn = build_virasoro(model, -n, space)
-    gram = fock.gram_diagonal(space)
-    # (i, j) for the stored L_n[i, j] and for the stored L_{-n}[j, i]
-    pairs = {(i, j) for j in ln.columns for i in ln.columns[j]}
-    pairs.update((i, j) for i in lmn.columns for j in lmn.columns[i])
-    dev = 0
-    for i, j in pairs:
-        d = abs(ln.entry(i, j) * gram[i] - lmn.entry(j, i) * gram[j])
-        if d > dev:
-            dev = d
-    return dev
-
-
 def level_spectrum_deviation(model, space):
-    """L_0 must be diagonal with eigenvalue equal to the state level.
-
-    Walks the stored entries of L_0 and its diagonal; every other entry is
-    zero, as it should be.
-    """
-    l0 = build_virasoro(model, 0, space)
-    dev = 0
-    for j in range(space.dimension):
-        col = l0.column(j)
-        for i, val in col.items():
-            d = abs(val - space.level(j)) if i == j else abs(val)
-            if d > dev:
-                dev = d
-        if j not in col and abs(space.level(j)) > dev:
-            dev = abs(space.level(j))
-    return dev
+    """Largest entry of L_0 minus the diagonal of the state levels: L_0 must be that diagonal."""
+    levels = GradedOperator(space, space, Fraction(0), 0,
+                            {j: {j: t} for j, t in enumerate(space.twice_levels) if t}, 2)
+    return (build_virasoro(model, 0, space) - levels).max_abs_entry()

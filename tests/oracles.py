@@ -1,6 +1,9 @@
-"""Helpers that only the tests use: grading and block-structure oracles for operators."""
+"""Helpers that only the tests use: grading, block-structure and hermiticity oracles for operators."""
 
 from fractions import Fraction
+
+from neqcft import virasoro
+from neqcft.fock import BOSON
 
 
 def check_grading(op):
@@ -39,4 +42,45 @@ def reflection_block_mixing(real):
             ok = (ri == space.left.vacuum_index) if a_only else (rj == space.right.vacuum_index)
             if not ok:
                 dev = max(dev, abs(val))
+    return dev
+
+
+def gram_diagonal(space):
+    """Norms squared of the basis states under b_s^dag = b_{-s}, a_n^dag = a_{-n}.
+
+    This hermitian structure is a convention, consistent with a real
+    fermion.  Fermionic states are orthonormal; a bosonic mode occupied n
+    times at value -k contributes n! * k^n.
+    """
+    out = []
+    for state in space.states:
+        g = 1
+        if space.species == BOSON:
+            run = {}
+            for t in state:
+                run[t] = run.get(t, 0) + 1
+            for t, n in run.items():
+                for r in range(1, n + 1):
+                    g *= r * (-t // 2)
+        out.append(Fraction(g))
+    return out
+
+
+def hermiticity_deviation(model, n, space):
+    """Check L_n^dag = L_{-n} against the gram matrix of the basis.
+
+    Walks the stored entries of L_n and L_{-n}; where both are zero the
+    condition holds on its own.
+    """
+    ln = virasoro.build_virasoro(model, n, space)
+    lmn = virasoro.build_virasoro(model, -n, space)
+    gram = gram_diagonal(space)
+    # (i, j) for the stored L_n[i, j] and for the stored L_{-n}[j, i]
+    pairs = {(i, j) for j in ln.columns for i in ln.columns[j]}
+    pairs.update((i, j) for i in lmn.columns for j in lmn.columns[i])
+    dev = 0
+    for i, j in pairs:
+        d = abs(ln.entry(i, j) * gram[i] - lmn.entry(j, i) * gram[j])
+        if d > dev:
+            dev = d
     return dev

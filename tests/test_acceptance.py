@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import sympy as sp
 
-from neqcft import defect, lattice, ness, su2k, virasoro
+from neqcft import defect, fock, lattice, ness, su2k, virasoro
 from neqcft.defect import BogoliubovSpec
 from neqcft.ness import ALPHA, T_LEFT, T_RIGHT
 from oracles import max_matrix_deviation
@@ -38,8 +38,8 @@ def test_criterion_01_central_charges():
     start = time.monotonic()
     ok = True
     for model, expected in (("fermion", Fraction(1, 2)), ("boson", Fraction(1))):
-        space = virasoro.enumerate_basis(model, 6)
-        c = virasoro.central_charge_probe(model, 2, 6)
+        space = fock.enumerate_basis(model, 6)
+        c = virasoro.central_charge_probe(model, 2, space)
         ok = ok and c == expected
         for m in range(-2, 3):
             for n in range(-2, 3):

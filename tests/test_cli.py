@@ -553,6 +553,22 @@ EXACT_REPORTS = [
                          ["0.035", "0.03", "0.005000000000000001", "0.03", "0.035"])),
     (["ope-preservation", "--cutoff", "6", "--cos-sin=-3/5,4/5", "--skew", "0.01"], 1,
      _failed_ope("6", "0.01", "0.016")),
+    # the exact default reports: a refactor of the exact layer keeps them byte for byte
+    (["virasoro-check"], 0, {"models": {
+        "fermion": {"central_charge": "1/2", "central_charge_expected": "1/2",
+                    "commutator_max_deviation": "0", "level_spectrum_deviation": "0",
+                    "dimension": 18, "passed": True},
+        "boson": {"central_charge": "1", "central_charge_expected": "1",
+                  "commutator_max_deviation": "0", "level_spectrum_deviation": "0",
+                  "dimension": 30, "passed": True},
+    }}),
+    (["full-suite", "--quick"], 0, {
+        "steps": {name: {"passed": True} for name in (
+            "virasoro-check", "intertwiner", "momentum-continuity", "ope-preservation",
+            "reflection-phases", "smatrix", "current", "entropy", "continuity",
+            "su2k-decompose", "su2k-current", "su2k-fermionize", "landauer")},
+        "passed": True,
+    }),
 ]
 
 
@@ -562,6 +578,7 @@ def test_exact_reports_are_pinned(capsys, argv, verdict, expected):
     code, out = run(capsys, *argv)
     assert code == verdict
     assert json.loads(out) == expected
+    assert out == json.dumps(expected, indent=2) + "\n"  # key order and layout too
 
 
 def test_numerical_breakdown_is_a_failed_verification(capsys):

@@ -48,8 +48,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         BogoliubovSpec(0.9, 0.9)
     spec = BogoliubovSpec(Fraction(3, 5), Fraction(4, 5))
-    m = spec.mode_matrix
-    # orthogonal with determinant one
+    m = build_theta_fermion(spec, 1).mode_map
+    # the map Theta is built from is orthogonal with determinant one
     assert m[0][0] * m[1][1] - m[0][1] * m[1][0] == 1
     assert m[0][0] * m[0][1] + m[1][0] * m[1][1] == 0
 
@@ -124,6 +124,24 @@ def test_vacuum_preserved_for_every_angle():
     for spec in RATIONAL_POINTS:
         real = build_theta_fermion(spec, 3)
         assert vacuum_preservation_deviation(real) == 0
+
+
+def test_vacuum_deviation_is_the_largest_entry_of_theta_minus_one_on_the_vacuum():
+    real = build_theta_fermion(BogoliubovSpec(Fraction(3, 5), Fraction(4, 5)), 3)
+    vac = real.space.vacuum_index
+    cases = [
+        (vac, -1, 1),                               # the vacuum column removed
+        (vac, 1, 1),                                # the vacuum entry set to 2
+        (1, Fraction(1, 100), Fraction(1, 100)),    # a stray exact entry
+        (1, 0.01, 0.01),                            # a stray float entry
+    ]
+    for row, value, want in cases:
+        theta = real.theta * 1
+        theta.add_entry(row, vac, value)
+        assert (vac in theta.columns) == (value != -1)
+        dev = vacuum_preservation_deviation(DefectRealization(real.space, theta, None))
+        # the report prints str(dev): a float stays a float, an exact value a fraction
+        assert dev == want and str(dev) == str(want), (row, value)
 
 
 def test_realization_is_level_and_parity_preserving():
@@ -238,8 +256,8 @@ def _theta_oracle(matrix, cutoff):
     vacuum = GradedOperator.identity(space).restrict_columns(0)
     columns = {}
     for col, (i, j) in enumerate(space.pairs):
-        modes = [("A", v) for v in space.left.states[i].occupied]
-        modes += [("B", v) for v in space.right.states[j].occupied]
+        modes = [("A", Fraction(t, 2)) for t in space.left.states[i]]
+        modes += [("B", Fraction(t, 2)) for t in space.right.states[j]]
         state = functools.reduce(lambda acc, key: image(*key) @ acc, reversed(modes), vacuum)
         column = state.column(space.vacuum_index)
         if column:

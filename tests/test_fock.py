@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from neqcft import cli, defect
 from neqcft.defect import BogoliubovSpec, build_theta_fermion
-from neqcft.fock import (BOSON, FERMION, FockState, GradedOperator, enumerate_basis,
+from neqcft.fock import (BOSON, FERMION, GradedOperator, enumerate_basis,
                          graded_tensor, invert_graded, join_columns, mode_operator, mode_values,
                          tensor_space)
 from oracles import check_grading
@@ -52,43 +52,36 @@ def test_dimension_matches_partition_count():
 def test_enumerate_fermion_level_zero_is_vacuum_only():
     space = enumerate_basis(FERMION, 0)
     assert space.dimension == 1
-    assert space.states[0].occupied == ()
+    assert space.states[0] == ()
 
 
 def test_enumerate_fermion_level_two():
+    # a state is the ascending tuple of twice its mode values
     space = enumerate_basis(FERMION, 2)
-    occs = [s.occupied for s in space.states]
-    assert occs == [(), (-HALF,), (Fraction(-3, 2),), (Fraction(-3, 2), -HALF)]
+    assert space.states == ((), (-1,), (-3,), (-3, -1))
     assert space.dimension == 4
 
 
 def test_enumerate_boson_level_two():
     space = enumerate_basis(BOSON, 2)
-    occs = [s.occupied for s in space.states]
-    assert occs == [(), (-1,), (-2,), (-1, -1)]
+    assert space.states == ((), (-2,), (-4,), (-2, -2))
     assert space.dimension == 4
 
 
 def test_enumeration_is_deterministic():
     a = enumerate_basis(FERMION, Fraction(9, 2))
     b = enumerate_basis(FERMION, Fraction(9, 2))
-    assert [s.occupied for s in a.states] == [s.occupied for s in b.states]
-    levels = [s.level for s in a.states]
+    assert a.states == b.states
+    levels = list(a.twice_levels)
     assert levels == sorted(levels)
 
 
 def test_state_invariants():
-    with pytest.raises(ValueError):
-        FockState(FERMION, (-HALF, -HALF))  # Pauli
-    with pytest.raises(ValueError):
-        FockState(FERMION, (-HALF, Fraction(-3, 2)))  # wrong order
-    with pytest.raises(ValueError):
-        FockState(FERMION, (-1,))  # not half-odd
-    with pytest.raises(ValueError):
-        FockState(BOSON, (Fraction(-1, 2),))
-    st = FockState(FERMION, (Fraction(-3, 2), -HALF))
-    assert st.level == 2 and st.parity == 0
-    assert FockState(BOSON, (-2, -1, -1)).parity == 0
+    fermions = enumerate_basis(FERMION, 2)
+    j = fermions.index_of((-3, -1))
+    assert fermions.twice_levels[j] == 4 and fermions.parity(j) == 0
+    bosons = enumerate_basis(BOSON, 4)
+    assert bosons.parity(bosons.index_of((-4, -2, -2))) == 0
 
 
 def _vacuum(space):
@@ -104,7 +97,7 @@ def test_annihilator_kills_vacuum():
 def test_pauli_exclusion():
     space = enumerate_basis(FERMION, 2)
     create = mode_operator(space, -HALF)
-    one = space.index_of((-HALF,))
+    one = space.index_of((-1,))
     assert create.column(space.vacuum_index) == {one: 1}
     assert create.column(one) == {}
     assert (create @ create).to_dict() == {}
@@ -117,7 +110,7 @@ def test_anticommutator_on_single_state():
     lo, hi = mode_operator(space, HALF), mode_operator(space, -HALF)
     assert (lo @ hi).column(vac) == {vac: 1}
     anti = lo @ hi + hi @ lo
-    state = space.index_of((Fraction(-3, 2),))
+    state = space.index_of((-3,))
     assert anti.column(state) == {state: 1}
 
 
@@ -155,7 +148,7 @@ def test_operators_on_equal_spaces_compose():
     destroy = mode_operator(second, HALF)
     anti = create @ destroy + destroy @ create
     assert (anti - GradedOperator.identity(second)).max_abs_entry(max_col_level=Fraction(5, 2)) == 0
-    assert (create @ _vacuum(second)).to_dict() == {second.vacuum_index: {first.index_of((-HALF,)): 1}}
+    assert (create @ _vacuum(second)).to_dict() == {second.vacuum_index: {first.index_of((-1,)): 1}}
 
 
 def test_truncation_is_flagged():
@@ -165,7 +158,7 @@ def test_truncation_is_flagged():
     assert mode_operator(low, Fraction(-3, 2)).to_dict() == {}
     high = enumerate_basis(FERMION, 2)
     out = mode_operator(high, Fraction(-3, 2)).column(high.vacuum_index)
-    assert out == {high.index_of((Fraction(-3, 2),)): 1}
+    assert out == {high.index_of((-3,)): 1}
 
 
 def _values_upto(species, bound):
@@ -229,7 +222,7 @@ def test_graded_tensor_left_factor_carries_no_sign():
     p = tensor_space(f, f, 2)
     create = mode_operator(f, -HALF)
     left = graded_tensor(create, "left", p)
-    target = p.index_of((f.index_of((-HALF,)), f.vacuum_index))
+    target = p.index_of((f.index_of((-1,)), f.vacuum_index))
     assert left.column(p.vacuum_index) == {target: 1}
 
 
@@ -239,7 +232,7 @@ def test_graded_tensor_koszul_sign():
     p = tensor_space(f, f, 2)
     create_l = graded_tensor(mode_operator(f, -HALF), "left", p)
     create_r = graded_tensor(mode_operator(f, -HALF), "right", p)
-    target = p.index_of((f.index_of((-HALF,)), f.index_of((-HALF,))))
+    target = p.index_of((f.index_of((-1,)), f.index_of((-1,))))
     assert (create_r @ create_l).column(p.vacuum_index) == {target: -1}
 
 
@@ -277,7 +270,7 @@ def test_insertion_signs_match_brute_force():
         inversions = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
                          if perm[i] > perm[j])
         want_sign = -1 if inversions % 2 else 1
-        idx = space.index_of(tuple(sorted(seq)))
+        idx = space.index_of(tuple(sorted(int(2 * v) for v in seq)))
         assert product.column(space.vacuum_index) == {idx: want_sign}, seq
 
 
@@ -381,7 +374,7 @@ def _oracle_scale(a, scalar):
 
 
 def _oracle_restrict(space, a, level):
-    return {j: c for j, c in a[0].items() if space.level(j) <= level}, a[1]
+    return {j: c for j, c in a[0].items() if space.twice_levels[j] <= 2 * level}, a[1]
 
 
 def _oracle_join(parts):
@@ -394,7 +387,7 @@ def _oracle_join(parts):
 def _oracle_max_abs(space, a, level=None):
     """The first largest |entry| in stored order; an exact operator gives a Fraction."""
     kept = [abs(v) for j, c in a[0].items() for v in c.values()
-            if level is None or space.level(j) <= level]
+            if level is None or space.twice_levels[j] <= 2 * level]
     best = max(kept, default=0)
     return Fraction(best) if a[1] else best
 
@@ -544,8 +537,8 @@ def _oracle_theta(space, matrix):
     vac = space.vacuum_index
     columns, exact = {}, True
     for col, (i, j) in enumerate(space.pairs):
-        modes = [("A", v) for v in space.left.states[i].occupied]
-        modes += [("B", v) for v in space.right.states[j].occupied]
+        modes = [("A", Fraction(t, 2)) for t in space.left.states[i]]
+        modes += [("B", Fraction(t, 2)) for t in space.right.states[j]]
         state = ({vac: {vac: Fraction(1)}}, True)
         for key in reversed(modes):
             state = _oracle_matmul(image(*key), state)

@@ -6,19 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neqcft import fock, virasoro
+from neqcft import virasoro
 from neqcft.fock import BOSON, FERMION, GradedOperator, enumerate_basis
-from neqcft.virasoro import (build_virasoro, central_charge_probe,
-                             commutator_deviation, hermiticity_deviation,
+from neqcft.virasoro import (build_virasoro, central_charge_probe, commutator_deviation,
                              level_spectrum_deviation)
-from oracles import check_grading
+from oracles import check_grading, gram_diagonal, hermiticity_deviation
 
 HALF = Fraction(1, 2)
 
 
-def _apply(gen, occupied):
-    """The generator's image of one basis state: the state's column."""
-    return gen.column(gen.domain.index_of(tuple(occupied)))
+def _apply(gen, twice):
+    """The generator's image of one basis state, given by twice its mode values: the state's column."""
+    return gen.column(gen.domain.index_of(twice))
 
 
 def test_l0_is_diagonal_with_level_eigenvalues():
@@ -30,8 +29,8 @@ def test_l0_is_diagonal_with_level_eigenvalues():
 def test_fermion_weight_one_half():
     space = enumerate_basis(FERMION, 3)
     l0 = build_virasoro(FERMION, 0, space)
-    amps = _apply(l0, (-HALF,))
-    assert amps == {space.index_of((-HALF,)): HALF}
+    amps = _apply(l0, (-1,))
+    assert amps == {space.index_of((-1,)): HALF}
 
 
 def test_lowering_ladder_matches_factorial_rule():
@@ -42,8 +41,8 @@ def test_lowering_ladder_matches_factorial_rule():
     fact = 1
     for n in range(1, 5):
         fact *= n
-        target = space.index_of((Fraction(-(2 * n + 1), 2),))
-        assert _apply(power, (-HALF,)) == {target: Fraction(fact)}, n
+        target = space.index_of((-(2 * n + 1),))
+        assert _apply(power, (-1,)) == {target: Fraction(fact)}, n
         power = lm1 @ power
 
 
@@ -58,24 +57,24 @@ def test_vacuum_annihilation():
 def test_primary_state_structure():
     # L_n psi = 0 for n >= 1, L_0 psi = psi/2, L_-1 psi = the next mode
     space = enumerate_basis(FERMION, 4)
-    psi = (-HALF,)
+    psi = (-1,)
     assert _apply(build_virasoro(FERMION, 1, space), psi) == {}
     assert _apply(build_virasoro(FERMION, 2, space), psi) == {}
     assert _apply(build_virasoro(FERMION, 0, space), psi) == {space.index_of(psi): HALF}
     assert _apply(build_virasoro(FERMION, -1, space), psi) == {
-        space.index_of((Fraction(-3, 2),)): Fraction(1)}
+        space.index_of((-3,)): Fraction(1)}
 
 
 def test_boson_current_primary_structure():
     # the weight-1 state a_-1|0> is primary: annihilated by L_1 and L_2,
     # L_0 eigenvalue 1, L_-1 gives the descendant a_-2|0>
     space = enumerate_basis(BOSON, 4)
-    cur = (-1,)
+    cur = (-2,)
     assert _apply(build_virasoro(BOSON, 1, space), cur) == {}
     assert _apply(build_virasoro(BOSON, 2, space), cur) == {}
     assert _apply(build_virasoro(BOSON, 0, space), cur) == {space.index_of(cur): Fraction(1)}
     assert _apply(build_virasoro(BOSON, -1, space), cur) == {
-        space.index_of((-2,)): Fraction(1)}
+        space.index_of((-4,)): Fraction(1)}
 
 
 @settings(max_examples=40, deadline=None)
@@ -89,7 +88,8 @@ def test_commutator_law_beyond_default_range(data):
     m = data.draw(st.integers(-top, top))
     n = data.draw(st.integers(-top, top).filter(lambda k: k == m or abs(m + k) <= top))
     space = enumerate_basis(model, cutoff)
-    assert commutator_deviation(model, m, n, space) == 0
+    central = central_charge_probe(model, 2, space)
+    assert commutator_deviation(model, m, n, space, central) == 0
 
 
 def _commutator_full(model, m, n, space, central):
@@ -130,7 +130,7 @@ def test_central_charge_probe_shares_the_callers_space():
     space = enumerate_basis(FERMION, 4)
     assert central_charge_probe(FERMION, 2, space) == HALF
     assert build_virasoro(FERMION, 2, space).domain is space
-    assert central_charge_probe(FERMION, 2, 4) == HALF
+    assert central_charge_probe(FERMION, 2, enumerate_basis(FERMION, 4)) == HALF
 
 
 def _corrupt(op, row, col, delta):
@@ -143,8 +143,8 @@ def _corrupt(op, row, col, delta):
 def test_level_spectrum_negative_controls(monkeypatch, model):
     space = enumerate_basis(model, 4)
     l0 = build_virasoro(model, 0, space)
-    j = space.index_of((-2,) if model == BOSON else (Fraction(-3, 2), -HALF))
-    level = space.level(j)
+    j = space.index_of((-4,) if model == BOSON else (-3, -1))
+    level = Fraction(space.twice_levels[j], 2)
     corrupted = [
         (_corrupt(l0, j, j, Fraction(1, 7)), Fraction(1, 7)),              # wrong diagonal entry
         (_corrupt(l0, 0, j, Fraction(-1, 3)), Fraction(1, 3)),             # stray off-diagonal entry
@@ -157,24 +157,25 @@ def test_level_spectrum_negative_controls(monkeypatch, model):
 
 
 def test_central_charge_probe_values():
-    assert central_charge_probe(FERMION, 2, 4) == HALF
-    assert central_charge_probe(BOSON, 2, 4) == 1
-    assert central_charge_probe(FERMION, 3, 5) == HALF
-    assert central_charge_probe(BOSON, 3, 5) == 1
+    assert central_charge_probe(FERMION, 2, enumerate_basis(FERMION, 4)) == HALF
+    assert central_charge_probe(BOSON, 2, enumerate_basis(BOSON, 4)) == 1
+    assert central_charge_probe(FERMION, 3, enumerate_basis(FERMION, 5)) == HALF
+    assert central_charge_probe(BOSON, 3, enumerate_basis(BOSON, 5)) == 1
 
 
 def test_central_term_absent_at_m_one():
     # [L_1, L_-1] = 2 L_0 exactly
     for model in (FERMION, BOSON):
         space = enumerate_basis(model, 4)
-        assert commutator_deviation(model, 1, -1, space) == 0
+        central = central_charge_probe(model, 2, space)
+        assert commutator_deviation(model, 1, -1, space, central) == 0
 
 
 def test_probe_input_validation():
     with pytest.raises(ValueError):
-        central_charge_probe(FERMION, 1, 4)
+        central_charge_probe(FERMION, 1, enumerate_basis(FERMION, 4))
     with pytest.raises(ValueError):
-        central_charge_probe(FERMION, 3, 2)
+        central_charge_probe(FERMION, 3, enumerate_basis(FERMION, 2))
 
 
 def test_build_rejects_undersized_cutoff():
@@ -186,7 +187,7 @@ def test_build_rejects_undersized_cutoff():
 def test_full_commutator_law():
     for model in (FERMION, BOSON):
         space = enumerate_basis(model, 6)
-        c = central_charge_probe(model, 2, 6)
+        c = central_charge_probe(model, 2, space)
         for m in range(-2, 3):
             for n in range(-2, 3):
                 assert commutator_deviation(model, m, n, space, central=c) == 0, (model, m, n)
@@ -201,7 +202,7 @@ def test_hermiticity_under_mode_conjugation():
 
 def _hermiticity_dense(ln, lmn, space):
     # oracle: every entry pair of the space, stored or not
-    gram = fock.gram_diagonal(space)
+    gram = gram_diagonal(space)
     return max(abs(ln.entry(i, j) * gram[i] - lmn.entry(j, i) * gram[j])
                for i in range(space.dimension) for j in range(space.dimension))
 
@@ -234,8 +235,8 @@ def test_generator_grading_invariant():
 
 def test_boson_gram_matrix():
     space = enumerate_basis(BOSON, 4)
-    gram = fock.gram_diagonal(space)
+    gram = gram_diagonal(space)
     # a_{-1}^2 |0> has norm^2 = 2, a_{-2} |0> has norm^2 = 2, a_{-2} a_{-1}^2 -> 4
-    assert gram[space.index_of((-1, -1))] == 2
-    assert gram[space.index_of((-2,))] == 2
-    assert gram[space.index_of((-2, -1, -1))] == 4
+    assert gram[space.index_of((-2, -2))] == 2
+    assert gram[space.index_of((-4,))] == 2
+    assert gram[space.index_of((-4, -2, -2))] == 4
