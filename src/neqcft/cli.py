@@ -7,8 +7,6 @@ key,value rows, and lattice-run emits the t,current series.  A JSON config
 file may supply defaults; flags override it.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math
@@ -71,9 +69,9 @@ def _parse_cos_sin(text):
 
 
 def _theta_from_args(args):
-    if getattr(args, "cos_sin", None) is not None:
+    if args.cos_sin is not None:
         return args.cos_sin
-    if getattr(args, "alpha", None) is not None:
+    if args.alpha is not None:
         return defect.BogoliubovSpec.from_angle(args.alpha)
     return None  # symbolic angle
 
@@ -90,6 +88,14 @@ def _theta_label(spec):
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (report dict, passed bool)
+
+def _verdict(report, ok, diagnostic):
+    """Close ``report`` with its verdict, and with ``diagnostic`` only when the check failed."""
+    report["passed"] = ok = bool(ok)
+    if not ok:
+        report["diagnostic"] = diagnostic
+    return report, ok
+
 
 def cmd_virasoro_check(args):
     report = {"models": {}}
@@ -165,12 +171,9 @@ def cmd_intertwiner(args):
 def cmd_momentum_continuity(args):
     real = _build_theta(args)
     ok = defect.check_momentum_continuity(real)
-    report = {"cutoff": str(args.cutoff), "theta": _theta_label(real.source) if real.source else "skewed",
-              "passed": bool(ok)}
-    if not ok:
-        report["diagnostic"] = ("momentum density not continuous across the impurity: "
+    report = {"cutoff": str(args.cutoff), "theta": _theta_label(real.source) if real.source else "skewed"}
+    return _verdict(report, ok, "momentum density not continuous across the impurity: "
                                 "Theta[Tbar^l + T^r] != T^l + Tbar^r on the vacuum")
-    return report, bool(ok)
 
 
 def cmd_ope_preservation(args):
@@ -186,12 +189,9 @@ def cmd_ope_preservation(args):
     ok = abs(float(dev)) <= float(tol) and abs(float(vac)) <= float(tol)
     report = {"cutoff": str(args.cutoff),
               "vacuum_deviation": str(vac),
-              "anticommutator_deviation": str(dev),
-              "passed": ok}
-    if not ok:
-        report["diagnostic"] = ("mode conjugation does not preserve the anticommutation "
+              "anticommutator_deviation": str(dev)}
+    return _verdict(report, ok, "mode conjugation does not preserve the anticommutation "
                                 "relations or the identity field")
-    return report, ok
 
 
 def cmd_reflection_phases(args):
@@ -208,11 +208,7 @@ def cmd_reflection_phases(args):
                       for s in sols],
         "count": len(sols),
     }
-    passed = len(sols) > 0
-    if not passed:
-        report["diagnostic"] = "no consistent reflection phases within the root-of-unity bound"
-    report["passed"] = passed
-    return report, passed
+    return _verdict(report, len(sols) > 0, "no consistent reflection phases within the root-of-unity bound")
 
 
 def cmd_smatrix(args):
@@ -227,18 +223,14 @@ def cmd_smatrix(args):
     total = ness.canonical(sum(coeffs.values()))
     report["stress_weight_sum"] = str(total)
     ok = ness.canonical(total - 1) == 0
-    report["passed"] = bool(ok)
-    if not ok:
-        report["diagnostic"] = "transmitted plus reflected stress weight differs from one"
-    return report, bool(ok)
+    return _verdict(report, ok, "transmitted plus reflected stress weight differs from one")
 
 
 def cmd_current(args):
     theta = _theta_from_args(args)
     w = ness.GibbsWeights(args.tl, args.tr)
     report = ness.current_report(theta, weights=w)
-    report["passed"] = True
-    return report, True
+    return _verdict(report, True, None)
 
 
 def cmd_entropy(args):
@@ -250,29 +242,24 @@ def cmd_entropy(args):
     sigma = ness.entropy_production(j, w)
     val = float(sigma) if not sigma.free_symbols else None
     ok = val is None or val >= -1e-15
-    report = {"J_E": str(j), "sigma": str(sigma), "sigma_numeric": val, "passed": ok}
-    if not ok:
-        report["diagnostic"] = "entropy production came out negative"
-    return report, ok
+    report = {"J_E": str(j), "sigma": str(sigma), "sigma_numeric": val}
+    return _verdict(report, ok, "entropy production came out negative")
 
 
 def cmd_continuity(args):
     theta = _theta_from_args(args)
     ok_after = ness.check_global_continuity(theta, regime=ness.AFTER)
     ok_before = ness.check_global_continuity(theta, regime=ness.BEFORE)
-    ok = ok_after and ok_before
-    report = {"crossed_regime": ok_after, "free_regime": ok_before, "passed": ok}
-    if not ok:
-        report["diagnostic"] = ("global continuity T(x,t) + Tbar(-x,t) = T(x-t) + Tbar(-x+t) "
-                                "failed to cancel symbolically")
-    return report, ok
+    report = {"crossed_regime": ok_after, "free_regime": ok_before}
+    return _verdict(report, ok_after and ok_before,
+                    "global continuity T(x,t) + Tbar(-x,t) = T(x-t) + Tbar(-x+t) "
+                    "failed to cancel symbolically")
 
 
 def _params_from_args(args):
-    k = su2k.K_PARAM if args.k is None else args.k
     if args.rr_bar is not None:
-        return su2k.RotationParams.from_rr_bar(k, args.rr_bar)
-    return su2k.RotationParams.symbolic(k)
+        return su2k.RotationParams.from_rr_bar(args.k, args.rr_bar)
+    return su2k.RotationParams.symbolic(args.k)
 
 
 def cmd_su2k_decompose(args):
@@ -280,11 +267,8 @@ def cmd_su2k_decompose(args):
     report = su2k.decomposition_report(p)
     dev = su2k.unit_sum_deviation(p)
     report["unit_sum_deviation"] = str(dev)
-    ok = dev == 0
-    report["passed"] = bool(ok)
-    if not ok:
-        report["diagnostic"] = "c-weighted decomposition coefficients do not sum to the left central charge"
-    return report, bool(ok)
+    return _verdict(report, dev == 0,
+                    "c-weighted decomposition coefficients do not sum to the left central charge")
 
 
 def cmd_su2k_current(args):
@@ -307,11 +291,8 @@ def cmd_su2k_fermionize(args):
     report = su2k.fermionize_k2(p, matrix_cutoff=Fraction(5, 2) if args.matrix_check else None)
     ok = report["agree"]
     if args.matrix_check:
-        ok = ok and report["intertwining_max_dev"] <= 1e-12
-    report["passed"] = bool(ok)
-    if not ok:
-        report["diagnostic"] = "fermionized current disagrees with the algebraic route"
-    return report, bool(ok)
+        ok = ok and report["intertwining_max_dev"] <= defect.FLOAT_TOL
+    return _verdict(report, ok, "fermionized current disagrees with the algebraic route")
 
 
 def cmd_lattice_run(args):
@@ -324,20 +305,17 @@ def cmd_lattice_run(args):
     else:  # equal temperatures or a cut chain: nothing may flow
         ok = abs(summary["plateau_mean"]) <= 1e-10
         diagnostic = "plateau current exceeds 1e-10 where the Landauer integral vanishes"
-    summary["passed"] = bool(ok)
-    if not ok:
-        summary["diagnostic"] = diagnostic
+    closed = _verdict(summary, ok, diagnostic)
     if args.series_out:
         series.to_csv(args.series_out)
         summary["series_csv"] = args.series_out
-    return summary, bool(ok)
+    return closed
 
 
 def cmd_lattice_transmission(args):
-    lam = args.lam
     grid = np.linspace(args.omega_min, args.omega_max, args.omega_points)
-    rows = [(float(w), lattice.transmission(lam, float(w), args.coupling)) for w in grid]
-    report = {"defect": lam, "transmission_dc": lattice.transmission_dc(lam),
+    rows = [(float(w), lattice.transmission(args.lam, float(w), args.coupling)) for w in grid]
+    report = {"defect": args.lam, "transmission_dc": lattice.transmission_dc(args.lam),
               "grid": [{"omega": w, "T": t} for w, t in rows],
               "passed": all(0 <= t <= 1 for _, t in rows)}
     return report, report["passed"]
@@ -353,35 +331,33 @@ def cmd_landauer(args):
     j = lattice.landauer_current(fn, args.tl, args.tr, args.coupling)
     cft = lattice.low_temperature_current(t0, args.tl, args.tr)
     ok = cft == 0 or abs(j / cft - 1) <= 0.05
-    report = {"J": j, "transmission_dc": t0, "low_T_form": cft, "passed": bool(ok)}
-    if not ok:
-        report["diagnostic"] = "Landauer integral deviates from (pi T0 / 24)(T_l^2 - T_r^2) by more than 5%"
-    return report, bool(ok)
+    report = {"J": j, "transmission_dc": t0, "low_T_form": cft}
+    return _verdict(report, ok, "Landauer integral deviates from (pi T0 / 24)(T_l^2 - T_r^2) by more than 5%")
 
 
 def cmd_full_suite(args):
     steps = [
-        ("virasoro-check", ["virasoro-check"]),
-        ("intertwiner", ["intertwiner"]),
-        ("momentum-continuity", ["momentum-continuity"]),
-        ("ope-preservation", ["ope-preservation"]),
-        ("reflection-phases", ["reflection-phases"]),
-        ("smatrix", ["smatrix"]),
-        ("current", ["current"]),
-        ("entropy", ["entropy"]),
-        ("continuity", ["continuity"]),
-        ("su2k-decompose", ["su2k-decompose"]),
-        ("su2k-current", ["su2k-current"]),
-        ("su2k-fermionize", ["su2k-fermionize"]),
-        ("landauer", ["landauer", "--lam", "0.7", "--Tr", "0.05"]),
+        ["virasoro-check"],
+        ["intertwiner"],
+        ["momentum-continuity"],
+        ["ope-preservation"],
+        ["reflection-phases"],
+        ["smatrix"],
+        ["current"],
+        ["entropy"],
+        ["continuity"],
+        ["su2k-decompose"],
+        ["su2k-current"],
+        ["su2k-fermionize"],
+        ["landauer", "--lam", "0.7", "--Tr", "0.05"],
     ]
     if not args.quick:
-        steps.append(("lattice-run", ["lattice-run", "--samples", "50"]))
+        steps.append(["lattice-run", "--samples", "50"])
     parser = build_parser()
     report = {"steps": {}}
     passed = True
-    for name, argv in steps:
-        ns = parser.parse_args(argv)
+    for name, *flags in steps:
+        ns = parser.parse_args([name, *flags])
         if name == "current":
             # symbolic temperatures, which no flag can express
             ns.tl, ns.tr = ness.T_LEFT, ness.T_RIGHT
@@ -397,9 +373,20 @@ def cmd_full_suite(args):
 # ---------------------------------------------------------------------------
 
 def _add_theta_args(p):
-    p.add_argument("--alpha", type=_finite_float, default=None, help="rotation angle in radians")
-    p.add_argument("--cos-sin", dest="cos_sin", type=_parse_cos_sin, default=None,
-                   help="exact rational point on the circle, e.g. 3/5,4/5")
+    theta = p.add_mutually_exclusive_group()
+    theta.add_argument("--alpha", type=_finite_float, default=None, help="rotation angle in radians")
+    theta.add_argument("--cos-sin", dest="cos_sin", type=_parse_cos_sin, default=None,
+                       help="exact rational point on the circle, e.g. 3/5,4/5")
+
+
+def _add_exact_check(sub, name, fn, summary, cutoff):
+    """A check ``fn`` on the truncated defect map, with its cutoff, skew and angle options."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--cutoff", type=_exact_fraction, default=Fraction(cutoff))
+    p.add_argument("--skew", type=_finite_float, default=0.0, help="negative control perturbation")
+    _add_theta_args(p)
+    p.set_defaults(fn=fn)
+    return p
 
 
 def _add_temps(p, default_tl=None, default_tr=None, kind=_finite_float):
@@ -420,24 +407,13 @@ def build_parser():
     p.add_argument("--commutator-range", type=_count(0), default=2)
     p.set_defaults(fn=cmd_virasoro_check)
 
-    p = sub.add_parser("intertwiner", help="Virasoro intertwining of the defect map")
-    p.add_argument("--cutoff", type=_exact_fraction, default=Fraction(5))
+    p = _add_exact_check(sub, "intertwiner", cmd_intertwiner,
+                         "Virasoro intertwining of the defect map", 5)
     p.add_argument("--n-range", type=_count(0), default=2)
-    p.add_argument("--skew", type=_finite_float, default=0.0, help="negative control perturbation")
-    _add_theta_args(p)
-    p.set_defaults(fn=cmd_intertwiner)
-
-    p = sub.add_parser("momentum-continuity", help="stress continuity on the vacuum")
-    p.add_argument("--cutoff", type=_exact_fraction, default=Fraction(4))
-    p.add_argument("--skew", type=_finite_float, default=0.0)
-    _add_theta_args(p)
-    p.set_defaults(fn=cmd_momentum_continuity)
-
-    p = sub.add_parser("ope-preservation", help="anticommutator preservation under conjugation")
-    p.add_argument("--cutoff", type=_exact_fraction, default=Fraction(4))
-    p.add_argument("--skew", type=_finite_float, default=0.0)
-    _add_theta_args(p)
-    p.set_defaults(fn=cmd_ope_preservation)
+    _add_exact_check(sub, "momentum-continuity", cmd_momentum_continuity,
+                     "stress continuity on the vacuum", 4)
+    _add_exact_check(sub, "ope-preservation", cmd_ope_preservation,
+                     "anticommutator preservation under conjugation", 4)
 
     p = sub.add_parser("reflection-phases", help="solve the fusion constraints on reflection phases")
     p.add_argument("--ring", default="ising",
@@ -464,12 +440,12 @@ def build_parser():
     p.set_defaults(fn=cmd_continuity)
 
     p = sub.add_parser("su2k-decompose", help="rotation coefficients of the u(1) stress tensor")
-    p.add_argument("--k", type=_count(1), default=None)
+    p.add_argument("--k", type=_count(1), default=su2k.K_PARAM)
     p.add_argument("--rr-bar", dest="rr_bar", type=_exact_fraction, default=None)
     p.set_defaults(fn=cmd_su2k_decompose)
 
     p = sub.add_parser("su2k-current", help="level-k energy current")
-    p.add_argument("--k", type=_count(1), default=None)
+    p.add_argument("--k", type=_count(1), default=su2k.K_PARAM)
     p.add_argument("--rr-bar", dest="rr_bar", type=_exact_fraction, default=None)
     # exact, so the symbolic verdict sees no rounding residue
     _add_temps(p, ness.T_LEFT, ness.T_RIGHT, kind=_exact_fraction)
@@ -498,8 +474,10 @@ def build_parser():
     p.set_defaults(fn=cmd_lattice_transmission)
 
     p = sub.add_parser("landauer", help="Landauer integral against the low-T closed form")
-    p.add_argument("--lam", type=_finite_float, default=None)
-    p.add_argument("--t0", type=_transmission, default=1.0, help="constant transmission when --lam is absent")
+    dc = p.add_mutually_exclusive_group()
+    dc.add_argument("--lam", type=_finite_float, default=None)
+    dc.add_argument("--t0", type=_transmission, default=1.0,
+                    help="constant transmission when --lam is absent")
     p.add_argument("--coupling", type=_finite_float, default=1.0)
     _add_temps(p, 0.1, 0.0)
     p.set_defaults(fn=cmd_landauer)

@@ -234,9 +234,9 @@ def fermionize_k2(params, matrix_cutoff=None):
         # realize the effective rotation as a truncated defect map and
         # verify the Virasoro intertwining on it
         from . import defect
-        c_num = sp.nsimplify(cos_eff)
-        if c_num.is_rational and sin_eff.is_rational:
-            spec = defect.BogoliubovSpec(Fraction(str(c_num)), Fraction(str(sin_eff)))
+        if cos_eff.is_rational and sin_eff.is_rational:
+            spec = defect.BogoliubovSpec(Fraction(int(cos_eff.p), int(cos_eff.q)),
+                                         Fraction(int(sin_eff.p), int(sin_eff.q)))
         else:
             spec = defect.BogoliubovSpec(float(cos_eff), float(sin_eff))
         real = defect.build_theta_fermion(spec, matrix_cutoff)

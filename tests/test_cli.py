@@ -1,5 +1,6 @@
 """Command line front end: reports, formats, exit codes."""
 
+import argparse
 import dataclasses
 import importlib
 import importlib.util
@@ -348,6 +349,19 @@ def test_out_of_domain_lattice_parameters_are_usage_errors(capsys, argv, message
 
 
 @pytest.mark.parametrize("argv, message", [
+    # one flag of the pair would be dropped without a word
+    (["intertwiner", "--alpha", "0.7", "--cos-sin=3/5,4/5", "--cutoff", "4"],
+     "argument --cos-sin: not allowed with argument --alpha"),
+    (["landauer", "--lam", "0.7", "--t0", "0.5"], "argument --t0: not allowed with argument --lam"),
+])
+def test_conflicting_flags_are_usage_errors(capsys, argv, message):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
     (["intertwiner", "--cutoff", "0"], "empty safe subspace for n=-2 at cutoff 0"),
     # every mode it checks has |s| >= 1/2, so below cutoff 1/2 no column is compared
     (["ope-preservation", "--cutoff", "0"], "empty safe subspace for the OPE check"),
@@ -467,6 +481,7 @@ SYMBOLIC_REPORTS = [
         "agree": True,
         "passed": True,
     }),
+    (["continuity"], {"crossed_regime": True, "free_regime": True, "passed": True}),
 ]
 
 
@@ -476,6 +491,7 @@ def test_symbolic_reports_are_pinned(capsys, argv, expected):
     code, out = run(capsys, *argv)
     assert code == 0
     assert json.loads(out) == expected
+    assert out == json.dumps(expected, indent=2) + "\n"  # key order and layout too
 
 
 _ALPHA_03 = "(cos, sin) = (0.955336489125606, 0.29552020666133955)"
@@ -562,6 +578,15 @@ EXACT_REPORTS = [
                   "commutator_max_deviation": "0", "level_spectrum_deviation": "0",
                   "dimension": 30, "passed": True},
     }}),
+    (["reflection-phases", "--ring", "z3"], 0, {
+        "ring": "z3",
+        "labels": ["1", "psi1", "psi2"],
+        "solutions": [{"1": [0, 1], "psi1": [0, 1], "psi2": [0, 1]},
+                      {"1": [0, 1], "psi1": [1, 3], "psi2": [2, 3]},
+                      {"1": [0, 1], "psi1": [2, 3], "psi2": [1, 3]}],
+        "count": 3,
+        "passed": True,
+    }),
     (["full-suite", "--quick"], 0, {
         "steps": {name: {"passed": True} for name in (
             "virasoro-check", "intertwiner", "momentum-continuity", "ope-preservation",
@@ -579,6 +604,65 @@ def test_exact_reports_are_pinned(capsys, argv, verdict, expected):
     assert code == verdict
     assert json.loads(out) == expected
     assert out == json.dumps(expected, indent=2) + "\n"  # key order and layout too
+
+
+_FERMIONIZED_K2 = {"k": 2, "chi1": "pure reflection, zero current", "agree": True, "passed": True}
+
+# reports that carry floats: their keys in order, the verdict and diagnostic
+# last, and every value that is exact
+FLOAT_REPORTS = [
+    (["landauer", "--t0", "1", "--Tl", "2", "--Tr", "0"], 1,
+     ["J", "transmission_dc", "low_T_form", "passed", "diagnostic"],
+     {"transmission_dc": 1.0, "passed": False,
+      "diagnostic": "Landauer integral deviates from (pi T0 / 24)(T_l^2 - T_r^2) by more than 5%"}),
+    (["landauer", "--lam", "0.7", "--Tl", "0.1", "--Tr", "0.05"], 0,
+     ["J", "transmission_dc", "low_T_form", "passed"], {"passed": True}),
+    (["su2k-fermionize", "--matrix-check"], 0,
+     ["k", "s", "rr_bar", "cos_effective", "chi1", "J_fermionized", "J_algebraic", "agree",
+      "intertwining_max_dev", "passed"],
+     dict(_FERMIONIZED_K2, s="sqrt(2)/2", rr_bar="1/2", cos_effective="sqrt(2)/2",
+          J_fermionized="pi*(T_l**2 - T_r**2)/48", J_algebraic="pi*(T_l**2 - T_r**2)/48")),
+    # a rational effective rotation takes the exact Theta, which intertwines with no residue
+    (["su2k-fermionize", "--matrix-check", "--rr-bar", "9/25"], 0,
+     ["k", "s", "rr_bar", "cos_effective", "chi1", "J_fermionized", "J_algebraic", "agree",
+      "intertwining_max_dev", "passed"],
+     dict(_FERMIONIZED_K2, s="4/5", rr_bar="9/25", cos_effective="3/5", intertwining_max_dev=0.0,
+          J_fermionized="3*pi*(T_l**2 - T_r**2)/200", J_algebraic="3*pi*(T_l**2 - T_r**2)/200")),
+    (["lattice-transmission", "--omega-points", "3"], 0,
+     ["defect", "transmission_dc", "grid", "passed"], {"defect": 0.5, "passed": True}),
+]
+
+
+@pytest.mark.parametrize("argv, verdict, keys, exact", FLOAT_REPORTS,
+                         ids=[" ".join(argv) for argv, _, _, _ in FLOAT_REPORTS])
+def test_float_report_closes_are_pinned(capsys, argv, verdict, keys, exact):
+    code, out = run(capsys, *argv)
+    assert code == verdict
+    report = json.loads(out)
+    assert list(report) == keys
+    assert {key: report[key] for key in exact} == exact
+
+
+def _subcommands():
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sorted(action.choices)
+
+
+# the cheap arguments of the subcommands whose defaults are slow
+_CHEAP_ARGS = {"full-suite": ["--quick"]}
+
+
+@pytest.mark.parametrize("command", _subcommands())
+def test_every_subcommand_closes_its_report(capsys, command):
+    # walks the parser, so a subcommand added later is covered too
+    code, out = run(capsys, command, *_CHEAP_ARGS.get(command, []))
+    assert code in (0, 1)
+    report = json.loads(out)
+    if "passed" in report:
+        assert isinstance(report["passed"], bool)
+        assert code == (0 if report["passed"] else 1)
+        assert ("diagnostic" in report) == (not report["passed"])
 
 
 def test_numerical_breakdown_is_a_failed_verification(capsys):
