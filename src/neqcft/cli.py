@@ -184,7 +184,8 @@ def cmd_ope_preservation(args):
     except defect.EmptyCheckError:
         raise  # nothing was compared: a usage error, not a failed verification
     except ValueError as exc:  # a singular realization has no conjugated modes
-        return {"error": str(exc), "vacuum_deviation": str(vac), "passed": False}, False
+        report = {"cutoff": str(args.cutoff), "vacuum_deviation": str(vac)}
+        return _verdict(report, False, f"Theta has no inverse to conjugate the modes with: {exc}")
     tol = real.tolerance
     ok = abs(float(dev)) <= float(tol) and abs(float(vac)) <= float(tol)
     report = {"cutoff": str(args.cutoff),
@@ -316,9 +317,8 @@ def cmd_lattice_transmission(args):
     grid = np.linspace(args.omega_min, args.omega_max, args.omega_points)
     rows = [(float(w), lattice.transmission(args.lam, float(w), args.coupling)) for w in grid]
     report = {"defect": args.lam, "transmission_dc": lattice.transmission_dc(args.lam),
-              "grid": [{"omega": w, "T": t} for w, t in rows],
-              "passed": all(0 <= t <= 1 for _, t in rows)}
-    return report, report["passed"]
+              "grid": [{"omega": w, "T": t} for w, t in rows]}
+    return _verdict(report, all(0 <= t <= 1 for _, t in rows), "transmission outside [0, 1]")
 
 
 def cmd_landauer(args):
@@ -355,7 +355,6 @@ def cmd_full_suite(args):
         steps.append(["lattice-run", "--samples", "50"])
     parser = build_parser()
     report = {"steps": {}}
-    passed = True
     for name, *flags in steps:
         ns = parser.parse_args([name, *flags])
         if name == "current":
@@ -365,9 +364,8 @@ def cmd_full_suite(args):
         report["steps"][name] = {"passed": ok}
         if not ok:
             report["steps"][name]["detail"] = sub_report
-        passed = passed and ok
-    report["passed"] = passed
-    return report, passed
+    failed = [name for name, step in report["steps"].items() if not step["passed"]]
+    return _verdict(report, not failed, f"failed steps: {', '.join(failed)}")
 
 
 # ---------------------------------------------------------------------------
@@ -511,14 +509,17 @@ def _emit(report, args):
         print(text)
 
 
-def _apply_config(parser, args):
+def _apply_config(parser, args, argv):
     """Make the config file's values the defaults of the chosen subcommand.
 
     Defaults set on the top-level parser never reach the subcommand options.
     Argparse runs an option's ``type`` only on string defaults, so typed
     values go in as strings and are parsed exactly as flags are.  A null
     value leaves the option's own default in place.  A key that is no
-    subcommand's option is an error.
+    subcommand's option is an error.  A flag on the command line overrides
+    the config: also across a mutually exclusive group, where the config
+    values of the flag's partners are dropped, so that the handler never
+    sees both.
     """
     action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     sub = action.choices[args.command]
@@ -531,6 +532,20 @@ def _apply_config(parser, args):
     unknown = sorted(set(config) - options)
     if unknown:
         raise ValueError(f"no subcommand has the option {', '.join(map(repr, unknown))}")
+    # the members of an exclusive group that the command line sets: a parse
+    # with a sentinel default leaves every other member at the sentinel
+    groups = [g._group_actions for g in sub._mutually_exclusive_groups]
+    saved = {a.dest: a.default for group in groups for a in group}
+    unset = object()
+    sub.set_defaults(**dict.fromkeys(saved, unset))
+    try:
+        parsed = vars(parser.parse_args(argv))
+    finally:
+        sub.set_defaults(**saved)
+    for group in groups:
+        if any(parsed[a.dest] is not unset for a in group):
+            for a in group:
+                config.pop(a.dest, None)
     sub.set_defaults(**{k: str(v) if k in typed else v
                         for k, v in config.items() if v is not None})
 
@@ -556,7 +571,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         if args.config:
-            _apply_config(parser, args)
+            _apply_config(parser, args, argv)
             args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0

@@ -31,15 +31,20 @@ mirror image on the right, with eps = -2t cos k and k a root of the secular
 equation sin(k(N+1)) = s lam sin(kN), one in each interval
 (pi(j-1)/N, pi j/N); the norms are closed forms too.  The modes are never
 stored: _mode_rows builds any rows of the two N x N left-half parity
-blocks from the roots.  propagator_rows folds any row of exp(A t) onto a
-left row of the two blocks, stacks the rows of all times into one left
-factor and streams the blocks in _MODE_ROWS rows at a time.  The uniform
-Gibbs halves are the lam = 0 case: their modes are the sine waves of the
-open chain (the covariance method of Peschel, J. Phys. A 36 (2003) L205),
-summed by one FFT into a Toeplitz-minus-Hankel matrix, whose rows
-_gibbs_rows builds in blocks as well.  Nothing is diagonalised
-numerically, and no N x N array is formed: steady_current holds O(S N)
-floats for S samples.
+blocks from the roots, one sine per entry, and _mode_blocks builds all of
+them _MODE_ROWS rows at a time by angle addition about the centre of each
+block, from one table of cos(kj) and sin(kj), 0 <= j <= _MODE_ROWS/2, and
+one sine and cosine of the centre per mode and block.  propagator_rows folds any row of exp(A t) onto a left row of the
+two blocks, stacks the rows of all times into one left factor and
+multiplies it by each block as it is built.  The uniform Gibbs halves are
+the lam = 0 case: their modes are the sine waves of the open chain (the
+covariance method of Peschel, J. Phys. A 36 (2003) L205), summed by one
+FFT.  A half vanishes on the checkerboard of even lags m - n, and its
+odd-lag block, a Hankel-minus-Toeplitz matrix of half the size, fixes the
+rest; _gibbs_rows builds its rows in blocks as well, and steady_current
+contracts only that block, with a quarter of the entries and half the
+flops of the whole half.  Nothing is diagonalised numerically, and no
+N x N array is formed: steady_current holds O(S N) floats for S samples.
 
 Everything here is double precision; tolerances are module constants or
 stated per operation.
@@ -102,19 +107,25 @@ _IM_I_POW = np.array([0.0, 1.0, 0.0, -1.0])
 
 
 def _gibbs_rows(n_sites, temperature, coupling=1.0):
-    """Rows of the covariance of the Gibbs state of a decoupled uniform chain.
+    """Rows of the odd-lag block of the covariance of the Gibbs state of a decoupled uniform chain.
 
     With iA = U diag(eps) U*, the covariance is C = i U tanh(eps / 2T) U*.
     In the gauge D = diag(i^m) the L = 2 n_sites Majorana chain has the
     open-chain sine modes sqrt(2/(L+1)) sin(q_k (m+1)), q_k = pi k/(L+1),
-    with eps_k = -2t cos q_k.  Then C_mn = Re(i^(m-n+1)) G_mn with
-    G_mn = f(m-n) - f(m+n+2) and f(d) = sum_k tanh(eps_k / 2T) cos(q_k d) / (L+1),
-    all of f from one FFT of length 2(L+1).  G is a Toeplitz minus a Hankel
-    matrix and the sign Re(i^(m-n+1)) a Toeplitz one, all three read as
-    sliding windows of one vector each.  temperature = 0 gives the ground
-    state (iC has eigenvalues +-1), numpy.inf the maximally mixed state (C = 0).
+    with eps_k = -2t cos q_k.  Then C_mn = Re(i^(m-n+1)) (f(m-n) - f(m+n+2))
+    with f(d) = sum_k tanh(eps_k / 2T) cos(q_k d) / (L+1), all of f from one
+    FFT of length 2(L+1).  C vanishes at even lags m - n, and being
+    antisymmetric it is fixed by its n_sites x n_sites block
 
-    Returns rows(r0, r1), which builds C[r0:r1] as a fresh (r1 - r0, L)
+        G[a, q] = C[2a, 2q+1] = h(a+q+1) - h(a-q-1),   C[2a+1, 2q] = -G[q, a],
+
+    with h(k) = (-1)^k f(2k+1) for k >= 0 and h(-k-1) = -h(k): a Hankel
+    minus a Toeplitz matrix, each read as sliding windows of one vector.
+    Every entry is +-(f(|m-n|) - f(m+n+2)) with the rounding of that one
+    difference.  temperature = 0 gives the ground state (iC has eigenvalues
+    +-1), numpy.inf the maximally mixed state (C = 0).
+
+    Returns rows(a0, a1), which builds G[a0:a1] as a fresh (a1 - a0, n_sites)
     array; in between only O(L) floats are held.
     """
     if temperature < 0:
@@ -130,30 +141,34 @@ def _gibbs_rows(n_sites, temperature, coupling=1.0):
         with np.errstate(over="ignore"):
             occ[1:size + 1] = np.tanh(eps / (2.0 * temperature))
     f = np.fft.fft(occ).real / (size + 1)
-    toeplitz = sliding_window_view(np.concatenate([f[size - 1:0:-1], f[:size]]), size)[::-1]
-    hankel = sliding_window_view(f[2:2 * size + 1], size)
-    lag = np.arange(size - 1, -size, -1)  # m - n of the entries that read each element
-    sign = sliding_window_view(_RE_I_POW[(lag + 1) % 4], size)[::-1]
+    h = f[1:2 * size:2].copy()  # f(2k+1) for k = 0..size-1
+    h[1::2] *= -1
+    hankel = sliding_window_view(h[1:], n_sites)
+    # h(k) for k = n_sites-1 down to -n_sites, so row a reads h(a-q-1) at column q
+    toeplitz = sliding_window_view(np.concatenate([h[n_sites - 1::-1], -h[:n_sites]]), n_sites)[::-1]
 
-    def rows(r0, r1):
-        c = toeplitz[r0:r1] - hankel[r0:r1]
-        c *= sign[r0:r1]
-        return c
+    def rows(a0, a1):
+        return hankel[a0:a1] - toeplitz[a0:a1]
 
     return rows
 
 
 def gibbs_covariance(n_sites, temperature, coupling=1.0):
-    """Covariance of the Gibbs state of a decoupled uniform chain: every row of _gibbs_rows."""
-    return _gibbs_rows(n_sites, temperature, coupling)(0, 2 * n_sites)
+    """Covariance of the Gibbs state of a decoupled uniform chain, assembled from _gibbs_rows."""
+    g = _gibbs_rows(n_sites, temperature, coupling)(0, n_sites)
+    c = np.zeros((2 * n_sites, 2 * n_sites))
+    c[0::2, 1::2] = g
+    c[1::2, 0::2] = -g.T
+    return c
 
 
 # bisection steps for the secular roots: halving the bracket pi/N this often
 # leaves less than its last bit
 _ROOT_STEPS = 60
-# rows of the parity blocks built per step, which bounds the temporaries
+# rows of the parity blocks built per step (even), which bounds the temporaries
+# and the angle-addition table
 _MODE_ROWS = 64
-# rows of a Gibbs half built per step, likewise
+# rows of the odd-lag block of a Gibbs half built per step, likewise
 _GIBBS_ROWS = 64
 
 
@@ -203,22 +218,63 @@ def _chain_spectrum(spec):
     return evals, d, 1.0 / np.sqrt(weight)
 
 
+def _phase(d, m):
+    """The phases k m of every mode for each integer in the column m, shape (2, len(m), N).
+
+    With k = pi(j-1)/N + d they are reduced exactly, as
+    ((j-1) m mod 2N) pi/N + d m; the product k m itself would lose the low
+    bits of the phase, and the modes their orthogonality, as N grows.
+    """
+    n = d.shape[1]
+    return (m * np.arange(n)) % (2 * n) * (np.pi / n) + m * d[:, None, :]
+
+
 def _mode_rows(d, scale, rows):
     """The given left-half rows of the normalised modes, shape (2, len(rows), N).
 
-    Row m of parity p is scale_p sin(k_p (m+1)), one mode per column; the
-    full orthogonal mode matrix is v = [[L_e, L_o], [F L_e, -F L_o]] with F
-    the row reversal and L_p all N rows of parity p, and it is never formed
-    (see propagator_rows).  The phases k(m+1) are reduced exactly, as
-    ((j-1)(m+1) mod 2N) pi/N + d(m+1); sin(k(m+1)) itself would lose
-    orthogonality as N grows.
+    Row m of parity p is scale_p sin(k_p (m+1)), one mode per column, one
+    sine per entry; the full orthogonal mode matrix is
+    v = [[L_e, L_o], [F L_e, -F L_o]] with F the row reversal and L_p all N
+    rows of parity p, and it is never formed (see propagator_rows).
     """
-    n = d.shape[1]
-    m1 = np.asarray(rows)[:, None] + 1  # m + 1
-    out = (m1 * np.arange(n)) % (2 * n) * (np.pi / n) + m1 * d[:, None, :]
+    out = _phase(d, np.asarray(rows)[:, None] + 1)
     np.sin(out, out=out)
     out *= scale[:, None, :]
     return out
+
+
+def _mode_blocks(d):
+    """All left-half rows of both parities, unnormalised, _MODE_ROWS rows at a time.
+
+    Row m of parity p is sin(k_p (m+1)).  The block of rows b0..b0+2h-1,
+    h = _MODE_ROWS / 2, is built by angle addition about its centre
+    c = b0+1+h,
+
+        sin(k(c+j)) = sin(kc) cos(kj) + cos(kc) sin(kj),   -h <= j < h,
+
+    from one table of cos(kj) and sin(kj), 0 <= j <= h, made once (cos is
+    even in j and sin odd, so it serves both halves of every block), and one
+    sine and one cosine of kc per mode and block; each entry is one
+    two-term sum, with no temporary.  Every phase is reduced exactly
+    (_phase).  Yields (b0, block) with block of shape (2, b1 - b0, N): a view
+    of one buffer, which the next block overwrites.
+    """
+    n = d.shape[1]
+    h = _MODE_ROWS // 2
+    phase = _phase(d, np.arange(h + 1)[:, None])
+    table = np.empty((2, h + 1, 2, n))  # (parity, j, (cos, sin), mode)
+    np.cos(phase, out=table[:, :, 0])
+    np.sin(phase, out=table[:, :, 1])
+    del phase
+    block = np.empty((2, 2 * h, n))
+    for b0 in range(0, n, 2 * h):
+        centre = _phase(d, np.array([[b0 + 1 + h]]))[:, 0]
+        shift = np.stack([np.sin(centre), np.cos(centre)], axis=1)  # (parity, (sin, cos), mode)
+        # rows c+j for j = 0..h-1, then c-j for j = h..1, where sin(kj) changes sign
+        np.einsum("pjtn,ptn->pjn", table[:, :h], shift, out=block[:, h:])
+        shift[:, 1] *= -1
+        np.einsum("pjtn,ptn->pjn", table[:, h:0:-1], shift, out=block[:, :h])
+        yield b0, block[:, :n - b0]
 
 
 def propagator_rows(spec, rows, times):
@@ -236,9 +292,10 @@ def propagator_rows(spec, rows, times):
     A_p = (L_p[l] o trig(eps_p t)) L_p^T for p in {e, o} and trig in
     {cos, sin}, the left columns of the row are A_e + sigma A_o and the
     right columns are the reversal of A_e - sigma A_o.  The left factors of
-    all (time, left row, trig) triples are stacked once; then each block of
-    _MODE_ROWS rows of L_e and L_o is built, multiplied, folded and gauged
-    into its left columns and their mirror images, so memory is
+    all (time, left row, trig) triples are stacked once, each carrying the
+    squared norm of its mode; then each block of unnormalised rows of L_e
+    and L_o from _mode_blocks is multiplied, folded and gauged into its left
+    columns and their mirror images, so memory is
     O(len(times) len(rows) N).  Returns an array of shape
     (len(times), len(rows), 2N).
     """
@@ -248,26 +305,34 @@ def propagator_rows(spec, rows, times):
     times = np.asarray(times, dtype=float)
     mirrored = rows >= n
     left, pick = np.unique(np.where(mirrored, 2 * n - 1 - rows, rows), return_inverse=True)
-    sigma = np.where(mirrored, -1.0, 1.0)[:, None, None]
     trig = np.empty((2, len(times), 2, n))  # (parity, time, trig, mode)
     et = evals[:, None, :] * times[None, :, None]
     np.cos(et, out=trig[:, :, 0])
     np.sin(et, out=trig[:, :, 1])
     del et
-    weighted = _mode_rows(d, scale, left)[:, None, :, None, :] * trig[:, :, None]
+    # one factor of scale normalises the left row, the other the block rows
+    weighted = _mode_rows(d, scale * scale, left)[:, None, :, None, :] * trig[:, :, None]
     del trig
     weighted = weighted.reshape(2, -1, n)  # (parity, time x row x trig, mode)
-    shape = (len(times), len(left), 2, -1)
+    shape = (2, len(times), len(left), 2, -1)  # (parity, time, left row, trig, col)
+    gauge = (rows[:, None] - np.arange(2 * n)) % 4  # i^(r - col), every column
+    re_gauge, im_gauge = _RE_I_POW[gauge], _IM_I_POW[gauge]
+    # a row with sigma = +1 reads A_e + A_o on its left columns and A_e - A_o
+    # on their mirror images 2N-1-col, a row with sigma = -1 the other way round
+    reads = mirrored.astype(int)
     out = np.empty((len(times), len(rows), 2 * n))
-    for b0 in range(0, n, _MODE_ROWS):
-        b1 = min(b0 + _MODE_ROWS, n)
-        a = np.matmul(weighted, _mode_rows(d, scale, np.arange(b0, b1)).transpose(0, 2, 1))
-        a_even = a[0].reshape(shape)[:, pick]
-        a_odd = sigma * a[1].reshape(shape)[:, pick]
-        for cols, folded in ((slice(b0, b1), a_even + a_odd),
-                             (slice(2 * n - b1, 2 * n - b0), (a_even - a_odd)[..., ::-1])):
-            gauge = (rows[:, None] - np.arange(cols.start, cols.stop)[None, :]) % 4
-            out[:, :, cols] = _RE_I_POW[gauge] * folded[:, :, 0] + _IM_I_POW[gauge] * folded[:, :, 1]
+    for b0, block in _mode_blocks(d):
+        b1 = b0 + block.shape[1]
+        a = np.matmul(weighted, block.transpose(0, 2, 1)).reshape(shape)
+        # (A_e, A_o) -> (A_e + A_o, A_e - A_o), in place
+        e_minus_o = a[0] - a[1]
+        a[0] += a[1]
+        a[1] = e_minus_o
+        del e_minus_o
+        for cols, which in ((slice(b0, b1), reads), (slice(2 * n - 1 - b0, 2 * n - 1 - b1, -1), 1 - reads)):
+            folded = a[which, :, pick].transpose(1, 0, 2, 3)  # (time, row, trig, col)
+            np.multiply(re_gauge[:, cols], folded[:, :, 0], out=out[:, :, cols])
+            out[:, :, cols] += im_gauge[:, cols] * folded[:, :, 1]
     return out
 
 
@@ -452,10 +517,11 @@ def steady_current(spec, t_left, t_right, samples=60):
     PlateauError before any O(N^2) work.  The rows of all samples come from
     one propagator_rows call, one pass over blocks of mode rows, and every
     sample checks that its rows stay orthonormal to ORTH_TOL; the largest
-    deviation is kept as orth_drift.  Each Gibbs half is then built in
-    blocks of _GIBBS_ROWS rows, each contracted against the rows of all
-    samples as it is built.  No N x N array is formed: memory is O(S N) for
-    S samples.
+    deviation is kept as orth_drift.  Each Gibbs half vanishes at even lags,
+    so only its odd-lag block is built, _GIBBS_ROWS rows at a time, each
+    contracted against the odd entries of the rows of all samples as it is
+    built: a quarter of the entries of the half and half of its flops.  No
+    N x N array is formed: memory is O(S N) for S samples.
     """
     n = spec.sites
     w0, w1 = PLATEAU_WINDOW
@@ -477,24 +543,26 @@ def steady_current(spec, t_left, t_right, samples=60):
     drift = float(dev.max())
 
     # C[j-1, j+1] and C[j, j+2] of C(t) = W C0 W^T, one Gibbs half of C0 at a
-    # time.  C0 is antisymmetric, so a block of its rows gives minus the same
-    # columns of W C0.
-    c02 = np.zeros(samples)
-    c13 = np.zeros(samples)
-    x = np.empty((2 * samples, n))
-    for half, temperature in ((slice(0, n), t_left), (slice(n, 2 * n), t_right)):
-        w_half = w_rows[:, :, half]
-        w_first = w_half[:, :2].reshape(-1, n)
-        c_rows = _gibbs_rows(n // 2, temperature, spec.coupling)
-        for r0 in range(0, n, _GIBBS_ROWS):
-            r1 = min(r0 + _GIBBS_ROWS, n)
-            x[:, r0:r1] = w_first @ c_rows(r0, r1).T
-        x_rows = x.reshape(samples, 2, n)
-        c02 -= np.einsum("sn,sn->s", x_rows[:, 0], w_half[:, 2])
-        c13 -= np.einsum("sn,sn->s", x_rows[:, 1], w_half[:, 3])
+    # time.  A half is nonzero only at odd lags, where its odd-lag block G
+    # (see _gibbs_rows) gives sum_mn y_m C0[m, n] x_n = y_e.(G x_o) - x_e.(G y_o)
+    # for the even (e) and odd (o) entries of two rows x, y of W.
+    m = n // 2
+    c = np.zeros((samples, 2))  # C[j-1, j+1] and C[j, j+2]
+    g_w = np.empty((samples * len(rows), m))  # G times the odd entries of every row
+    for start, temperature in ((0, t_left), (n, t_right)):
+        w_even = w_rows[:, :, start:start + n:2]
+        w_odd = np.ascontiguousarray(w_rows[:, :, start + 1:start + n:2]).reshape(-1, m)
+        g_rows = _gibbs_rows(m, temperature, spec.coupling)
+        for a0 in range(0, m, _GIBBS_ROWS):
+            a1 = min(a0 + _GIBBS_ROWS, m)
+            g_w[:, a0:a1] = w_odd @ g_rows(a0, a1).T
+        g_w_rows = g_w.reshape(samples, len(rows), m)
+        # x = rows j-1, j and y = rows j+1, j+2
+        c -= (np.einsum("skn,skn->sk", w_even[:, 2:], g_w_rows[:, :2])
+              - np.einsum("skn,skn->sk", w_even[:, :2], g_w_rows[:, 2:]))
     bonds = spec.bonds()
     # J = -(t_def/4) (t_{j-1} C[j-1,j+1] + t_{j+1} C[j,j+2])
-    values = -0.25 * bonds[jc] * (bonds[jc - 1] * c02 + bonds[jc + 1] * c13)
+    values = -0.25 * bonds[jc] * (bonds[jc - 1] * c[:, 0] + bonds[jc + 1] * c[:, 1])
 
     vals = values[mask]
     mean = float(np.mean(vals))

@@ -272,6 +272,19 @@ def test_flags_override_config(capsys, tmp_path):
     assert abs(report["numeric_result"]["J_E"] - math.pi / 24) < 1e-12
 
 
+@pytest.mark.parametrize("config, argv", [
+    ({"cos_sin": "3/5,4/5"}, ["momentum-continuity", "--alpha", "0.7"]),
+    ({"lam": 0.7}, ["landauer", "--t0", "0.5"]),
+])
+def test_flag_overrides_config_across_an_exclusive_group(capsys, tmp_path, config, argv):
+    # the config sets one member of a mutually exclusive pair, the command line the other
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    flag_only = run(capsys, *argv)
+    assert run(capsys, "--config", str(cfg), *argv) == flag_only
+    assert run(capsys, "--config", str(cfg), argv[0]) != flag_only  # without the flag, the config holds
+
+
 def test_usage_error_exit_code(capsys):
     assert cli.main(["no-such-command"]) == 2
     capsys.readouterr()
@@ -663,6 +676,42 @@ def test_every_subcommand_closes_its_report(capsys, command):
         assert isinstance(report["passed"], bool)
         assert code == (0 if report["passed"] else 1)
         assert ("diagnostic" in report) == (not report["passed"])
+
+
+def _failing_smatrix_step(monkeypatch):
+    monkeypatch.setattr(cli, "cmd_smatrix", lambda args: cli._verdict({}, False, "forced failure"))
+
+
+def _singular_theta(monkeypatch):
+    build = cli._build_theta
+
+    def singular(args, spec=None):
+        real = build(args, spec)
+        return defect.DefectRealization(real.space, real.theta * 0, None)
+
+    monkeypatch.setattr(cli, "_build_theta", singular)
+
+
+def _transmission_above_one(monkeypatch):
+    monkeypatch.setattr(lattice, "transmission", lambda *args: 1.5)
+
+
+@pytest.mark.parametrize("argv, breaks, keys, diagnostic", [
+    (["full-suite", "--quick"], _failing_smatrix_step, ["steps", "passed", "diagnostic"],
+     "failed steps: smatrix"),
+    (["ope-preservation"], _singular_theta, ["cutoff", "vacuum_deviation", "passed", "diagnostic"],
+     "Theta has no inverse to conjugate the modes with: singular level block at level 0"),
+    (["lattice-transmission", "--omega-points", "3"], _transmission_above_one,
+     ["defect", "transmission_dc", "grid", "passed", "diagnostic"], "transmission outside [0, 1]"),
+], ids=["full-suite failed step", "ope-preservation singular theta", "lattice-transmission above one"])
+def test_failing_closes_carry_a_diagnostic(capsys, monkeypatch, argv, breaks, keys, diagnostic):
+    # the failing paths that test_every_subcommand_closes_its_report cannot reach
+    breaks(monkeypatch)
+    code, out = run(capsys, *argv)
+    assert code == 1
+    report = json.loads(out)
+    assert list(report) == keys
+    assert (report["passed"], report["diagnostic"]) == (False, diagnostic)
 
 
 def test_numerical_breakdown_is_a_failed_verification(capsys):

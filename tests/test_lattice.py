@@ -273,6 +273,35 @@ def test_closed_form_mode_norms_match_summed_norms(half_sites, lam):
     assert np.max(np.abs(scale ** -2 / summed - 1)) <= 1e-14
 
 
+@settings(max_examples=25, deadline=None)
+@given(half_sites=st.integers(20, 1500),
+       lam=st.one_of(st.sampled_from([0.0, 1e-9, 1.0]), st.floats(0.0, 1.0)),
+       middle=st.floats(0.0, 1.0))
+@example(half_sites=20, lam=0.0, middle=0.0)  # one block of 40 rows, the first and the last
+@example(half_sites=1024, lam=1.0, middle=0.5)  # N = 2048, no ragged tail
+@example(half_sites=1499, lam=0.7, middle=0.5)  # N = 2998, a tail of 54 rows
+def test_angle_addition_mode_blocks_match_direct_sines(half_sites, lam, middle):
+    # the first block, one in the middle and the last, ragged unless
+    # _MODE_ROWS divides N, against one sine per entry.  Both sides take sines
+    # of exactly reduced phases up to 3 pi, where one rounding of a phase is
+    # up to 9e-16, and each is about 2e-15 (direct) and 3e-15 (angle
+    # addition) off a long-double evaluation at N = 3000
+    spec = ChainSpec(sites=2 * half_sites, defect=lam)
+    _, d, scale = lattice._chain_spectrum(spec)
+    n = spec.sites
+    starts = range(0, n, lattice._MODE_ROWS)
+    wanted = {starts[0], starts[round(middle * (len(starts) - 1))], starts[-1]}
+    unit = np.ones_like(scale)
+    seen = set()
+    for b0, block in lattice._mode_blocks(d):
+        assert block.shape == (2, min(lattice._MODE_ROWS, n - b0), n)
+        if b0 in wanted:
+            direct = lattice._mode_rows(d, unit, np.arange(b0, b0 + block.shape[1]))
+            assert np.max(np.abs(block - direct)) <= 5e-15
+            seen.add(b0)
+    assert seen == wanted
+
+
 @settings(max_examples=30, deadline=None)
 @given(half_sites=st.integers(20, 100),
        lam=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-9, 1.0)),
@@ -332,16 +361,21 @@ def test_current_form_interior_only():
 
 
 def test_steady_current_memory_is_below_one_dense_block():
-    # the rows of 60 samples and the row blocks stay under one N x N float
-    # array; the dense (2, N, N) parity blocks alone would be twice that
+    # at most three times the (S, 4, 2N) propagator rows that steady_current
+    # returns from propagator_rows: those rows, their stacked left factor and
+    # the tables and buffers of one block of mode rows.  One N x N float
+    # array is 4.2 times as large here, and the dense (2, N, N) parity blocks
+    # 8.3 times
+    samples = 60
     spec = ChainSpec(sites=2000, defect=0.7)
+    row_bytes = samples * 4 * spec.majoranas * 8
     tracemalloc.start()
     try:
-        steady_current(spec, 0.1, 0.05, 60)
+        steady_current(spec, 0.1, 0.05, samples)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < spec.sites ** 2 * 8, peak / 2 ** 20
+    assert peak <= 3 * row_bytes, peak / row_bytes
 
 
 def test_equilibrium_current_vanishes():
@@ -384,8 +418,12 @@ def test_steady_current_matches_dense_propagator(half_sites, lam, t_left, t_righ
 
 @pytest.mark.parametrize("lam, t_left, t_right", [(0.6, 0.3, 0.05), (1.0, 0.0, 0.4)])
 def test_steady_current_matches_dense_propagator_across_row_blocks(lam, t_left, t_right):
-    # at least two full blocks of mode rows and of Gibbs rows, and a ragged tail
-    sites = 2 * max(lattice._MODE_ROWS, lattice._GIBBS_ROWS) + 6
+    # at least two full blocks and a ragged tail of both block steps: the N
+    # left rows of the parity blocks in steps of _MODE_ROWS, and the N/2 rows
+    # of the odd-lag block of a Gibbs half in steps of _GIBBS_ROWS
+    sites = 4 * max(lattice._MODE_ROWS, lattice._GIBBS_ROWS) + 6
+    for rows, step in ((sites, lattice._MODE_ROWS), (sites // 2, lattice._GIBBS_ROWS)):
+        assert rows >= 2 * step and rows % step
     _check_against_dense(ChainSpec(sites=sites, defect=lam), t_left, t_right, samples=10)
 
 
