@@ -76,6 +76,11 @@ def _theta_from_args(args):
     return None  # symbolic angle
 
 
+# the point of the exact checks when no flag gives one: a generic rational
+# point, since the axis points satisfy several checks trivially and would not
+# exercise them
+HEADLINE_POINT = defect.BogoliubovSpec(Fraction(3, 5), Fraction(4, 5))
+
 # rational points on the circle, so the headline checks stay exact
 _ALPHA_GRID = tuple(defect.BogoliubovSpec(Fraction(a, c), Fraction(b, c))
                     for a, b, c in ((1, 0, 1), (0, 1, 1), (3, 4, 5), (4, 3, 5),
@@ -130,23 +135,16 @@ def cmd_virasoro_check(args):
 
 def _build_theta(args, spec=None):
     """Theta for ``spec`` at --cutoff, broken by --skew; by default at the flags' point."""
-    if spec is None:
-        # a generic rational point unless the flags give one; the axis points
-        # satisfy several checks trivially and would not exercise them
-        spec = _theta_from_args(args) or defect.BogoliubovSpec(Fraction(3, 5), Fraction(4, 5))
-    real = defect.build_theta_fermion(spec, args.cutoff)
-    if args.skew:
-        real = _skewed(real, args.skew)
-    return real
+    real = defect.build_theta_fermion(spec or _theta_from_args(args) or HEADLINE_POINT, args.cutoff)
+    return _skewed(real, args.skew) if args.skew else real
 
 
 def _skewed(real, eps):
     """Deliberately broken copy: adds eps off-diagonal entries across the low levels."""
     theta = real.theta * 1
-    space = real.space
-    for i in range(min(space.dimension - 1, 12)):
+    for i in range(min(theta.space.dimension - 1, 12)):
         theta.add_entry(i + 1, i, eps)
-    return defect.DefectRealization(space, theta, None)
+    return defect.DefectRealization(theta)
 
 
 def cmd_intertwiner(args):
@@ -169,9 +167,9 @@ def cmd_intertwiner(args):
 
 
 def cmd_momentum_continuity(args):
-    real = _build_theta(args)
-    ok = defect.check_momentum_continuity(real)
-    report = {"cutoff": str(args.cutoff), "theta": _theta_label(real.source) if real.source else "skewed"}
+    spec = _theta_from_args(args) or HEADLINE_POINT
+    ok = defect.check_momentum_continuity(_build_theta(args, spec))
+    report = {"cutoff": str(args.cutoff), "theta": "skewed" if args.skew else _theta_label(spec)}
     return _verdict(report, ok, "momentum density not continuous across the impurity: "
                                 "Theta[Tbar^l + T^r] != T^l + Tbar^r on the vacuum")
 
@@ -519,7 +517,8 @@ def _apply_config(parser, args, argv):
     subcommand's option is an error.  A flag on the command line overrides
     the config: also across a mutually exclusive group, where the config
     values of the flag's partners are dropped, so that the handler never
-    sees both.
+    sees both.  Without such a flag, a config that sets two members of one
+    group is an error, as the two flags are.
     """
     action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     sub = action.choices[args.command]
@@ -546,6 +545,8 @@ def _apply_config(parser, args, argv):
         if any(parsed[a.dest] is not unset for a in group):
             for a in group:
                 config.pop(a.dest, None)
+        elif len(both := [repr(a.dest) for a in group if config.get(a.dest) is not None]) > 1:
+            raise ValueError(f"{' and '.join(both)} exclude each other")
     sub.set_defaults(**{k: str(v) if k in typed else v
                         for k, v in config.items() if v is not None})
 

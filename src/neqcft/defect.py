@@ -8,9 +8,9 @@ incoming pair (anti-chiral left, chiral right) into the outgoing pair
     br^l_s ->  cos(a) br^r_s - sin(a) b^l_s
 
 for every half-odd s.  The realization below lives on one concrete product
-space F_A (x) F_B whose incoming reading is (br^l, b^r) and whose outgoing
-reading is (br^r, b^l): factor A always hosts the anti-chiral mode family
-and factor B the chiral one.  Pairing the slots by chirality rather than
+space F_0 (x) F_1 whose incoming reading is (br^l, b^r) and whose outgoing
+reading is (br^r, b^l): factor 0 always hosts the anti-chiral mode family
+and factor 1 the chiral one.  Pairing the slots by chirality rather than
 by side is what turns the scattering into a genuine one-parameter rotation
 group, Theta(a) Theta(b) = Theta(a+b) and Theta(a)^-1 = Theta(-a), while
 reproducing the mode relations above verbatim (at a = 0 the matrix is the
@@ -41,13 +41,6 @@ from .fock import FERMION, GradedOperator, ProductSpace
 
 FLOAT_TOL = 1e-12
 
-ANTI = "left"   # factor A position label inside the product space
-CHI = "right"   # factor B
-
-
-def _is_exact(x):
-    return isinstance(x, (int, Fraction))
-
 
 @dataclass(frozen=True)
 class BogoliubovSpec:
@@ -58,7 +51,7 @@ class BogoliubovSpec:
 
     def __post_init__(self):
         c, s = self.cos_a, self.sin_a
-        if _is_exact(c) and _is_exact(s):
+        if fock._rational(c) and fock._rational(s):
             object.__setattr__(self, "cos_a", Fraction(c))
             object.__setattr__(self, "sin_a", Fraction(s))
             if self.cos_a ** 2 + self.sin_a ** 2 != 1:
@@ -80,10 +73,6 @@ class BogoliubovSpec:
                 s = ex
         return cls(c, s)
 
-    @property
-    def is_exact(self):
-        return _is_exact(self.cos_a) and _is_exact(self.sin_a)
-
     def compose(self, other):
         c = self.cos_a * other.cos_a - self.sin_a * other.sin_a
         s = self.sin_a * other.cos_a + self.cos_a * other.sin_a
@@ -99,24 +88,20 @@ REFLECTION = BogoliubovSpec(0, 1)
 
 @dataclass
 class DefectRealization:
-    """Truncated matrix of a defect map, plus the data it was built from.
+    """Truncated matrix of a defect map, plus the mode map it claims to implement.
 
-    ``mode_map`` is the claimed action on the slot doublet (A, B): image of
-    c^A_s is map[0][0] c^A_s + map[0][1] c^B_s and likewise for c^B_s.
+    ``mode_map`` is the claimed action on the factor doublet (c^0, c^1):
+    image of c^k_s is map[k][0] c^0_s + map[k][1] c^1_s.  Without a claim
+    it is None.  A Theta with a float entry is checked to ``FLOAT_TOL``,
+    an exact one to zero.
     """
 
-    space: ProductSpace
     theta: GradedOperator
-    source: object = None
     mode_map: object = None
 
     @property
-    def is_exact(self):
-        return isinstance(self.source, BogoliubovSpec) and self.source.is_exact
-
-    @property
     def tolerance(self):
-        return 0 if self.is_exact else FLOAT_TOL
+        return 0 if self.theta.exact else FLOAT_TOL
 
 
 @functools.cache
@@ -126,31 +111,25 @@ def scattering_space(cutoff):
     Built once per cutoff, so every realization at that cutoff shares it.
     """
     factor = fock.enumerate_basis(FERMION, cutoff)
-    return fock.tensor_space(factor, factor, cutoff)
+    return ProductSpace((factor, factor), factor.cutoff)
 
 
 @functools.cache
-def _embedded_mode(space, factor, value):
-    """The mode c^A_v or c^B_v of one factor, embedded in the product space."""
-    if factor == "A":
-        return fock.graded_tensor(fock.mode_operator(space.left, value), ANTI, space)
-    return fock.graded_tensor(fock.mode_operator(space.right, value), CHI, space)
+def _embedded_mode(space, k, value):
+    """The mode c^k_v of factor ``k``, embedded in the product space."""
+    return fock.graded_tensor(fock.mode_operator(space.factors[k], value), k, space)
 
 
 def _mode_images(space, values, matrix):
     """Factor modes embedded in the product space, and their images under ``matrix``.
 
-    Keys are (factor, value).  The image of c^A_v is
-    m[0][0] c^A_v + m[0][1] c^B_v and that of c^B_v is
-    m[1][0] c^A_v + m[1][1] c^B_v; without a matrix the images are None.
+    Keys are (factor index, value).  The image of c^k_v is
+    m[k][0] c^0_v + m[k][1] c^1_v; without a matrix the images are None.
     """
-    raw = {(f, v): _embedded_mode(space, f, v) for v in values for f in ("A", "B")}
+    raw = {(k, v): _embedded_mode(space, k, v) for v in values for k in (0, 1)}
     if matrix is None:
         return raw, None
-    images = {}
-    for (f, v) in raw:
-        row = matrix[0] if f == "A" else matrix[1]
-        images[(f, v)] = row[0] * raw[("A", v)] + row[1] * raw[("B", v)]
+    images = {(k, v): matrix[k][0] * raw[(0, v)] + matrix[k][1] * raw[(1, v)] for k, v in raw}
     return raw, images
 
 
@@ -159,33 +138,35 @@ def _generations(space):
     """The product states with k >= 1 modes, one list per k, grouped by leftmost mode.
 
     Each group is ``(key, [(col, rest), ...])``: ``key`` is the leftmost
-    mode (the first A mode, else the first B mode) as (factor, value), and
-    ``rest`` is the column of the state without it, which has k - 1 modes.
+    mode (the first factor-0 mode, else the first factor-1 mode) as
+    (factor index, value), and ``rest`` is the column of the state without
+    it, which has k - 1 modes.
     """
+    first, second = space.factors
     gens = {}
-    for col, (i, j) in enumerate(space.pairs):
-        left, right = space.left.states[i], space.right.states[j]
-        if left:
-            key, rest = ("A", left[0]), (space.left.index_of(left[1:]), j)
-        elif right:
-            key, rest = ("B", right[0]), (i, space.right.index_of(right[1:]))
+    for col, (i, j) in enumerate(space.states):
+        s0, s1 = first.states[i], second.states[j]
+        if s0:
+            key, rest = (0, s0[0]), (first.index_of(s0[1:]), j)
+        elif s1:
+            key, rest = (1, s1[0]), (i, second.index_of(s1[1:]))
         else:
             continue  # the vacuum
-        gens.setdefault(len(left) + len(right), {}).setdefault(key, []).append(
+        gens.setdefault(len(s0) + len(s1), {}).setdefault(key, []).append(
             (col, space.index_of(rest)))
     return [[((f, Fraction(t, 2)), cols) for (f, t), cols in gens[k].items()]
             for k in sorted(gens)]
 
 
-def build_mode_automorphism(matrix, cutoff, source=None):
+def build_mode_automorphism(matrix, cutoff):
     """Vacuum-fixing operator acting on creation modes by the given 2x2 matrix.
 
-    ``matrix`` maps the factor doublet (A, B): image of c^A_s is
-    m[0][0] c^A_s + m[0][1] c^B_s, image of c^B_s is
-    m[1][0] c^A_s + m[1][1] c^B_s.  Orthogonality is not assumed, so this
+    ``matrix`` maps the factor doublet (c^0, c^1): image of c^k_s is
+    m[k][0] c^0_s + m[k][1] c^1_s.  Orthogonality is not assumed, so this
     can also build the deliberately broken maps used as negative controls.
-    Column (i, j) is the image of its leftmost mode (the first A mode, else
-    the first B mode) applied to the column of the state without that mode.
+    Column (i, j) is the image of its leftmost mode (the first factor-0
+    mode, else the first factor-1 mode) applied to the column of the state
+    without that mode.
     The columns are made one generation (number of modes) at a time, one
     product per leftmost mode: its image times the operator that sends
     each of its columns to the column of the state without it.
@@ -200,34 +181,33 @@ def build_mode_automorphism(matrix, cutoff, source=None):
         products = []
         for key, cols in groups:
             image = images[key]
-            rest = GradedOperator(space, space, -image.level_shift, 1,
+            rest = GradedOperator(space, -image.level_shift, 1,
                                   {col: prev[r] for col, r in cols if r in prev},
                                   generation.denominator, generation.exact)
             products.append(image @ rest)
         generation = fock.join_columns(products)
         parts.append(generation)
-    return DefectRealization(space, fock.join_columns(parts), source, mode_map=matrix)
+    return DefectRealization(fock.join_columns(parts), matrix)
 
 
 def build_theta_fermion(spec, cutoff):
-    """Defect map for a fermion Bogoliubov rotation; spec is a BogoliubovSpec or an angle."""
-    if not isinstance(spec, BogoliubovSpec):
-        spec = BogoliubovSpec.from_angle(float(spec))
+    """Defect map for the fermion Bogoliubov rotation ``spec``, a BogoliubovSpec."""
     c, s = spec.cos_a, spec.sin_a
-    matrix = [[c, -s], [s, c]]  # A -> cA - sB, B -> sA + cB
-    return build_mode_automorphism(matrix, cutoff, source=spec)
+    matrix = [[c, -s], [s, c]]  # c^0 -> c c^0 - s c^1, c^1 -> s c^0 + c c^1
+    return build_mode_automorphism(matrix, cutoff)
 
 
 @functools.cache
 def total_virasoro(space, n):
     """L_n acting on both factors of the product space (the diagonal action), built once per (space, n)."""
-    return (fock.graded_tensor(virasoro.build_virasoro(FERMION, n, space.left), ANTI, space)
-            + fock.graded_tensor(virasoro.build_virasoro(FERMION, n, space.right), CHI, space))
+    first, second = (fock.graded_tensor(virasoro.build_virasoro(FERMION, n, f), k, space)
+                     for k, f in enumerate(space.factors))
+    return first + second
 
 
 def vacuum_preservation_deviation(real):
     """Largest entry of (Theta - 1)|0>: Theta must fix the vacuum."""
-    vacuum = GradedOperator.identity(real.space).restrict_columns(0)
+    vacuum = GradedOperator.identity(real.theta.space).restrict_columns(0)
     return (real.theta.restrict_columns(0) - vacuum).max_abs_entry()
 
 
@@ -249,7 +229,7 @@ def check_intertwining(real, n):
     The safe subspace is the columns at level <= cutoff - |n| of the
     realization, where L_n does not leave the truncated space.
     """
-    space = real.space
+    space = real.theta.space
     safe = space.cutoff - abs(n)
     _require_safe_columns(space, safe, f"n={n}")
     ltot = total_virasoro(space, n)
@@ -260,7 +240,7 @@ def check_intertwining(real, n):
 
 def check_momentum_continuity(real):
     """Theta applied to (Lbar^l_-2 + L^r_-2)|0x0> must reproduce (L^l_-2 + Lbar^r_-2)|0x0>."""
-    space = real.space
+    space = real.theta.space
     if space.cutoff < 2:
         raise ValueError("cutoff must be >= 2 to host the stress state")
     # the vacuum column of L^tot_-2 is the stress state
@@ -278,7 +258,7 @@ def check_ope_preservation(real):
     corrupted matrices) the conjugated modes are compared directly through
     the exact block inverse.
     """
-    space = real.space
+    space = real.theta.space
     # the modes b_s with |s| <= 3/2; the smallest |s| leaves the widest safe subspace
     values = fock.mode_values(FERMION, Fraction(3, 2))
     _require_safe_columns(space, space.cutoff - min(abs(v) for v in values),
@@ -303,7 +283,7 @@ def check_ope_preservation(real):
                 continue
             anti = (images[a] @ images[b].restrict_columns(safe)
                     + images[b] @ images[a].restrict_columns(safe))
-            expect = GradedOperator.zero(space, space, anti.level_shift, anti.parity_shift)
+            expect = GradedOperator.zero(space, anti.level_shift, anti.parity_shift)
             if fa == fb and va + vb == 0:
                 expect = expect + GradedOperator.identity(space)
             dev = max(dev, (anti - expect).max_abs_entry(max_col_level=safe))

@@ -63,7 +63,7 @@ def _as_fraction(x):
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def _is_exact(x):
+def _rational(x):
     return isinstance(x, (int, Fraction))
 
 
@@ -212,9 +212,9 @@ def same_space(a, b):
 
 @dataclass
 class GradedOperator:
-    """Sparse level- and parity-graded linear map between truncated spaces.
+    """Sparse level- and parity-graded linear map on one truncated space.
 
-    ``columns[j]`` maps a domain basis index to ``{row: stored}``.  A
+    ``columns[j]`` maps a basis index to ``{row: stored}``.  A
     stored int is a numerator over ``denominator``; a stored float is the
     entry itself.  ``exact`` means that no float entry was ever stored.
     Every entry connects states whose levels differ by exactly
@@ -225,8 +225,7 @@ class GradedOperator:
     built operators are safe to share across callers and threads.
     """
 
-    domain: object
-    codomain: object
+    space: object
     level_shift: Fraction
     parity_shift: int
     columns: dict
@@ -234,16 +233,16 @@ class GradedOperator:
     exact: bool = True
 
     @classmethod
-    def zero(cls, domain, codomain, level_shift, parity_shift):
-        return cls(domain, codomain, _as_fraction(level_shift), parity_shift % 2, {})
+    def zero(cls, space, level_shift, parity_shift):
+        return cls(space, _as_fraction(level_shift), parity_shift % 2, {})
 
     @classmethod
     def identity(cls, space):
-        return cls(space, space, Fraction(0), 0, {j: {j: 1} for j in range(space.dimension)})
+        return cls(space, Fraction(0), 0, {j: {j: 1} for j in range(space.dimension)})
 
     def _like(self, columns, denominator=None, exact=None):
-        """An operator with this one's spaces and grading."""
-        return GradedOperator(self.domain, self.codomain, self.level_shift, self.parity_shift,
+        """An operator with this one's space and grading."""
+        return GradedOperator(self.space, self.level_shift, self.parity_shift,
                               columns, self.denominator if denominator is None else denominator,
                               self.exact if exact is None else exact)
 
@@ -278,7 +277,7 @@ class GradedOperator:
     def add_entry(self, row, col, value):
         if value == 0:
             return
-        if _is_exact(value):
+        if _rational(value):
             value = self._numerator(value)
         else:
             self.exact = False
@@ -294,11 +293,11 @@ class GradedOperator:
 
     def accumulate(self, other, factor=1):
         """Add ``factor * other`` into this operator; construction time only, like add_entry."""
-        if not (same_space(self.domain, other.domain) and same_space(self.codomain, other.codomain)):
+        if not same_space(self.space, other.space):
             raise ValueError("cannot add operators on different spaces")
         if (self.level_shift, self.parity_shift) != (other.level_shift, other.parity_shift):
             raise ValueError("cannot add operators with different grading")
-        if not (self.exact and other.exact and _is_exact(factor)):
+        if not (self.exact and other.exact and _rational(factor)):
             self._accumulate_values(other, factor)
             return
         factor = self._numerator(Fraction(factor, other.denominator))
@@ -324,7 +323,7 @@ class GradedOperator:
         that per-entry arithmetic gives, and a sum turns float at its first
         float term.
         """
-        exact_terms = _is_exact(factor) or factor in (1, -1)
+        exact_terms = _rational(factor) or factor in (1, -1)
         if exact_terms:
             k = self._numerator(Fraction(factor) / other.denominator)
         self.exact = False
@@ -361,7 +360,7 @@ class GradedOperator:
         return self
 
     def __matmul__(self, other):
-        if not same_space(other.codomain, self.domain):
+        if not same_space(other.space, self.space):
             raise ValueError("operator spaces do not compose")
         if not (self.exact and other.exact):
             return self._matmul_values(other)
@@ -416,8 +415,7 @@ class GradedOperator:
         return self._product(other, cols, den, False)
 
     def _product(self, other, columns, denominator, exact):
-        return GradedOperator(other.domain, self.codomain,
-                              self.level_shift + other.level_shift,
+        return GradedOperator(self.space, self.level_shift + other.level_shift,
                               (self.parity_shift + other.parity_shift) % 2, columns,
                               denominator, exact)
 
@@ -435,8 +433,8 @@ class GradedOperator:
 
     def __mul__(self, scalar):
         if scalar == 0:
-            return self._like({}, 1, self.exact and _is_exact(scalar))
-        if not _is_exact(scalar):
+            return self._like({}, 1, self.exact and _rational(scalar))
+        if not _rational(scalar):
             # a float scalar makes every entry a float
             den = self.denominator
             cols = {j: {r: v / den * scalar if type(v) is int else v * scalar for r, v in c.items()}
@@ -455,17 +453,17 @@ class GradedOperator:
     __rmul__ = __mul__
 
     def restrict_columns(self, max_level):
-        """The operator on the domain states at level <= max_level, zero above.
+        """The operator on the states at level <= max_level, zero above.
 
         A check that reads only those columns of a product A @ B needs only
         the same columns of B.  The column maps are shared, not copied.
         """
-        top, levels = _twice_floor(max_level), self.domain.twice_levels
+        top, levels = _twice_floor(max_level), self.space.twice_levels
         return self._like({j: c for j, c in self.columns.items() if levels[j] <= top})
 
     def max_abs_entry(self, max_col_level=None):
         top = None if max_col_level is None else _twice_floor(max_col_level)
-        levels = self.domain.twice_levels
+        levels = self.space.twice_levels
         kept = [c for j, c in self.columns.items() if top is None or levels[j] <= top]
         if not self.exact:
             return _max_abs_values(kept, self.denominator)
@@ -518,14 +516,14 @@ def _max_abs_values(columns, den):
 
 
 def join_columns(parts):
-    """Operators on one pair of spaces, with one grading and disjoint columns, as one operator.
+    """Operators on one space, with one grading and disjoint columns, as one operator.
 
     Columns come in ascending order, with the int numerators over the lcm of
     the denominators, reduced by the gcd when every part is exact.
     """
     first = parts[0]
     for p in parts:
-        if not (same_space(p.domain, first.domain) and same_space(p.codomain, first.codomain)
+        if not (same_space(p.space, first.space)
                 and (p.level_shift, p.parity_shift) == (first.level_shift, first.parity_shift)):
             raise ValueError("cannot join operators on different spaces or gradings")
     den = math.lcm(*(p.denominator for p in parts))
@@ -553,7 +551,7 @@ def mode_operator(space, value):
         row = space.index_of(occ)
         if row is not None:
             cols[j] = {row: coeff}
-    return GradedOperator(space, space, Fraction(-twice, 2), parity, cols)
+    return GradedOperator(space, Fraction(-twice, 2), parity, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -561,72 +559,70 @@ def mode_operator(space, value):
 
 @dataclass(frozen=True)
 class ProductSpace:
-    """Truncated graded tensor product of two factor spaces (total level <= cutoff)."""
+    """Truncated graded tensor product of two factor spaces (total level <= cutoff).
 
-    left: StateSpace
-    right: StateSpace
+    ``states[n]`` is basis state ``n``: the pair of its factor state
+    indices.  The states follow from the factors and the cutoff, so those
+    two decide equality and the hash.
+    """
+
+    factors: tuple
     cutoff: Fraction
-    pairs: tuple = None
 
     def __post_init__(self):
-        left, right = self.left.twice_levels, self.right.twice_levels
-        if self.pairs is None:
-            top = _twice_floor(self.cutoff)
-            pairs = [(i, j)
-                     for i in range(self.left.dimension)
-                     for j in range(self.right.dimension)
-                     if left[i] + right[j] <= top]
-            pairs.sort(key=lambda ij: (left[ij[0]] + right[ij[1]], ij[0], ij[1]))
-            object.__setattr__(self, "pairs", tuple(pairs))
-        object.__setattr__(self, "_index", {p: n for n, p in enumerate(self.pairs)})
-        object.__setattr__(self, "twice_levels", tuple(left[i] + right[j] for i, j in self.pairs))
-        object.__setattr__(self, "_hash", hash((self.left, self.right, self.cutoff, self.pairs)))
+        first, second = (f.twice_levels for f in self.factors)
+        top = _twice_floor(self.cutoff)
+        states = [(i, j)
+                  for i in range(len(first))
+                  for j in range(len(second))
+                  if first[i] + second[j] <= top]
+        states.sort(key=lambda ij: (first[ij[0]] + second[ij[1]], ij[0], ij[1]))
+        object.__setattr__(self, "states", tuple(states))
+        object.__setattr__(self, "_index", {p: n for n, p in enumerate(states)})
+        object.__setattr__(self, "twice_levels", tuple(first[i] + second[j] for i, j in states))
+        object.__setattr__(self, "_hash", hash((self.factors, self.cutoff)))
 
     def __hash__(self):
         return self._hash
 
     @property
     def dimension(self):
-        return len(self.pairs)
+        return len(self.states)
 
     @property
     def vacuum_index(self):
-        return self._index[(self.left.vacuum_index, self.right.vacuum_index)]
+        return self._index[tuple(f.vacuum_index for f in self.factors)]
 
-    def index_of(self, pair):
-        return self._index.get(pair)
+    def index_of(self, state):
+        """The index of the state with the factor state indices ``state``, or None."""
+        return self._index.get(state)
 
     def parity(self, n):
-        i, j = self.pairs[n]
-        return (self.left.parity(i) + self.right.parity(j)) % 2
+        return sum(f.parity(i) for f, i in zip(self.factors, self.states[n])) % 2
 
 
-def tensor_space(left, right, cutoff):
-    return ProductSpace(left, right, _as_fraction(cutoff))
+def graded_tensor(op, k, pspace):
+    """Embed an operator on factor ``k`` (0 or 1) into the product space with the Koszul sign.
 
-
-def graded_tensor(op, position, pspace):
-    """Embed a factor operator into the product space with the Koszul sign.
-
-    An operator of odd parity acting on the right factor picks up
-    (-1)^(parity of the left factor state); left-factor operators carry no
-    sign.  The stored numbers are copied over the factor's denominator.
+    An operator of odd parity acting on factor 1 picks up (-1)^(parity of
+    the factor-0 state); factor-0 operators carry no sign.  The stored
+    numbers are copied over the factor's denominator.
     """
-    if position not in ("left", "right"):
-        raise ValueError("position must be 'left' or 'right'")
+    if k not in (0, 1):
+        raise ValueError("factor index must be 0 or 1")
+    first = pspace.factors[0]
     index, cols = pspace._index, {}
-    for n, (i, j) in enumerate(pspace.pairs):
-        if position == "left":
+    for n, (i, j) in enumerate(pspace.states):
+        if k == 0:
             col = {m: val for row, val in op.columns.get(i, _EMPTY).items()
                    if (m := index.get((row, j))) is not None}
         else:
-            sign = -1 if (op.parity_shift and pspace.left.parity(i)) else 1
+            sign = -1 if (op.parity_shift and first.parity(i)) else 1
             col = {m: sign * val for row, val in op.columns.get(j, _EMPTY).items()
                    if (m := index.get((i, row))) is not None}
         if col:
             cols[n] = col
-    return GradedOperator(pspace, pspace, op.level_shift, op.parity_shift, cols,
-                          op.denominator, op.exact)
+    return GradedOperator(pspace, op.level_shift, op.parity_shift, cols, op.denominator, op.exact)
 
 
 def invert_graded(op):
@@ -639,7 +635,7 @@ def invert_graded(op):
     """
     if op.level_shift != 0 or op.parity_shift != 0:
         raise ValueError("only grading-preserving operators are invertible in place")
-    space = op.domain
+    space = op.space
     blocks = {}
     for n, level in enumerate(space.twice_levels):
         blocks.setdefault(level, []).append(n)
@@ -685,7 +681,7 @@ def _invert_exact_block(space, idx, a, den):
         col = {r: m[ri][k + ci] * den for ri, r in enumerate(idx) if m[ri][k + ci]}
         if col:
             cols[c] = col
-    return GradedOperator(space, space, Fraction(0), 0, cols, p).normalize()
+    return GradedOperator(space, Fraction(0), 0, cols, p).normalize()
 
 
 def _invert_value_block(space, idx, a):
@@ -716,7 +712,7 @@ def _invert_value_block(space, idx, a):
                 continue
             a[r] = [x - f * y for x, y in zip(a[r], a[col])]
             b[r] = [x - f * y for x, y in zip(b[r], b[col])]
-    inv = GradedOperator.zero(space, space, 0, 0)
+    inv = GradedOperator.zero(space, 0, 0)
     for ci, c in enumerate(idx):
         for ri, r in enumerate(idx):
             inv.add_entry(r, c, b[ri][ci])

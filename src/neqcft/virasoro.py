@@ -57,7 +57,7 @@ def build_virasoro(model, n, space):
         raise ValueError(f"cutoff {space.cutoff} too small to represent L_{n}")
     twice = fock.twice_mode_values(model, space.cutoff)
     present = set(twice)
-    op = GradedOperator.zero(space, space, Fraction(-n), 0)
+    op = GradedOperator.zero(space, Fraction(-n), 0)
     for t2 in twice:
         t1 = 2 * n - t2
         if t1 not in present:
@@ -95,7 +95,7 @@ def commutator_deviation(model, m, n, space, central):
     lm = build_virasoro(model, m, space)
     ln = build_virasoro(model, n, space)
     comm = lm @ ln.restrict_columns(safe) - ln @ lm.restrict_columns(safe)
-    expect = GradedOperator.zero(space, space, Fraction(-(m + n)), 0)
+    expect = GradedOperator.zero(space, Fraction(-(m + n)), 0)
     if m != n:
         expect = expect + (m - n) * build_virasoro(model, m + n, space).restrict_columns(safe)
     if m + n == 0:
@@ -106,6 +106,6 @@ def commutator_deviation(model, m, n, space, central):
 
 def level_spectrum_deviation(model, space):
     """Largest entry of L_0 minus the diagonal of the state levels: L_0 must be that diagonal."""
-    levels = GradedOperator(space, space, Fraction(0), 0,
+    levels = GradedOperator(space, Fraction(0), 0,
                             {j: {j: t} for j, t in enumerate(space.twice_levels) if t}, 2)
     return (build_virasoro(model, 0, space) - levels).max_abs_entry()

@@ -11,8 +11,8 @@ def check_grading(op):
     want = 2 * op.level_shift
     for j, c in op.columns.items():
         for row in c:
-            dl2 = op.codomain.twice_levels[row] - op.domain.twice_levels[j]
-            dp = (op.codomain.parity(row) - op.domain.parity(j)) % 2
+            dl2 = op.space.twice_levels[row] - op.space.twice_levels[j]
+            dp = (op.space.parity(row) - op.space.parity(j)) % 2
             if dl2 != want or dp != op.parity_shift:
                 raise AssertionError(
                     f"entry ({row},{j}) violates grading: dl={Fraction(dl2, 2)}, dp={dp}")
@@ -27,19 +27,21 @@ def max_matrix_deviation(a, b):
 def reflection_block_mixing(real):
     """Largest entry connecting a one-factor state to a mixed or same-factor state.
 
-    A pure reflection must send A-only states to B-only states and back,
-    with no mixing; returns the worst off-block entry over those columns.
+    A pure reflection must send factor-0-only states to factor-1-only states
+    and back, with no mixing; returns the worst off-block entry over those
+    columns.
     """
-    space = real.space
+    space = real.theta.space
+    vac0, vac1 = (f.vacuum_index for f in space.factors)
     dev = 0
-    for col, (i, j) in enumerate(space.pairs):
-        a_only = j == space.right.vacuum_index and i != space.left.vacuum_index
-        b_only = i == space.left.vacuum_index and j != space.right.vacuum_index
+    for col, (i, j) in enumerate(space.states):
+        a_only = j == vac1 and i != vac0
+        b_only = i == vac0 and j != vac1
         if not (a_only or b_only):
             continue
         for row, val in real.theta.column(col).items():
-            ri, rj = space.pairs[row]
-            ok = (ri == space.left.vacuum_index) if a_only else (rj == space.right.vacuum_index)
+            ri, rj = space.states[row]
+            ok = (ri == vac0) if a_only else (rj == vac1)
             if not ok:
                 dev = max(dev, abs(val))
     return dev

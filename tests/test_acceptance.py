@@ -79,9 +79,9 @@ def test_criterion_03_automorphism_constraints():
     ok = ok and max_matrix_deviation(ra.theta @ rb.theta, direct.theta) == 0
     # negative control: 1% skewed matrix must fail all three
     theta = ra.theta * 1
-    for i in range(min(ra.space.dimension - 1, 12)):
+    for i in range(min(ra.theta.space.dimension - 1, 12)):
         theta.add_entry(i + 1, i, Fraction(1, 100))
-    broken = defect.DefectRealization(ra.space, theta, None)
+    broken = defect.DefectRealization(theta)
     ok = ok and defect.vacuum_preservation_deviation(broken) != 0
     ok = ok and defect.check_ope_preservation(broken) != 0
     ok = ok and max_matrix_deviation(broken.theta @ rb.theta, direct.theta) != 0

@@ -285,6 +285,26 @@ def test_flag_overrides_config_across_an_exclusive_group(capsys, tmp_path, confi
     assert run(capsys, "--config", str(cfg), argv[0]) != flag_only  # without the flag, the config holds
 
 
+@pytest.mark.parametrize("config, argv", [
+    ({"alpha": 0.7, "cos_sin": "3/5,4/5"}, ["momentum-continuity", "--alpha", "0.3"]),
+    ({"lam": 0.7, "t0": 0.5}, ["landauer", "--t0", "0.5"]),
+])
+def test_config_that_sets_both_members_of_an_exclusive_group_is_usage_error(capsys, tmp_path,
+                                                                           config, argv):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["--config", str(cfg), argv[0]]) == 2
+    captured = capsys.readouterr()
+    first, second = config
+    assert captured.out == ""
+    assert captured.err == f"bad config: {first!r} and {second!r} exclude each other\n"
+    # a flag of the group still overrides both config values
+    assert run(capsys, "--config", str(cfg), *argv) == run(capsys, *argv)
+    # a null value sets nothing
+    cfg.write_text(json.dumps(dict(config, **{first: None})))
+    assert cli.main(["--config", str(cfg), argv[0]]) == 0
+
+
 def test_usage_error_exit_code(capsys):
     assert cli.main(["no-such-command"]) == 2
     capsys.readouterr()
@@ -582,6 +602,34 @@ EXACT_REPORTS = [
                          ["0.035", "0.03", "0.005000000000000001", "0.03", "0.035"])),
     (["ope-preservation", "--cutoff", "6", "--cos-sin=-3/5,4/5", "--skew", "0.01"], 1,
      _failed_ope("6", "0.01", "0.016")),
+    # the skewed OPE control at the benchmark's other seven points
+    (["ope-preservation", "--cutoff", "6", "--cos-sin=3/5,4/5", "--skew", "0.01"], 1,
+     _failed_ope("6", "0.01", "0.016")),
+    (["ope-preservation", "--cutoff", "6", "--cos-sin=3/5,-4/5", "--skew", "0.01"], 1,
+     _failed_ope("6", "0.01", "0.018028830468602434")),
+    (["ope-preservation", "--cutoff", "6", "--cos-sin=-3/5,-4/5", "--skew", "0.01"], 1,
+     _failed_ope("6", "0.01", "0.01802840118824802")),
+    (["ope-preservation", "--cutoff", "6", "--cos-sin=4/5,3/5", "--skew", "0.01"], 1,
+     _failed_ope("6", "0.01", "0.018")),
+    (["ope-preservation", "--cutoff", "6", "--cos-sin=4/5,-3/5", "--skew", "0.01"], 1,
+     _failed_ope("6", "0.01", "0.018")),
+    (["ope-preservation", "--cutoff", "6", "--cos-sin=-4/5,3/5", "--skew", "0.01"], 1,
+     _failed_ope("6", "0.01", "0.016")),
+    (["ope-preservation", "--cutoff", "6", "--cos-sin=-4/5,-3/5", "--skew", "0.01"], 1,
+     _failed_ope("6", "0.01", "0.016037749633894666")),
+    # the headline point labels the default report; a skewed map is labelled as such
+    (["momentum-continuity"], 0, {
+        "cutoff": "4",
+        "theta": "(cos, sin) = (3/5, 4/5)",
+        "passed": True,
+    }),
+    (["momentum-continuity", "--cos-sin=4/5,-3/5", "--skew", "0.01"], 1, {
+        "cutoff": "4",
+        "theta": "skewed",
+        "passed": False,
+        "diagnostic": "momentum density not continuous across the impurity: "
+                      "Theta[Tbar^l + T^r] != T^l + Tbar^r on the vacuum",
+    }),
     # the exact default reports: a refactor of the exact layer keeps them byte for byte
     (["virasoro-check"], 0, {"models": {
         "fermion": {"central_charge": "1/2", "central_charge_expected": "1/2",
@@ -687,7 +735,7 @@ def _singular_theta(monkeypatch):
 
     def singular(args, spec=None):
         real = build(args, spec)
-        return defect.DefectRealization(real.space, real.theta * 0, None)
+        return defect.DefectRealization(real.theta * 0)
 
     monkeypatch.setattr(cli, "_build_theta", singular)
 

@@ -33,11 +33,9 @@ RATIONAL_POINTS = [
 ]
 
 
-def _conjugated_mode(real, factor, value):
-    space = real.space
-    fact = space.left if factor == "A" else space.right
-    pos = "left" if factor == "A" else "right"
-    m = fock.graded_tensor(fock.mode_operator(fact, value), pos, space)
+def _conjugated_mode(real, k, value):
+    space = real.theta.space
+    m = fock.graded_tensor(fock.mode_operator(space.factors[k], value), k, space)
     inv = fock.invert_graded(real.theta)
     return real.theta @ m @ inv
 
@@ -65,9 +63,9 @@ def test_exact_operators_store_ints_over_one_denominator():
     # the exact layer's storage, checked without a timer: a regression to
     # per-entry Fraction storage fails here
     real = build_theta_fermion(BogoliubovSpec(Fraction(3, 5), Fraction(4, 5)), 4)
-    space = real.space
+    space = real.theta.space
     stored = [(real.theta, 625)]
-    stored += [(fock.mode_operator(space.left, v), 1) for v in fock.mode_values("fermion", 4)]
+    stored += [(fock.mode_operator(space.factors[0], v), 1) for v in fock.mode_values("fermion", 4)]
     stored += [(defect.total_virasoro(space, n), 2) for n in range(-2, 3)]
     for op, den in stored:
         assert op.exact and den % op.denominator == 0
@@ -80,7 +78,7 @@ def test_skewed_operators_store_ints_beside_floats():
     # storage fails here, and only the skew entries are floats
     real = build_theta_fermion(BogoliubovSpec(Fraction(3, 5), Fraction(4, 5)), 4)
     theta = cli._skewed(real, 0.01).theta
-    for op in (theta, fock.invert_graded(theta), theta @ defect.total_virasoro(real.space, 1)):
+    for op in (theta, fock.invert_graded(theta), theta @ defect.total_virasoro(real.theta.space, 1)):
         assert not op.exact
         assert {type(v) for c in op.columns.values() for v in c.values()} == {int, float}
     floats = {(row, col) for col, c in theta.columns.items() for row, v in c.items()
@@ -92,21 +90,21 @@ def test_transmission_relabels_sides():
     # at cos=1 the map is the identity matrix: the incoming right fermion is
     # read out as the outgoing left one with no mixing
     real = build_theta_fermion(TRANSMISSION, 3)
-    ident = GradedOperator.identity(real.space)
+    ident = GradedOperator.identity(real.theta.space)
     assert (real.theta - ident).max_abs_entry() == 0
 
 
 def test_reflection_action_on_modes():
-    # pure reflection: chiral slot B maps to anti-chiral slot A with +1,
-    # A maps to B with -1
+    # pure reflection: chiral factor 1 maps to anti-chiral factor 0 with +1,
+    # factor 0 maps to factor 1 with -1
     real = build_theta_fermion(REFLECTION, 3)
-    space = real.space
+    space = real.theta.space
     for value in (-HALF, Fraction(-3, 2)):
-        conj_b = _conjugated_mode(real, "B", value)
-        target = fock.graded_tensor(fock.mode_operator(space.left, value), "left", space)
+        conj_b = _conjugated_mode(real, 1, value)
+        target = fock.graded_tensor(fock.mode_operator(space.factors[0], value), 0, space)
         assert (conj_b - target).max_abs_entry(max_col_level=space.cutoff - abs(value)) == 0
-        conj_a = _conjugated_mode(real, "A", value)
-        target = fock.graded_tensor(fock.mode_operator(space.right, value), "right", space)
+        conj_a = _conjugated_mode(real, 0, value)
+        target = fock.graded_tensor(fock.mode_operator(space.factors[1], value), 1, space)
         assert (conj_a + target).max_abs_entry(max_col_level=space.cutoff - abs(value)) == 0
 
 
@@ -128,7 +126,7 @@ def test_vacuum_preserved_for_every_angle():
 
 def test_vacuum_deviation_is_the_largest_entry_of_theta_minus_one_on_the_vacuum():
     real = build_theta_fermion(BogoliubovSpec(Fraction(3, 5), Fraction(4, 5)), 3)
-    vac = real.space.vacuum_index
+    vac = real.theta.space.vacuum_index
     cases = [
         (vac, -1, 1),                               # the vacuum column removed
         (vac, 1, 1),                                # the vacuum entry set to 2
@@ -139,7 +137,7 @@ def test_vacuum_deviation_is_the_largest_entry_of_theta_minus_one_on_the_vacuum(
         theta = real.theta * 1
         theta.add_entry(row, vac, value)
         assert (vac in theta.columns) == (value != -1)
-        dev = vacuum_preservation_deviation(DefectRealization(real.space, theta, None))
+        dev = vacuum_preservation_deviation(DefectRealization(theta))
         # the report prints str(dev): a float stays a float, an exact value a fraction
         assert dev == want and str(dev) == str(want), (row, value)
 
@@ -153,17 +151,17 @@ def test_realization_is_level_and_parity_preserving():
 def test_mode_conjugation_matches_defining_relations():
     spec = BogoliubovSpec(Fraction(3, 5), Fraction(4, 5))
     real = build_theta_fermion(spec, 3)
-    space = real.space
+    space = real.theta.space
     c, s = spec.cos_a, spec.sin_a
     for value in (-HALF, HALF, Fraction(-3, 2)):
-        ma = fock.graded_tensor(fock.mode_operator(space.left, value), "left", space)
-        mb = fock.graded_tensor(fock.mode_operator(space.right, value), "right", space)
+        ma = fock.graded_tensor(fock.mode_operator(space.factors[0], value), 0, space)
+        mb = fock.graded_tensor(fock.mode_operator(space.factors[1], value), 1, space)
         safe = space.cutoff - abs(value)
         # incoming anti-chiral left -> cos * (anti-chiral right) - sin * (chiral left)
-        assert ((_conjugated_mode(real, "A", value) - (c * ma - s * mb))
+        assert ((_conjugated_mode(real, 0, value) - (c * ma - s * mb))
                 .max_abs_entry(max_col_level=safe)) == 0
         # incoming chiral right -> cos * (chiral left) + sin * (anti-chiral right)
-        assert ((_conjugated_mode(real, "B", value) - (s * ma + c * mb))
+        assert ((_conjugated_mode(real, 1, value) - (s * ma + c * mb))
                 .max_abs_entry(max_col_level=safe)) == 0
 
 
@@ -178,13 +176,13 @@ def test_intertwining_exact_on_rational_grid():
 # then mask the columns above the safe level
 
 def _intertwining_full(real, n):
-    ltot = defect.total_virasoro(real.space, n)
+    ltot = defect.total_virasoro(real.theta.space, n)
     comm = real.theta @ ltot - ltot @ real.theta
-    return comm.max_abs_entry(max_col_level=real.space.cutoff - abs(n))
+    return comm.max_abs_entry(max_col_level=real.theta.space.cutoff - abs(n))
 
 
 def _ope_full(real):
-    space, theta = real.space, real.theta
+    space, theta = real.theta.space, real.theta
     raw, images = defect._mode_images(space, fock.mode_values("fermion", Fraction(3, 2)),
                                       real.mode_map)
     if images is None:
@@ -247,17 +245,16 @@ def _theta_oracle(matrix, cutoff):
     space = defect.scattering_space(cutoff)
 
     @functools.cache
-    def image(factor, value):
-        a = fock.graded_tensor(fock.mode_operator(space.left, value), "left", space)
-        b = fock.graded_tensor(fock.mode_operator(space.right, value), "right", space)
-        row = matrix[0] if factor == "A" else matrix[1]
-        return row[0] * a + row[1] * b
+    def image(k, value):
+        a = fock.graded_tensor(fock.mode_operator(space.factors[0], value), 0, space)
+        b = fock.graded_tensor(fock.mode_operator(space.factors[1], value), 1, space)
+        return matrix[k][0] * a + matrix[k][1] * b
 
     vacuum = GradedOperator.identity(space).restrict_columns(0)
     columns = {}
-    for col, (i, j) in enumerate(space.pairs):
-        modes = [("A", Fraction(t, 2)) for t in space.left.states[i]]
-        modes += [("B", Fraction(t, 2)) for t in space.right.states[j]]
+    for col, (i, j) in enumerate(space.states):
+        modes = [(0, Fraction(t, 2)) for t in space.factors[0].states[i]]
+        modes += [(1, Fraction(t, 2)) for t in space.factors[1].states[j]]
         state = functools.reduce(lambda acc, key: image(*key) @ acc, reversed(modes), vacuum)
         column = state.column(space.vacuum_index)
         if column:
@@ -304,7 +301,7 @@ def test_skewed_realizations_deviate_alike_with_and_without_restriction(spec, cu
     theta = real.theta * 1
     for i in range(count):
         theta.add_entry(i + 1, i, eps)
-    broken = DefectRealization(real.space, theta, None)
+    broken = DefectRealization(theta)
     dev = check_intertwining(broken, n)
     assert dev != 0 and dev == _intertwining_full(broken, n)
     assert check_ope_preservation(broken) == _ope_full(broken) != 0
@@ -345,12 +342,12 @@ def test_transmission_maps_stress_sidewise():
     # at full transmission each one-sided stress state passes through
     # unchanged: the incoming right stress reads as the outgoing left one
     real = build_theta_fermion(TRANSMISSION, 4)
-    space = real.space
+    space = real.theta.space
     from neqcft import virasoro
-    gen = virasoro.build_virasoro("fermion", -2, space.right)
+    gen = virasoro.build_virasoro("fermion", -2, space.factors[1])
     vac = space.vacuum_index
-    for pos in ("left", "right"):
-        stress = fock.graded_tensor(gen, pos, space).restrict_columns(0)
+    for k in (0, 1):
+        stress = fock.graded_tensor(gen, k, space).restrict_columns(0)
         state = stress.column(vac)
         assert state and (real.theta @ stress).column(vac) == state
 
@@ -360,12 +357,12 @@ def test_reflection_swaps_stress_chirality():
     # anti-chiral right one: the chiral-slot state lands in the anti-chiral
     # slot with coefficient +1
     real = build_theta_fermion(REFLECTION, 4)
-    space = real.space
+    space = real.theta.space
     from neqcft import virasoro
-    gen = virasoro.build_virasoro("fermion", -2, space.right)
+    gen = virasoro.build_virasoro("fermion", -2, space.factors[1])
     vac = space.vacuum_index
-    incoming = fock.graded_tensor(gen, "right", space).restrict_columns(0)
-    outgoing = fock.graded_tensor(gen, "left", space).column(vac)
+    incoming = fock.graded_tensor(gen, 1, space).restrict_columns(0)
+    outgoing = fock.graded_tensor(gen, 0, space).column(vac)
     image = (real.theta @ incoming).column(vac)
     assert image == outgoing
 
@@ -377,7 +374,7 @@ def test_composition_law(a, b, cutoff):
     rb = build_theta_fermion(b, cutoff)
     direct = build_theta_fermion(a.compose(b), cutoff)
     assert max_matrix_deviation(ra.theta @ rb.theta, direct.theta) == 0
-    ident = DefectRealization(ra.space, GradedOperator.identity(ra.space))
+    ident = DefectRealization(GradedOperator.identity(ra.theta.space))
     inv = build_theta_fermion(a.inverse(), cutoff)
     assert max_matrix_deviation(ra.theta @ inv.theta, ident.theta) == 0
 
@@ -393,7 +390,7 @@ def test_inverse_law():
     spec = BogoliubovSpec(Fraction(8, 17), Fraction(15, 17))
     real = build_theta_fermion(spec, 4)
     inv = build_theta_fermion(spec.inverse(), 4)
-    ident = DefectRealization(real.space, GradedOperator.identity(real.space))
+    ident = DefectRealization(GradedOperator.identity(real.theta.space))
     assert max_matrix_deviation(real.theta @ inv.theta, ident.theta) == 0
     assert max_matrix_deviation(inv.theta @ real.theta, ident.theta) == 0
 
@@ -411,7 +408,7 @@ def test_invertible_on_every_level_block():
     real = build_theta_fermion(BogoliubovSpec(Fraction(20, 29), Fraction(21, 29)), 4)
     # invert_graded raises on a singular level block, and its result is exact
     inv = fock.invert_graded(real.theta)
-    ident = GradedOperator.identity(real.space)
+    ident = GradedOperator.identity(real.theta.space)
     assert (inv @ real.theta - ident).max_abs_entry() == 0
     assert (real.theta @ inv - ident).max_abs_entry() == 0
 
@@ -444,16 +441,17 @@ def test_negative_control_skewed_realization_fails_all_three():
     cutoff = 3
     real = build_theta_fermion(spec, cutoff)
     theta = real.theta * 1
-    for i in range(min(real.space.dimension - 1, 12)):
+    for i in range(min(real.theta.space.dimension - 1, 12)):
         theta.add_entry(i + 1, i, Fraction(1, 100))
-    broken = DefectRealization(real.space, theta, None)
+    broken = DefectRealization(theta)
     # identity preservation fails
     assert vacuum_preservation_deviation(broken) != 0
     # anticommutator preservation fails
     assert check_ope_preservation(broken) != 0
     # composition law fails
-    other = build_theta_fermion(BogoliubovSpec(Fraction(5, 13), Fraction(12, 13)), cutoff)
-    direct = build_theta_fermion(spec.compose(other.source), cutoff)
+    other_spec = BogoliubovSpec(Fraction(5, 13), Fraction(12, 13))
+    other = build_theta_fermion(other_spec, cutoff)
+    direct = build_theta_fermion(spec.compose(other_spec), cutoff)
     assert max_matrix_deviation(broken.theta @ other.theta, direct.theta) != 0
 
 

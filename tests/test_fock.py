@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from neqcft import cli, defect
 from neqcft.defect import BogoliubovSpec, build_theta_fermion
-from neqcft.fock import (BOSON, FERMION, GradedOperator, enumerate_basis,
-                         graded_tensor, invert_graded, join_columns, mode_operator, mode_values,
-                         tensor_space)
+from neqcft.fock import (BOSON, FERMION, GradedOperator, ProductSpace, enumerate_basis,
+                         graded_tensor, invert_graded, join_columns, mode_operator, mode_values)
 from oracles import check_grading
 
 HALF = Fraction(1, 2)
@@ -137,7 +136,7 @@ def test_operators_refuse_foreign_spaces():
     with pytest.raises(ValueError):
         a @ b
     with pytest.raises(ValueError, match="different spaces"):
-        a + GradedOperator.zero(fermions, fermions, a.level_shift, a.parity_shift)
+        a + GradedOperator.zero(fermions, a.level_shift, a.parity_shift)
 
 
 def test_operators_on_equal_spaces_compose():
@@ -179,7 +178,7 @@ def test_fermion_anticommutation_relations():
             a = mode_operator(space, s)
             b = mode_operator(space, sp)
             anti = a @ b + b @ a
-            expect = GradedOperator.zero(space, space, anti.level_shift, anti.parity_shift)
+            expect = GradedOperator.zero(space, anti.level_shift, anti.parity_shift)
             if s + sp == 0:
                 expect = expect + GradedOperator.identity(space)
             safe = cutoff - max(abs(s), abs(sp))
@@ -195,7 +194,7 @@ def test_boson_commutation_relations():
             a = mode_operator(space, m)
             b = mode_operator(space, n)
             comm = a @ b - b @ a
-            expect = GradedOperator.zero(space, space, comm.level_shift, comm.parity_shift)
+            expect = GradedOperator.zero(space, comm.level_shift, comm.parity_shift)
             if m + n == 0:
                 expect = expect + m * GradedOperator.identity(space)
             safe = cutoff - max(abs(m), abs(n))
@@ -211,17 +210,17 @@ def test_mode_operator_grading():
 
 def test_graded_tensor_identity():
     f = enumerate_basis(FERMION, 2)
-    p = tensor_space(f, f, 2)
-    ident = graded_tensor(GradedOperator.identity(f), "left", p) \
-        @ graded_tensor(GradedOperator.identity(f), "right", p)
+    p = ProductSpace((f, f), f.cutoff)
+    ident = graded_tensor(GradedOperator.identity(f), 0, p) \
+        @ graded_tensor(GradedOperator.identity(f), 1, p)
     assert (ident - GradedOperator.identity(p)).max_abs_entry() == 0
 
 
 def test_graded_tensor_left_factor_carries_no_sign():
     f = enumerate_basis(FERMION, 2)
-    p = tensor_space(f, f, 2)
+    p = ProductSpace((f, f), f.cutoff)
     create = mode_operator(f, -HALF)
-    left = graded_tensor(create, "left", p)
+    left = graded_tensor(create, 0, p)
     target = p.index_of((f.index_of((-1,)), f.vacuum_index))
     assert left.column(p.vacuum_index) == {target: 1}
 
@@ -229,27 +228,27 @@ def test_graded_tensor_left_factor_carries_no_sign():
 def test_graded_tensor_koszul_sign():
     # right-factor creation across an occupied left factor picks up -1
     f = enumerate_basis(FERMION, 2)
-    p = tensor_space(f, f, 2)
-    create_l = graded_tensor(mode_operator(f, -HALF), "left", p)
-    create_r = graded_tensor(mode_operator(f, -HALF), "right", p)
+    p = ProductSpace((f, f), f.cutoff)
+    create_l = graded_tensor(mode_operator(f, -HALF), 0, p)
+    create_r = graded_tensor(mode_operator(f, -HALF), 1, p)
     target = p.index_of((f.index_of((-1,)), f.index_of((-1,))))
     assert (create_r @ create_l).column(p.vacuum_index) == {target: -1}
 
 
 def test_graded_tensor_order_swap_matches_parities():
     f = enumerate_basis(FERMION, 3)
-    p = tensor_space(f, f, 3)
+    p = ProductSpace((f, f), f.cutoff)
     cases = [(-HALF, Fraction(-3, 2)), (-HALF, -HALF), (Fraction(3, 2), -HALF)]
     for va, vb in cases:
-        a = graded_tensor(mode_operator(f, va), "left", p)
-        b = graded_tensor(mode_operator(f, vb), "right", p)
+        a = graded_tensor(mode_operator(f, va), 0, p)
+        b = graded_tensor(mode_operator(f, vb), 1, p)
         sign = (-1) ** (1 * 1)  # both operators are odd
         safe = p.cutoff - max(abs(va), abs(vb))
         assert ((a @ b) - sign * (b @ a)).max_abs_entry(max_col_level=safe) == 0, (va, vb)
     # even x odd commutes without sign
     l0 = mode_operator(f, -HALF) @ mode_operator(f, HALF)  # even parity
-    a = graded_tensor(l0, "left", p)
-    b = graded_tensor(mode_operator(f, -HALF), "right", p)
+    a = graded_tensor(l0, 0, p)
+    b = graded_tensor(mode_operator(f, -HALF), 1, p)
     safe = p.cutoff - HALF
     assert ((a @ b) - (b @ a)).max_abs_entry(max_col_level=safe) == 0
 
@@ -309,7 +308,7 @@ def _oracle_accumulate(column, row, value):
 
 def _build(space, exact, floats):
     """An operator built with add_entry from exact then float cells, and its oracle."""
-    op = GradedOperator.zero(space, space, 0, 0)
+    op = GradedOperator.zero(space, 0, 0)
     oracle = {}
     for (row, col), v in exact:
         op.add_entry(row, col, v)
@@ -436,7 +435,7 @@ def _assert_matches(op, want, level):
     values, exact = want
     assert op.exact == exact
     assert _typed(op.to_dict()) == _typed(values)
-    space = op.domain
+    space = op.space
     for col in range(space.dimension):
         assert _typed({0: op.column(col)}) == _typed({0: values.get(col, {})})
         for row in range(space.dimension):
@@ -449,7 +448,7 @@ def _assert_matches(op, want, level):
 
 def _columns_of(op, want, keep):
     """The operator and its oracle on the columns in ``keep`` only."""
-    part = GradedOperator(op.domain, op.codomain, op.level_shift, op.parity_shift,
+    part = GradedOperator(op.space, op.level_shift, op.parity_shift,
                           {j: c for j, c in op.columns.items() if j in keep}, op.denominator, op.exact)
     return part, ({j: c for j, c in want[0].items() if j in keep}, want[1])
 
@@ -526,19 +525,18 @@ def _oracle_theta(space, matrix):
     """Theta by value: each state's mode images applied to the vacuum, right to left."""
     images = {}
 
-    def image(factor, value):
-        if (factor, value) not in images:
-            row = matrix[0] if factor == "A" else matrix[1]
-            a = _oracle_scale(_values(defect._embedded_mode(space, "A", value)), row[0])
-            b = _oracle_scale(_values(defect._embedded_mode(space, "B", value)), row[1])
-            images[(factor, value)] = _oracle_sum(a, b, 1)
-        return images[(factor, value)]
+    def image(k, value):
+        if (k, value) not in images:
+            a = _oracle_scale(_values(defect._embedded_mode(space, 0, value)), matrix[k][0])
+            b = _oracle_scale(_values(defect._embedded_mode(space, 1, value)), matrix[k][1])
+            images[(k, value)] = _oracle_sum(a, b, 1)
+        return images[(k, value)]
 
     vac = space.vacuum_index
     columns, exact = {}, True
-    for col, (i, j) in enumerate(space.pairs):
-        modes = [("A", Fraction(t, 2)) for t in space.left.states[i]]
-        modes += [("B", Fraction(t, 2)) for t in space.right.states[j]]
+    for col, (i, j) in enumerate(space.states):
+        modes = [(0, Fraction(t, 2)) for t in space.factors[0].states[i]]
+        modes += [(1, Fraction(t, 2)) for t in space.factors[1].states[j]]
         state = ({vac: {vac: Fraction(1)}}, True)
         for key in reversed(modes):
             state = _oracle_matmul(image(*key), state)
@@ -558,14 +556,14 @@ def _oracle_intertwining(space, theta, n):
 
 def _oracle_ope(space, theta, matrix):
     values = mode_values(FERMION, Fraction(3, 2))
-    raw = {(f, v): _values(defect._embedded_mode(space, f, v)) for v in values for f in ("A", "B")}
+    raw = {(k, v): _values(defect._embedded_mode(space, k, v)) for v in values for k in (0, 1)}
     if matrix is None:
         inv = _oracle_invert(space, theta)
         images = {k: _oracle_matmul(_oracle_matmul(theta, op), inv) for k, op in raw.items()}
     else:
-        images = {(f, v): _oracle_sum(_oracle_scale(raw[("A", v)], row[0]),
-                                      _oracle_scale(raw[("B", v)], row[1]), 1)
-                  for (f, v) in raw for row in [matrix[0] if f == "A" else matrix[1]]}
+        images = {(k, v): _oracle_sum(_oracle_scale(raw[(0, v)], matrix[k][0]),
+                                      _oracle_scale(raw[(1, v)], matrix[k][1]), 1)
+                  for (k, v) in raw}
     ident = ({j: {j: Fraction(1)} for j in range(space.dimension)}, True)
     dev = 0
     keys = sorted(raw, key=str)
@@ -599,7 +597,7 @@ def test_float_theta_checks_match_value_oracle(kind, cutoff, data):
     else:
         spec = BogoliubovSpec.from_angle(data.draw(st.floats(-3.0, 3.0)))
     real = build_theta_fermion(spec, cutoff)
-    space = real.space
+    space = real.theta.space
     theta, matrix = _oracle_theta(space, real.mode_map), real.mode_map
     if kind != "alpha":
         eps = data.draw(st.one_of(st.floats(1e-3, 0.5), st.floats(-0.5, -1e-3)))

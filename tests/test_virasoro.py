@@ -17,7 +17,7 @@ HALF = Fraction(1, 2)
 
 def _apply(gen, twice):
     """The generator's image of one basis state, given by twice its mode values: the state's column."""
-    return gen.column(gen.domain.index_of(twice))
+    return gen.column(gen.space.index_of(twice))
 
 
 def test_l0_is_diagonal_with_level_eigenvalues():
@@ -129,7 +129,7 @@ def test_central_charge_probe_shares_the_callers_space():
     build_virasoro.cache_clear()
     space = enumerate_basis(FERMION, 4)
     assert central_charge_probe(FERMION, 2, space) == HALF
-    assert build_virasoro(FERMION, 2, space).domain is space
+    assert build_virasoro(FERMION, 2, space).space is space
     assert central_charge_probe(FERMION, 2, enumerate_basis(FERMION, 4)) == HALF
 
 
