@@ -91,13 +91,14 @@ class DefectRealization:
     """Truncated matrix of a defect map, plus the mode map it claims to implement.
 
     ``mode_map`` is the claimed action on the factor doublet (c^0, c^1):
-    image of c^k_s is map[k][0] c^0_s + map[k][1] c^1_s.  Without a claim
-    it is None.  A Theta with a float entry is checked to ``FLOAT_TOL``,
-    an exact one to zero.
+    image of c^k_s is map[k][0] c^0_s + map[k][1] c^1_s.  Every realization
+    makes this claim; a broken Theta (a negative control) keeps the map it
+    was built from, so the checks measure how far it misses it.  A Theta
+    with a float entry is checked to ``FLOAT_TOL``, an exact one to zero.
     """
 
     theta: GradedOperator
-    mode_map: object = None
+    mode_map: object
 
     @property
     def tolerance(self):
@@ -124,11 +125,9 @@ def _mode_images(space, values, matrix):
     """Factor modes embedded in the product space, and their images under ``matrix``.
 
     Keys are (factor index, value).  The image of c^k_v is
-    m[k][0] c^0_v + m[k][1] c^1_v; without a matrix the images are None.
+    m[k][0] c^0_v + m[k][1] c^1_v.
     """
     raw = {(k, v): _embedded_mode(space, k, v) for v in values for k in (0, 1)}
-    if matrix is None:
-        return raw, None
     images = {(k, v): matrix[k][0] * raw[(0, v)] + matrix[k][1] * raw[(1, v)] for k, v in raw}
     return raw, images
 
@@ -211,14 +210,10 @@ def vacuum_preservation_deviation(real):
     return (real.theta.restrict_columns(0) - vacuum).max_abs_entry()
 
 
-class EmptyCheckError(ValueError):
-    """A check whose comparisons would read no column of the truncated space."""
-
-
 def _require_safe_columns(space, safe, what):
     # the level-0 vacuum is in every space, so no column is safe only when safe < 0
     if safe < 0:
-        raise EmptyCheckError(f"empty safe subspace for {what} at cutoff {space.cutoff}")
+        raise ValueError(f"empty safe subspace for {what} at cutoff {space.cutoff}")
 
 
 def check_intertwining(real, n):
@@ -249,14 +244,14 @@ def check_momentum_continuity(real):
 
 
 def check_ope_preservation(real):
-    """Deviation of the mode images from an algebra automorphism.
+    """Deviation of the claimed mode images from an algebra automorphism.
 
-    With a claimed mode map the check is twofold: the image combinations
-    B_s must satisfy the same anticommutation relations as the modes (which
+    The check is twofold: the images B_s of the modes under the claimed
+    map must satisfy the same anticommutation relations as the modes (which
     holds exactly when the map is orthogonal), and the realization must
-    implement them, Theta b_s = B_s Theta.  Without a claimed map (raw or
-    corrupted matrices) the conjugated modes are compared directly through
-    the exact block inverse.
+    implement them, Theta b_s = B_s Theta.  Together these say that
+    conjugation by Theta preserves the mode algebra.  No inverse of Theta
+    is formed; the group law gives it in closed form, Theta(a)^-1 = Theta(-a).
     """
     space = real.theta.space
     # the modes b_s with |s| <= 3/2; the smallest |s| leaves the widest safe subspace
@@ -265,9 +260,6 @@ def check_ope_preservation(real):
                           "the OPE check on b_s with |s| <= 3/2")
     raw, images = _mode_images(space, values, real.mode_map)
     theta = real.theta
-    if images is None:
-        inv = fock.invert_graded(theta)
-        images = {k: theta @ op @ inv for k, op in raw.items()}
     dev = 0
     keys = sorted(raw, key=str)
     for a in keys:

@@ -623,97 +623,3 @@ def graded_tensor(op, k, pspace):
         if col:
             cols[n] = col
     return GradedOperator(pspace, op.level_shift, op.parity_shift, cols, op.denominator, op.exact)
-
-
-def invert_graded(op):
-    """Inverse of a level- and parity-preserving operator, block by block.
-
-    A level block with no float entry is inverted exactly, by fraction-free
-    Gauss-Jordan elimination on its int numerators (Bareiss); a block with a
-    float entry by Gauss-Jordan with partial pivoting on its values.
-    Raises ValueError if any level block is singular.
-    """
-    if op.level_shift != 0 or op.parity_shift != 0:
-        raise ValueError("only grading-preserving operators are invertible in place")
-    space = op.space
-    blocks = {}
-    for n, level in enumerate(space.twice_levels):
-        blocks.setdefault(level, []).append(n)
-    parts = []
-    for level, idx in blocks.items():
-        stored = [[op.columns.get(c, _EMPTY).get(r, 0) for c in idx] for r in idx]
-        if all(type(x) is int for row in stored for x in row):
-            part = _invert_exact_block(space, idx, stored, op.denominator)
-        else:
-            part = _invert_value_block(space, idx, [[op.entry(r, c) for c in idx] for r in idx])
-        if part is None:
-            raise ValueError(f"singular level block at level {Fraction(level, 2)}")
-        parts.append(part)
-    return join_columns(parts)
-
-
-def _invert_exact_block(space, idx, a, den):
-    """The inverse of the block ``a / den`` on the states ``idx``, or None when singular.
-
-    Fraction-free Gauss-Jordan (Bareiss) turns ``[a | 1]`` into
-    ``[p 1 | p a^-1]`` on ints, every division exact; then the block's
-    inverse is ``den a^-1``, with the numerators ``den p a^-1`` over ``p``.
-    """
-    k = len(a)
-    m = [row + [int(i == r) for i in range(k)] for r, row in enumerate(a)]
-    prev = 1
-    for col in range(k):
-        piv = next((r for r in range(col, k) if m[r][col]), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        top = m[col]
-        p = top[col]
-        for r in range(k):
-            if r != col:
-                f = m[r][col]
-                m[r] = [(p * x - f * y) // prev for x, y in zip(m[r], top)]
-        prev = p
-    if p < 0:
-        p, den = -p, -den
-    cols = {}
-    for ci, c in enumerate(idx):
-        col = {r: m[ri][k + ci] * den for ri, r in enumerate(idx) if m[ri][k + ci]}
-        if col:
-            cols[c] = col
-    return GradedOperator(space, Fraction(0), 0, cols, p).normalize()
-
-
-def _invert_value_block(space, idx, a):
-    """The inverse of the block of values ``a`` on the states ``idx``, or None when singular."""
-    k = len(idx)
-    # dense Gauss-Jordan, pivoting on the largest |entry| of each column
-    b = [[Fraction(1) if i == j else Fraction(0) for j in range(k)] for i in range(k)]
-    for col in range(k):
-        piv = None
-        best = 0
-        for r in range(col, k):
-            m = abs(a[r][col])
-            if m > best:
-                best = m
-                piv = r
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        b[col], b[piv] = b[piv], b[col]
-        pivval = a[col][col]
-        a[col] = [x / pivval for x in a[col]]
-        b[col] = [x / pivval for x in b[col]]
-        for r in range(k):
-            if r == col:
-                continue
-            f = a[r][col]
-            if f == 0:
-                continue
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-            b[r] = [x - f * y for x, y in zip(b[r], b[col])]
-    inv = GradedOperator.zero(space, 0, 0)
-    for ci, c in enumerate(idx):
-        for ri, r in enumerate(idx):
-            inv.add_entry(r, c, b[ri][ci])
-    return inv

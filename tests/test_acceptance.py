@@ -81,7 +81,7 @@ def test_criterion_03_automorphism_constraints():
     theta = ra.theta * 1
     for i in range(min(ra.theta.space.dimension - 1, 12)):
         theta.add_entry(i + 1, i, Fraction(1, 100))
-    broken = defect.DefectRealization(theta)
+    broken = defect.DefectRealization(theta, ra.mode_map)
     ok = ok and defect.vacuum_preservation_deviation(broken) != 0
     ok = ok and defect.check_ope_preservation(broken) != 0
     ok = ok and max_matrix_deviation(broken.theta @ rb.theta, direct.theta) != 0

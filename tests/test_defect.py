@@ -33,11 +33,12 @@ RATIONAL_POINTS = [
 ]
 
 
-def _conjugated_mode(real, k, value):
+def _conjugated_mode(real, spec, k, value):
+    # Theta(a)^-1 is Theta(-a), the inverse the group law gives
     space = real.theta.space
     m = fock.graded_tensor(fock.mode_operator(space.factors[k], value), k, space)
-    inv = fock.invert_graded(real.theta)
-    return real.theta @ m @ inv
+    inv = build_theta_fermion(spec.inverse(), space.cutoff)
+    return real.theta @ m @ inv.theta
 
 
 def test_spec_validation():
@@ -78,7 +79,7 @@ def test_skewed_operators_store_ints_beside_floats():
     # storage fails here, and only the skew entries are floats
     real = build_theta_fermion(BogoliubovSpec(Fraction(3, 5), Fraction(4, 5)), 4)
     theta = cli._skewed(real, 0.01).theta
-    for op in (theta, fock.invert_graded(theta), theta @ defect.total_virasoro(real.theta.space, 1)):
+    for op in (theta, theta @ defect.total_virasoro(real.theta.space, 1)):
         assert not op.exact
         assert {type(v) for c in op.columns.values() for v in c.values()} == {int, float}
     floats = {(row, col) for col, c in theta.columns.items() for row, v in c.items()
@@ -100,10 +101,10 @@ def test_reflection_action_on_modes():
     real = build_theta_fermion(REFLECTION, 3)
     space = real.theta.space
     for value in (-HALF, Fraction(-3, 2)):
-        conj_b = _conjugated_mode(real, 1, value)
+        conj_b = _conjugated_mode(real, REFLECTION, 1, value)
         target = fock.graded_tensor(fock.mode_operator(space.factors[0], value), 0, space)
         assert (conj_b - target).max_abs_entry(max_col_level=space.cutoff - abs(value)) == 0
-        conj_a = _conjugated_mode(real, 0, value)
+        conj_a = _conjugated_mode(real, REFLECTION, 0, value)
         target = fock.graded_tensor(fock.mode_operator(space.factors[1], value), 1, space)
         assert (conj_a + target).max_abs_entry(max_col_level=space.cutoff - abs(value)) == 0
 
@@ -137,7 +138,7 @@ def test_vacuum_deviation_is_the_largest_entry_of_theta_minus_one_on_the_vacuum(
         theta = real.theta * 1
         theta.add_entry(row, vac, value)
         assert (vac in theta.columns) == (value != -1)
-        dev = vacuum_preservation_deviation(DefectRealization(theta))
+        dev = vacuum_preservation_deviation(DefectRealization(theta, real.mode_map))
         # the report prints str(dev): a float stays a float, an exact value a fraction
         assert dev == want and str(dev) == str(want), (row, value)
 
@@ -158,10 +159,10 @@ def test_mode_conjugation_matches_defining_relations():
         mb = fock.graded_tensor(fock.mode_operator(space.factors[1], value), 1, space)
         safe = space.cutoff - abs(value)
         # incoming anti-chiral left -> cos * (anti-chiral right) - sin * (chiral left)
-        assert ((_conjugated_mode(real, 0, value) - (c * ma - s * mb))
+        assert ((_conjugated_mode(real, spec, 0, value) - (c * ma - s * mb))
                 .max_abs_entry(max_col_level=safe)) == 0
         # incoming chiral right -> cos * (chiral left) + sin * (anti-chiral right)
-        assert ((_conjugated_mode(real, 1, value) - (s * ma + c * mb))
+        assert ((_conjugated_mode(real, spec, 1, value) - (s * ma + c * mb))
                 .max_abs_entry(max_col_level=safe)) == 0
 
 
@@ -185,9 +186,6 @@ def _ope_full(real):
     space, theta = real.theta.space, real.theta
     raw, images = defect._mode_images(space, fock.mode_values("fermion", Fraction(3, 2)),
                                       real.mode_map)
-    if images is None:
-        inv = fock.invert_graded(theta)
-        images = {k: theta @ op @ inv for k, op in raw.items()}
     dev = 0
     for a in raw:
         resid = theta @ raw[a] - images[a] @ theta
@@ -295,13 +293,13 @@ def test_ope_preservation_on_random_pythagorean_points(spec, cutoff):
 def test_skewed_realizations_deviate_alike_with_and_without_restriction(spec, cutoff, n, count, eps):
     # the corruption of `--skew`: eps on the first `count` subdiagonal entries.
     # Theta|0> picks up eps |1>, and L_n |1> != 0 for n <= 0, so the vacuum
-    # column alone makes the deviation nonzero.  Theta is orthogonal and the
-    # corruption has norm |eps| < 1, so every level block stays invertible.
+    # column alone makes the deviation nonzero.  The broken Theta keeps the
+    # rotation it was built from, and misses it by the corruption.
     real = build_theta_fermion(spec, cutoff)
     theta = real.theta * 1
     for i in range(count):
         theta.add_entry(i + 1, i, eps)
-    broken = DefectRealization(theta)
+    broken = DefectRealization(theta, real.mode_map)
     dev = check_intertwining(broken, n)
     assert dev != 0 and dev == _intertwining_full(broken, n)
     assert check_ope_preservation(broken) == _ope_full(broken) != 0
@@ -374,7 +372,7 @@ def test_composition_law(a, b, cutoff):
     rb = build_theta_fermion(b, cutoff)
     direct = build_theta_fermion(a.compose(b), cutoff)
     assert max_matrix_deviation(ra.theta @ rb.theta, direct.theta) == 0
-    ident = DefectRealization(GradedOperator.identity(ra.theta.space))
+    ident = DefectRealization(GradedOperator.identity(ra.theta.space), _rotation(TRANSMISSION))
     inv = build_theta_fermion(a.inverse(), cutoff)
     assert max_matrix_deviation(ra.theta @ inv.theta, ident.theta) == 0
 
@@ -390,7 +388,7 @@ def test_inverse_law():
     spec = BogoliubovSpec(Fraction(8, 17), Fraction(15, 17))
     real = build_theta_fermion(spec, 4)
     inv = build_theta_fermion(spec.inverse(), 4)
-    ident = DefectRealization(GradedOperator.identity(real.theta.space))
+    ident = DefectRealization(GradedOperator.identity(real.theta.space), _rotation(TRANSMISSION))
     assert max_matrix_deviation(real.theta @ inv.theta, ident.theta) == 0
     assert max_matrix_deviation(inv.theta @ real.theta, ident.theta) == 0
 
@@ -402,15 +400,6 @@ def test_compose_refuses_foreign_spaces():
     b = GradedOperator.identity(bosons)
     with pytest.raises(ValueError, match="do not compose"):
         a @ b
-
-
-def test_invertible_on_every_level_block():
-    real = build_theta_fermion(BogoliubovSpec(Fraction(20, 29), Fraction(21, 29)), 4)
-    # invert_graded raises on a singular level block, and its result is exact
-    inv = fock.invert_graded(real.theta)
-    ident = GradedOperator.identity(real.theta.space)
-    assert (inv @ real.theta - ident).max_abs_entry() == 0
-    assert (real.theta @ inv - ident).max_abs_entry() == 0
 
 
 def test_ope_preservation_zero_for_rotations():
@@ -443,7 +432,7 @@ def test_negative_control_skewed_realization_fails_all_three():
     theta = real.theta * 1
     for i in range(min(real.theta.space.dimension - 1, 12)):
         theta.add_entry(i + 1, i, Fraction(1, 100))
-    broken = DefectRealization(theta)
+    broken = DefectRealization(theta, real.mode_map)
     # identity preservation fails
     assert vacuum_preservation_deviation(broken) != 0
     # anticommutator preservation fails

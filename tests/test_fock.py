@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from neqcft import cli, defect
 from neqcft.defect import BogoliubovSpec, build_theta_fermion
 from neqcft.fock import (BOSON, FERMION, GradedOperator, ProductSpace, enumerate_basis,
-                         graded_tensor, invert_graded, join_columns, mode_operator, mode_values)
+                         graded_tensor, join_columns, mode_operator, mode_values)
 from oracles import check_grading
 
 HALF = Fraction(1, 2)
@@ -391,41 +391,6 @@ def _oracle_max_abs(space, a, level=None):
     return Fraction(best) if a[1] else best
 
 
-def _oracle_invert(space, a):
-    """Gauss-Jordan with partial pivoting on every level block's values."""
-    values, exact = a
-    blocks = {}
-    for n, level in enumerate(space.twice_levels):
-        blocks.setdefault(level, []).append(n)
-    zero = Fraction(0) if exact else 0
-    out = {}
-    for level, idx in blocks.items():
-        k = len(idx)
-        m = [[values.get(c, {}).get(r, zero) for c in idx] for r in idx]
-        inv = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-        for col in range(k):
-            piv, best = None, 0
-            for r in range(col, k):
-                if abs(m[r][col]) > best:
-                    piv, best = r, abs(m[r][col])
-            if piv is None:
-                raise ValueError(f"singular level block at level {Fraction(level, 2)}")
-            m[col], m[piv] = m[piv], m[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            p = m[col][col]
-            m[col] = [x / p for x in m[col]]
-            inv[col] = [x / p for x in inv[col]]
-            for r in range(k):
-                f = m[r][col]
-                if r != col and f != 0:
-                    m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-                    inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-        for ci, c in enumerate(idx):
-            for ri, r in enumerate(idx):
-                _oracle_add(out, r, c, inv[ri][ci])
-    return out, all(type(v) is Fraction for c in out.values() for v in c.values())
-
-
 def _typed(d):
     """Entries with their types, in stored order."""
     return [(j, [(r, v, type(v)) for r, v in c.items()]) for j, c in d.items()]
@@ -487,37 +452,6 @@ def test_kernel_matches_dict_oracle(data):
             combine(foreign, a)
 
 
-@st.composite
-def _level_graded(draw, space):
-    """A grading-preserving operator: dense exact level blocks, some of them carrying floats."""
-    exact, floats = [], []
-    blocks = {}
-    for n, level in enumerate(space.twice_levels):
-        blocks.setdefault(level, []).append(n)
-    for idx in blocks.values():
-        cells = [(r, c) for r in idx for c in idx]
-        exact += zip(cells, draw(st.lists(_EXACT, min_size=len(cells), max_size=len(cells))))
-        if draw(st.booleans()):
-            floats += draw(st.lists(st.tuples(st.sampled_from(cells), _FLOATS), min_size=1, max_size=3))
-    return _build(space, exact, floats)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from([enumerate_basis(BOSON, 5), enumerate_basis(FERMION, 6)]), st.data())
-def test_invert_graded_matches_value_gauss_jordan(space, data):
-    # exact blocks are inverted on ints and float blocks on values; both give
-    # the oracle's entries, types and order, and a singular block raises alike
-    op, want = data.draw(_level_graded(space))
-    try:
-        inverse = _oracle_invert(space, want)
-    except ValueError as exc:
-        with pytest.raises(ValueError) as info:
-            invert_graded(op)
-        assert str(info.value) == str(exc)
-        return
-    _assert_matches(invert_graded(op), inverse, space.cutoff)
-
-
 # ---------------------------------------------------------------------------
 # the defect checks on float Theta against the same oracle
 
@@ -557,13 +491,9 @@ def _oracle_intertwining(space, theta, n):
 def _oracle_ope(space, theta, matrix):
     values = mode_values(FERMION, Fraction(3, 2))
     raw = {(k, v): _values(defect._embedded_mode(space, k, v)) for v in values for k in (0, 1)}
-    if matrix is None:
-        inv = _oracle_invert(space, theta)
-        images = {k: _oracle_matmul(_oracle_matmul(theta, op), inv) for k, op in raw.items()}
-    else:
-        images = {(k, v): _oracle_sum(_oracle_scale(raw[(0, v)], matrix[k][0]),
-                                      _oracle_scale(raw[(1, v)], matrix[k][1]), 1)
-                  for (k, v) in raw}
+    images = {(k, v): _oracle_sum(_oracle_scale(raw[(0, v)], matrix[k][0]),
+                                  _oracle_scale(raw[(1, v)], matrix[k][1]), 1)
+              for (k, v) in raw}
     ident = ({j: {j: Fraction(1)} for j in range(space.dimension)}, True)
     dev = 0
     keys = sorted(raw, key=str)
@@ -604,7 +534,7 @@ def test_float_theta_checks_match_value_oracle(kind, cutoff, data):
         real = cli._skewed(real, eps)
         for i in range(min(space.dimension - 1, 12)):
             _oracle_add(theta[0], i + 1, i, eps)
-        theta, matrix = (theta[0], False), None
+        theta = (theta[0], False)
     assert real.theta.exact == theta[1] and _typed(real.theta.to_dict()) == _typed(theta[0])
     ltot = defect.total_virasoro(space, -1)
     want = _oracle_matmul(theta, _values(ltot))
