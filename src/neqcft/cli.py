@@ -91,6 +91,11 @@ def _theta_label(spec):
     return f"(cos, sin) = ({spec.cos_a}, {spec.sin_a})"
 
 
+def _number(value):
+    """The float of a sympy value with no free symbol, else None."""
+    return None if value.free_symbols else float(value)
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (report dict, passed bool)
 
@@ -226,7 +231,15 @@ def cmd_smatrix(args):
 def cmd_current(args):
     theta = _theta_from_args(args)
     w = ness.GibbsWeights(args.tl, args.tr)
-    report = ness.current_report(theta, weights=w)
+    j = ness.energy_current(theta, weights=w)
+    # a zero temperature has no entropy production; symbolic ones compare unequal to 0
+    sigma = None if 0 in (args.tl, args.tr) else ness.entropy_production(j, w)
+    report = {
+        "inputs": {"theta_cos_sin": [str(v) for v in ness.theta_pair(theta)],
+                   "T_l": str(args.tl), "T_r": str(args.tr)},
+        "symbolic_result": {"J_E": str(j), "sigma": str(sigma)},
+        "numeric_result": {"J_E": _number(j), "sigma": None if sigma is None else _number(sigma)},
+    }
     return _verdict(report, True, None)
 
 
@@ -237,7 +250,7 @@ def cmd_entropy(args):
     w = ness.GibbsWeights(args.tl, args.tr)
     j = ness.energy_current(theta, weights=w)
     sigma = ness.entropy_production(j, w)
-    val = float(sigma) if not sigma.free_symbols else None
+    val = _number(sigma)
     ok = val is None or val >= -1e-15
     report = {"J_E": str(j), "sigma": str(sigma), "sigma_numeric": val}
     return _verdict(report, ok, "entropy production came out negative")
@@ -261,9 +274,11 @@ def _params_from_args(args):
 
 def cmd_su2k_decompose(args):
     p = _params_from_args(args)
-    report = su2k.decomposition_report(p)
+    cu1, czk = su2k.decomposition_coefficients(p)
     dev = su2k.unit_sum_deviation(p)
-    report["unit_sum_deviation"] = str(dev)
+    report = {"k": str(p.k), "s": str(p.s), "rr_bar": str(p.rr_bar),
+              "coeff_Tu1": str(cu1), "coeff_TZk": str(czk),
+              "J_E_closed_form": str(su2k.energy_current_k(p)), "unit_sum_deviation": str(dev)}
     return _verdict(report, dev == 0,
                     "c-weighted decomposition coefficients do not sum to the left central charge")
 
@@ -276,8 +291,8 @@ def cmd_su2k_current(args):
     ok = ness.canonical(j - ref) == 0
     report = {"k": str(p.k), "rr_bar": str(p.rr_bar), "J_E": str(j),
               "closed_form": str(ref), "passed": bool(ok)}
-    if not j.free_symbols:
-        report["J_E_numeric"] = float(j)
+    if (numeric := _number(j)) is not None:
+        report["J_E_numeric"] = numeric
     if not ok:
         report["diagnostic"] = "current does not match (pi/12)((k-1)/k)(r rbar)(T_l^2 - T_r^2)"
     return report, bool(ok)
@@ -285,27 +300,56 @@ def cmd_su2k_current(args):
 
 def cmd_su2k_fermionize(args):
     p = su2k.RotationParams.from_rr_bar(2, args.rr_bar)
-    report = su2k.fermionize_k2(p, matrix_cutoff=Fraction(5, 2) if args.matrix_check else None)
-    ok = report["agree"]
+    (cos_eff, sin_eff), j_fermionized, j_algebraic = su2k.fermionize_k2(p)
+    ok = ness.canonical(j_fermionized - j_algebraic) == 0
+    report = {"k": 2, "s": str(p.s), "rr_bar": str(p.rr_bar), "cos_effective": str(cos_eff),
+              "chi1": "pure reflection, zero current", "J_fermionized": str(j_fermionized),
+              "J_algebraic": str(j_algebraic), "agree": ok}
     if args.matrix_check:
-        ok = ok and report["intertwining_max_dev"] <= defect.FLOAT_TOL
+        # the effective rotation as a truncated defect map, exact where both
+        # entries are rational, checked for the Virasoro intertwining
+        exact = cos_eff.is_rational and sin_eff.is_rational
+        entry = (lambda v: Fraction(int(v.p), int(v.q))) if exact else float
+        real = defect.build_theta_fermion(defect.BogoliubovSpec(entry(cos_eff), entry(sin_eff)),
+                                          Fraction(5, 2))
+        dev = max(abs(float(defect.check_intertwining(real, n))) for n in range(-2, 3))
+        report["intertwining_max_dev"] = dev
+        ok = ok and dev <= defect.FLOAT_TOL
     return _verdict(report, ok, "fermionized current disagrees with the algebraic route")
 
 
 def cmd_lattice_run(args):
     spec = lattice.ChainSpec(sites=args.sites, coupling=args.coupling, defect=args.lam)
     series = lattice.steady_current(spec, args.tl, args.tr, samples=args.samples)
-    summary = lattice.transport_summary(spec, args.tl, args.tr, series)
-    if summary["landauer"]:
-        ok = abs(summary["ratios"]["plateau_over_landauer"] - 1) <= 0.03
+    plateau = series.plateau
+    # the plateau against the Landauer integral and the constant-transmission form
+    tdc = lattice.transmission_dc(args.lam)
+    landauer = lattice.landauer_current(lambda w: lattice.transmission(args.lam, w, args.coupling),
+                                        args.tl, args.tr, args.coupling)
+    cft = lattice.low_temperature_current(tdc, args.tl, args.tr)
+    report = {
+        "spec": {"sites": spec.sites, "coupling": spec.coupling, "defect": spec.defect,
+                 "T_l": args.tl, "T_r": args.tr},
+        "plateau_mean": plateau.mean,
+        "plateau_stderr": plateau.stderr,
+        "plateau_window": [plateau.start, plateau.end],
+        "landauer": landauer,
+        "transmission_dc": tdc,
+        "cft_prediction": cft,
+        "orth_drift": series.orth_drift,
+        "ratios": {"plateau_over_landauer": plateau.mean / landauer if landauer else None,
+                   "landauer_over_cft": landauer / cft if cft else None},
+    }
+    if landauer:
+        ok = abs(plateau.mean / landauer - 1) <= 0.03
         diagnostic = "plateau current deviates from the Landauer integral by more than 3%"
     else:  # equal temperatures or a cut chain: nothing may flow
-        ok = abs(summary["plateau_mean"]) <= 1e-10
+        ok = abs(plateau.mean) <= 1e-10
         diagnostic = "plateau current exceeds 1e-10 where the Landauer integral vanishes"
-    closed = _verdict(summary, ok, diagnostic)
+    closed = _verdict(report, ok, diagnostic)
     if args.series_out:
         series.to_csv(args.series_out)
-        summary["series_csv"] = args.series_out
+        report["series_csv"] = args.series_out
     return closed
 
 
@@ -510,13 +554,16 @@ def _apply_config(parser, args, argv):
 
     Defaults set on the top-level parser never reach the subcommand options.
     Argparse runs an option's ``type`` only on string defaults, so typed
-    values go in as strings and are parsed exactly as flags are.  A null
-    value leaves the option's own default in place.  A key that is no
-    subcommand's option is an error.  A flag on the command line overrides
-    the config: also across a mutually exclusive group, where the config
-    values of the flag's partners are dropped, so that the handler never
-    sees both.  Without such a flag, a config that sets two members of one
-    group is an error, as the two flags are.
+    values go in as strings and are parsed exactly as flags are.  The
+    subcommand's other options take only what their flags could give: a
+    switch true or false, an option with choices one of them, any other
+    option a string.  A null value leaves the option's own default in
+    place.  A key that is no subcommand's option is an error.  A flag on
+    the command line overrides the config: also across a mutually
+    exclusive group, where the config values of the flag's partners are
+    dropped, so that the handler never sees both.  Without such a flag, a
+    config that sets two members of one group is an error, as the two
+    flags are.
     """
     action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     sub = action.choices[args.command]
@@ -545,8 +592,20 @@ def _apply_config(parser, args, argv):
                 config.pop(a.dest, None)
         elif len(both := [repr(a.dest) for a in group if config.get(a.dest) is not None]) > 1:
             raise ValueError(f"{' and '.join(both)} exclude each other")
-    sub.set_defaults(**{k: str(v) if k in typed else v
-                        for k, v in config.items() if v is not None})
+    config = {k: v for k, v in config.items() if v is not None}
+    for a in sub._actions:
+        if a.dest not in config or a.dest in typed:
+            continue
+        value = config[a.dest]
+        if isinstance(a, argparse._StoreTrueAction):
+            ok, want = isinstance(value, bool), "true or false"
+        elif a.choices:
+            ok, want = value in a.choices, "one of " + ", ".join(a.choices)
+        else:
+            ok, want = isinstance(value, str), "a string"
+        if not ok:
+            raise ValueError(f"{a.dest!r} takes {want}, got {json.dumps(value)}")
+    sub.set_defaults(**{k: str(v) if k in typed else v for k, v in config.items()})
 
 
 def _silence_stdout():

@@ -569,26 +569,3 @@ def steady_current(spec, t_left, t_right, samples=60):
     stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
     return CurrentSeries(times, values, PlateauStats(float(lo), float(hi), mean, stderr), drift)
 
-
-def transport_summary(spec, t_left, t_right, series):
-    """Three-way comparison: plateau of a steady_current series, Landauer integral, constant-T form."""
-    tdc = transmission_dc(spec.defect)
-    landauer = landauer_current(lambda w: transmission(spec.defect, w, spec.coupling),
-                                t_left, t_right, spec.coupling)
-    cft = low_temperature_current(tdc, t_left, t_right)
-    plateau = series.plateau
-    return {
-        "spec": {"sites": spec.sites, "coupling": spec.coupling, "defect": spec.defect,
-                 "T_l": t_left, "T_r": t_right},
-        "plateau_mean": plateau.mean,
-        "plateau_stderr": plateau.stderr,
-        "plateau_window": [plateau.start, plateau.end],
-        "landauer": landauer,
-        "transmission_dc": tdc,
-        "cft_prediction": cft,
-        "orth_drift": series.orth_drift,
-        "ratios": {
-            "plateau_over_landauer": plateau.mean / landauer if landauer else None,
-            "landauer_over_cft": landauer / cft if cft else None,
-        },
-    }

@@ -22,6 +22,10 @@ T = -(i/2) (d psi) psi and Tbar = +(i/2) (d psibar) psibar, each factor
 transforming individually; recognized bilinears are folded back into
 stress factors before taking averages.  Fermion reordering inside a term
 follows the same transposition-sign convention as the matrix layer.
+
+Every function returns values: field expressions, coefficients and
+currents as exact sympy scalars.  The command line front end turns them
+into reports.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ ALPHA = sp.Symbol("alpha", real=True)
 BEFORE = "t<x"   # fields have not reached the impurity
 AFTER = "t>x"    # fields have crossed
 
-FERMION_NAMES = ("psi", "chi1", "chi2")
+FERMION_NAMES = ("psi",)
 EVEN_NAMES = ("T", "J", "identity")
 KNOWN_NAMES = FERMION_NAMES + EVEN_NAMES
 
@@ -242,15 +246,14 @@ def fermion(side, position, bar=False, deriv=0):
     return LocalField("psi", side, bar=bar, deriv=deriv, position=position)
 
 
-def expand_stress(expr, left_field="psi", right_field="psi"):
+def expand_stress(expr):
     """Replace stress factors by their bilinear form at the same point."""
 
     def fn(f):
         if f.name != "T":
             return FieldExpression.from_field(f)
-        name = left_field if f.side == "l" else right_field
-        dpsi = LocalField(name, f.side, bar=f.bar, deriv=1, position=f.position)
-        psi = LocalField(name, f.side, bar=f.bar, deriv=0, position=f.position)
+        dpsi = fermion(f.side, f.position, bar=f.bar, deriv=1)
+        psi = fermion(f.side, f.position, bar=f.bar)
         coeff = sp.I / 2 if f.bar else -sp.I / 2
         return FieldExpression(((coeff, (dpsi, psi)),))
 
@@ -275,7 +278,7 @@ def collect_stress(expr):
 # ---------------------------------------------------------------------------
 # scattering data
 
-def _theta_pair(theta):
+def theta_pair(theta):
     """(cos, sin) from a BogoliubovSpec, a pair, or None for the symbolic angle."""
     if theta is None:
         return sp.cos(ALPHA), sp.sin(ALPHA)
@@ -299,13 +302,13 @@ def evolve(expr, t, theta, regime=AFTER):
 
     Chiral factors shift to x - t, anti-chiral ones to x + t; in the
     crossed regime (t > x) the factors that reach the impurity are replaced
-    by their images under the rotation theta (see _theta_pair), relocated
+    by their images under the rotation theta (see theta_pair), relocated
     to the mirror point.
     """
     if regime not in (BEFORE, AFTER):
         raise RegimeError(f"unknown regime {regime!r}")
     t = sp.sympify(t)
-    c, s = _theta_pair(theta)
+    c, s = theta_pair(theta)
 
     def fn(f):
         if f.name == "identity":
@@ -344,7 +347,7 @@ def evolve(expr, t, theta, regime=AFTER):
     return expr.map_factors(fn).normalize()
 
 
-def apply_smatrix(expr, theta, left_field="psi", right_field="psi"):
+def apply_smatrix(expr, theta):
     """Stationary scattering map relating coupled and decoupled dynamics.
 
     Chiral fields at x < 0 and anti-chiral fields at x > 0 pass through;
@@ -354,8 +357,8 @@ def apply_smatrix(expr, theta, left_field="psi", right_field="psi"):
     partner psibar^l(-x) gets -cos(alpha).  For the pure reflection itself
     the map is the identity.
     """
-    c, s = _theta_pair(theta)
-    expr = expand_stress(expr, left_field, right_field)
+    c, s = theta_pair(theta)
+    expr = expand_stress(expr)
 
     def fn(f):
         if f.name == "identity":
@@ -365,16 +368,12 @@ def apply_smatrix(expr, theta, left_field="psi", right_field="psi"):
         if f.bar and f.side == "r":
             return FieldExpression.from_field(f)
         km = (-1) ** f.deriv
-        if not f.bar and f.side == "r":
-            if f.name != right_field:
-                raise UnsupportedFieldError(f"no scattering rule for {f.name!r}")
-            partner = LocalField(left_field, "l", bar=True, deriv=f.deriv,
-                                 position=-f.position)
-            return FieldExpression(((s, (f,)), (-km * c, (partner,))))
-        if f.name != left_field:
+        if f.name != "psi":
             raise UnsupportedFieldError(f"no scattering rule for {f.name!r}")
-        partner = LocalField(right_field, "r", bar=False, deriv=f.deriv,
-                             position=-f.position)
+        if not f.bar and f.side == "r":
+            partner = fermion("l", -f.position, bar=True, deriv=f.deriv)
+            return FieldExpression(((s, (f,)), (-km * c, (partner,))))
+        partner = fermion("r", -f.position, deriv=f.deriv)
         return FieldExpression(((s, (f,)), (km * c, (partner,))))
 
     return collect_stress(expr.map_factors(fn))
@@ -440,7 +439,7 @@ def expectation(expr, weights=None):
     return canonical(total)
 
 
-def energy_current(theta, weights=None, side="r", left_field="psi", right_field="psi"):
+def energy_current(theta, weights=None, side="r"):
     """Steady energy current, computed by scattering the momentum density.
 
     Evaluates the average of S[T(x) - Tbar(x)] with the fields placed on
@@ -450,7 +449,7 @@ def energy_current(theta, weights=None, side="r", left_field="psi", right_field=
     pos = X if side == "r" else -X
     p = (FieldExpression.from_field(stress(side, pos))
          - FieldExpression.from_field(stress(side, pos, bar=True)))
-    scattered = apply_smatrix(p, theta, left_field, right_field)
+    scattered = apply_smatrix(p, theta)
     return expectation(scattered, weights)
 
 
@@ -486,27 +485,3 @@ def stress_coefficients(expr):
             key = (f.side, f.bar, sp.srepr(f.position))
             out[key] = out.get(key, sp.Integer(0)) + coeff
     return out
-
-
-def current_report(theta, weights=None):
-    """JSON-ready record of a current computation."""
-    weights = weights or GibbsWeights()
-    j = energy_current(theta, weights)
-    degenerate = any(isinstance(v, (int, float, Fraction)) and v == 0
-                     for v in (weights.t_left, weights.t_right))
-    sigma = None if degenerate else entropy_production(j, weights)
-    numeric_j = None
-    numeric_sigma = None
-    if not j.free_symbols:
-        numeric_j = float(j)
-        if sigma is not None and not sigma.free_symbols:
-            numeric_sigma = float(sigma)
-    return {
-        "inputs": {
-            "theta_cos_sin": [str(v) for v in _theta_pair(theta)],
-            "T_l": str(weights.t_left),
-            "T_r": str(weights.t_right),
-        },
-        "symbolic_result": {"J_E": str(j), "sigma": str(sigma)},
-        "numeric_result": {"J_E": numeric_j, "sigma": numeric_sigma},
-    }

@@ -23,7 +23,6 @@ scattering engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import sympy as sp
 
@@ -186,60 +185,23 @@ def closed_form_current(params, weights=None):
     return sp.pi / 12 * (k - 1) / k * params.rr_bar * (tl ** 2 - tr ** 2)
 
 
-def decomposition_report(params):
-    cu1, czk = decomposition_coefficients(params)
-    j = energy_current_k(params)
-    return {
-        "k": str(params.k),
-        "s": str(params.s),
-        "rr_bar": str(params.rr_bar),
-        "coeff_Tu1": str(cu1),
-        "coeff_TZk": str(czk),
-        "J_E_closed_form": str(j),
-    }
-
-
-def fermionize_k2(params, matrix_cutoff=None):
-    """Cross-check the k = 2 current through the fermion scattering engine.
+def fermionize_k2(params):
+    """The k = 2 current recomputed through the fermion scattering engine.
 
     At k = 2 the left theory fermionizes into two Majorana fields; one of
     them reflects off the impurity while the other rotates into the right
-    fermion with cos of the effective angle equal to |r|.  The current is
-    recomputed from those rules and compared with the algebraic route.
+    fermion with cos of the effective angle equal to |r|.  A field name
+    enters no coefficient, so both sectors scatter as psi does.
+
+    Returns the effective rotation (cos, sin) = (|r|, s), the current summed
+    over the two sectors, and the current of the algebraic route
+    (energy_current_k); the two must agree.
     """
     if sp.sympify(params.k) != 2:
         raise ValueError("fermionization cross-check is specific to k = 2")
-    cos_eff = sp.sqrt(params.rr_bar)
-    sin_eff = params.s
-    # rotating pair: left chi2 with the right fermion, both c = 1/2 sectors
-    j_pair = ness.energy_current((cos_eff, sin_eff), left_field="chi2", right_field="psi")
-    # chi1 decouples through a pure reflection and carries nothing
-    j_chi1 = ness.energy_current((0, 1), left_field="chi1", right_field="chi1")
-    j_fermionized = ness.canonical(j_pair + j_chi1)
-    j_algebraic = energy_current_k(params)
-    agree = ness.canonical(j_fermionized - j_algebraic) == 0
-
-    report = {
-        "k": 2,
-        "s": str(params.s),
-        "rr_bar": str(params.rr_bar),
-        "cos_effective": str(cos_eff),
-        "chi1": "pure reflection, zero current",
-        "J_fermionized": str(j_fermionized),
-        "J_algebraic": str(j_algebraic),
-        "agree": bool(agree),
-    }
-
-    if matrix_cutoff is not None:
-        # realize the effective rotation as a truncated defect map and
-        # verify the Virasoro intertwining on it
-        from . import defect
-        if cos_eff.is_rational and sin_eff.is_rational:
-            spec = defect.BogoliubovSpec(Fraction(int(cos_eff.p), int(cos_eff.q)),
-                                         Fraction(int(sin_eff.p), int(sin_eff.q)))
-        else:
-            spec = defect.BogoliubovSpec(float(cos_eff), float(sin_eff))
-        real = defect.build_theta_fermion(spec, matrix_cutoff)
-        dev = max(abs(float(defect.check_intertwining(real, n))) for n in (-2, -1, 0, 1, 2))
-        report["intertwining_max_dev"] = dev
-    return report
+    effective = (sp.sqrt(params.rr_bar), params.s)
+    # the rotating field with the right fermion, both c = 1/2 sectors
+    j_pair = ness.energy_current(effective)
+    # the other field decouples through a pure reflection and carries nothing
+    j_reflected = ness.energy_current((0, 1))
+    return effective, ness.canonical(j_pair + j_reflected), energy_current_k(params)

@@ -149,7 +149,8 @@ def test_criterion_08_su2k():
         pk = su2k.RotationParams.symbolic(kk)
         ok = ok and sp.simplify(su2k.energy_current_k(pk) - su2k.closed_form_current(pk)) == 0
     for rr_val in (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1):
-        ok = ok and su2k.fermionize_k2(su2k.RotationParams.from_rr_bar(2, rr_val))["agree"]
+        _, j_fermionized, j_algebraic = su2k.fermionize_k2(su2k.RotationParams.from_rr_bar(2, rr_val))
+        ok = ok and sp.simplify(j_fermionized - j_algebraic) == 0
     record(8, "rotation coefficients, closed-form current for k = 1..12, unit sum "
               "rule, and the k=2 fermionized route all agree", ok)
 

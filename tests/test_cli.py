@@ -263,6 +263,38 @@ def test_config_key_that_is_no_option_is_usage_error(capsys, tmp_path, config, a
     assert captured.out == "" and repr(next(iter(config))) in captured.err
 
 
+@pytest.mark.parametrize("config, argv, message", [
+    ({"model": "bogus"}, ["virasoro-check"], "'model' takes one of fermion, boson, both, got \"bogus\""),
+    # any JSON value is truthy or falsy, but a switch takes only true or false
+    ({"quick": "no"}, ["full-suite"], "'quick' takes true or false, got \"no\""),
+    ({"matrix_check": "false"}, ["su2k-fermionize"], "'matrix_check' takes true or false, got \"false\""),
+    # a number would be opened as a file descriptor
+    ({"series_out": 1}, ["lattice-run"], "'series_out' takes a string, got 1"),
+    ({"ring": 5}, ["reflection-phases"], "'ring' takes a string, got 5"),
+])
+def test_config_value_that_no_flag_could_give_is_usage_error(capsys, tmp_path, config, argv, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["--config", str(cfg), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"bad config: {message}\n"
+
+
+@pytest.mark.parametrize("config, argv, flags", [
+    ({"model": "fermion"}, ["virasoro-check", "--cutoff", "3"], ["--model", "fermion"]),
+    ({"quick": True}, ["full-suite"], ["--quick"]),
+    ({"matrix_check": False}, ["su2k-fermionize"], []),
+    ({"ring": "z3"}, ["reflection-phases"], ["--ring", "z3"]),
+    # another subcommand's option is not checked against this one's
+    ({"model": 1, "quick": "no"}, ["su2k-fermionize"], []),
+])
+def test_config_values_that_a_flag_could_give_act_as_the_flag(capsys, tmp_path, config, argv, flags):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert run(capsys, "--config", str(cfg), *argv) == run(capsys, *argv, *flags)
+
+
 def test_flags_override_config(capsys, tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"tl": 2.0, "tr": 1.0}))
@@ -443,6 +475,20 @@ SYMBOLIC_REPORTS = [
         "inputs": {"theta_cos_sin": ["cos(alpha)", "sin(alpha)"], "T_l": "1.0", "T_r": "0.0"},
         "symbolic_result": {"J_E": "0.0416666666666667*pi*cos(alpha)**2", "sigma": "None"},
         "numeric_result": {"J_E": None, "sigma": None},
+        "passed": True,
+    }),
+    (["current", "--alpha", "0.3", "--Tl", "1", "--Tr", "0.5"], {
+        "inputs": {"theta_cos_sin": ["0.955336489125606", "0.295520206661340"],
+                   "T_l": "1.0", "T_r": "0.5"},
+        "symbolic_result": {"J_E": "0.0285208689829637*pi", "sigma": "0.0285208689829637*pi"},
+        "numeric_result": {"J_E": 0.08960095247087582, "sigma": 0.08960095247087582},
+        "passed": True,
+    }),
+    # a zero temperature has no entropy production
+    (["current", "--cos-sin=3/5,4/5", "--Tl", "1", "--Tr", "0"], {
+        "inputs": {"theta_cos_sin": ["3/5", "4/5"], "T_l": "1.0", "T_r": "0.0"},
+        "symbolic_result": {"J_E": "0.015*pi", "sigma": "None"},
+        "numeric_result": {"J_E": 0.047123889803846894, "sigma": None},
         "passed": True,
     }),
     (["su2k-decompose"], {
@@ -689,6 +735,17 @@ FLOAT_REPORTS = [
       "intertwining_max_dev", "passed"],
      dict(_FERMIONIZED_K2, s="4/5", rr_bar="9/25", cos_effective="3/5", intertwining_max_dev=0.0,
           J_fermionized="3*pi*(T_l**2 - T_r**2)/200", J_algebraic="3*pi*(T_l**2 - T_r**2)/200")),
+    # an irrational effective rotation takes a float Theta
+    (["su2k-fermionize", "--matrix-check", "--rr-bar", "1/4"], 0,
+     ["k", "s", "rr_bar", "cos_effective", "chi1", "J_fermionized", "J_algebraic", "agree",
+      "intertwining_max_dev", "passed"],
+     dict(_FERMIONIZED_K2, s="sqrt(3)/2", rr_bar="1/4", cos_effective="1/2",
+          J_fermionized="pi*(T_l**2 - T_r**2)/96", J_algebraic="pi*(T_l**2 - T_r**2)/96")),
+    (["lattice-run", "--sites", "120", "--samples", "30"], 0,
+     ["spec", "plateau_mean", "plateau_stderr", "plateau_window", "landauer", "transmission_dc",
+      "cft_prediction", "orth_drift", "ratios", "passed"],
+     {"spec": {"sites": 120, "coupling": 1.0, "defect": 1.0, "T_l": 0.1, "T_r": 0.05},
+      "plateau_window": [15.0, 27.0], "transmission_dc": 1.0, "passed": True}),
     (["lattice-transmission", "--omega-points", "3"], 0,
      ["defect", "transmission_dc", "grid", "passed"], {"defect": 0.5, "passed": True}),
 ]

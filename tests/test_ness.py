@@ -238,11 +238,11 @@ def test_graded_sort_sign():
     assert e1.terms == e2.terms
 
 
-def test_current_report_structure():
-    rep = ness.current_report((1, 0), weights=GibbsWeights(1.0, 0.5))
-    assert set(rep) == {"inputs", "symbolic_result", "numeric_result"}
-    assert abs(rep["numeric_result"]["J_E"] - math.pi / 24 * 0.75) < 1e-12
-    assert rep["numeric_result"]["sigma"] > 0
+def test_current_and_entropy_production_at_full_transmission():
+    w = GibbsWeights(1.0, 0.5)
+    j = energy_current((1, 0), w)
+    assert abs(float(j) - math.pi / 24 * 0.75) < 1e-12
+    assert float(entropy_production(j, w)) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from neqcft import ness, su2k
+from neqcft import defect, ness
 from neqcft.su2k import (K_PARAM, RR_PARAM, S_PARAM, RotationParams,
                          closed_form_current, decomposition_coefficients,
                          energy_current_k, fermionize_k2, rotate_u1_stress,
@@ -104,19 +104,18 @@ def test_params_validation():
 
 
 def test_fermionize_matches_algebraic_route_exactly():
-    symbols = {"T_l": ness.T_LEFT, "T_r": ness.T_RIGHT}
     for rr in (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1):
         p = RotationParams.from_rr_bar(2, rr)
-        report = fermionize_k2(p)
-        assert report["agree"], rr
+        effective, j_fermionized, j_algebraic = fermionize_k2(p)
+        assert effective == (sp.sqrt(p.rr_bar), p.s), rr
         want = sp.pi / 12 * sp.Rational(Fraction(rr)) / 2 * (ness.T_LEFT ** 2 - ness.T_RIGHT ** 2)
-        got = sp.sympify(report["J_fermionized"], locals=symbols)
-        assert sp.simplify(got - want) == 0, rr
+        assert sp.simplify(j_fermionized - want) == 0, rr
+        assert sp.simplify(j_algebraic - want) == 0, rr
 
 
 def test_fermionize_decoupled_point():
-    report = fermionize_k2(RotationParams(2, 1, 0))
-    assert sp.simplify(sp.sympify(report["J_fermionized"])) == 0
+    _, j_fermionized, _ = fermionize_k2(RotationParams(2, 1, 0))
+    assert sp.simplify(j_fermionized) == 0
 
 
 def test_fermionize_requires_level_two():
@@ -125,11 +124,7 @@ def test_fermionize_requires_level_two():
 
 
 def test_fermionize_matrix_cross_check():
-    report = fermionize_k2(RotationParams.from_rr_bar(2, Fraction(1, 4)),
-                           matrix_cutoff=Fraction(5, 2))
-    assert report["intertwining_max_dev"] <= 1e-12
-
-
-def test_decomposition_report_fields():
-    rep = su2k.decomposition_report(RotationParams.symbolic())
-    assert set(rep) == {"k", "s", "rr_bar", "coeff_Tu1", "coeff_TZk", "J_E_closed_form"}
+    # the effective rotation, realized as a truncated defect map, intertwines the Virasoro actions
+    (c, s), _, _ = fermionize_k2(RotationParams.from_rr_bar(2, Fraction(1, 4)))
+    real = defect.build_theta_fermion(defect.BogoliubovSpec(float(c), float(s)), Fraction(5, 2))
+    assert max(abs(float(defect.check_intertwining(real, n))) for n in range(-2, 3)) <= 1e-12
