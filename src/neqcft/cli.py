@@ -117,8 +117,11 @@ def cmd_virasoro_check(args):
         space = fock.enumerate_basis(model, args.cutoff)
         c = virasoro.central_charge_probe(model, 2, space)
         worst = 0
-        for m in range(-args.commutator_range, args.commutator_range + 1):
-            for n in range(-args.commutator_range, args.commutator_range + 1):
+        r = args.commutator_range
+        # the (n, m) deviation is the negative of the (m, n) one, and the (m, m)
+        # one is zero, so each unordered pair is checked once
+        for m in range(-r, r + 1):
+            for n in range(m + 1, r + 1):
                 dev = virasoro.commutator_deviation(model, m, n, space, central=c)
                 worst = max(worst, dev)
         l0_dev = virasoro.level_spectrum_deviation(model, space)

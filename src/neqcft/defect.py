@@ -116,19 +116,37 @@ def scattering_space(cutoff):
 
 
 @functools.cache
-def _embedded_mode(space, k, value):
-    """The mode c^k_v of factor ``k``, embedded in the product space."""
-    return fock.graded_tensor(fock.mode_operator(space.factors[k], value), k, space)
+def _embedded_mode(space, k, twice):
+    """The mode c^k_v of factor ``k``, embedded in the product space, for ``twice`` = 2v."""
+    return fock.graded_tensor(fock.mode_operator(space.factors[k], Fraction(twice, 2)), k, space)
 
 
-def _mode_images(space, values, matrix):
+def _mode_images(space, twices, matrix):
     """Factor modes embedded in the product space, and their images under ``matrix``.
 
-    Keys are (factor index, value).  The image of c^k_v is
-    m[k][0] c^0_v + m[k][1] c^1_v.
+    Keys are (factor index, 2v) for the mode values v = twices / 2.  The
+    image of c^k_v is m[k][0] c^0_v + m[k][1] c^1_v, built in one pass.
+    The two embedded modes are exact over 1 and never share an entry, so it
+    stores what ``m[k][0] * c^0_v + m[k][1] * c^1_v`` stores: the columns
+    of c^0_v, then those only c^1_v has; a rational coefficient's entries
+    as numerators over the lcm of the row's rational denominators, a float
+    coefficient's as floats; a zero coefficient adds nothing.
     """
-    raw = {(k, v): _embedded_mode(space, k, v) for v in values for k in (0, 1)}
-    images = {(k, v): matrix[k][0] * raw[(0, v)] + matrix[k][1] * raw[(1, v)] for k, v in raw}
+    raw = {(k, t): _embedded_mode(space, k, t) for t in twices for k in (0, 1)}
+    images = {}
+    for k, row in enumerate(matrix):
+        exact = all(fock._rational(x) for x in row)
+        den = math.lcm(*(x.denominator for x in row if fock._rational(x)))
+        scales = [(f, x.numerator * (den // x.denominator) if fock._rational(x) else x)
+                  for f, x in enumerate(row) if x]
+        for t in twices:
+            cols = {}
+            for f, scale in scales:
+                for j, c in raw[(f, t)].columns.items():
+                    col = cols.setdefault(j, {})
+                    for r, val in c.items():
+                        col[r] = scale * val
+            images[(k, t)] = GradedOperator(space, -t, 1, cols, den, exact)
     return raw, images
 
 
@@ -138,7 +156,7 @@ def _generations(space):
 
     Each group is ``(key, [(col, rest), ...])``: ``key`` is the leftmost
     mode (the first factor-0 mode, else the first factor-1 mode) as
-    (factor index, value), and ``rest`` is the column of the state without
+    (factor index, 2v), and ``rest`` is the column of the state without
     it, which has k - 1 modes.
     """
     first, second = space.factors
@@ -153,8 +171,7 @@ def _generations(space):
             continue  # the vacuum
         gens.setdefault(len(s0) + len(s1), {}).setdefault(key, []).append(
             (col, space.index_of(rest)))
-    return [[((f, Fraction(t, 2)), cols) for (f, t), cols in gens[k].items()]
-            for k in sorted(gens)]
+    return [list(gens[k].items()) for k in sorted(gens)]
 
 
 def build_mode_automorphism(matrix, cutoff):
@@ -171,7 +188,7 @@ def build_mode_automorphism(matrix, cutoff):
     each of its columns to the column of the state without it.
     """
     space = scattering_space(cutoff)
-    creation = [v for v in fock.mode_values(FERMION, space.cutoff) if v < 0]
+    creation = [t for t in fock.twice_mode_values(FERMION, space.cutoff) if t < 0]
     _, images = _mode_images(space, creation, matrix)
     generation = GradedOperator.identity(space).restrict_columns(0)  # the vacuum is fixed
     parts = [generation]
@@ -180,7 +197,7 @@ def build_mode_automorphism(matrix, cutoff):
         products = []
         for key, cols in groups:
             image = images[key]
-            rest = GradedOperator(space, -image.level_shift, 1,
+            rest = GradedOperator(space, -image.twice_shift, 1,
                                   {col: prev[r] for col, r in cols if r in prev},
                                   generation.denominator, generation.exact)
             products.append(image @ rest)
@@ -229,7 +246,9 @@ def check_intertwining(real, n):
     _require_safe_columns(space, safe, f"n={n}")
     ltot = total_virasoro(space, n)
     theta = real.theta
-    comm = theta @ ltot.restrict_columns(safe) - ltot @ theta.restrict_columns(safe)
+    # the products are fresh, so the difference accumulates into the first
+    comm = theta @ ltot.restrict_columns(safe)
+    comm.accumulate(ltot @ theta.restrict_columns(safe), -1)
     return comm.max_abs_entry(max_col_level=safe)
 
 
@@ -254,31 +273,33 @@ def check_ope_preservation(real):
     is formed; the group law gives it in closed form, Theta(a)^-1 = Theta(-a).
     """
     space = real.theta.space
-    # the modes b_s with |s| <= 3/2; the smallest |s| leaves the widest safe subspace
-    values = fock.mode_values(FERMION, Fraction(3, 2))
-    _require_safe_columns(space, space.cutoff - min(abs(v) for v in values),
-                          "the OPE check on b_s with |s| <= 3/2")
-    raw, images = _mode_images(space, values, real.mode_map)
+    # the modes b_s with |s| <= 3/2, as 2s, and the safe level of each |2s|; the
+    # smallest |s| leaves the widest safe subspace
+    twices = fock.twice_mode_values(FERMION, Fraction(3, 2))
+    safe_of = {abs(t): space.cutoff - Fraction(abs(t), 2) for t in twices}
+    _require_safe_columns(space, max(safe_of.values()), "the OPE check on b_s with |s| <= 3/2")
+    raw, images = _mode_images(space, twices, real.mode_map)
     theta = real.theta
     dev = 0
     keys = sorted(raw, key=str)
-    for a in keys:
+    for i, a in enumerate(keys):
+        fa, ta = a
         # the realization must implement the images: Theta b = B Theta
-        safe = space.cutoff - abs(a[1])
-        resid = theta @ raw[a].restrict_columns(safe) - images[a] @ theta.restrict_columns(safe)
+        safe = safe_of[abs(ta)]
+        resid = theta @ raw[a].restrict_columns(safe)
+        resid.accumulate(images[a] @ theta.restrict_columns(safe), -1)
         dev = max(dev, resid.max_abs_entry(max_col_level=safe))
-        for b in keys:
-            fa, va = a
-            fb, vb = b
-            safe = space.cutoff - max(abs(va), abs(vb))
+        # {B_a, B_b} is symmetric in a and b, so each unordered pair is formed once
+        for b in keys[i:]:
+            fb, tb = b
+            safe = safe_of[max(abs(ta), abs(tb))]
             if safe < 0:
                 continue
-            anti = (images[a] @ images[b].restrict_columns(safe)
-                    + images[b] @ images[a].restrict_columns(safe))
-            expect = GradedOperator.zero(space, anti.level_shift, anti.parity_shift)
-            if fa == fb and va + vb == 0:
-                expect = expect + GradedOperator.identity(space)
-            dev = max(dev, (anti - expect).max_abs_entry(max_col_level=safe))
+            anti = images[a] @ images[b].restrict_columns(safe)
+            anti.accumulate(images[b] @ images[a].restrict_columns(safe))
+            if fa == fb and ta + tb == 0:
+                anti.accumulate(GradedOperator.identity(space), -1)
+            dev = max(dev, anti.max_abs_entry(max_col_level=safe))
     return dev
 
 

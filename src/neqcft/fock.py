@@ -15,8 +15,10 @@ every sign deterministic.  Inside this module a mode value ``s`` is carried
 as the int ``2s`` and a level as the int ``2 * level`` ("twice" units), so
 basis lookups, ordering and level comparisons run on machine ints: a state
 is the ascending tuple of twice its mode values, ``StateSpace.states`` holds
-those tuples and ``twice_levels`` their twice-levels.  Cutoffs, level
-shifts and ``mode_values`` stay exact ``Fraction`` values at the API.
+those tuples and ``twice_levels`` their twice-levels, and an operator's
+grading is its ``twice_shift``, so products, sums and grading compares do no
+``Fraction`` arithmetic.  Cutoffs, ``level_shift`` and ``mode_values`` stay
+exact ``Fraction`` values at the API.
 
 An operator stores its exact entries as int numerators over one positive
 int ``denominator``.  A product's denominator is the product of its
@@ -42,7 +44,9 @@ a state is an operator column ``{row: amplitude}``, and column ``j`` of
 
 Spaces hash once, at construction, and compare by value.  Mode matrices are
 built once per (space, mode value) and shared by every caller, which is safe
-because neither spaces nor built operators are ever mutated.
+because neither spaces nor built operators are ever mutated.  A mode matrix
+has at most one entry per column, and it visits only the states whose image
+level stays in [0, cutoff], a range of the level-ordered basis.
 """
 
 from __future__ import annotations
@@ -68,8 +72,8 @@ def _rational(x):
 
 
 def _twice_floor(level):
-    """The largest twice-level at or below ``level``."""
-    return math.floor(2 * level)
+    """The largest twice-level at or below ``level``, an int or a Fraction, in int arithmetic."""
+    return 2 * level.numerator // level.denominator
 
 
 def _twice_mode(species, value):
@@ -102,6 +106,7 @@ class StateSpace:
     def __post_init__(self):
         object.__setattr__(self, "_index", {s: i for i, s in enumerate(self.states)})
         object.__setattr__(self, "twice_levels", tuple(-sum(s) for s in self.states))
+        object.__setattr__(self, "twice_cutoff", _twice_floor(self.cutoff))
         object.__setattr__(self, "_hash", hash((self.species, self.cutoff, self.states)))
 
     def __hash__(self):
@@ -217,8 +222,9 @@ class GradedOperator:
     ``columns[j]`` maps a basis index to ``{row: stored}``.  A
     stored int is a numerator over ``denominator``; a stored float is the
     entry itself.  ``exact`` means that no float entry was ever stored.
-    Every entry connects states whose levels differ by exactly
-    ``level_shift`` and whose parities differ by ``parity_shift``.
+    Every entry connects states whose twice-levels differ by exactly
+    ``twice_shift`` (the ``level_shift`` is half of it) and whose
+    parities differ by ``parity_shift``.
     Mutation is limited to construction time (``add_entry``,
     ``accumulate``, ``normalize``); all algebraic operations return new
     operators (``restrict_columns`` shares the column maps it keeps), so
@@ -226,23 +232,23 @@ class GradedOperator:
     """
 
     space: object
-    level_shift: Fraction
+    twice_shift: int
     parity_shift: int
     columns: dict
     denominator: int = 1
     exact: bool = True
 
-    @classmethod
-    def zero(cls, space, level_shift, parity_shift):
-        return cls(space, _as_fraction(level_shift), parity_shift % 2, {})
+    @property
+    def level_shift(self):
+        return Fraction(self.twice_shift, 2)
 
     @classmethod
     def identity(cls, space):
-        return cls(space, Fraction(0), 0, {j: {j: 1} for j in range(space.dimension)})
+        return cls(space, 0, 0, {j: {j: 1} for j in range(space.dimension)})
 
     def _like(self, columns, denominator=None, exact=None):
         """An operator with this one's space and grading."""
-        return GradedOperator(self.space, self.level_shift, self.parity_shift,
+        return GradedOperator(self.space, self.twice_shift, self.parity_shift,
                               columns, self.denominator if denominator is None else denominator,
                               self.exact if exact is None else exact)
 
@@ -262,23 +268,22 @@ class GradedOperator:
         """Every nonzero column by value, ``{col: {row: entry}}`` in stored order."""
         return {j: self.column(j) for j in self.columns}
 
-    def _numerator(self, value):
-        """The numerator that stores the exact ``value``, raising the denominator when needed."""
-        if type(value) is int:
-            return value * self.denominator
-        value = Fraction(value)
-        q = value.denominator
-        if self.denominator % q:
-            den = math.lcm(self.denominator, q)
-            self.columns = _scaled(self.columns, den // self.denominator, self.exact)
-            self.denominator = den
-        return value.numerator * (self.denominator // q)
+    def _numerator(self, num, den):
+        """The numerator that stores ``num / den`` (ints, ``den > 0``), raising the denominator when needed."""
+        g = math.gcd(num, den)
+        if g > 1:
+            num, den = num // g, den // g
+        if self.denominator % den:
+            new = math.lcm(self.denominator, den)
+            self.columns = _scaled(self.columns, new // self.denominator, self.exact)
+            self.denominator = new
+        return num * (self.denominator // den)
 
     def add_entry(self, row, col, value):
         if value == 0:
             return
         if _rational(value):
-            value = self._numerator(value)
+            value = self._numerator(value.numerator, value.denominator)
         else:
             self.exact = False
         colmap = self.columns.setdefault(col, {})
@@ -295,12 +300,12 @@ class GradedOperator:
         """Add ``factor * other`` into this operator; construction time only, like add_entry."""
         if not same_space(self.space, other.space):
             raise ValueError("cannot add operators on different spaces")
-        if (self.level_shift, self.parity_shift) != (other.level_shift, other.parity_shift):
+        if self.twice_shift != other.twice_shift or self.parity_shift != other.parity_shift:
             raise ValueError("cannot add operators with different grading")
         if not (self.exact and other.exact and _rational(factor)):
             self._accumulate_values(other, factor)
             return
-        factor = self._numerator(Fraction(factor, other.denominator))
+        factor = self._numerator(factor.numerator, factor.denominator * other.denominator)
         cols = self.columns
         for j, c in other.columns.items():
             acc = cols.setdefault(j, {})
@@ -325,7 +330,8 @@ class GradedOperator:
         """
         exact_terms = _rational(factor) or factor in (1, -1)
         if exact_terms:
-            k = self._numerator(Fraction(factor) / other.denominator)
+            q = factor if _rational(factor) else int(factor)
+            k = self._numerator(q.numerator, q.denominator * other.denominator)
         self.exact = False
         cols, den, oden, fl = self.columns, self.denominator, other.denominator, float(factor)
         for j, c in other.columns.items():
@@ -415,7 +421,7 @@ class GradedOperator:
         return self._product(other, cols, den, False)
 
     def _product(self, other, columns, denominator, exact):
-        return GradedOperator(self.space, self.level_shift + other.level_shift,
+        return GradedOperator(self.space, self.twice_shift + other.twice_shift,
                               (self.parity_shift + other.parity_shift) % 2, columns,
                               denominator, exact)
 
@@ -440,7 +446,6 @@ class GradedOperator:
             cols = {j: {r: v / den * scalar if type(v) is int else v * scalar for r, v in c.items()}
                     for j, c in self.columns.items()}
             return self._like(cols, 1, False)
-        scalar = Fraction(scalar)
         num, den = scalar.numerator, self.denominator * scalar.denominator
         if self.exact:
             cols = {j: {r: v * num for r, v in c.items()} for j, c in self.columns.items()}
@@ -524,7 +529,7 @@ def join_columns(parts):
     first = parts[0]
     for p in parts:
         if not (same_space(p.space, first.space)
-                and (p.level_shift, p.parity_shift) == (first.level_shift, first.parity_shift)):
+                and (p.twice_shift, p.parity_shift) == (first.twice_shift, first.parity_shift)):
             raise ValueError("cannot join operators on different spaces or gradings")
     den = math.lcm(*(p.denominator for p in parts))
     cols = {}
@@ -542,16 +547,17 @@ def mode_operator(space, value):
     """
     twice = _twice_mode(space.species, value)
     parity, act = (1, _apply_fermion) if space.species == FERMION else (0, _apply_boson)
+    # the states are in level order, and a state gives an entry only when its
+    # image level, level - value, lies in [0, cutoff]: an annihilator needs a
+    # level of at least its value, a creator one at most the cutoff minus |value|
+    states, levels, index = space.states, space.twice_levels, space._index
     cols = {}
-    for j, state in enumerate(space.states):
-        res = act(twice, state)
-        if res is None:
-            continue
-        coeff, occ = res
-        row = space.index_of(occ)
-        if row is not None:
-            cols[j] = {row: coeff}
-    return GradedOperator(space, Fraction(-twice, 2), parity, cols)
+    for j in range(bisect.bisect_left(levels, twice),
+                   bisect.bisect_right(levels, space.twice_cutoff + twice)):
+        res = act(twice, states[j])
+        if res is not None:
+            cols[j] = {index[res[1]]: res[0]}
+    return GradedOperator(space, -twice, parity, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -613,13 +619,14 @@ def graded_tensor(op, k, pspace):
     first = pspace.factors[0]
     index, cols = pspace._index, {}
     for n, (i, j) in enumerate(pspace.states):
+        c = op.columns.get(j if k else i)
+        if c is None:
+            continue
         if k == 0:
-            col = {m: val for row, val in op.columns.get(i, _EMPTY).items()
-                   if (m := index.get((row, j))) is not None}
+            col = {m: val for row, val in c.items() if (m := index.get((row, j))) is not None}
         else:
             sign = -1 if (op.parity_shift and first.parity(i)) else 1
-            col = {m: sign * val for row, val in op.columns.get(j, _EMPTY).items()
-                   if (m := index.get((i, row))) is not None}
+            col = {m: sign * val for row, val in c.items() if (m := index.get((i, row))) is not None}
         if col:
             cols[n] = col
-    return GradedOperator(pspace, op.level_shift, op.parity_shift, cols, op.denominator, op.exact)
+    return GradedOperator(pspace, op.twice_shift, op.parity_shift, cols, op.denominator, op.exact)

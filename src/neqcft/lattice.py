@@ -106,6 +106,11 @@ _RE_I_POW = np.array([1.0, 0.0, -1.0, 0.0])
 _IM_I_POW = np.array([0.0, 1.0, 0.0, -1.0])
 
 
+def _require_temperatures(*temperatures):
+    if any(t < 0 for t in temperatures):
+        raise ValueError("temperature must be >= 0")
+
+
 def _gibbs_rows(n_sites, temperature, coupling=1.0):
     """Rows of the odd-lag block of the covariance of the Gibbs state of a decoupled uniform chain.
 
@@ -128,8 +133,7 @@ def _gibbs_rows(n_sites, temperature, coupling=1.0):
     Returns rows(a0, a1), which builds G[a0:a1] as a fresh (a1 - a0, n_sites)
     array; in between only O(L) floats are held.
     """
-    if temperature < 0:
-        raise ValueError("temperature must be >= 0")
+    _require_temperatures(temperature)
     size = 2 * n_sites
     eps = -2.0 * coupling * np.cos(np.pi * np.arange(1, size + 1) / (size + 1))
     occ = np.zeros(2 * (size + 1))
@@ -432,8 +436,7 @@ def landauer_current(transmission_fn, t_left, t_right, coupling=1.0):
     sums) is halved until the estimates sum to at most
     max(1e-14, QUAD_REL_TOL |J|), with at most QUAD_PANEL_LIMIT panels.
     """
-    if t_left < 0 or t_right < 0:
-        raise ValueError("temperature must be >= 0")
+    _require_temperatures(t_left, t_right)
     if coupling <= 0:
         raise ValueError("coupling must be positive")
 
@@ -514,14 +517,15 @@ def steady_current(spec, t_left, t_right, samples=60):
     rows of exp(A t) around the defect are needed for the current.  The
     samples run from t = 0 to the end of PLATEAU_WINDOW, and the plateau is
     their mean inside it; a window holding fewer than four samples raises
-    PlateauError before any O(N^2) work.  The rows of all samples come from
-    one propagator_rows call, one pass over blocks of mode rows, and every
-    sample checks that its rows stay orthonormal to ORTH_TOL; the largest
-    deviation is kept as orth_drift.  Each Gibbs half vanishes at even lags,
-    so only its odd-lag block is built, _GIBBS_ROWS rows at a time, each
-    contracted against the odd entries of the rows of all samples as it is
-    built: a quarter of the entries of the half and half of its flops.  No
-    N x N array is formed: memory is O(S N) for S samples.
+    PlateauError, and a negative temperature ValueError, before any O(N^2)
+    work.  The rows of all samples come from one propagator_rows call, one
+    pass over blocks of mode rows, and every sample checks that its rows
+    stay orthonormal to ORTH_TOL; the largest deviation is kept as
+    orth_drift.  Each Gibbs half vanishes at even lags, so only its odd-lag
+    block is built, _GIBBS_ROWS rows at a time, each contracted against the
+    odd entries of the rows of all samples as it is built: a quarter of the
+    entries of the half and half of its flops.  No N x N array is formed:
+    memory is O(S N) for S samples.
     """
     n = spec.sites
     w0, w1 = PLATEAU_WINDOW
@@ -532,6 +536,8 @@ def steady_current(spec, t_left, t_right, samples=60):
         raise PlateauError(
             f"plateau window [{lo:.1f}, {hi:.1f}] holds {int(mask.sum())} samples; "
             "increase samples")
+    # both reservoirs are checked before the O(S N^2) propagator rows
+    _require_temperatures(t_left, t_right)
 
     jc = spec.defect_bond
     rows = np.array([jc - 1, jc, jc + 1, jc + 2])

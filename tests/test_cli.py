@@ -10,6 +10,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -47,6 +48,27 @@ def test_virasoro_check_builds_each_mode_matrix_once(tmp_path):
     # the 12 mode values with |s| <= 6 on each model's one space, each built once
     info = fock.mode_operator.cache_info()
     assert info.misses == 24 and info.hits > 0
+
+
+@pytest.mark.parametrize("model, bad", [("fermion", 1), ("boson", -2), ("fermion", 0)])
+def test_virasoro_check_reports_the_worst_pair_of_the_full_grid(capsys, monkeypatch, model, bad):
+    # the loop reads each unordered pair (m < n) once; with a corrupt L_bad
+    # it must report the largest deviation over every (m, n) of the grid
+    space = fock.enumerate_basis(model, 4)
+    gen = virasoro.build_virasoro(model, bad, space)
+    j, col = next(iter(gen.to_dict().items()))
+    corrupt = gen * 1
+    corrupt.add_entry(next(iter(col)), j, Fraction(1, 7))
+    real = virasoro.build_virasoro
+    monkeypatch.setattr(virasoro, "build_virasoro",
+                        lambda m, k, sp: corrupt if (m, k) == (model, bad) else real(m, k, sp))
+    c = virasoro.central_charge_probe(model, 2, space)
+    worst = max(virasoro.commutator_deviation(model, m, n, space, c)
+                for m in range(-2, 3) for n in range(-2, 3))
+    code, out = run(capsys, "virasoro-check", "--cutoff", "4", "--model", model)
+    report = json.loads(out)["models"][model]
+    assert code == 1 and worst != 0
+    assert report["commutator_max_deviation"] == str(worst)
 
 
 def test_intertwiner_builds_each_product_operator_once(tmp_path):
@@ -405,6 +427,9 @@ def test_counts_that_would_check_nothing_are_usage_errors(capsys, argv):
     (["lattice-transmission", "--coupling", "0"], "coupling must be positive"),
     (["landauer", "--t0", "2"], "transmission must lie in [0, 1]"),
     (["landauer", "--t0", "-1"], "transmission must lie in [0, 1]"),
+    # checked before the propagator rows of the lattice run are built
+    (["lattice-run", "--sites", "120", "--Tl", "-1"], "temperature must be >= 0"),
+    (["lattice-run", "--sites", "120", "--Tr", "-0.5"], "temperature must be >= 0"),
 ])
 def test_out_of_domain_lattice_parameters_are_usage_errors(capsys, argv, message):
     assert cli.main(argv) == 2
@@ -581,6 +606,15 @@ _OPE_DIAGNOSTIC = ("mode conjugation does not preserve the anticommutation relat
                    "or the identity field")
 
 
+def _virasoro_report(fermion_dimension, boson_dimension):
+    """The passing virasoro-check report of both models, at the given space dimensions."""
+    return {"models": {
+        model: {"central_charge": c, "central_charge_expected": c,
+                "commutator_max_deviation": "0", "level_spectrum_deviation": "0",
+                "dimension": dim, "passed": True}
+        for model, c, dim in (("fermion", "1/2", fermion_dimension), ("boson", "1", boson_dimension))}}
+
+
 def _failed_intertwiner(cutoff, theta, deviations):
     """The report of an intertwiner run over n = -2..2 that fails at every n."""
     checks = [{"theta": theta, "n": n, "deviation": dev, "passed": False}
@@ -677,14 +711,18 @@ EXACT_REPORTS = [
                       "Theta[Tbar^l + T^r] != T^l + Tbar^r on the vacuum",
     }),
     # the exact default reports: a refactor of the exact layer keeps them byte for byte
-    (["virasoro-check"], 0, {"models": {
-        "fermion": {"central_charge": "1/2", "central_charge_expected": "1/2",
-                    "commutator_max_deviation": "0", "level_spectrum_deviation": "0",
-                    "dimension": 18, "passed": True},
-        "boson": {"central_charge": "1", "central_charge_expected": "1",
-                  "commutator_max_deviation": "0", "level_spectrum_deviation": "0",
-                  "dimension": 30, "passed": True},
-    }}),
+    (["virasoro-check"], 0, _virasoro_report(18, 30)),
+    # the exact argv of the benchmark's exact workload, and the float grid control
+    (["virasoro-check", "--cutoff", "12"], 0, _virasoro_report(92, 272)),
+    (["intertwiner", "--cutoff", "8"], 0, {"cutoff": "8", "checks": [
+        {"theta": f"(cos, sin) = ({c}, {s})", "n": n, "deviation": "0", "passed": True}
+        for c, s in (("1", "0"), ("0", "1"), ("3/5", "4/5"), ("4/5", "3/5"), ("5/13", "12/13"),
+                     ("12/13", "5/13"), ("8/17", "15/17"), ("20/29", "21/29"))
+        for n in range(-2, 3)]}),
+    (["intertwiner", "--cutoff", "8", "--alpha", "0.7"], 0, {"cutoff": "8", "checks": [
+        {"theta": _ALPHA_07, "n": n, "deviation": dev, "passed": True}
+        for n, dev in zip(range(-2, 3), ["4.440892098500626e-16"] * 2 + ["0"]
+                          + ["4.440892098500626e-16"] * 2)]}),
     (["reflection-phases", "--ring", "z3"], 0, {
         "ring": "z3",
         "labels": ["1", "psi1", "psi2"],

@@ -183,14 +183,19 @@ def _intertwining_full(real, n):
 
 
 def _ope_full(real):
-    space, theta = real.theta.space, real.theta
-    raw, images = defect._mode_images(space, fock.mode_values("fermion", Fraction(3, 2)),
-                                      real.mode_map)
+    # every ordered pair, the images as scalar multiples plus a sum, and the
+    # full products masked to the safe columns afterwards
+    space, theta, matrix = real.theta.space, real.theta, real.mode_map
+    values = fock.mode_values("fermion", Fraction(3, 2))
+    raw = {(k, v): fock.graded_tensor(fock.mode_operator(space.factors[k], v), k, space)
+           for v in values for k in (0, 1)}
+    images = {(k, v): matrix[k][0] * raw[(0, v)] + matrix[k][1] * raw[(1, v)] for k, v in raw}
     dev = 0
-    for a in raw:
+    keys = sorted(raw, key=str)
+    for a in keys:
         resid = theta @ raw[a] - images[a] @ theta
         dev = max(dev, resid.max_abs_entry(max_col_level=space.cutoff - abs(a[1])))
-        for b in raw:
+        for b in keys:
             anti = images[a] @ images[b] + images[b] @ images[a]
             if a[0] == b[0] and a[1] + b[1] == 0:
                 anti = anti - GradedOperator.identity(space)
@@ -303,6 +308,24 @@ def test_skewed_realizations_deviate_alike_with_and_without_restriction(spec, cu
     dev = check_intertwining(broken, n)
     assert dev != 0 and dev == _intertwining_full(broken, n)
     assert check_ope_preservation(broken) == _ope_full(broken) != 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(("alpha", "skew", "alpha-skew")), st.floats(-3.0, 3.0),
+       st.sampled_from(RATIONAL_POINTS), st.sampled_from([Fraction(t, 2) for t in range(2, 9)]),
+       st.one_of(st.floats(1e-3, 0.5), st.floats(-0.5, -1e-3)))
+def test_ope_preservation_matches_full_products_on_float_and_skewed_maps(kind, alpha, spec,
+                                                                        cutoff, eps):
+    # the float path of `--alpha` and the float corruption of `--skew`: each
+    # unordered pair formed once gives the deviation, value and type, of
+    # every ordered pair formed in full
+    if kind != "skew":
+        spec = BogoliubovSpec.from_angle(alpha)
+    real = build_theta_fermion(spec, cutoff)
+    if kind != "alpha":
+        real = cli._skewed(real, eps)
+    got, ref = check_ope_preservation(real), _ope_full(real)
+    assert got == ref and type(got) is type(ref)
 
 
 def test_intertwining_float_angles():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neqcft import cli, defect
+from neqcft import cli, defect, fock
 from neqcft.defect import BogoliubovSpec, build_theta_fermion
 from neqcft.fock import (BOSON, FERMION, GradedOperator, ProductSpace, enumerate_basis,
                          graded_tensor, join_columns, mode_operator, mode_values)
@@ -136,7 +136,7 @@ def test_operators_refuse_foreign_spaces():
     with pytest.raises(ValueError):
         a @ b
     with pytest.raises(ValueError, match="different spaces"):
-        a + GradedOperator.zero(fermions, a.level_shift, a.parity_shift)
+        a + GradedOperator(fermions, a.twice_shift, a.parity_shift, {})
 
 
 def test_operators_on_equal_spaces_compose():
@@ -178,7 +178,7 @@ def test_fermion_anticommutation_relations():
             a = mode_operator(space, s)
             b = mode_operator(space, sp)
             anti = a @ b + b @ a
-            expect = GradedOperator.zero(space, anti.level_shift, anti.parity_shift)
+            expect = GradedOperator(space, anti.twice_shift, anti.parity_shift, {})
             if s + sp == 0:
                 expect = expect + GradedOperator.identity(space)
             safe = cutoff - max(abs(s), abs(sp))
@@ -194,7 +194,7 @@ def test_boson_commutation_relations():
             a = mode_operator(space, m)
             b = mode_operator(space, n)
             comm = a @ b - b @ a
-            expect = GradedOperator.zero(space, comm.level_shift, comm.parity_shift)
+            expect = GradedOperator(space, comm.twice_shift, comm.parity_shift, {})
             if m + n == 0:
                 expect = expect + m * GradedOperator.identity(space)
             safe = cutoff - max(abs(m), abs(n))
@@ -206,6 +206,39 @@ def test_mode_operator_grading():
     op = mode_operator(space, Fraction(-3, 2))
     assert op.level_shift == Fraction(3, 2) and op.parity_shift == 1
     check_grading(op)
+
+
+def _stored(columns):
+    """Columns and their entries in stored order."""
+    return [(j, list(c.items())) for j, c in columns.items()]
+
+
+def _mode_operator_on_every_state(space, value):
+    # oracle: the mode applied to every state, its image looked up and dropped
+    # when it lies outside the space
+    twice = int(2 * value)
+    act = fock._apply_fermion if space.species == FERMION else fock._apply_boson
+    cols = {}
+    for j, state in enumerate(space.states):
+        res = act(twice, state)
+        if res is not None and (row := space.index_of(res[1])) is not None:
+            cols[j] = {row: res[0]}
+    return cols
+
+
+@pytest.mark.parametrize("species, cutoff", [
+    (FERMION, 0), (FERMION, 4), (FERMION, Fraction(9, 2)), (FERMION, Fraction(13, 2)),
+    (BOSON, 1), (BOSON, 5), (BOSON, Fraction(11, 2)), (BOSON, 7)])
+def test_mode_operator_matches_the_construction_on_every_state(species, cutoff):
+    # only the columns whose image level lies in [0, cutoff] are visited;
+    # the others gave no entry, so the columns and their order are unchanged
+    space = enumerate_basis(species, cutoff)
+    for value in mode_values(species, cutoff + 2):
+        op = mode_operator(space, value)
+        assert _stored(op.columns) == _stored(_mode_operator_on_every_state(space, value)), value
+        assert (op.twice_shift, op.parity_shift, op.denominator, op.exact) == (
+            -int(2 * value), 1 if species == FERMION else 0, 1, True)
+        assert op.level_shift == -value and type(op.level_shift) is Fraction
 
 
 def test_graded_tensor_identity():
@@ -308,7 +341,7 @@ def _oracle_accumulate(column, row, value):
 
 def _build(space, exact, floats):
     """An operator built with add_entry from exact then float cells, and its oracle."""
-    op = GradedOperator.zero(space, 0, 0)
+    op = GradedOperator(space, 0, 0, {})
     oracle = {}
     for (row, col), v in exact:
         op.add_entry(row, col, v)
@@ -413,7 +446,7 @@ def _assert_matches(op, want, level):
 
 def _columns_of(op, want, keep):
     """The operator and its oracle on the columns in ``keep`` only."""
-    part = GradedOperator(op.space, op.level_shift, op.parity_shift,
+    part = GradedOperator(op.space, op.twice_shift, op.parity_shift,
                           {j: c for j, c in op.columns.items() if j in keep}, op.denominator, op.exact)
     return part, ({j: c for j, c in want[0].items() if j in keep}, want[1])
 
@@ -461,8 +494,8 @@ def _oracle_theta(space, matrix):
 
     def image(k, value):
         if (k, value) not in images:
-            a = _oracle_scale(_values(defect._embedded_mode(space, 0, value)), matrix[k][0])
-            b = _oracle_scale(_values(defect._embedded_mode(space, 1, value)), matrix[k][1])
+            a = _oracle_scale(_values(defect._embedded_mode(space, 0, int(2 * value))), matrix[k][0])
+            b = _oracle_scale(_values(defect._embedded_mode(space, 1, int(2 * value))), matrix[k][1])
             images[(k, value)] = _oracle_sum(a, b, 1)
         return images[(k, value)]
 
@@ -490,7 +523,7 @@ def _oracle_intertwining(space, theta, n):
 
 def _oracle_ope(space, theta, matrix):
     values = mode_values(FERMION, Fraction(3, 2))
-    raw = {(k, v): _values(defect._embedded_mode(space, k, v)) for v in values for k in (0, 1)}
+    raw = {(k, v): _values(defect._embedded_mode(space, k, int(2 * v))) for v in values for k in (0, 1)}
     images = {(k, v): _oracle_sum(_oracle_scale(raw[(0, v)], matrix[k][0]),
                                   _oracle_scale(raw[(1, v)], matrix[k][1]), 1)
               for (k, v) in raw}

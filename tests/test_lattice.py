@@ -693,6 +693,17 @@ def test_plateau_error_when_window_empty(monkeypatch):
         steady_current(spec, 0.2, 0.1, samples=6)
 
 
+@pytest.mark.parametrize("t_left, t_right", [(-1.0, 0.05), (0.1, -0.5)])
+def test_negative_temperature_fails_before_the_propagator_rows(monkeypatch, t_left, t_right):
+    # either reservoir is checked before the O(S N^2) rows of exp(A t) are built
+    def unreachable(*args):
+        raise AssertionError("propagator rows built before the temperature check")
+
+    monkeypatch.setattr(lattice, "propagator_rows", unreachable)
+    with pytest.raises(ValueError, match="temperature must be >= 0"):
+        steady_current(ChainSpec(sites=120), t_left, t_right)
+
+
 def test_chain_spec_validation():
     with pytest.raises(ValueError):
         ChainSpec(sites=41)

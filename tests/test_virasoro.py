@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neqcft import virasoro
-from neqcft.fock import BOSON, FERMION, GradedOperator, enumerate_basis
+from neqcft.fock import (BOSON, FERMION, GradedOperator, enumerate_basis, mode_operator,
+                         twice_mode_values)
 from neqcft.virasoro import (build_virasoro, central_charge_probe, commutator_deviation,
                              level_spectrum_deviation)
 from oracles import check_grading, gram_diagonal, hermiticity_deviation
@@ -121,6 +122,78 @@ def test_restricted_commutator_matches_full_products(data):
     assert dev == _commutator_full(model, m, n, space, central)
     if central == true_c:
         assert dev == 0
+
+
+def _sum_of_products(model, n, space):
+    # oracle: L_n as the sum of its products of two mode matrices, each
+    # product formed in full and accumulated with its Fraction coefficient
+    twice = twice_mode_values(model, space.cutoff)
+    op = GradedOperator(space, -2 * n, 0, {})
+    for t2 in twice:
+        t1 = 2 * n - t2
+        if t1 not in twice:
+            continue
+        coeff = Fraction(t2 + 1, 4) if model == FERMION else HALF
+        left, inner, sign = virasoro._normal_order(model, t1, t2)
+        op.accumulate(mode_operator(space, Fraction(left, 2)) @ mode_operator(space, Fraction(inner, 2)),
+                      coeff * sign)
+    return op.normalize()
+
+
+@pytest.mark.parametrize("model, cutoff", [
+    (FERMION, 3), (FERMION, Fraction(7, 2)), (FERMION, 6), (FERMION, Fraction(13, 2)),
+    (FERMION, Fraction(21, 2)), (BOSON, 3), (BOSON, Fraction(7, 2)), (BOSON, 6), (BOSON, Fraction(13, 2)),
+    (BOSON, 10)])
+def test_one_pass_generators_match_the_sum_of_products(model, cutoff):
+    # the same entries, in the same stored order, over the same denominator
+    space = enumerate_basis(model, cutoff)
+    top = int(cutoff)
+    for n in range(-top, top + 1):
+        gen, want = build_virasoro(model, n, space), _sum_of_products(model, n, space)
+        assert [(j, list(c.items())) for j, c in gen.columns.items()] == \
+            [(j, list(c.items())) for j, c in want.columns.items()], n
+        assert (gen.denominator, gen.twice_shift, gen.parity_shift, gen.exact) == \
+            (want.denominator, want.twice_shift, 0, True)
+
+
+def _corrupt_one(k_bad):
+    """build_virasoro with 1/7 added to the first stored entry of L_k_bad, the same object each call."""
+    built = {}
+
+    def build(model, k, space):
+        gen = build_virasoro(model, k, space)
+        if k != k_bad:
+            return gen
+        if (model, space) not in built:
+            j, col = next(iter(gen.to_dict().items()), (0, {0: 0}))
+            built[(model, space)] = _corrupt(gen, next(iter(col)), j, Fraction(1, 7))
+        return built[(model, space)]
+    return build
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_commutator_deviation_is_symmetric_and_zero_on_the_diagonal(data):
+    # what the virasoro-check loop relies on to read each unordered pair once:
+    # the (n, m) deviation operator is the negative of the (m, n) one, and the
+    # (m, m) one is zero, whatever the central charge and whichever generator
+    # is corrupt
+    model = data.draw(st.sampled_from((FERMION, BOSON)))
+    cutoff = Fraction(data.draw(st.integers(4, 12)), 2)
+    top = int(cutoff)
+    m = data.draw(st.integers(-top, top))
+    n = data.draw(st.integers(-top, top).filter(lambda k: abs(m + k) <= top))
+    true_c = HALF if model == FERMION else Fraction(1)
+    central = data.draw(st.sampled_from((true_c, true_c + Fraction(1, 3), Fraction(0))))
+    bad = data.draw(st.sampled_from((None, m, n, m + n)))
+    space = enumerate_basis(model, cutoff)
+    with pytest.MonkeyPatch.context() as mp:
+        if bad is not None:
+            mp.setattr(virasoro, "build_virasoro", _corrupt_one(bad))
+        dev = commutator_deviation(model, m, n, space, central)
+        assert dev == commutator_deviation(model, n, m, space, central)
+        assert commutator_deviation(model, m, m, space, central) == 0
+        assert commutator_deviation(model, n, n, space, central) == 0
 
 
 def test_central_charge_probe_shares_the_callers_space():
