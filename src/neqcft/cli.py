@@ -209,7 +209,7 @@ def cmd_reflection_phases(args):
     report = {
         "ring": args.ring,
         "labels": list(ring.labels),
-        "solutions": [{lbl: [ph.numerator, ph.denominator] for lbl, ph in s.zetas.items()}
+        "solutions": [{lbl: [ph.numerator, ph.denominator] for lbl, ph in s.items()}
                       for s in sols],
         "count": len(sols),
     }
@@ -351,7 +351,9 @@ def cmd_lattice_run(args):
         diagnostic = "plateau current exceeds 1e-10 where the Landauer integral vanishes"
     closed = _verdict(report, ok, diagnostic)
     if args.series_out:
-        series.to_csv(args.series_out)
+        with open(args.series_out, "w") as fh:
+            fh.write("t,current\n")
+            fh.writelines(f"{t:.10g},{v:.12e}\n" for t, v in zip(series.times, series.values))
         report["series_csv"] = args.series_out
     return closed
 

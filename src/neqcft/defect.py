@@ -316,6 +316,11 @@ class FusionRing:
     conjugation: dict
 
     def __post_init__(self):
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError(f"labels must be distinct, got {list(self.labels)!r}")
+        unknown = sorted(set(self.conjugation) - set(self.labels))
+        if unknown:
+            raise ValueError(f"conjugation names unknown labels {unknown!r}")
         if self.identity not in self.labels:
             raise ValueError("identity label missing from labels")
         for j in self.labels:
@@ -382,21 +387,6 @@ def trivial_ring():
 BUILTIN_RINGS = {"ising": ising_ring, "z3": z3_parafermion_ring, "trivial": trivial_ring}
 
 
-@dataclass(frozen=True)
-class ReflectionSpec:
-    """Unit phases per sector, stored exactly as fractions of a full turn.
-
-    ``zetas[label] = Fraction(p, q)`` means the phase exp(2 pi i p / q).
-    """
-
-    zetas: dict
-
-    def __post_init__(self):
-        for lbl, ph in self.zetas.items():
-            if not isinstance(ph, Fraction) or not (0 <= ph < 1):
-                raise ValueError(f"phase for {lbl!r} must be a Fraction in [0, 1)")
-
-
 def _phase_candidates(max_order):
     vals = set()
     for q in range(1, max_order + 1):
@@ -413,7 +403,9 @@ def solve_reflection_phases(ring, max_order=24):
     fractions of a turn these are linear conditions mod 1.  Solutions are
     enumerated over roots of unity of order <= max_order; an empty result
     means nothing is consistent within that bound (the all-ones assignment
-    always is, so valid rings report at least one solution).
+    always is, so valid rings report at least one solution).  Each
+    solution is a dict {label: Fraction(p, q)}, meaning the phase
+    exp(2 pi i p / q) with 0 <= p/q < 1.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
@@ -434,7 +426,7 @@ def solve_reflection_phases(ring, max_order=24):
 
     def search(i, assign):
         if i == len(labels):
-            solutions.append(ReflectionSpec(dict(assign)))
+            solutions.append(dict(assign))
             return
         lbl = labels[i]
         if lbl in assign:
@@ -454,5 +446,4 @@ def solve_reflection_phases(ring, max_order=24):
             del assign[lbl]
 
     search(0, {ring.identity: Fraction(0)})
-    uniq = {tuple(sorted(s.zetas.items())): s for s in solutions}
-    return sorted(uniq.values(), key=lambda s: tuple(sorted(s.zetas.items())))
+    return sorted(solutions, key=lambda s: tuple(sorted(s.items())))

@@ -45,8 +45,7 @@ BEFORE = "t<x"   # fields have not reached the impurity
 AFTER = "t>x"    # fields have crossed
 
 FERMION_NAMES = ("psi",)
-EVEN_NAMES = ("T", "J", "identity")
-KNOWN_NAMES = FERMION_NAMES + EVEN_NAMES
+KNOWN_NAMES = FERMION_NAMES + ("T",)
 
 
 class UnsupportedFieldError(ValueError):
@@ -186,9 +185,7 @@ class FieldExpression:
         """Canonically order factors (with fermion signs), merge, drop zero coefficients."""
         merged = {}
         for coeff, factors in self.terms:
-            factors = tuple(f for f in factors if f.name != "identity")
-            sign, ordered = _graded_sort(factors)
-            key = ordered
+            sign, key = _graded_sort(factors)
             merged[key] = merged.get(key, sp.Integer(0)) + sign * coeff
         terms = []
         for factors, coeff in merged.items():
@@ -311,8 +308,6 @@ def evolve(expr, t, theta, regime=AFTER):
     c, s = theta_pair(theta)
 
     def fn(f):
-        if f.name == "identity":
-            return FieldExpression.from_field(f)
         if f.name == "T":
             raise UnsupportedFieldError("expand stress factors before evolving")
         _require_symmetric(f)
@@ -324,8 +319,6 @@ def evolve(expr, t, theta, regime=AFTER):
         if not f.bar and f.side == "r":
             if not crossing:
                 return FieldExpression.from_field(f.shifted(-t))
-            if f.name != "psi":
-                raise UnsupportedFieldError(f"no crossing rule for {f.name!r}")
             km = (-1) ** f.deriv
             trans = LocalField("psi", "l", bar=False, deriv=f.deriv,
                                position=f.position - t)
@@ -335,8 +328,6 @@ def evolve(expr, t, theta, regime=AFTER):
         # anti-chiral on the left
         if not crossing:
             return FieldExpression.from_field(f.shifted(t))
-        if f.name != "psi":
-            raise UnsupportedFieldError(f"no crossing rule for {f.name!r}")
         km = (-1) ** f.deriv
         trans = LocalField("psi", "r", bar=True, deriv=f.deriv,
                            position=f.position + t)
@@ -361,15 +352,11 @@ def apply_smatrix(expr, theta):
     expr = expand_stress(expr)
 
     def fn(f):
-        if f.name == "identity":
-            return FieldExpression.from_field(f)
         if not f.bar and f.side == "l":
             return FieldExpression.from_field(f)
         if f.bar and f.side == "r":
             return FieldExpression.from_field(f)
         km = (-1) ** f.deriv
-        if f.name != "psi":
-            raise UnsupportedFieldError(f"no scattering rule for {f.name!r}")
         if not f.bar and f.side == "r":
             partner = fermion("l", -f.position, bar=True, deriv=f.deriv)
             return FieldExpression(((s, (f,)), (-km * c, (partner,))))

@@ -128,12 +128,11 @@ def test_criterion_06_global_continuity():
 
 def test_criterion_07_reflection_phases():
     ising = defect.solve_reflection_phases(defect.ising_ring())
-    ok = sorted(s.zetas["psi"] for s in ising) == [Fraction(0), Fraction(1, 2)]
+    ok = sorted(s["psi"] for s in ising) == [Fraction(0), Fraction(1, 2)]
     z3 = defect.solve_reflection_phases(defect.z3_parafermion_ring())
-    ok = ok and sorted(s.zetas["psi1"] for s in z3) == [Fraction(0), Fraction(1, 3),
-                                                        Fraction(2, 3)]
+    ok = ok and sorted(s["psi1"] for s in z3) == [Fraction(0), Fraction(1, 3), Fraction(2, 3)]
     for sols in (ising, z3):
-        ok = ok and all(s.zetas["1"] == 0 for s in sols)
+        ok = ok and all(s["1"] == 0 for s in sols)
     record(7, "reflection phases: signs for the Ising ring, cube roots for the Z3 "
               "ring, identity phase always one", ok)
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from neqcft import cli, defect, fock, lattice, su2k, virasoro
+from neqcft import cli, defect, fock, lattice, virasoro
 
 
 def run(capsys, *argv):
@@ -184,13 +184,6 @@ def test_su2k_current_with_one_temperature(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["J_E"] == report["closed_form"] == "pi*(1 - T_r**2)/48"
-
-
-def test_su2k_decompose_breakdown_is_a_failed_verification(capsys, monkeypatch):
-    monkeypatch.setattr(su2k.CurrentBilinear, "is_closed", lambda self: False)
-    code = cli.main(["su2k-decompose"])
-    assert code == 1
-    assert capsys.readouterr().err.startswith("error: rewrite did not close")
 
 
 def test_su2k_fermionize_subcommand(capsys):
@@ -869,6 +862,9 @@ _ISING = {"labels": ["1", "psi"], "identity": "1",
     (dict(_ISING, fusion=[["1", "1", "1"], ["psi", "psi"]]), "must name three known labels"),
     (dict(_ISING, labels=5), "labels must be a list of label strings"),
     (dict(_ISING, fusion=[5]), "fusion triple must be a list of label strings"),
+    (dict(_ISING, labels=["1", "psi", "psi"]), "labels must be distinct"),
+    (dict(_ISING, conjugation={"1": "1", "psi": "psi", "sigma": "sigma"}),
+     "conjugation names unknown labels ['sigma']"),
 ])
 def test_malformed_ring_file_is_usage_error(capsys, tmp_path, ring, message):
     path = tmp_path / "ring.json"

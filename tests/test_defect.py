@@ -473,23 +473,23 @@ def test_negative_control_skewed_realization_fails_all_three():
 def test_trivial_ring_has_only_the_identity_phase():
     sols = solve_reflection_phases(trivial_ring())
     assert len(sols) == 1
-    assert sols[0].zetas == {"1": Fraction(0)}
+    assert sols[0] == {"1": Fraction(0)}
 
 
 def test_ising_ring_phases_are_signs():
     sols = solve_reflection_phases(ising_ring())
-    phases = sorted(s.zetas["psi"] for s in sols)
+    phases = sorted(s["psi"] for s in sols)
     assert phases == [Fraction(0), Fraction(1, 2)]  # +1 and -1
-    assert all(s.zetas["1"] == 0 for s in sols)
+    assert all(s["1"] == 0 for s in sols)
 
 
 def test_z3_ring_phases_are_cube_roots():
     sols = solve_reflection_phases(z3_parafermion_ring())
-    phases = sorted(s.zetas["psi1"] for s in sols)
+    phases = sorted(s["psi1"] for s in sols)
     assert phases == [Fraction(0), Fraction(1, 3), Fraction(2, 3)]
     for s in sols:
         # conjugate sector carries the conjugate phase
-        assert s.zetas["psi2"] == (-s.zetas["psi1"]) % 1
+        assert s["psi2"] == (-s["psi1"]) % 1
 
 
 def _zn_ring(names, listed):
@@ -509,7 +509,7 @@ def test_zn_ring_phases_are_exactly_the_nth_roots(n, data):
     names = data.draw(st.permutations([f"g{j}" for j in range(n)]))
     ring = _zn_ring(names, data.draw(st.permutations(names)))
     sols = solve_reflection_phases(ring, max_order=n)
-    got = {tuple(s.zetas[names[j]] for j in range(n)) for s in sols}
+    got = {tuple(s[names[j]] for j in range(n)) for s in sols}
     assert len(sols) == n
     assert got == {tuple(Fraction(p * j % n, n) for j in range(n)) for p in range(n)}
 
@@ -527,9 +527,9 @@ def test_phase_bound_filters_high_order_solutions():
     # Z5-type constraints: solutions are fifth roots; with max_order 4 only
     # the trivial assignment survives
     low = solve_reflection_phases(ring, max_order=4)
-    assert len(low) == 1 and all(p == 0 for p in low[0].zetas.values())
+    assert len(low) == 1 and all(p == 0 for p in low[0].values())
     full = solve_reflection_phases(ring, max_order=5)
-    assert sorted(s.zetas["p1"] for s in full) == [Fraction(0), Fraction(1, 5),
+    assert sorted(s["p1"] for s in full) == [Fraction(0), Fraction(1, 5),
                                                    Fraction(2, 5), Fraction(3, 5),
                                                    Fraction(4, 5)]
 
@@ -560,4 +560,4 @@ def test_ring_json_round_trip():
     }"""
     ring = FusionRing.from_json(text)
     sols = solve_reflection_phases(ring)
-    assert sorted(s.zetas["psi"] for s in sols) == [Fraction(0), Fraction(1, 2)]
+    assert sorted(s["psi"] for s in sols) == [Fraction(0), Fraction(1, 2)]

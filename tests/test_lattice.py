@@ -11,7 +11,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from neqcft import lattice
+from neqcft import cli, lattice
 from neqcft.lattice import (ChainSpec, PlateauError, gibbs_covariance,
                             landauer_current, propagator_rows, steady_current,
                             transmission, transmission_dc)
@@ -624,13 +624,43 @@ def test_landauer_matches_library_quadrature(lam, t_left, t_right, coupling):
     assert abs(got - ref) <= 1e-10 * abs(ref) + 4 * math.ulp(0.0)
 
 
-def test_landauer_panel_limit_breaks_convergence(monkeypatch):
-    # a transmission that oscillates faster than the starting panels resolve
-    fn = lambda w: math.sin(50 * w) ** 2  # noqa: E731
-    assert landauer_current(fn, 0.5, 0.0) > 0
-    monkeypatch.setattr(lattice, "QUAD_PANEL_LIMIT", 1)
+def test_landauer_refuses_an_integrand_its_panels_cannot_resolve():
+    # a transmission that oscillates faster than the graded panels resolve
     with pytest.raises(RuntimeError, match="quadrature did not converge"):
-        landauer_current(fn, 0.5, 0.0)
+        landauer_current(lambda w: math.sin(50 * w) ** 2, 0.5, 0.0)
+
+
+_any_temperature = st.one_of(st.just(0.0), st.floats(1e-12, 1e4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lam=st.floats(0.0, 1.0 - 1e-12), t0=st.floats(0.0, 1.0), t_left=_any_temperature,
+       t_right=_any_temperature, coupling=st.floats(1e-2, 1e2))
+@example(lam=0.0, t0=0.0, t_left=0.0, t_right=0.0, coupling=1.0)
+@example(lam=0.7, t0=1.0, t_left=0.1, t_right=0.1, coupling=1.0)
+@example(lam=0.7, t0=1.0, t_left=0.1, t_right=0.10000000000000002, coupling=1.0)
+@example(lam=1.0 - 1e-12, t0=1.0, t_left=1e4, t_right=9999.999999999998, coupling=1e-2)
+@example(lam=1.0 - 1e-12, t0=1.0, t_left=1e-12, t_right=1e4, coupling=1e2)
+@example(lam=1e-12, t0=1e-12, t_left=1e-12, t_right=0.0, coupling=1e-2)
+@example(lam=0.5, t0=0.75, t_left=1e-6, t_right=0.0, coupling=1.0)
+@example(lam=0.5, t0=1.0, t_left=0.01, t_right=0.005, coupling=1.0)
+def test_landauer_converges_over_the_parameter_domain(lam, t0, t_left, t_right, coupling):
+    # the fixed panels meet the error threshold for the lattice transmission
+    # and for a constant one, or landauer_current would raise
+    currents = [landauer_current(fn, t_left, t_right, coupling)
+                for fn in (lambda w: transmission(lam, w, coupling), lambda w: t0)]
+    for j in currents:
+        assert math.isfinite(j)
+        assert j * (t_left - t_right) >= 0
+        if t_left == t_right:
+            assert j == 0
+    # where the graded panels resolve the Fermi scale and the band edge is far,
+    # a constant transmission gives the closed form (pi t0 / 24)(T_l^2 - T_r^2)
+    band = 2 * coupling
+    temps = [t for t in (t_left, t_right) if t > 0]
+    if temps and max(temps) <= band / 100 and min(temps) >= 2.0 ** -36 * band:
+        ref = math.pi * t0 / 24 * (t_left ** 2 - t_right ** 2)
+        assert abs(currents[1] - ref) <= 1e-8 * abs(ref) + 1e-15 * t0 * max(temps) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -713,14 +743,16 @@ def test_chain_spec_validation():
         ChainSpec(sites=100, defect=1.5)
 
 
-def test_series_csv_and_summary(tmp_path):
+def test_series_csv_and_summary(tmp_path, capsys):
     spec = ChainSpec(sites=120, defect=0.9)
     series = steady_current(spec, 0.2, 0.1, samples=30)
+    # the command line writes the series the library returns, one row per sample
     path = tmp_path / "series.csv"
-    series.to_csv(path)
-    text = path.read_text().splitlines()
-    assert text[0] == "t,current"
-    assert len(text) == 31
+    assert cli.main(["lattice-run", "--sites", "120", "--lam", "0.9", "--Tl", "0.2", "--Tr", "0.1",
+                     "--samples", "30", "--series-out", str(path)]) == 0
+    capsys.readouterr()
+    assert path.read_text().splitlines() == ["t,current"] + [
+        f"{t:.10g},{v:.12e}" for t, v in zip(series.times, series.values)]
     # the plateau summary lies inside its window and meets the Landauer integral
     plateau = series.plateau
     inside = series.values[(series.times >= plateau.start) & (series.times <= plateau.end)]

@@ -2,7 +2,7 @@
 
 The exact layer (fock, virasoro, defect), the symbolic layer (ness, su2k)
 and the lattice oracle return values and import nothing across layers.
-Only cli composes the layers and writes reports.
+Only cli composes the layers and writes reports, and it alone opens files.
 """
 
 import ast
@@ -63,3 +63,20 @@ def test_only_cli_imports_across_layers(module):
 
 def test_cli_composes_every_layer():
     assert {LAYER[name] for name in sibling_imports("cli")} == set(LAYER.values())
+
+
+def opened_files(module):
+    """Calls in ``module`` that open a file: the builtin open and any .open method."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (isinstance(node.func, ast.Name) and node.func.id == "open"
+                 or isinstance(node.func, ast.Attribute) and node.func.attr == "open")]
+
+
+def test_cli_opens_files():
+    assert opened_files("cli")
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED) + ["__init__"])
+def test_only_cli_opens_files(module):
+    assert opened_files(module) == []

@@ -75,9 +75,12 @@ def test_asymmetric_configuration_rejected():
 
 
 def test_unsupported_crossing_field_rejected():
-    f = FieldExpression.from_field(LocalField("J", "r", position=X))
-    with pytest.raises(UnsupportedFieldError):
-        evolve(f, T, SYMB, regime=AFTER)
+    # a field without scattering rules cannot be built
+    with pytest.raises(UnsupportedFieldError, match="unknown field name 'J'"):
+        LocalField("J", "r", position=X)
+    # a stress factor crosses only through its fermion bilinear
+    with pytest.raises(UnsupportedFieldError, match="expand stress factors"):
+        evolve(FieldExpression.from_field(stress("r", X)), T, SYMB, regime=AFTER)
 
 
 def test_smatrix_trivial_on_outgoing_fields():
@@ -140,8 +143,6 @@ def test_expectation_examples():
                              (fermion("l", -X, bar=True), fermion("r", X))),))
     assert expectation(pair, w) == 0
     assert expectation(FieldExpression.one(), w) == 1
-    unit = FieldExpression.from_field(LocalField("identity", "l", position=-X))
-    assert expectation(unit, w) == 1
 
 
 def test_expectation_rejects_unsupported_class():
