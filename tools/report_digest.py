@@ -46,9 +46,10 @@ def commands(outdir):
         inputs = workloads.Inputs.from_seed(seed)
         for build, _ in workloads.WORKLOADS.values():
             found += [(op.argv, op.outputs) for op in build(inputs, outdir)]
-    seen = set()
-    return [(argv, outputs) for argv, outputs in found
-            if not (tuple(argv) in seen or seen.add(tuple(argv)))]
+    unique = {}
+    for argv, outputs in found:
+        unique.setdefault(tuple(argv), (argv, outputs))
+    return list(unique.values())
 
 
 def main(argv):
@@ -56,7 +57,10 @@ def main(argv):
         sys.exit(__doc__)
     if os.environ.get("PYTHONHASHSEED") != "0":
         os.execve(sys.executable, [sys.executable, __file__, *argv], dict(os.environ, PYTHONHASHSEED="0"))
-    sys.path.insert(0, str(pathlib.Path(argv[0]).resolve() / "src"))
+    src = pathlib.Path(argv[0]).resolve() / "src"
+    if not (src / "neqcft").is_dir():
+        sys.exit(f"no package at {src / 'neqcft'}")
+    sys.path.insert(0, str(src))
     from neqcft import cli
 
     digest = hashlib.sha256()
