@@ -148,15 +148,17 @@ def _build_theta(args, spec=None):
 
 
 def _skewed(real, eps):
-    """Deliberately broken copy: adds eps off-diagonal entries across the low levels.
+    """Deliberately broken copy: Theta plus eps at (i + 1, i) for the first 12 columns.
 
-    It keeps the mode map it was built from, so the checks measure how far
-    the broken Theta misses that rotation.
+    The sum is a new operator, so ``real`` is left as it was.  It keeps the
+    mode map it was built from, so the checks measure how far the broken
+    Theta misses that rotation.
     """
-    theta = real.theta * 1
-    for i in range(min(theta.space.dimension - 1, 12)):
-        theta.add_entry(i + 1, i, eps)
-    return defect.DefectRealization(theta, real.mode_map)
+    theta = real.theta
+    skew = fock.GradedOperator(theta.space, theta.twice_shift, theta.parity_shift,
+                               {i: {i + 1: eps} for i in range(min(theta.space.dimension - 1, 12))},
+                               exact=False)
+    return defect.DefectRealization(theta + skew, real.mode_map)
 
 
 def cmd_intertwiner(args):

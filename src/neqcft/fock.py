@@ -17,14 +17,14 @@ basis lookups, ordering and level comparisons run on machine ints: a state
 is the ascending tuple of twice its mode values, ``StateSpace.states`` holds
 those tuples and ``twice_levels`` their twice-levels, and an operator's
 grading is its ``twice_shift``, so products, sums and grading compares do no
-``Fraction`` arithmetic.  Cutoffs, ``level_shift`` and ``mode_values`` stay
-exact ``Fraction`` values at the API.
+``Fraction`` arithmetic.  Cutoffs and the mode values given to
+``mode_operator`` stay exact ``Fraction`` values at the API.
 
 An operator stores its exact entries as int numerators over one positive
 int ``denominator``.  A product's denominator is the product of its
 operands', a sum's is their lcm, and a builder divides out the gcd once,
-when the operator is finished.  ``entry``, ``column``, ``to_dict`` and
-``max_abs_entry`` give exact entries as ``Fraction`` values.  An inexact
+when the operator is finished.  ``entry`` and ``max_abs_entry`` give
+exact entries as ``Fraction`` values.  An inexact
 entry (a float angle, a deliberately skewed map) is stored as the float
 itself, in the same column maps; its exact neighbours stay numerators.
 Operands with no float run through int loops.  Otherwise one value loop
@@ -33,10 +33,19 @@ that meets a float as ``n / d``, the correctly rounded float of
 ``Fraction(n, d)``; so every float, and the order it is summed in, is the
 one plain per-entry arithmetic would give.
 
+There is one way to add, scale, copy and restrict an operator.
+``accumulate`` adds ``factor * other`` in place: ``a + b`` and ``a - b``
+copy ``a`` and accumulate ``b`` into the copy, and a multiple is
+accumulated into an empty operator.  With ``normalize`` it is the only
+method that changes an operator, and only while the operator is being
+built.  ``restrict_columns`` is the only way to drop columns: a check
+restricts its operands before it multiplies, so its result holds only the
+columns it reads.
+
 Operators are honest truncations ``P L P`` of the full Fock-space operators
 to levels <= cutoff.  Algebraic identities therefore hold only on the safe
 subspace of states that cannot leak past the cutoff, levels
-<= cutoff - |level_shift|; every check in this package restricts itself
+<= cutoff - |twice_shift| / 2; every check in this package restricts itself
 there, and multiplies only the columns it reads
 (``GradedOperator.restrict_columns``).  There is no separate vector type:
 a state is an operator column ``{row: amplitude}``, and column ``j`` of
@@ -137,11 +146,6 @@ def twice_mode_values(species, bound):
     return [-t for t in reversed(positive)] + list(positive)
 
 
-def mode_values(species, bound):
-    """Mode values v of the species with |v| <= bound, in ascending order."""
-    return [Fraction(t, 2) for t in twice_mode_values(species, bound)]
-
-
 def _partitions(parts, budget, distinct):
     """Ascending tuples of ``parts`` (ascending) with sum <= budget, each part once if distinct."""
     configs = [()]
@@ -223,12 +227,12 @@ class GradedOperator:
     stored int is a numerator over ``denominator``; a stored float is the
     entry itself.  ``exact`` means that no float entry was ever stored.
     Every entry connects states whose twice-levels differ by exactly
-    ``twice_shift`` (the ``level_shift`` is half of it) and whose
-    parities differ by ``parity_shift``.
-    Mutation is limited to construction time (``add_entry``,
-    ``accumulate``, ``normalize``); all algebraic operations return new
-    operators (``restrict_columns`` shares the column maps it keeps), so
-    built operators are safe to share across callers and threads.
+    ``twice_shift`` and whose parities differ by ``parity_shift``.
+    Mutation is ``accumulate`` and ``normalize`` only, at construction
+    time; restriction is ``restrict_columns`` only.  All algebraic
+    operations return new operators (``restrict_columns`` shares the
+    column maps it keeps), so built operators are safe to share across
+    callers and threads.
     """
 
     space: object
@@ -237,10 +241,6 @@ class GradedOperator:
     columns: dict
     denominator: int = 1
     exact: bool = True
-
-    @property
-    def level_shift(self):
-        return Fraction(self.twice_shift, 2)
 
     @classmethod
     def identity(cls, space):
@@ -258,16 +258,6 @@ class GradedOperator:
             return Fraction(0) if self.exact else 0
         return Fraction(val, self.denominator) if type(val) is int else val
 
-    def column(self, col):
-        """Column ``col`` by value, ``{row: entry}`` in stored order; empty when zero."""
-        den = self.denominator
-        return {row: Fraction(val, den) if type(val) is int else val
-                for row, val in self.columns.get(col, _EMPTY).items()}
-
-    def to_dict(self):
-        """Every nonzero column by value, ``{col: {row: entry}}`` in stored order."""
-        return {j: self.column(j) for j in self.columns}
-
     def _numerator(self, num, den):
         """The numerator that stores ``num / den`` (ints, ``den > 0``), raising the denominator when needed."""
         g = math.gcd(num, den)
@@ -279,25 +269,8 @@ class GradedOperator:
             self.denominator = new
         return num * (self.denominator // den)
 
-    def add_entry(self, row, col, value):
-        if value == 0:
-            return
-        if _rational(value):
-            value = self._numerator(value.numerator, value.denominator)
-        else:
-            self.exact = False
-        colmap = self.columns.setdefault(col, {})
-        prev = colmap.get(row)
-        new = value if prev is None else _add(prev, value, self.denominator)
-        if new == 0:
-            colmap.pop(row, None)
-            if not colmap:
-                self.columns.pop(col, None)
-        else:
-            colmap[row] = new
-
     def accumulate(self, other, factor=1):
-        """Add ``factor * other`` into this operator; construction time only, like add_entry."""
+        """Add ``factor * other`` into this operator; construction time only."""
         if not same_space(self.space, other.space):
             raise ValueError("cannot add operators on different spaces")
         if self.twice_shift != other.twice_shift or self.parity_shift != other.parity_shift:
@@ -437,26 +410,6 @@ class GradedOperator:
         out.accumulate(other, sign)
         return out
 
-    def __mul__(self, scalar):
-        if scalar == 0:
-            return self._like({}, 1, self.exact and _rational(scalar))
-        if not _rational(scalar):
-            # a float scalar makes every entry a float
-            den = self.denominator
-            cols = {j: {r: v / den * scalar if type(v) is int else v * scalar for r, v in c.items()}
-                    for j, c in self.columns.items()}
-            return self._like(cols, 1, False)
-        num, den = scalar.numerator, self.denominator * scalar.denominator
-        if self.exact:
-            cols = {j: {r: v * num for r, v in c.items()} for j, c in self.columns.items()}
-        else:
-            fl = float(scalar)
-            cols = {j: {r: v * num if type(v) is int else v * fl for r, v in c.items()}
-                    for j, c in self.columns.items()}
-        return self._like(cols, den)
-
-    __rmul__ = __mul__
-
     def restrict_columns(self, max_level):
         """The operator on the states at level <= max_level, zero above.
 
@@ -466,14 +419,11 @@ class GradedOperator:
         top, levels = _twice_floor(max_level), self.space.twice_levels
         return self._like({j: c for j, c in self.columns.items() if levels[j] <= top})
 
-    def max_abs_entry(self, max_col_level=None):
-        top = None if max_col_level is None else _twice_floor(max_col_level)
-        levels = self.space.twice_levels
-        kept = [c for j, c in self.columns.items() if top is None or levels[j] <= top]
+    def max_abs_entry(self):
         if not self.exact:
-            return _max_abs_values(kept, self.denominator)
+            return _max_abs_values(self.columns.values(), self.denominator)
         best = 0
-        for c in kept:
+        for c in self.columns.values():
             for val in c.values():
                 a = abs(val)
                 if a > best:
@@ -595,16 +545,9 @@ class ProductSpace:
     def dimension(self):
         return len(self.states)
 
-    @property
-    def vacuum_index(self):
-        return self._index[tuple(f.vacuum_index for f in self.factors)]
-
     def index_of(self, state):
         """The index of the state with the factor state indices ``state``, or None."""
         return self._index.get(state)
-
-    def parity(self, n):
-        return sum(f.parity(i) for f, i in zip(self.factors, self.states[n])) % 2
 
 
 def graded_tensor(op, k, pspace):

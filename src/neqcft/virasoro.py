@@ -118,8 +118,9 @@ def commutator_deviation(model, m, n, space, central):
     if m != n:
         comm.accumulate(build_virasoro(model, m + n, space).restrict_columns(safe), n - m)
     if m + n == 0:
-        comm.accumulate(GradedOperator.identity(space), -Fraction(central) * (m ** 3 - m) / 12)
-    return comm.max_abs_entry(max_col_level=safe)
+        comm.accumulate(GradedOperator.identity(space).restrict_columns(safe),
+                        -Fraction(central) * (m ** 3 - m) / 12)
+    return comm.max_abs_entry()
 
 
 def level_spectrum_deviation(model, space):

@@ -1,19 +1,85 @@
-"""Helpers that only the tests use: grading, block-structure and hermiticity oracles for operators."""
+"""Helpers that only the tests use: grading, block-structure and hermiticity oracles for
+operators, readers of operators and spaces, and the rotations the tests compose."""
 
 from fractions import Fraction
 
 from neqcft import virasoro
-from neqcft.fock import BOSON
+from neqcft.defect import BogoliubovSpec
+from neqcft.fock import BOSON, GradedOperator, ProductSpace, twice_mode_values
+
+TRANSMISSION = BogoliubovSpec(1, 0)
+REFLECTION = BogoliubovSpec(0, 1)
+
+
+def compose(a, b):
+    """The rotation by the sum of the angles of the BogoliubovSpecs ``a`` and ``b``."""
+    return BogoliubovSpec(a.cos_a * b.cos_a - a.sin_a * b.sin_a,
+                          a.sin_a * b.cos_a + a.cos_a * b.sin_a)
+
+
+def inverse(spec):
+    """The rotation by minus the angle of ``spec``."""
+    return BogoliubovSpec(spec.cos_a, -spec.sin_a)
+
+
+def mode_values(species, bound):
+    """Mode values v of the species with |v| <= bound, in ascending order."""
+    return [Fraction(t, 2) for t in twice_mode_values(species, bound)]
+
+
+def level_shift(op):
+    """The level an operator adds, as a Fraction."""
+    return Fraction(op.twice_shift, 2)
+
+
+def column(op, col):
+    """Column ``col`` of ``op`` by value, ``{row: entry}`` in stored order; empty when zero."""
+    den = op.denominator
+    return {row: Fraction(val, den) if type(val) is int else val
+            for row, val in op.columns.get(col, {}).items()}
+
+
+def to_dict(op):
+    """Every nonzero column of ``op`` by value, ``{col: {row: entry}}`` in stored order."""
+    return {j: column(op, j) for j in op.columns}
+
+
+def vacuum_index(space):
+    """The index of the vacuum of a StateSpace or a ProductSpace."""
+    if isinstance(space, ProductSpace):
+        return space.index_of(tuple(f.vacuum_index for f in space.factors))
+    return space.vacuum_index
+
+
+def parity(space, n):
+    """The fermion parity of basis state ``n`` of a StateSpace or a ProductSpace."""
+    if isinstance(space, ProductSpace):
+        return sum(f.parity(i) for f, i in zip(space.factors, space.states[n])) % 2
+    return space.parity(n)
+
+
+def cell(like, row, col, value):
+    """The operator with the one entry ``value`` at (row, col), on the space and grading of ``like``.
+
+    A float is stored as itself and an exact value over its own denominator,
+    so ``op.accumulate(cell(op, row, col, value))`` adds ``value`` at that
+    place as it stands, a float 1.0 included.
+    """
+    if isinstance(value, float):
+        return GradedOperator(like.space, like.twice_shift, like.parity_shift,
+                              {col: {row: value}}, exact=False)
+    value = Fraction(value)
+    return GradedOperator(like.space, like.twice_shift, like.parity_shift,
+                          {col: {row: value.numerator}}, value.denominator)
 
 
 def check_grading(op):
     """Raise AssertionError unless every entry of ``op`` shifts level and parity by its grading."""
-    want = 2 * op.level_shift
     for j, c in op.columns.items():
         for row in c:
             dl2 = op.space.twice_levels[row] - op.space.twice_levels[j]
-            dp = (op.space.parity(row) - op.space.parity(j)) % 2
-            if dl2 != want or dp != op.parity_shift:
+            dp = (parity(op.space, row) - parity(op.space, j)) % 2
+            if dl2 != op.twice_shift or dp != op.parity_shift:
                 raise AssertionError(
                     f"entry ({row},{j}) violates grading: dl={Fraction(dl2, 2)}, dp={dp}")
     return True
@@ -39,7 +105,7 @@ def reflection_block_mixing(real):
         b_only = i == vac0 and j != vac1
         if not (a_only or b_only):
             continue
-        for row, val in real.theta.column(col).items():
+        for row, val in column(real.theta, col).items():
             ri, rj = space.states[row]
             ok = (ri == vac0) if a_only else (rj == vac1)
             if not ok:

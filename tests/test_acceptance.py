@@ -14,7 +14,7 @@ import sympy as sp
 from neqcft import defect, fock, lattice, ness, su2k, virasoro
 from neqcft.defect import BogoliubovSpec
 from neqcft.ness import ALPHA, T_LEFT, T_RIGHT
-from oracles import max_matrix_deviation
+from oracles import compose, max_matrix_deviation
 
 ALPHA_GRID = [
     BogoliubovSpec(Fraction(1), Fraction(0)),
@@ -75,13 +75,13 @@ def test_criterion_03_automorphism_constraints():
     rb = defect.build_theta_fermion(b, cutoff)
     ok = defect.vacuum_preservation_deviation(ra) == 0
     ok = ok and defect.check_ope_preservation(ra) == 0
-    direct = defect.build_theta_fermion(a.compose(b), cutoff)
+    direct = defect.build_theta_fermion(compose(a, b), cutoff)
     ok = ok and max_matrix_deviation(ra.theta @ rb.theta, direct.theta) == 0
     # negative control: 1% skewed matrix must fail all three
-    theta = ra.theta * 1
-    for i in range(min(ra.theta.space.dimension - 1, 12)):
-        theta.add_entry(i + 1, i, Fraction(1, 100))
-    broken = defect.DefectRealization(theta, ra.mode_map)
+    space = ra.theta.space
+    skew = fock.GradedOperator(space, 0, 0, {i: {i + 1: 1} for i in range(min(space.dimension - 1, 12))},
+                               100)
+    broken = defect.DefectRealization(ra.theta + skew, ra.mode_map)
     ok = ok and defect.vacuum_preservation_deviation(broken) != 0
     ok = ok and defect.check_ope_preservation(broken) != 0
     ok = ok and max_matrix_deviation(broken.theta @ rb.theta, direct.theta) != 0

@@ -10,7 +10,6 @@ import os
 import pathlib
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 
@@ -56,9 +55,10 @@ def test_virasoro_check_reports_the_worst_pair_of_the_full_grid(capsys, monkeypa
     # it must report the largest deviation over every (m, n) of the grid
     space = fock.enumerate_basis(model, 4)
     gen = virasoro.build_virasoro(model, bad, space)
-    j, col = next(iter(gen.to_dict().items()))
-    corrupt = gen * 1
-    corrupt.add_entry(next(iter(col)), j, Fraction(1, 7))
+    j, col = next(iter(gen.columns.items()))
+    # 1/7 added to the first stored entry
+    corrupt = gen + fock.GradedOperator(space, gen.twice_shift, gen.parity_shift,
+                                        {j: {next(iter(col)): 1}}, 7)
     real = virasoro.build_virasoro
     monkeypatch.setattr(virasoro, "build_virasoro",
                         lambda m, k, sp: corrupt if (m, k) == (model, bad) else real(m, k, sp))

@@ -9,15 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neqcft import cli, defect, fock
-from neqcft.defect import (REFLECTION, TRANSMISSION, BogoliubovSpec,
-                           DefectRealization, FusionRing, build_mode_automorphism,
+from neqcft.defect import (BogoliubovSpec, DefectRealization, FusionRing, build_mode_automorphism,
                            build_theta_fermion, check_intertwining,
                            check_momentum_continuity, check_ope_preservation,
                            ising_ring, solve_reflection_phases,
                            trivial_ring, vacuum_preservation_deviation,
                            z3_parafermion_ring)
 from neqcft.fock import GradedOperator
-from oracles import check_grading, max_matrix_deviation, reflection_block_mixing
+from oracles import (REFLECTION, TRANSMISSION, cell, check_grading, column, compose, inverse,
+                     level_shift, max_matrix_deviation, mode_values, reflection_block_mixing,
+                     to_dict, vacuum_index)
 
 HALF = Fraction(1, 2)
 
@@ -37,7 +38,7 @@ def _conjugated_mode(real, spec, k, value):
     # Theta(a)^-1 is Theta(-a), the inverse the group law gives
     space = real.theta.space
     m = fock.graded_tensor(fock.mode_operator(space.factors[k], value), k, space)
-    inv = build_theta_fermion(spec.inverse(), space.cutoff)
+    inv = build_theta_fermion(inverse(spec), space.cutoff)
     return real.theta @ m @ inv.theta
 
 
@@ -66,7 +67,7 @@ def test_exact_operators_store_ints_over_one_denominator():
     real = build_theta_fermion(BogoliubovSpec(Fraction(3, 5), Fraction(4, 5)), 4)
     space = real.theta.space
     stored = [(real.theta, 625)]
-    stored += [(fock.mode_operator(space.factors[0], v), 1) for v in fock.mode_values("fermion", 4)]
+    stored += [(fock.mode_operator(space.factors[0], v), 1) for v in mode_values("fermion", 4)]
     stored += [(defect.total_virasoro(space, n), 2) for n in range(-2, 3)]
     for op, den in stored:
         assert op.exact and den % op.denominator == 0
@@ -87,6 +88,26 @@ def test_skewed_operators_store_ints_beside_floats():
     assert floats == {(i + 1, i) for i in range(12)}
 
 
+@pytest.mark.parametrize("spec", [BogoliubovSpec(Fraction(3, 5), Fraction(4, 5)),
+                                  BogoliubovSpec.from_angle(0.7)])
+def test_skewed_control_leaves_the_realization_it_breaks_unchanged(spec):
+    # the skewed control is a new realization that claims the map of the one
+    # it breaks, and shares no column map with it: the Theta it was built
+    # from keeps its columns, their stored order and its denominator
+    def stored(op):
+        return [(j, list(c.items())) for j, c in op.columns.items()], op.denominator, op.exact
+
+    real = build_theta_fermion(spec, 4)
+    theta = real.theta
+    before = stored(theta)
+    broken = cli._skewed(real, 0.01)
+    assert broken is not real and broken.theta is not theta
+    assert broken.mode_map is real.mode_map
+    assert stored(theta) == before
+    assert not any(broken.theta.columns[j] is c for j, c in theta.columns.items())
+    assert broken.theta.columns != theta.columns
+
+
 def test_transmission_relabels_sides():
     # at cos=1 the map is the identity matrix: the incoming right fermion is
     # read out as the outgoing left one with no mixing
@@ -103,10 +124,10 @@ def test_reflection_action_on_modes():
     for value in (-HALF, Fraction(-3, 2)):
         conj_b = _conjugated_mode(real, REFLECTION, 1, value)
         target = fock.graded_tensor(fock.mode_operator(space.factors[0], value), 0, space)
-        assert (conj_b - target).max_abs_entry(max_col_level=space.cutoff - abs(value)) == 0
+        assert (conj_b - target).restrict_columns(space.cutoff - abs(value)).max_abs_entry() == 0
         conj_a = _conjugated_mode(real, REFLECTION, 0, value)
         target = fock.graded_tensor(fock.mode_operator(space.factors[1], value), 1, space)
-        assert (conj_a + target).max_abs_entry(max_col_level=space.cutoff - abs(value)) == 0
+        assert (conj_a + target).restrict_columns(space.cutoff - abs(value)).max_abs_entry() == 0
 
 
 def test_reflection_factorizes():
@@ -127,7 +148,7 @@ def test_vacuum_preserved_for_every_angle():
 
 def test_vacuum_deviation_is_the_largest_entry_of_theta_minus_one_on_the_vacuum():
     real = build_theta_fermion(BogoliubovSpec(Fraction(3, 5), Fraction(4, 5)), 3)
-    vac = real.theta.space.vacuum_index
+    vac = vacuum_index(real.theta.space)
     cases = [
         (vac, -1, 1),                               # the vacuum column removed
         (vac, 1, 1),                                # the vacuum entry set to 2
@@ -135,8 +156,7 @@ def test_vacuum_deviation_is_the_largest_entry_of_theta_minus_one_on_the_vacuum(
         (1, 0.01, 0.01),                            # a stray float entry
     ]
     for row, value, want in cases:
-        theta = real.theta * 1
-        theta.add_entry(row, vac, value)
+        theta = real.theta + cell(real.theta, row, vac, value)
         assert (vac in theta.columns) == (value != -1)
         dev = vacuum_preservation_deviation(DefectRealization(theta, real.mode_map))
         # the report prints str(dev): a float stays a float, an exact value a fraction
@@ -145,7 +165,7 @@ def test_vacuum_deviation_is_the_largest_entry_of_theta_minus_one_on_the_vacuum(
 
 def test_realization_is_level_and_parity_preserving():
     real = build_theta_fermion(BogoliubovSpec(Fraction(3, 5), Fraction(4, 5)), 4)
-    assert real.theta.level_shift == 0 and real.theta.parity_shift == 0
+    assert level_shift(real.theta) == 0 and real.theta.parity_shift == 0
     check_grading(real.theta)
 
 
@@ -159,11 +179,15 @@ def test_mode_conjugation_matches_defining_relations():
         mb = fock.graded_tensor(fock.mode_operator(space.factors[1], value), 1, space)
         safe = space.cutoff - abs(value)
         # incoming anti-chiral left -> cos * (anti-chiral right) - sin * (chiral left)
-        assert ((_conjugated_mode(real, spec, 0, value) - (c * ma - s * mb))
-                .max_abs_entry(max_col_level=safe)) == 0
+        resid = _conjugated_mode(real, spec, 0, value)
+        resid.accumulate(ma, -c)
+        resid.accumulate(mb, s)
+        assert resid.restrict_columns(safe).max_abs_entry() == 0
         # incoming chiral right -> cos * (chiral left) + sin * (anti-chiral right)
-        assert ((_conjugated_mode(real, spec, 1, value) - (s * ma + c * mb))
-                .max_abs_entry(max_col_level=safe)) == 0
+        resid = _conjugated_mode(real, spec, 1, value)
+        resid.accumulate(ma, -s)
+        resid.accumulate(mb, -c)
+        assert resid.restrict_columns(safe).max_abs_entry() == 0
 
 
 def test_intertwining_exact_on_rational_grid():
@@ -179,28 +203,36 @@ def test_intertwining_exact_on_rational_grid():
 def _intertwining_full(real, n):
     ltot = defect.total_virasoro(real.theta.space, n)
     comm = real.theta @ ltot - ltot @ real.theta
-    return comm.max_abs_entry(max_col_level=real.theta.space.cutoff - abs(n))
+    return comm.restrict_columns(real.theta.space.cutoff - abs(n)).max_abs_entry()
+
+
+def _image(space, row, value):
+    """row[0] c^0_value + row[1] c^1_value, each embedded mode accumulated with its coefficient."""
+    out = GradedOperator(space, -int(2 * value), 1, {})
+    for k, x in enumerate(row):
+        out.accumulate(fock.graded_tensor(fock.mode_operator(space.factors[k], value), k, space), x)
+    return out
 
 
 def _ope_full(real):
-    # every ordered pair, the images as scalar multiples plus a sum, and the
-    # full products masked to the safe columns afterwards
+    # every ordered pair, the images as accumulated sums, and the full
+    # products masked to the safe columns afterwards
     space, theta, matrix = real.theta.space, real.theta, real.mode_map
-    values = fock.mode_values("fermion", Fraction(3, 2))
+    values = mode_values("fermion", Fraction(3, 2))
     raw = {(k, v): fock.graded_tensor(fock.mode_operator(space.factors[k], v), k, space)
            for v in values for k in (0, 1)}
-    images = {(k, v): matrix[k][0] * raw[(0, v)] + matrix[k][1] * raw[(1, v)] for k, v in raw}
+    images = {(k, v): _image(space, matrix[k], v) for k, v in raw}
     dev = 0
     keys = sorted(raw, key=str)
     for a in keys:
         resid = theta @ raw[a] - images[a] @ theta
-        dev = max(dev, resid.max_abs_entry(max_col_level=space.cutoff - abs(a[1])))
+        dev = max(dev, resid.restrict_columns(space.cutoff - abs(a[1])).max_abs_entry())
         for b in keys:
             anti = images[a] @ images[b] + images[b] @ images[a]
             if a[0] == b[0] and a[1] + b[1] == 0:
                 anti = anti - GradedOperator.identity(space)
             safe = space.cutoff - max(abs(a[1]), abs(b[1]))
-            dev = max(dev, anti.max_abs_entry(max_col_level=safe))
+            dev = max(dev, anti.restrict_columns(safe).max_abs_entry())
     return dev
 
 
@@ -249,9 +281,7 @@ def _theta_oracle(matrix, cutoff):
 
     @functools.cache
     def image(k, value):
-        a = fock.graded_tensor(fock.mode_operator(space.factors[0], value), 0, space)
-        b = fock.graded_tensor(fock.mode_operator(space.factors[1], value), 1, space)
-        return matrix[k][0] * a + matrix[k][1] * b
+        return _image(space, matrix[k], value)
 
     vacuum = GradedOperator.identity(space).restrict_columns(0)
     columns = {}
@@ -259,9 +289,9 @@ def _theta_oracle(matrix, cutoff):
         modes = [(0, Fraction(t, 2)) for t in space.factors[0].states[i]]
         modes += [(1, Fraction(t, 2)) for t in space.factors[1].states[j]]
         state = functools.reduce(lambda acc, key: image(*key) @ acc, reversed(modes), vacuum)
-        column = state.column(space.vacuum_index)
-        if column:
-            columns[col] = column
+        image_column = column(state, vacuum_index(space))
+        if image_column:
+            columns[col] = image_column
     return columns
 
 
@@ -275,7 +305,7 @@ def test_mode_automorphism_matches_vacuum_walk_oracle(matrix, cutoff):
     # same values, same types and same order of columns and rows, so the
     # float reports built on Theta keep their trailing digits
     theta = build_mode_automorphism(matrix, cutoff).theta
-    assert _typed_entries(theta.to_dict()) == _typed_entries(_theta_oracle(matrix, cutoff))
+    assert _typed_entries(to_dict(theta)) == _typed_entries(_theta_oracle(matrix, cutoff))
 
 
 @settings(max_examples=25, deadline=None)
@@ -301,10 +331,9 @@ def test_skewed_realizations_deviate_alike_with_and_without_restriction(spec, cu
     # column alone makes the deviation nonzero.  The broken Theta keeps the
     # rotation it was built from, and misses it by the corruption.
     real = build_theta_fermion(spec, cutoff)
-    theta = real.theta * 1
-    for i in range(count):
-        theta.add_entry(i + 1, i, eps)
-    broken = DefectRealization(theta, real.mode_map)
+    skew = GradedOperator(real.theta.space, 0, 0, {i: {i + 1: eps.numerator} for i in range(count)},
+                          eps.denominator)
+    broken = DefectRealization(real.theta + skew, real.mode_map)
     dev = check_intertwining(broken, n)
     assert dev != 0 and dev == _intertwining_full(broken, n)
     assert check_ope_preservation(broken) == _ope_full(broken) != 0
@@ -366,11 +395,11 @@ def test_transmission_maps_stress_sidewise():
     space = real.theta.space
     from neqcft import virasoro
     gen = virasoro.build_virasoro("fermion", -2, space.factors[1])
-    vac = space.vacuum_index
+    vac = vacuum_index(space)
     for k in (0, 1):
         stress = fock.graded_tensor(gen, k, space).restrict_columns(0)
-        state = stress.column(vac)
-        assert state and (real.theta @ stress).column(vac) == state
+        state = column(stress, vac)
+        assert state and column(real.theta @ stress, vac) == state
 
 
 def test_reflection_swaps_stress_chirality():
@@ -381,10 +410,10 @@ def test_reflection_swaps_stress_chirality():
     space = real.theta.space
     from neqcft import virasoro
     gen = virasoro.build_virasoro("fermion", -2, space.factors[1])
-    vac = space.vacuum_index
+    vac = vacuum_index(space)
     incoming = fock.graded_tensor(gen, 1, space).restrict_columns(0)
-    outgoing = fock.graded_tensor(gen, 0, space).column(vac)
-    image = (real.theta @ incoming).column(vac)
+    outgoing = column(fock.graded_tensor(gen, 0, space), vac)
+    image = column(real.theta @ incoming, vac)
     assert image == outgoing
 
 
@@ -393,10 +422,10 @@ def test_reflection_swaps_stress_chirality():
 def test_composition_law(a, b, cutoff):
     ra = build_theta_fermion(a, cutoff)
     rb = build_theta_fermion(b, cutoff)
-    direct = build_theta_fermion(a.compose(b), cutoff)
+    direct = build_theta_fermion(compose(a, b), cutoff)
     assert max_matrix_deviation(ra.theta @ rb.theta, direct.theta) == 0
     ident = DefectRealization(GradedOperator.identity(ra.theta.space), _rotation(TRANSMISSION))
-    inv = build_theta_fermion(a.inverse(), cutoff)
+    inv = build_theta_fermion(inverse(a), cutoff)
     assert max_matrix_deviation(ra.theta @ inv.theta, ident.theta) == 0
 
 
@@ -410,7 +439,7 @@ def test_composition_law_float():
 def test_inverse_law():
     spec = BogoliubovSpec(Fraction(8, 17), Fraction(15, 17))
     real = build_theta_fermion(spec, 4)
-    inv = build_theta_fermion(spec.inverse(), 4)
+    inv = build_theta_fermion(inverse(spec), 4)
     ident = DefectRealization(GradedOperator.identity(real.theta.space), _rotation(TRANSMISSION))
     assert max_matrix_deviation(real.theta @ inv.theta, ident.theta) == 0
     assert max_matrix_deviation(inv.theta @ real.theta, ident.theta) == 0
@@ -452,10 +481,9 @@ def test_negative_control_skewed_realization_fails_all_three():
     spec = BogoliubovSpec(Fraction(3, 5), Fraction(4, 5))
     cutoff = 3
     real = build_theta_fermion(spec, cutoff)
-    theta = real.theta * 1
-    for i in range(min(real.theta.space.dimension - 1, 12)):
-        theta.add_entry(i + 1, i, Fraction(1, 100))
-    broken = DefectRealization(theta, real.mode_map)
+    space = real.theta.space
+    skew = GradedOperator(space, 0, 0, {i: {i + 1: 1} for i in range(min(space.dimension - 1, 12))}, 100)
+    broken = DefectRealization(real.theta + skew, real.mode_map)
     # identity preservation fails
     assert vacuum_preservation_deviation(broken) != 0
     # anticommutator preservation fails
@@ -463,7 +491,7 @@ def test_negative_control_skewed_realization_fails_all_three():
     # composition law fails
     other_spec = BogoliubovSpec(Fraction(5, 13), Fraction(12, 13))
     other = build_theta_fermion(other_spec, cutoff)
-    direct = build_theta_fermion(spec.compose(other_spec), cutoff)
+    direct = build_theta_fermion(compose(spec, other_spec), cutoff)
     assert max_matrix_deviation(broken.theta @ other.theta, direct.theta) != 0
 
 

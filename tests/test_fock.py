@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from neqcft import cli, defect, fock
 from neqcft.defect import BogoliubovSpec, build_theta_fermion
 from neqcft.fock import (BOSON, FERMION, GradedOperator, ProductSpace, enumerate_basis,
-                         graded_tensor, join_columns, mode_operator, mode_values)
-from oracles import check_grading
+                         graded_tensor, join_columns, mode_operator)
+from oracles import (cell, check_grading, column, level_shift, mode_values, to_dict,
+                     vacuum_index)
 
 HALF = Fraction(1, 2)
 
@@ -90,16 +91,16 @@ def _vacuum(space):
 
 def test_annihilator_kills_vacuum():
     space = enumerate_basis(FERMION, 2)
-    assert mode_operator(space, HALF).column(space.vacuum_index) == {}
+    assert column(mode_operator(space, HALF), space.vacuum_index) == {}
 
 
 def test_pauli_exclusion():
     space = enumerate_basis(FERMION, 2)
     create = mode_operator(space, -HALF)
     one = space.index_of((-1,))
-    assert create.column(space.vacuum_index) == {one: 1}
-    assert create.column(one) == {}
-    assert (create @ create).to_dict() == {}
+    assert column(create, space.vacuum_index) == {one: 1}
+    assert column(create, one) == {}
+    assert to_dict(create @ create) == {}
 
 
 def test_anticommutator_on_single_state():
@@ -107,10 +108,10 @@ def test_anticommutator_on_single_state():
     space = enumerate_basis(FERMION, 3)
     vac = space.vacuum_index
     lo, hi = mode_operator(space, HALF), mode_operator(space, -HALF)
-    assert (lo @ hi).column(vac) == {vac: 1}
+    assert column(lo @ hi, vac) == {vac: 1}
     anti = lo @ hi + hi @ lo
     state = space.index_of((-3,))
-    assert anti.column(state) == {state: 1}
+    assert column(anti, state) == {state: 1}
 
 
 def test_species_mismatch_raises():
@@ -146,17 +147,17 @@ def test_operators_on_equal_spaces_compose():
     create = mode_operator(first, -HALF)
     destroy = mode_operator(second, HALF)
     anti = create @ destroy + destroy @ create
-    assert (anti - GradedOperator.identity(second)).max_abs_entry(max_col_level=Fraction(5, 2)) == 0
-    assert (create @ _vacuum(second)).to_dict() == {second.vacuum_index: {first.index_of((-1,)): 1}}
+    assert (anti - GradedOperator.identity(second)).restrict_columns(Fraction(5, 2)).max_abs_entry() == 0
+    assert to_dict(create @ _vacuum(second)) == {second.vacuum_index: {first.index_of((-1,)): 1}}
 
 
 def test_truncation_is_flagged():
     # b_{-3/2}|0> sits above cutoff 1, so the vacuum column of the operator
     # is absent there; one level higher it is present
     low = enumerate_basis(FERMION, 1)
-    assert mode_operator(low, Fraction(-3, 2)).to_dict() == {}
+    assert to_dict(mode_operator(low, Fraction(-3, 2))) == {}
     high = enumerate_basis(FERMION, 2)
-    out = mode_operator(high, Fraction(-3, 2)).column(high.vacuum_index)
+    out = column(mode_operator(high, Fraction(-3, 2)), high.vacuum_index)
     assert out == {high.index_of((-3,)): 1}
 
 
@@ -182,7 +183,7 @@ def test_fermion_anticommutation_relations():
             if s + sp == 0:
                 expect = expect + GradedOperator.identity(space)
             safe = cutoff - max(abs(s), abs(sp))
-            assert (anti - expect).max_abs_entry(max_col_level=safe) == 0, (s, sp)
+            assert (anti - expect).restrict_columns(safe).max_abs_entry() == 0, (s, sp)
 
 
 def test_boson_commutation_relations():
@@ -196,15 +197,15 @@ def test_boson_commutation_relations():
             comm = a @ b - b @ a
             expect = GradedOperator(space, comm.twice_shift, comm.parity_shift, {})
             if m + n == 0:
-                expect = expect + m * GradedOperator.identity(space)
+                expect.accumulate(GradedOperator.identity(space), m)
             safe = cutoff - max(abs(m), abs(n))
-            assert (comm - expect).max_abs_entry(max_col_level=safe) == 0, (m, n)
+            assert (comm - expect).restrict_columns(safe).max_abs_entry() == 0, (m, n)
 
 
 def test_mode_operator_grading():
     space = enumerate_basis(FERMION, 3)
     op = mode_operator(space, Fraction(-3, 2))
-    assert op.level_shift == Fraction(3, 2) and op.parity_shift == 1
+    assert level_shift(op) == Fraction(3, 2) and op.parity_shift == 1
     check_grading(op)
 
 
@@ -238,7 +239,7 @@ def test_mode_operator_matches_the_construction_on_every_state(species, cutoff):
         assert _stored(op.columns) == _stored(_mode_operator_on_every_state(space, value)), value
         assert (op.twice_shift, op.parity_shift, op.denominator, op.exact) == (
             -int(2 * value), 1 if species == FERMION else 0, 1, True)
-        assert op.level_shift == -value and type(op.level_shift) is Fraction
+        assert level_shift(op) == -value and type(level_shift(op)) is Fraction
 
 
 def test_graded_tensor_identity():
@@ -255,7 +256,7 @@ def test_graded_tensor_left_factor_carries_no_sign():
     create = mode_operator(f, -HALF)
     left = graded_tensor(create, 0, p)
     target = p.index_of((f.index_of((-1,)), f.vacuum_index))
-    assert left.column(p.vacuum_index) == {target: 1}
+    assert column(left, vacuum_index(p)) == {target: 1}
 
 
 def test_graded_tensor_koszul_sign():
@@ -265,7 +266,7 @@ def test_graded_tensor_koszul_sign():
     create_l = graded_tensor(mode_operator(f, -HALF), 0, p)
     create_r = graded_tensor(mode_operator(f, -HALF), 1, p)
     target = p.index_of((f.index_of((-1,)), f.index_of((-1,))))
-    assert (create_r @ create_l).column(p.vacuum_index) == {target: -1}
+    assert column(create_r @ create_l, vacuum_index(p)) == {target: -1}
 
 
 def test_graded_tensor_order_swap_matches_parities():
@@ -277,13 +278,15 @@ def test_graded_tensor_order_swap_matches_parities():
         b = graded_tensor(mode_operator(f, vb), 1, p)
         sign = (-1) ** (1 * 1)  # both operators are odd
         safe = p.cutoff - max(abs(va), abs(vb))
-        assert ((a @ b) - sign * (b @ a)).max_abs_entry(max_col_level=safe) == 0, (va, vb)
+        diff = a @ b
+        diff.accumulate(b @ a, -sign)
+        assert diff.restrict_columns(safe).max_abs_entry() == 0, (va, vb)
     # even x odd commutes without sign
     l0 = mode_operator(f, -HALF) @ mode_operator(f, HALF)  # even parity
     a = graded_tensor(l0, 0, p)
     b = graded_tensor(mode_operator(f, -HALF), 1, p)
     safe = p.cutoff - HALF
-    assert ((a @ b) - (b @ a)).max_abs_entry(max_col_level=safe) == 0
+    assert ((a @ b) - (b @ a)).restrict_columns(safe).max_abs_entry() == 0
 
 
 def test_insertion_signs_match_brute_force():
@@ -303,7 +306,7 @@ def test_insertion_signs_match_brute_force():
                          if perm[i] > perm[j])
         want_sign = -1 if inversions % 2 else 1
         idx = space.index_of(tuple(sorted(int(2 * v) for v in seq)))
-        assert product.column(space.vacuum_index) == {idx: want_sign}, seq
+        assert column(product, space.vacuum_index) == {idx: want_sign}, seq
 
 
 
@@ -325,7 +328,7 @@ _FLOATS = st.one_of(st.floats(1e-3, 2.0), st.floats(-2.0, -1e-3))
 
 
 def _oracle_add(d, row, col, value):
-    """add_entry: a column that cancels to zero goes at once."""
+    """One entry added: a column that cancels to zero goes at once."""
     _oracle_accumulate(d.setdefault(col, {}), row, value)
     if not d[col]:
         del d[col]
@@ -340,21 +343,21 @@ def _oracle_accumulate(column, row, value):
 
 
 def _build(space, exact, floats):
-    """An operator built with add_entry from exact then float cells, and its oracle."""
+    """An operator accumulated from one-entry operators, exact then float cells, and its oracle."""
     op = GradedOperator(space, 0, 0, {})
     oracle = {}
     for (row, col), v in exact:
-        op.add_entry(row, col, v)
+        op.accumulate(cell(op, row, col, v))
         _oracle_add(oracle, row, col, Fraction(v))
     for (row, col), v in floats:
-        op.add_entry(row, col, v)
+        op.accumulate(cell(op, row, col, v))
         _oracle_add(oracle, row, col, v)
     return op, (oracle, not floats)
 
 
 @st.composite
 def _operators(draw, space):
-    """An operator built with add_entry, with its oracle ``({col: {row: value}}, exact)``.
+    """An operator built by ``accumulate``, with its oracle ``({col: {row: value}}, exact)``.
 
     The kernel does not read the grading, so entries go anywhere.  Exact
     entries mix ints and Fractions of several denominators, and some are
@@ -371,7 +374,7 @@ def _operators(draw, space):
 
 def _values(op):
     """A built operator's entries as oracle input."""
-    return op.to_dict(), op.exact
+    return to_dict(op), op.exact
 
 
 # a product or a sum drops a column only once every term of it is in
@@ -405,6 +408,17 @@ def _oracle_scale(a, scalar):
     return {j: c for j, c in scaled.items() if c}, exact
 
 
+def _oracle_accumulate_scaled(a, factor):
+    """``accumulate(a, factor)`` into an empty operator.
+
+    A float factor makes the operator inexact; a float +-1, like an exact
+    factor, keeps the exact entries exact.
+    """
+    exact_factor = isinstance(factor, (int, Fraction))
+    values, exact = _oracle_scale(a, int(factor) if factor in (1, -1) else factor)
+    return values, exact and exact_factor
+
+
 def _oracle_restrict(space, a, level):
     return {j: c for j, c in a[0].items() if space.twice_levels[j] <= 2 * level}, a[1]
 
@@ -432,15 +446,15 @@ def _typed(d):
 def _assert_matches(op, want, level):
     values, exact = want
     assert op.exact == exact
-    assert _typed(op.to_dict()) == _typed(values)
+    assert _typed(to_dict(op)) == _typed(values)
     space = op.space
     for col in range(space.dimension):
-        assert _typed({0: op.column(col)}) == _typed({0: values.get(col, {})})
+        assert _typed({0: column(op, col)}) == _typed({0: values.get(col, {})})
         for row in range(space.dimension):
             got, ref = op.entry(row, col), values.get(col, {}).get(row, 0)
             assert got == ref and type(got) is (Fraction if exact else type(ref))
-    for bound in (None, level):
-        best, ref = op.max_abs_entry(max_col_level=bound), _oracle_max_abs(space, want, bound)
+    for kept, bound in ((op, None), (op.restrict_columns(level), level)):
+        best, ref = kept.max_abs_entry(), _oracle_max_abs(space, want, bound)
         assert best == ref and type(best) is type(ref)
 
 
@@ -459,17 +473,18 @@ def test_kernel_matches_dict_oracle(data):
     b, db = data.draw(_operators(space))
     scalar = data.draw(st.one_of(_EXACT, _FLOATS, st.just(0.0)))
     level = data.draw(st.sampled_from([Fraction(k, 2) for k in range(-1, 9)]))
-    # disjoint columns of a, b and a * scalar, for join_columns
+    scaled = GradedOperator(space, 0, 0, {})
+    scaled.accumulate(a, scalar)
+    # disjoint columns of a, b and the scaled a, for join_columns
     owner = data.draw(st.lists(st.integers(0, 2), min_size=space.dimension, max_size=space.dimension))
-    sources = [(a, da), (b, db), (a * scalar, _oracle_scale(da, scalar))]
+    sources = [(a, da), (b, db), (scaled, _oracle_accumulate_scaled(da, scalar))]
     parts = [_columns_of(op, want, {j for j, k in enumerate(owner) if k == i})
              for i, (op, want) in enumerate(sources)]
     cases = [
         (a @ b, _oracle_matmul(da, db)),
         (a + b, _oracle_sum(da, db, 1)),
         (a - b, _oracle_sum(da, db, -1)),
-        (a * scalar, _oracle_scale(da, scalar)),
-        (scalar * a, _oracle_scale(da, scalar)),
+        (scaled, _oracle_accumulate_scaled(da, scalar)),
         (a.restrict_columns(level), _oracle_restrict(space, da, level)),
         (a @ b.restrict_columns(level), _oracle_matmul(da, _oracle_restrict(space, db, level))),
         (join_columns([p for p, _ in parts]), _oracle_join([w for _, w in parts])),
@@ -499,7 +514,7 @@ def _oracle_theta(space, matrix):
             images[(k, value)] = _oracle_sum(a, b, 1)
         return images[(k, value)]
 
-    vac = space.vacuum_index
+    vac = vacuum_index(space)
     columns, exact = {}, True
     for col, (i, j) in enumerate(space.states):
         modes = [(0, Fraction(t, 2)) for t in space.factors[0].states[i]]
@@ -568,10 +583,10 @@ def test_float_theta_checks_match_value_oracle(kind, cutoff, data):
         for i in range(min(space.dimension - 1, 12)):
             _oracle_add(theta[0], i + 1, i, eps)
         theta = (theta[0], False)
-    assert real.theta.exact == theta[1] and _typed(real.theta.to_dict()) == _typed(theta[0])
+    assert real.theta.exact == theta[1] and _typed(to_dict(real.theta)) == _typed(theta[0])
     ltot = defect.total_virasoro(space, -1)
     want = _oracle_matmul(theta, _values(ltot))
-    assert _typed((real.theta @ ltot).to_dict()) == _typed(want[0])
+    assert _typed(to_dict(real.theta @ ltot)) == _typed(want[0])
     for n in range(-2, 3):
         got, ref = defect.check_intertwining(real, n), _oracle_intertwining(space, theta, n)
         assert got == ref and type(got) is type(ref), n

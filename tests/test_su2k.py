@@ -6,7 +6,7 @@ import pytest
 import sympy as sp
 
 from neqcft import defect, ness
-from neqcft.su2k import (K_PARAM, RR_PARAM, S_PARAM, RotationParams,
+from neqcft.su2k import (BETA, K_PARAM, RR_PARAM, S_PARAM, RotationParams,
                          closed_form_current, decomposition_coefficients,
                          energy_current_k, fermionize_k2, rotate_u1_stress,
                          unit_sum_deviation)
@@ -37,6 +37,15 @@ def test_charged_lump_tracks_the_rotation():
     assert sp.simplify(charged) != 0
     # with no rotation nothing charged is left
     assert sp.simplify(rotate_u1_stress(RotationParams(K_PARAM, 1, 0))[2]) == 0
+
+
+def test_charged_lump_is_the_sum_of_its_four_terms():
+    # s rbar/(sqrt2 k) + s r/(sqrt2 k) + rbar^2/(2k) + r^2/(2k) with r = sqrt(r rbar) e^(i beta):
+    # leaving out any one of the four terms breaks the equality
+    lump = rotate_u1_stress(RotationParams.symbolic())[2]
+    closed = (sp.sqrt(2) * S_PARAM * sp.sqrt(RR_PARAM) * sp.cos(BETA) / K_PARAM
+              + RR_PARAM * sp.cos(2 * BETA) / K_PARAM)
+    assert sp.simplify((lump - closed).rewrite(sp.cos)) == 0
 
 
 def test_unit_sum_rule_identically():

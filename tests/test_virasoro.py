@@ -11,14 +11,15 @@ from neqcft.fock import (BOSON, FERMION, GradedOperator, enumerate_basis, mode_o
                          twice_mode_values)
 from neqcft.virasoro import (build_virasoro, central_charge_probe, commutator_deviation,
                              level_spectrum_deviation)
-from oracles import check_grading, gram_diagonal, hermiticity_deviation
+from oracles import (cell, check_grading, column, gram_diagonal, hermiticity_deviation,
+                     level_shift, to_dict)
 
 HALF = Fraction(1, 2)
 
 
 def _apply(gen, twice):
     """The generator's image of one basis state, given by twice its mode values: the state's column."""
-    return gen.column(gen.space.index_of(twice))
+    return column(gen, gen.space.index_of(twice))
 
 
 def test_l0_is_diagonal_with_level_eigenvalues():
@@ -99,10 +100,10 @@ def _commutator_full(model, m, n, space, central):
     ln = build_virasoro(model, n, space)
     diff = lm @ ln - ln @ lm
     if m != n:
-        diff = diff - (m - n) * build_virasoro(model, m + n, space)
+        diff.accumulate(build_virasoro(model, m + n, space), n - m)
     if m + n == 0:
-        diff = diff - Fraction(central) * (m ** 3 - m) / 12 * GradedOperator.identity(space)
-    return diff.max_abs_entry(max_col_level=space.cutoff - max(abs(m), abs(n)))
+        diff.accumulate(GradedOperator.identity(space), -Fraction(central) * (m ** 3 - m) / 12)
+    return diff.restrict_columns(space.cutoff - max(abs(m), abs(n))).max_abs_entry()
 
 
 @settings(max_examples=30, deadline=None)
@@ -165,7 +166,7 @@ def _corrupt_one(k_bad):
         if k != k_bad:
             return gen
         if (model, space) not in built:
-            j, col = next(iter(gen.to_dict().items()), (0, {0: 0}))
+            j, col = next(iter(to_dict(gen).items()), (0, {0: 0}))
             built[(model, space)] = _corrupt(gen, next(iter(col)), j, Fraction(1, 7))
         return built[(model, space)]
     return build
@@ -207,9 +208,7 @@ def test_central_charge_probe_shares_the_callers_space():
 
 
 def _corrupt(op, row, col, delta):
-    out = op * 1
-    out.add_entry(row, col, delta)
-    return out
+    return op + cell(op, row, col, delta)
 
 
 @pytest.mark.parametrize("model", [FERMION, BOSON])
@@ -286,7 +285,7 @@ def test_hermiticity_negative_controls(monkeypatch, model):
     # walk over the stored entries and in the dense oracle
     space = enumerate_basis(model, 4)
     ln, lmn = build_virasoro(model, 2, space), build_virasoro(model, -2, space)
-    j, col = next(iter(ln.to_dict().items()))
+    j, col = next(iter(to_dict(ln).items()))
     i = next(iter(col))
     for bad in (_corrupt(ln, 0, space.dimension - 1, Fraction(1, 3)),
                 _corrupt(ln, i, j, -ln.entry(i, j))):
@@ -301,7 +300,7 @@ def test_generator_grading_invariant():
         space = enumerate_basis(model, 4)
         for n in (-2, -1, 0, 1, 2):
             gen = build_virasoro(model, n, space)
-            assert gen.level_shift == -n
+            assert level_shift(gen) == -n
             assert gen.parity_shift == 0
             check_grading(gen)
 

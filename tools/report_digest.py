@@ -3,7 +3,9 @@
     python3 tools/report_digest.py ROOT
 
 Runs the `neqcft` package of ROOT/src on a fixed list of commands, all in
-one process with PYTHONHASHSEED=0: every argv pinned in `EXACT_REPORTS`,
+one process with PYTHONHASHSEED=0 and every BLAS and OpenMP thread count
+pinned to 1, as `perfbench` pins them (the lattice digits depend on the
+thread count): every argv pinned in `EXACT_REPORTS`,
 `SYMBOLIC_REPORTS` and `FLOAT_REPORTS` of tests/test_cli.py, then every
 distinct argv of the benchmark workloads (perfbench/workloads.py) at seeds
 1 to 8.  The argv lists come from the checkout that holds this file, so a
@@ -27,6 +29,9 @@ import tempfile
 
 HERE = pathlib.Path(__file__).resolve().parent.parent
 SEEDS = range(1, 9)
+PINNED = {"PYTHONHASHSEED": "0", "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+          "MKL_NUM_THREADS": "1", "BLIS_NUM_THREADS": "1", "VECLIB_MAXIMUM_THREADS": "1",
+          "NUMEXPR_NUM_THREADS": "1"}
 
 
 def _load(path):
@@ -55,8 +60,8 @@ def commands(outdir):
 def main(argv):
     if len(argv) != 1:
         sys.exit(__doc__)
-    if os.environ.get("PYTHONHASHSEED") != "0":
-        os.execve(sys.executable, [sys.executable, __file__, *argv], dict(os.environ, PYTHONHASHSEED="0"))
+    if any(os.environ.get(var) != value for var, value in PINNED.items()):
+        os.execve(sys.executable, [sys.executable, __file__, *argv], dict(os.environ, **PINNED))
     src = pathlib.Path(argv[0]).resolve() / "src"
     if not (src / "neqcft").is_dir():
         sys.exit(f"no package at {src / 'neqcft'}")
