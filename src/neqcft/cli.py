@@ -21,14 +21,31 @@ from . import defect, fock, lattice, ness, su2k, virasoro
 PASS, FAIL, USAGE = 0, 1, 2
 
 
-def _finite_float(text):
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+def _checked(parse, ok, want):
+    """Argparse type: ``parse(text)``, refused unless it parses and ``ok`` holds of the value."""
+
+    def convert(text):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except (ValueError, ZeroDivisionError, TypeError):
+            pass
+        raise argparse.ArgumentTypeError(f"expected {want}, got {text!r}")
+
+    return convert
+
+
+_finite_float = _checked(float, math.isfinite, "a finite number")
+_exact_fraction = _checked(Fraction, lambda _: True, "an exact fraction")
+# one part or three parts is a TypeError of the spec, a point off the circle a ValueError
+_cos_sin = _checked(lambda text: defect.BogoliubovSpec(*map(Fraction, text.split(","))),
+                    lambda _: True, "'cos,sin' fractions")
+
+
+def _count(minimum):
+    """Argparse type for an integer count of at least ``minimum``."""
+    return _checked(int, lambda n: n >= minimum, f"an integer >= {minimum}")
 
 
 def _transmission(text):
@@ -38,45 +55,14 @@ def _transmission(text):
     return value
 
 
-def _exact_fraction(text):
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"expected an exact fraction, got {text!r}") from exc
-
-
-def _count(minimum):
-    """Argparse type for an integer count of at least ``minimum``."""
-
-    def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            value = minimum - 1
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
-        return value
-
-    return parse
-
-
-def _parse_cos_sin(text):
-    try:
-        c, s = text.split(",")
-        return defect.BogoliubovSpec(Fraction(c), Fraction(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"expected 'cos,sin' fractions, got {text!r}") from exc
-
-
 def _theta_from_args(args):
-    if args.cos_sin is not None:
-        return args.cos_sin
+    """The --alpha point, else the --cos-sin one; None means the grid or the symbolic angle."""
     if args.alpha is not None:
         return defect.BogoliubovSpec.from_angle(args.alpha)
-    return None  # symbolic angle
+    return args.cos_sin
 
 
-# the point of the exact checks when no flag gives one: a generic rational
+# the --cos-sin default of the exact checks at one point: a generic rational
 # point, since the axis points satisfy several checks trivially and would not
 # exercise them
 HEADLINE_POINT = defect.BogoliubovSpec(Fraction(3, 5), Fraction(4, 5))
@@ -141,9 +127,9 @@ def cmd_virasoro_check(args):
     return report, passed
 
 
-def _build_theta(args, spec=None):
-    """Theta for ``spec`` at --cutoff, broken by --skew; by default at the flags' point."""
-    real = defect.build_theta_fermion(spec or _theta_from_args(args) or HEADLINE_POINT, args.cutoff)
+def _build_theta(args, spec):
+    """Theta for ``spec`` at --cutoff, broken by --skew."""
+    real = defect.build_theta_fermion(spec, args.cutoff)
     return _skewed(real, args.skew) if args.skew else real
 
 
@@ -181,7 +167,7 @@ def cmd_intertwiner(args):
 
 
 def cmd_momentum_continuity(args):
-    spec = _theta_from_args(args) or HEADLINE_POINT
+    spec = _theta_from_args(args)
     ok = defect.check_momentum_continuity(_build_theta(args, spec))
     report = {"cutoff": str(args.cutoff), "theta": "skewed" if args.skew else _theta_label(spec)}
     return _verdict(report, ok, "momentum density not continuous across the impurity: "
@@ -189,7 +175,7 @@ def cmd_momentum_continuity(args):
 
 
 def cmd_ope_preservation(args):
-    real = _build_theta(args)
+    real = _build_theta(args, _theta_from_args(args))
     vac = defect.vacuum_preservation_deviation(real)
     dev = defect.check_ope_preservation(real)
     tol = real.tolerance
@@ -404,9 +390,6 @@ def cmd_full_suite(args):
     report = {"steps": {}}
     for name, *flags in steps:
         ns = parser.parse_args([name, *flags])
-        if name == "current":
-            # symbolic temperatures, which no flag can express
-            ns.tl, ns.tr = ness.T_LEFT, ness.T_RIGHT
         sub_report, ok = ns.fn(ns)
         report["steps"][name] = {"passed": ok}
         if not ok:
@@ -417,19 +400,19 @@ def cmd_full_suite(args):
 
 # ---------------------------------------------------------------------------
 
-def _add_theta_args(p):
+def _add_theta_args(p, point=None):
     theta = p.add_mutually_exclusive_group()
     theta.add_argument("--alpha", type=_finite_float, default=None, help="rotation angle in radians")
-    theta.add_argument("--cos-sin", dest="cos_sin", type=_parse_cos_sin, default=None,
+    theta.add_argument("--cos-sin", dest="cos_sin", type=_cos_sin, default=point,
                        help="exact rational point on the circle, e.g. 3/5,4/5")
 
 
-def _add_exact_check(sub, name, fn, summary, cutoff):
+def _add_exact_check(sub, name, fn, summary, cutoff, point=None):
     """A check ``fn`` on the truncated defect map, with its cutoff, skew and angle options."""
     p = sub.add_parser(name, help=summary)
     p.add_argument("--cutoff", type=_exact_fraction, default=Fraction(cutoff))
     p.add_argument("--skew", type=_finite_float, default=0.0, help="negative control perturbation")
-    _add_theta_args(p)
+    _add_theta_args(p, point)
     p.set_defaults(fn=fn)
     return p
 
@@ -456,9 +439,9 @@ def build_parser():
                          "Virasoro intertwining of the defect map", 5)
     p.add_argument("--n-range", type=_count(0), default=2)
     _add_exact_check(sub, "momentum-continuity", cmd_momentum_continuity,
-                     "stress continuity on the vacuum", 4)
+                     "stress continuity on the vacuum", 4, HEADLINE_POINT)
     _add_exact_check(sub, "ope-preservation", cmd_ope_preservation,
-                     "anticommutator preservation under conjugation", 4)
+                     "anticommutator preservation under conjugation", 4, HEADLINE_POINT)
 
     p = sub.add_parser("reflection-phases", help="solve the fusion constraints on reflection phases")
     p.add_argument("--ring", default="ising",

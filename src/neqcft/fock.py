@@ -23,15 +23,18 @@ grading is its ``twice_shift``, so products, sums and grading compares do no
 An operator stores its exact entries as int numerators over one positive
 int ``denominator``.  A product's denominator is the product of its
 operands', a sum's is their lcm, and a builder divides out the gcd once,
-when the operator is finished.  ``entry`` and ``max_abs_entry`` give
-exact entries as ``Fraction`` values.  An inexact
-entry (a float angle, a deliberately skewed map) is stored as the float
-itself, in the same column maps; its exact neighbours stay numerators.
-Operands with no float run through int loops.  Otherwise one value loop
-keeps int x int terms and int + int sums exact, and reads an int ``n``
-that meets a float as ``n / d``, the correctly rounded float of
-``Fraction(n, d)``; so every float, and the order it is summed in, is the
-one plain per-entry arithmetic would give.
+when the operator is finished.  An inexact entry (a float angle, a
+deliberately skewed map) is stored as the float itself, in the same column
+maps; its exact neighbours stay numerators.  Operands with no float run
+through int loops.  Otherwise one value loop keeps int x int terms and
+int + int sums exact, and reads an int ``n`` that meets a float as
+``n / d``, the correctly rounded float of ``Fraction(n, d)``; so every
+float, and the order it is summed in, is the one plain per-entry
+arithmetic would give.  ``entry`` gives an exact entry as a ``Fraction``.
+``max_abs_entry`` reads every operator in one loop, an int ``n`` as
+``Fraction(|n|, d)``, and returns the first largest |entry| in stored
+order: always a ``Fraction`` for an exact operator, and for an inexact one
+the float or the ``Fraction`` that came first.
 
 There is one way to add, scale, copy and restrict an operator.
 ``accumulate`` adds ``factor * other`` in place: ``a + b`` and ``a - b``
@@ -420,15 +423,18 @@ class GradedOperator:
         return self._like({j: c for j, c in self.columns.items() if levels[j] <= top})
 
     def max_abs_entry(self):
-        if not self.exact:
-            return _max_abs_values(self.columns.values(), self.denominator)
-        best = 0
+        """The first largest |entry| in stored order, an int ``n`` read as ``Fraction(|n|, d)``.
+
+        An exact operator gives a ``Fraction``, ``Fraction(0)`` when it is
+        empty; an empty inexact operator gives the int 0.
+        """
+        best = Fraction(0) if self.exact else 0
         for c in self.columns.values():
             for val in c.values():
-                a = abs(val)
+                a = Fraction(abs(val), self.denominator) if type(val) is int else abs(val)
                 if a > best:
                     best = a
-        return Fraction(best, self.denominator)
+        return best
 
 
 def _scaled(columns, k, exact):
@@ -443,31 +449,6 @@ def _add(x, y, den):
     if type(x) is int:
         return x + y if type(y) is int else x / den + y
     return x + y / den if type(y) is int else x + y
-
-
-def _max_abs_values(columns, den):
-    """The largest |entry| of columns holding ints over ``den`` and floats, as stored.
-
-    The first such entry in stored order wins a tie between a float and an
-    int; with no nonzero entry the result is the int 0.
-    """
-    top, fbest = 0, 0.0
-    for c in columns:
-        for val in c.values():
-            if type(val) is int:
-                if val > top or -val > top:
-                    top = abs(val)
-            elif abs(val) > fbest:
-                fbest = abs(val)
-    best = Fraction(top, den)
-    if best != fbest:
-        return best if best > fbest else fbest
-    if not top:
-        return 0
-    for c in columns:
-        for val in c.values():
-            if abs(val) == (top if type(val) is int else fbest):
-                return best if type(val) is int else fbest
 
 
 def join_columns(parts):

@@ -14,8 +14,10 @@ mirror point.  Coefficients are exact sympy scalars; for a symbolic angle
 they carry cos(alpha), sin(alpha).  Every coefficient is brought to one
 exact normal form (see ``canonical``): expanded, with the Pythagorean
 relation applied as the rewrite sin(alpha)^2 -> 1 - cos(alpha)^2, then
-cancelled over a common denominator.  That form decides zero and is the
-form a report prints.
+cancelled over a common denominator.  That form decides zero, and a report
+prints it for a scalar (a current, a weight sum); a field expression
+prints each coefficient that holds alpha as ``sp.trigsimp`` of it, the
+short trig form (``FieldExpression.__str__``).
 
 The stress tensor is handled through its fermion bilinear form,
 T = -(i/2) (d psi) psi and Tbar = +(i/2) (d psibar) psibar, each factor
@@ -84,7 +86,8 @@ def canonical(expr):
     rewrite sin(alpha)^2 -> 1 - cos(alpha)^2, so sin(alpha) enters at most
     linearly and no zero hides behind it.  ``cancel`` then puts the result
     over one reduced denominator and ``factor_terms`` pulls out the common
-    content, which is the form reports print.
+    content.  Reports print this form for a scalar; ``FieldExpression``
+    prints ``sp.trigsimp`` of it for a coefficient that holds alpha.
     """
     expr = rewrite_squares(expr, sp.sin(ALPHA), 1 - sp.cos(ALPHA) ** 2)
     return sp.factor_terms(sp.cancel(expr))

@@ -303,6 +303,9 @@ def test_config_value_that_no_flag_could_give_is_usage_error(capsys, tmp_path, c
     ({"ring": "z3"}, ["reflection-phases"], ["--ring", "z3"]),
     # another subcommand's option is not checked against this one's
     ({"model": 1, "quick": "no"}, ["su2k-fermionize"], []),
+    # a config angle beats the headline point that the parser gives --cos-sin
+    ({"alpha": 0.7}, ["momentum-continuity"], ["--alpha", "0.7"]),
+    ({"alpha": 0.7}, ["ope-preservation"], ["--alpha", "0.7"]),
 ])
 def test_config_values_that_a_flag_could_give_act_as_the_flag(capsys, tmp_path, config, argv, flags):
     cfg = tmp_path / "config.json"
@@ -410,6 +413,34 @@ def test_counts_that_would_check_nothing_are_usage_errors(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "expected an integer >=" in captured.err
+
+
+@pytest.mark.parametrize("value", [
+    "3/5", "3/5,4/5,0",  # one part and three parts
+    "1,1",  # off the circle
+    "1/0,1", "a,b",
+])
+def test_malformed_cos_sin_is_usage_error(capsys, value):
+    assert cli.main(["momentum-continuity", f"--cos-sin={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == ("neqcft momentum-continuity: error: argument --cos-sin: "
+                                             f"expected 'cos,sin' fractions, got {value!r}")
+
+
+@pytest.mark.parametrize("argv, last", [
+    (["current", "--alpha", "x"],
+     "neqcft current: error: argument --alpha: expected a finite number, got 'x'"),
+    (["intertwiner", "--cutoff", "1/0"],
+     "neqcft intertwiner: error: argument --cutoff: expected an exact fraction, got '1/0'"),
+    (["virasoro-check", "--commutator-range", "-1"],
+     "neqcft virasoro-check: error: argument --commutator-range: expected an integer >= 0, got '-1'"),
+])
+def test_bad_flag_value_error_names_the_flag_and_the_value(capsys, argv, last):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == last
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -941,6 +972,39 @@ def test_closed_stdout_keeps_verdict(capsys, monkeypatch, argv, verdict):
     monkeypatch.setattr(sys, "stdout", _ClosedStdout())
     assert cli.main(argv) == verdict
     assert capsys.readouterr().err == ""
+
+
+def test_full_suite_steps_run_exactly_their_argv(capsys, monkeypatch):
+    # each step's handler gets the namespace its argv parses to, with nothing set on it after
+    received, parsed = [], []
+
+    def record(args):
+        received.append(vars(args))
+        return {}, True
+
+    for name in [n for n in vars(cli) if n.startswith("cmd_") and n != "cmd_full_suite"]:
+        monkeypatch.setattr(cli, name, record)
+    build = cli.build_parser
+
+    def recording_parser():
+        parser = build()
+        parse = parser.parse_args
+
+        def parse_args(argv):
+            parsed.append(list(argv))
+            return parse(argv)
+
+        parser.parse_args = parse_args
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", recording_parser)
+    assert cli.main(["full-suite"]) == 0
+    capsys.readouterr()
+    steps = parsed[1:]  # the first parse is the full-suite command line itself
+    assert [step[0] for step in steps] == [ns["command"] for ns in received]
+    assert "current" in [step[0] for step in steps]
+    for step, ns in zip(steps, received):
+        assert ns == vars(build().parse_args(step)), step
 
 
 def test_full_suite_quick(capsys):

@@ -500,6 +500,27 @@ def test_kernel_matches_dict_oracle(data):
             combine(foreign, a)
 
 
+@pytest.mark.parametrize("columns, exact, want", [
+    # an int numerator over 4 and a float of equal value: the first in stored order wins
+    ({0: {0: 1}, 1: {1: 0.25}}, False, Fraction(1, 4)),
+    ({1: {1: 0.25}, 0: {0: 1}}, False, 0.25),
+    ({0: {0: -1, 1: -0.25}}, False, Fraction(1, 4)),
+    ({0: {1: -0.25, 0: -1}}, False, 0.25),
+    # a larger entry wins wherever it is stored
+    ({0: {0: 1}, 1: {1: 0.5}}, False, 0.5),
+    ({1: {1: 0.5}, 0: {0: 1}}, False, 0.5),
+    ({0: {0: -3}, 1: {1: 0.5}}, False, Fraction(3, 4)),
+    ({1: {1: 0.5}, 0: {0: 3}}, False, Fraction(3, 4)),
+    ({0: {0: 1, 1: -3}}, True, Fraction(3, 4)),
+    ({}, True, Fraction(0)),
+    ({}, False, 0),
+])
+def test_max_abs_entry_is_the_first_largest_entry_in_stored_order(columns, exact, want):
+    space = enumerate_basis(FERMION, Fraction(1))
+    got = GradedOperator(space, 0, 0, columns, 4, exact).max_abs_entry()
+    assert got == want and type(got) is type(want)
+
+
 # ---------------------------------------------------------------------------
 # the defect checks on float Theta against the same oracle
 

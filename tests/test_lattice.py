@@ -644,6 +644,9 @@ _any_temperature = st.one_of(st.just(0.0), st.floats(1e-12, 1e4))
 @example(lam=1e-12, t0=1e-12, t_left=1e-12, t_right=0.0, coupling=1e-2)
 @example(lam=0.5, t0=0.75, t_left=1e-6, t_right=0.0, coupling=1.0)
 @example(lam=0.5, t0=1.0, t_left=0.01, t_right=0.005, coupling=1.0)
+# subnormal currents: J one step off at the smallest normal t0, 41 steps off at coupling 100
+@example(lam=0.0, t0=2.2250738585072014e-308, t_left=0.0, t_right=6.103515625e-05, coupling=1.0)
+@example(lam=0.0, t0=3.3590061e-316, t_left=0.6666666666666666, t_right=2.0, coupling=100.0)
 def test_landauer_converges_over_the_parameter_domain(lam, t0, t_left, t_right, coupling):
     # the fixed panels meet the error threshold for the lattice transmission
     # and for a constant one, or landauer_current would raise
@@ -660,7 +663,26 @@ def test_landauer_converges_over_the_parameter_domain(lam, t0, t_left, t_right, 
     temps = [t for t in (t_left, t_right) if t > 0]
     if temps and max(temps) <= band / 100 and min(temps) >= 2.0 ** -36 * band:
         ref = math.pi * t0 / 24 * (t_left ** 2 - t_right ** 2)
-        assert abs(currents[1] - ref) <= 1e-8 * abs(ref) + 1e-15 * t0 * max(temps) ** 2
+        # below 2^-1022 a rounding errs by up to half a step absolute, not relative: a node
+        # value by 1.5 steps, each of a panel's 21 weighted terms by 0.5, each of the 80
+        # panel totals and the closed form's last products by a few more, under
+        # (7 band + 44) steps in all; that floor lies below 1e-8 |ref| for every normal
+        # ref, so it loosens only the comparison of a subnormal current
+        floor = (7 * band + 44) * math.ulp(0.0)
+        assert abs(currents[1] - ref) <= 1e-8 * abs(ref) + 1e-15 * t0 * max(temps) ** 2 + floor
+
+
+@pytest.mark.parametrize("coupling", [1e-2, 1.0, 1e2])
+@pytest.mark.parametrize("t0", [1.0, 0.3, 1e-3])
+def test_landauer_meets_the_closed_form_down_to_the_finest_panel(t0, coupling):
+    # the panels halve toward w = 0 down to 2^-40 of the band, so a constant
+    # transmission meets (pi t0 / 24) T^2 from T = 2^-40 band up to band / 100;
+    # panels graded only to 2^-36 miss by 1e-10 at the bottom, and graded to
+    # 2^-30 they return a J 9e-5 off at 2^-36 band without raising
+    band = 2 * coupling
+    for temp in np.geomspace(2.0 ** -40 * band, band / 100, 25).tolist():
+        ref = math.pi * t0 * temp ** 2 / 24
+        assert abs(landauer_current(lambda w: t0, temp, 0.0, coupling) / ref - 1) <= 1e-12, temp
 
 
 # ---------------------------------------------------------------------------

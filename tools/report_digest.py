@@ -3,16 +3,18 @@
     python3 tools/report_digest.py ROOT
 
 Runs the `neqcft` package of ROOT/src on a fixed list of commands, all in
-one process with PYTHONHASHSEED=0 and every BLAS and OpenMP thread count
+one process with PYTHONHASHSEED=0, every BLAS and OpenMP thread count
 pinned to 1, as `perfbench` pins them (the lattice digits depend on the
-thread count): every argv pinned in `EXACT_REPORTS`,
-`SYMBOLIC_REPORTS` and `FLOAT_REPORTS` of tests/test_cli.py, then every
-distinct argv of the benchmark workloads (perfbench/workloads.py) at seeds
-1 to 8.  The argv lists come from the checkout that holds this file, so a
-second checkout (ROOT) runs exactly the same commands.  Prints one JSON line
-per command, [argv, exit code, stdout, stderr, files the command wrote],
-and last the sha256 of those lines; two trees that print the same digest
-printed the same bytes on every command.
+thread count), and COLUMNS=80 (argparse wraps help to the terminal width):
+the bare command and `--help` of the top level and of every subcommand,
+then every argv pinned in `EXACT_REPORTS`, `SYMBOLIC_REPORTS` and
+`FLOAT_REPORTS` of tests/test_cli.py, then every distinct argv of the
+benchmark workloads (perfbench/workloads.py) at seeds 1 to 8.  The argv
+lists come from the checkout that holds this file, so a second checkout
+(ROOT) runs exactly the same commands; only the subcommand names come from
+ROOT's parser.  Prints one JSON line per command, [argv, exit code, stdout,
+stderr, files the command wrote], and last the sha256 of those lines; two
+trees that print the same digest printed the same bytes on every command.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ HERE = pathlib.Path(__file__).resolve().parent.parent
 SEEDS = range(1, 9)
 PINNED = {"PYTHONHASHSEED": "0", "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
           "MKL_NUM_THREADS": "1", "BLIS_NUM_THREADS": "1", "VECLIB_MAXIMUM_THREADS": "1",
-          "NUMEXPR_NUM_THREADS": "1"}
+          "NUMEXPR_NUM_THREADS": "1", "COLUMNS": "80"}
 
 
 def _load(path):
@@ -44,7 +46,9 @@ def _load(path):
 def commands(outdir):
     """(argv, files it writes) of every command, in a fixed order, without repeats."""
     tests = _load(HERE / "tests" / "test_cli.py")
-    found = [(argv, ()) for argv, *_ in tests.EXACT_REPORTS + tests.SYMBOLIC_REPORTS + tests.FLOAT_REPORTS]
+    helps = [[], ["--help"]] + [[name, "--help"] for name in tests._subcommands()]
+    found = [(argv, ()) for argv in helps]
+    found += [(argv, ()) for argv, *_ in tests.EXACT_REPORTS + tests.SYMBOLIC_REPORTS + tests.FLOAT_REPORTS]
     sys.path.insert(0, str(HERE / "perfbench"))
     workloads = _load(HERE / "perfbench" / "workloads.py")
     for seed in SEEDS:
