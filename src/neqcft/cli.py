@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 
 import numpy as np
+import sympy as sp
 
 from . import defect, fock, lattice, ness, su2k, virasoro
 
@@ -83,7 +84,11 @@ def _number(value):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (report dict, passed bool)
+# subcommand handlers: each returns (report dict, passed bool).  A symbolic
+# value (a sympy scalar or a FieldExpression) goes into the report as it is,
+# and _emit formats it, as str() would; a report that is never written, like
+# that of a passing full-suite step, is never formatted.  Python ints, floats
+# and bools that a report prints as strings keep their str().
 
 def _verdict(report, ok, diagnostic):
     """Close ``report`` with its verdict, and with ``diagnostic`` only when the check failed."""
@@ -208,15 +213,17 @@ def cmd_smatrix(args):
     theta = _theta_from_args(args)
     f = ness.FieldExpression.from_field(ness.fermion("r", ness.X))
     t = ness.apply_smatrix(ness.FieldExpression.from_field(ness.stress("r", ness.X)), theta)
-    report = {
-        "S[psi_r(x)]": str(ness.apply_smatrix(f, theta)),
-        "S[T_r(x)]": str(t),
-    }
+    report = {"S[psi_r(x)]": ness.apply_smatrix(f, theta), "S[T_r(x)]": t}
     coeffs = ness.stress_coefficients(t)
     total = ness.canonical(sum(coeffs.values()))
-    report["stress_weight_sum"] = str(total)
+    report["stress_weight_sum"] = total
     ok = ness.canonical(total - 1) == 0
     return _verdict(report, ok, "transmitted plus reflected stress weight differs from one")
+
+
+def _largest_coefficient(value):
+    """The largest magnitude of a numeric coefficient in the expanded ``value``."""
+    return max(abs(term.as_coeff_Mul()[0]) for term in sp.Add.make_args(sp.expand(value)))
 
 
 def cmd_current(args):
@@ -225,13 +232,23 @@ def cmd_current(args):
     j = ness.energy_current(theta, weights=w)
     # a zero temperature has no entropy production; symbolic ones compare unequal to 0
     sigma = None if 0 in (args.tl, args.tr) else ness.entropy_production(j, w)
+    cos_sin = list(ness.theta_pair(theta))
     report = {
-        "inputs": {"theta_cos_sin": [str(v) for v in ness.theta_pair(theta)],
-                   "T_l": str(args.tl), "T_r": str(args.tr)},
-        "symbolic_result": {"J_E": str(j), "sigma": str(sigma)},
+        "inputs": {"theta_cos_sin": cos_sin, "T_l": str(args.tl), "T_r": str(args.tr)},
+        "symbolic_result": {"J_E": j, "sigma": "None" if sigma is None else sigma},
         "numeric_result": {"J_E": _number(j), "sigma": None if sigma is None else _number(sigma)},
     }
-    return _verdict(report, True, None)
+    # (pi/24) cos(alpha)^2 (T_l^2 - T_r^2): <T> at c = 1/2 per side, times T_dc = cos(alpha)^2
+    ref = cos_sin[0] ** 2 * (ness.stress_average(ness.MAJORANA_C, args.tl)
+                             - ness.stress_average(ness.MAJORANA_C, args.tr))
+    residue = ness.canonical(j - ref)
+    # exact inputs leave an exact residue; a float input leaves rounding, held
+    # to the relative 1e-12 of a current evaluated in double precision
+    if residue.has(sp.Float):
+        ok = _largest_coefficient(residue) <= 1e-12 * _largest_coefficient(ref)
+    else:
+        ok = residue == 0
+    return _verdict(report, ok, "current does not match (pi/24) cos(alpha)^2 (T_l^2 - T_r^2)")
 
 
 def cmd_entropy(args):
@@ -243,7 +260,7 @@ def cmd_entropy(args):
     sigma = ness.entropy_production(j, w)
     val = _number(sigma)
     ok = val is None or val >= -1e-15
-    report = {"J_E": str(j), "sigma": str(sigma), "sigma_numeric": val}
+    report = {"J_E": j, "sigma": sigma, "sigma_numeric": val}
     return _verdict(report, ok, "entropy production came out negative")
 
 
@@ -267,9 +284,8 @@ def cmd_su2k_decompose(args):
     p = _params_from_args(args)
     cu1, czk = su2k.decomposition_coefficients(p)
     dev = su2k.unit_sum_deviation(p)
-    report = {"k": str(p.k), "s": str(p.s), "rr_bar": str(p.rr_bar),
-              "coeff_Tu1": str(cu1), "coeff_TZk": str(czk),
-              "J_E_closed_form": str(su2k.energy_current_k(p)), "unit_sum_deviation": str(dev)}
+    report = {"k": p.k, "s": p.s, "rr_bar": p.rr_bar, "coeff_Tu1": cu1, "coeff_TZk": czk,
+              "J_E_closed_form": su2k.energy_current_k(p), "unit_sum_deviation": dev}
     return _verdict(report, dev == 0,
                     "c-weighted decomposition coefficients do not sum to the left central charge")
 
@@ -280,8 +296,7 @@ def cmd_su2k_current(args):
     j = su2k.energy_current_k(p, w)
     ref = su2k.closed_form_current(p, w)
     ok = ness.canonical(j - ref) == 0
-    report = {"k": str(p.k), "rr_bar": str(p.rr_bar), "J_E": str(j),
-              "closed_form": str(ref), "passed": bool(ok)}
+    report = {"k": p.k, "rr_bar": p.rr_bar, "J_E": j, "closed_form": ref, "passed": bool(ok)}
     if (numeric := _number(j)) is not None:
         report["J_E_numeric"] = numeric
     if not ok:
@@ -293,9 +308,9 @@ def cmd_su2k_fermionize(args):
     p = su2k.RotationParams.from_rr_bar(2, args.rr_bar)
     (cos_eff, sin_eff), j_fermionized, j_algebraic = su2k.fermionize_k2(p)
     ok = ness.canonical(j_fermionized - j_algebraic) == 0
-    report = {"k": 2, "s": str(p.s), "rr_bar": str(p.rr_bar), "cos_effective": str(cos_eff),
-              "chi1": "pure reflection, zero current", "J_fermionized": str(j_fermionized),
-              "J_algebraic": str(j_algebraic), "agree": ok}
+    report = {"k": 2, "s": p.s, "rr_bar": p.rr_bar, "cos_effective": cos_eff,
+              "chi1": "pure reflection, zero current", "J_fermionized": j_fermionized,
+              "J_algebraic": j_algebraic, "agree": ok}
     if args.matrix_check:
         # the effective rotation as a truncated defect map, exact where both
         # entries are rational, checked for the Virasoro intertwining

@@ -13,11 +13,12 @@ with the complementary cases rotated into the opposite chirality on the
 mirror point.  Coefficients are exact sympy scalars; for a symbolic angle
 they carry cos(alpha), sin(alpha).  Every coefficient is brought to one
 exact normal form (see ``canonical``): expanded, with the Pythagorean
-relation applied as the rewrite sin(alpha)^2 -> 1 - cos(alpha)^2, then
-cancelled over a common denominator.  That form decides zero, and a report
-prints it for a scalar (a current, a weight sum); a field expression
-prints each coefficient that holds alpha as ``sp.trigsimp`` of it, the
-short trig form (``FieldExpression.__str__``).
+relation applied as the rewrite sin(alpha)^2 -> 1 - cos(alpha)^2, over one
+reduced denominator; ``cancel`` runs only where that changes something.  The
+form is memoized for the life of the process.  It decides zero, and a report
+prints it for a scalar (a current, a weight sum); a field expression prints
+each coefficient that holds alpha as ``sp.trigsimp`` of it, the short trig
+form (``FieldExpression.__str__``), and only when the report is written.
 
 The stress tensor is handled through its fermion bilinear form,
 T = -(i/2) (d psi) psi and Tbar = +(i/2) (d psibar) psibar, each factor
@@ -32,6 +33,7 @@ into reports.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -79,18 +81,33 @@ def rewrite_squares(expr, base, square):
     return sp.expand(expr.xreplace(powers)) if powers else expr
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def canonical(expr):
     """Exact normal form of a coefficient: zero if and only if it vanishes.
 
     The expression is expanded with the Pythagorean relation applied as the
     rewrite sin(alpha)^2 -> 1 - cos(alpha)^2, so sin(alpha) enters at most
-    linearly and no zero hides behind it.  ``cancel`` then puts the result
-    over one reduced denominator and ``factor_terms`` pulls out the common
-    content.  Reports print this form for a scalar; ``FieldExpression``
-    prints ``sp.trigsimp`` of it for a coefficient that holds alpha.
+    linearly and no zero hides behind it.  The result is put over one
+    reduced denominator, as ``cancel`` does, and ``factor_terms`` pulls out
+    the common content.  Reports print this form for a scalar;
+    ``FieldExpression`` prints ``sp.trigsimp`` of it for a coefficient that
+    holds alpha.
+
+    An expanded polynomial with real exact coefficients and rational
+    denominators is already what ``cancel`` returns, so ``cancel`` runs only
+    where a term's denominator is more than a rational number (a rational
+    function of k in ``su2k``, a symbolic temperature in
+    ``entropy_production``) or a coefficient is a Float or complex: there
+    ``cancel`` turns every coefficient into a Float, or clears the
+    denominator of a complex one, (1 + I/2) -> (2 + I)/2.  Results are
+    memoized; sympy equality is structural, so ``2.0*x`` and ``2*x`` keep
+    separate entries.
     """
     expr = rewrite_squares(expr, sp.sin(ALPHA), 1 - sp.cos(ALPHA) ** 2)
-    return sp.factor_terms(sp.cancel(expr))
+    if expr.has(sp.Float, sp.I) or any(not sp.fraction(term)[1].is_Rational
+                                       for term in sp.Add.make_args(expr)):
+        expr = sp.cancel(expr)
+    return sp.factor_terms(expr)
 
 
 def to_sympy(c):
@@ -126,17 +143,17 @@ class LocalField:
     def shifted(self, delta):
         return replace(self, position=sp.expand(self.position + delta))
 
+    @functools.cached_property
+    def _sort_key(self):
+        # spatial order first (positions are affine in x, t with t > x > 0 in the
+        # crossed regime; the sample point fixes a deterministic total order)
+        val = self.position.subs({X: 1, T: sp.sqrt(2)})
+        return (sp.default_sort_key(val), self.side, self.bar, self.name)
+
     def __str__(self):
         base = self.name + ("bar" if self.bar else "")
         d = "d" * self.deriv
         return f"{d}{base}^{self.side}({self.position})"
-
-
-def _sort_key(f):
-    # spatial order first (positions are affine in x, t with t > x > 0 in the
-    # crossed regime; the sample point fixes a deterministic total order)
-    val = f.position.subs({X: 1, T: sp.sqrt(2)})
-    return (sp.default_sort_key(val), f.side, f.bar, f.name)
 
 
 @dataclass(frozen=True)
@@ -204,7 +221,9 @@ class FieldExpression:
         parts = []
         for coeff, factors in self.terms:
             fs = "*".join(str(f) for f in factors) if factors else "1"
-            # the normal form keeps sin(alpha) linear; print the short trig form
+            # the normal form keeps sin(alpha) linear; print the short trig form.
+            # Only the report writer formats a field expression, so a report
+            # that is never printed runs no trigsimp
             if coeff.has(ALPHA):
                 coeff = sp.trigsimp(coeff)
             parts.append(f"({coeff})*{fs}")
@@ -213,8 +232,9 @@ class FieldExpression:
 
 def _group_key(f):
     # factors sharing this key are never reordered (same-point same-field
-    # products carry a contraction and must keep their given order)
-    return (f.side, f.bar, f.name, sp.srepr(f.position))
+    # products carry a contraction and must keep their given order); sympy
+    # equality of the positions is structural, as srepr equality is
+    return (f.side, f.bar, f.name, f.position)
 
 
 def _graded_sort(factors):
@@ -226,7 +246,7 @@ def _graded_sort(factors):
         j = i
         while j > 0:
             a, b = fs[j - 1], fs[j]
-            if _group_key(a) == _group_key(b) or _sort_key(a) <= _sort_key(b):
+            if _group_key(a) == _group_key(b) or a._sort_key <= b._sort_key:
                 break
             fs[j - 1], fs[j] = b, a
             if a.parity and b.parity:

@@ -25,6 +25,7 @@ scattering engine.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import sympy as sp
@@ -78,11 +79,14 @@ def _reduce_s(expr, params):
     return ness.rewrite_squares(expr, params.s, 1 - params.rr_bar)
 
 
+@functools.cache
 def rotate_u1_stress(params):
     """Image of T_u1 = (1/k) J0 J0 under the global rotation, reduced to stress form.
 
     Returns the coefficients of T_u1 and T_Zk and the charged lump, the sum
-    of the coefficients of the terms with net u(1) charge.
+    of the coefficients of the terms with net u(1) charge.  Memoized per
+    (frozen, hashable) ``RotationParams``: the decomposition, its unit sum
+    and the current all start from it.
     """
     k = params.k
     s, rr = params.s, params.rr_bar

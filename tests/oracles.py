@@ -1,9 +1,12 @@
 """Helpers that only the tests use: grading, block-structure and hermiticity oracles for
-operators, readers of operators and spaces, and the rotations the tests compose."""
+operators, readers of operators and spaces, the rotations the tests compose, and the
+cancelled normal form of a symbolic coefficient."""
 
 from fractions import Fraction
 
-from neqcft import virasoro
+import sympy as sp
+
+from neqcft import ness, virasoro
 from neqcft.defect import BogoliubovSpec
 from neqcft.fock import BOSON, GradedOperator, ProductSpace, twice_mode_values
 
@@ -152,3 +155,9 @@ def hermiticity_deviation(model, n, space):
         if d > dev:
             dev = d
     return dev
+
+
+def cancelled_normal_form(expr):
+    """The normal form ``ness.canonical`` gives, with ``cancel`` run on every input."""
+    expr = ness.rewrite_squares(expr, sp.sin(ness.ALPHA), 1 - sp.cos(ness.ALPHA) ** 2)
+    return sp.factor_terms(sp.cancel(expr))

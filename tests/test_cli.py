@@ -10,10 +10,12 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+import sympy as sp
 
-from neqcft import cli, defect, fock, lattice, virasoro
+from neqcft import cli, defect, fock, lattice, ness, su2k, virasoro
 
 
 def run(capsys, *argv):
@@ -108,6 +110,45 @@ def test_current_at_numerical_reflection(capsys):
     assert code == 0
     report = json.loads(out)
     assert abs(report["numeric_result"]["J_E"]) < 1e-12
+
+
+def _current_args(cos_sin, tl, tr):
+    """The parsed ``current`` command at ``cos_sin``, with temperatures of any kind."""
+    args = cli.build_parser().parse_args(["current", *cos_sin])
+    args.tl, args.tr = tl, tr
+    return args
+
+
+# (exact, symbolic and float temperatures, at an exact, the symbolic and a float angle)
+_CURRENT_INPUTS = [
+    (["--cos-sin=4/5,-3/5"], Fraction(1), Fraction(1, 2)),
+    ([], ness.T_LEFT, ness.T_RIGHT),
+    # float temperatures leave a residue of -1.4e-17*pi here
+    (["--cos-sin=4/5,-3/5"], 0.846, 2.267),
+    ([], 0.31, 2.9),
+    # and a float angle one of -2.1e-17*pi
+    (["--alpha", "1.2345"], 0.123, 3.7),
+]
+
+
+@pytest.mark.parametrize("cos_sin, tl, tr", _CURRENT_INPUTS + [
+    (["--cos-sin=3/5,4/5"], 0.7, 0.7),  # J = ref = 0
+    (["--cos-sin=0,1"], 1.0, 0.0),
+])
+def test_current_matches_the_low_temperature_form(cos_sin, tl, tr):
+    report, ok = cli.cmd_current(_current_args(cos_sin, tl, tr))
+    assert ok and report["passed"]
+
+
+@pytest.mark.parametrize("cos_sin, tl, tr", _CURRENT_INPUTS)
+def test_current_notices_a_relative_error_of_1e_9(monkeypatch, cos_sin, tl, tr):
+    # far above double-precision rounding, so float inputs fail too
+    energy_current = ness.energy_current
+    monkeypatch.setattr(ness, "energy_current", lambda theta, weights=None:
+                        energy_current(theta, weights) * (1 + sp.Rational(1, 10 ** 9)))
+    report, ok = cli.cmd_current(_current_args(cos_sin, tl, tr))
+    assert not ok
+    assert report["diagnostic"] == "current does not match (pi/24) cos(alpha)^2 (T_l^2 - T_r^2)"
 
 
 def test_intertwiner_grid_passes(capsys):
@@ -853,12 +894,21 @@ def _transmission_above_one(monkeypatch):
     monkeypatch.setattr(lattice, "transmission", lambda *args: 1.5)
 
 
+def _full_transmission_current(monkeypatch):
+    energy_current = ness.energy_current
+    monkeypatch.setattr(ness, "energy_current",
+                        lambda theta, weights=None: energy_current((1, 0), weights))
+
+
 @pytest.mark.parametrize("argv, breaks, keys, diagnostic", [
     (["full-suite", "--quick"], _failing_smatrix_step, ["steps", "passed", "diagnostic"],
      "failed steps: smatrix"),
     (["lattice-transmission", "--omega-points", "3"], _transmission_above_one,
      ["defect", "transmission_dc", "grid", "passed", "diagnostic"], "transmission outside [0, 1]"),
-], ids=["full-suite failed step", "lattice-transmission above one"])
+    (["current", "--cos-sin=3/5,4/5"], _full_transmission_current,
+     ["inputs", "symbolic_result", "numeric_result", "passed", "diagnostic"],
+     "current does not match (pi/24) cos(alpha)^2 (T_l^2 - T_r^2)"),
+], ids=["full-suite failed step", "lattice-transmission above one", "current at the wrong transmission"])
 def test_failing_closes_carry_a_diagnostic(capsys, monkeypatch, argv, breaks, keys, diagnostic):
     # the failing paths that test_every_subcommand_closes_its_report cannot reach
     breaks(monkeypatch)
@@ -1012,6 +1062,53 @@ def test_full_suite_quick(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["passed"] and len(report["steps"]) == 13
+
+
+_SMATRIX_REPORT = next(expected for argv, expected in SYMBOLIC_REPORTS if argv == ["smatrix"])
+
+
+def test_only_a_written_report_formats_its_field_expressions(capsys, monkeypatch):
+    # FieldExpression.__str__ runs trigsimp; a passing full-suite step's report
+    # is dropped unwritten, so the suite runs none
+    calls = []
+    trigsimp = sp.trigsimp
+    monkeypatch.setattr(sp, "trigsimp", lambda expr, **kw: calls.append(expr) or trigsimp(expr, **kw))
+    code, _ = run(capsys, "full-suite", "--quick")
+    assert (code, calls) == (0, [])
+    # smatrix itself writes its report, through trigsimp
+    code, out = run(capsys, "smatrix")
+    assert code == 0 and calls
+    assert json.loads(out) == _SMATRIX_REPORT
+
+
+def _stress_weights_doubled(monkeypatch):
+    stress_coefficients = ness.stress_coefficients
+    monkeypatch.setattr(ness, "stress_coefficients",
+                        lambda expr: {key: 2 * c for key, c in stress_coefficients(expr).items()})
+
+
+def test_failed_smatrix_step_prints_its_field_expressions(capsys, monkeypatch):
+    # the smatrix handler runs for real, so its FieldExpressions reach the writer
+    _stress_weights_doubled(monkeypatch)
+    code, out = run(capsys, "full-suite", "--quick")
+    assert code == 1
+    detail = json.loads(out)["steps"]["smatrix"]["detail"]
+    assert detail == dict(_SMATRIX_REPORT, stress_weight_sum="2", passed=False,
+                          diagnostic="transmitted plus reflected stress weight differs from one")
+    code, out = run(capsys, "--format", "csv", "full-suite", "--quick")
+    assert code == 1
+    rows = out.splitlines()
+    for key in ("S[psi_r(x)]", "S[T_r(x)]"):
+        assert f"steps.smatrix.detail.{key},{_SMATRIX_REPORT[key]}" in rows
+    assert "steps.smatrix.detail.stress_weight_sum,2" in rows
+
+
+def test_su2k_decompose_rotates_the_stress_tensor_once(capsys):
+    # the coefficients, their unit sum and the current all start from one rotation
+    su2k.rotate_u1_stress.cache_clear()
+    code, _ = run(capsys, "su2k-decompose")
+    assert code == 0
+    assert su2k.rotate_u1_stress.cache_info().misses == 1
 
 
 def _fresh_python(code):

@@ -80,3 +80,38 @@ def test_cli_opens_files():
 @pytest.mark.parametrize("module", sorted(ALLOWED) + ["__init__"])
 def test_only_cli_opens_files(module):
     assert opened_files(module) == []
+
+
+def functions_naming(module, name):
+    """Qualified names of the functions and classes of ``module`` whose code names ``name``.
+
+    A use at module level is reported as ``<module>``; an import of ``name``
+    counts as a use.
+    """
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.Attribute) and child.attr == name
+                    or isinstance(child, ast.alias) and child.name.split(".")[-1] == name):
+                found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse((PACKAGE / f"{module}.py").read_text()), [])
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED) + sorted(UNRESTRICTED))
+def test_no_module_calls_simplify(module):
+    # sp.simplify is slow and loads sympy.physics; the tests keep it as their oracle
+    assert functions_naming(module, "simplify") == []
+
+
+def test_trigsimp_only_prints_field_expressions():
+    # the short trig form is for the printed report, never for a verdict
+    uses = {m: functions_naming(m, "trigsimp") for m in sorted(ALLOWED) + sorted(UNRESTRICTED)}
+    assert {m: found for m, found in uses.items() if found} == {"ness": ["FieldExpression.__str__"]}

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neqcft import ness, su2k
@@ -16,6 +16,7 @@ from neqcft.ness import (AFTER, BEFORE, ALPHA, T, T_LEFT, T_RIGHT, X,
                          check_global_continuity, energy_current,
                          entropy_production, evolve, expectation, fermion,
                          stress, stress_coefficients)
+from oracles import cancelled_normal_form
 
 SYMB = None  # the symbolic angle
 
@@ -249,19 +250,25 @@ def test_current_and_entropy_production_at_full_transmission():
 # ---------------------------------------------------------------------------
 # the exact zero test, against sp.simplify as an independent oracle
 
-_COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+_COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=5).map(ness.to_sympy)
+_FLOATS = st.floats(min_value=-4, max_value=4).map(sp.Float)
 
 
 def _monomials(gens, coeffs=_COEFFS, max_degree=3):
-    """c * prod(g^e) over ``gens``, with a small rational c."""
+    """c * prod(g^e) over ``gens``, with a small coefficient c (rational by default)."""
     exps = st.lists(st.integers(0, max_degree), min_size=len(gens), max_size=len(gens))
-    return st.builds(lambda c, es: sp.Rational(c.numerator, c.denominator)
-                     * sp.Mul(*(g ** e for g, e in zip(gens, es))), coeffs, exps)
+    return st.builds(lambda c, es: c * sp.Mul(*(g ** e for g, e in zip(gens, es))), coeffs, exps)
 
 
-def _polynomials(gens, max_terms=3):
+def _polynomials(gens, coeffs=_COEFFS, max_terms=3):
     """Sums of up to ``max_terms`` monomials; the empty sum is zero."""
-    return st.lists(_monomials(gens), max_size=max_terms).map(lambda ms: sp.Add(*ms))
+    return st.lists(_monomials(gens, coeffs), max_size=max_terms).map(lambda ms: sp.Add(*ms))
+
+
+def _assert_cancelled_form(expr):
+    # canonical runs cancel only where it changes something; the printed form
+    # is the one that cancel on every input gives, to the last srepr node
+    assert sp.srepr(ness.canonical(expr)) == sp.srepr(cancelled_normal_form(expr))
 
 
 _TRIG = (sp.cos(ALPHA), sp.sin(ALPHA), T_LEFT, T_RIGHT)
@@ -275,6 +282,8 @@ def test_zero_test_is_exact_modulo_the_pythagorean_relation(q, monomial, p):
     assert ness.canonical(zero + monomial) != 0
     # the two verdicts agree, also where p cancels by itself
     assert (ness.canonical(zero + p) == 0) == (sp.simplify(zero + p) == 0)
+    for expr in (zero, zero + monomial, zero + p):
+        _assert_cancelled_form(expr)
 
 
 _ROTATION = su2k.RotationParams.symbolic()
@@ -293,3 +302,32 @@ def test_su2k_zero_test_is_exact_modulo_the_rotation_constraint(q, monomial, p):
     assert not _su2k_zero(zero + monomial)
     # sp.simplify knows nothing of s^2 + r rbar = 1, so the oracle sees the rewritten form
     assert _su2k_zero(zero + p) == (sp.simplify(su2k._reduce_s(zero + p, _ROTATION)) == 0)
+
+
+# the constants a coefficient of the symbolic layer holds besides a rational
+_CONSTANTS = st.sampled_from((1, sp.I, sp.pi, sp.sqrt(2), sp.I * sp.pi / sp.sqrt(2), 1 / sp.pi))
+# what su2k divides by: k, and k + 2 from the parafermion central charge
+_K_DENOMINATORS = st.sampled_from((su2k.K_PARAM, 2 * su2k.K_PARAM, su2k.K_PARAM + 2,
+                                   su2k.K_PARAM * (su2k.K_PARAM + 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    # exact coefficients with I, pi and sqrt(2), as ness builds them, and a 1/pi that cancel clears
+    _polynomials(_TRIG, st.builds(lambda c, k: c * k, _COEFFS, _CONSTANTS)),
+    # Float coefficients, alone and next to exact ones, as float angles and temperatures give
+    _polynomials(_TRIG, _FLOATS),
+    _polynomials(_TRIG, st.one_of(_COEFFS, _FLOATS), max_terms=4),
+    # rational functions of k, as su2k builds them
+    st.lists(st.builds(lambda p, d: p / d, _polynomials(_SU2K + (su2k.K_PARAM,)), _K_DENOMINATORS),
+             max_size=3).map(lambda fs: sp.Add(*fs)),
+))
+@example(2 * X)
+@example(2.0 * X)
+@example(T_LEFT + sp.I * T_LEFT / 2)
+def test_normal_form_is_the_cancelled_form(expr):
+    # the first two examples share one memo: sympy equality is structural, so
+    # the Float coefficient never gets the Rational one's form, nor the
+    # reverse; the third is a complex coefficient that only cancel clears,
+    # T_l (2 + I)/2 and not T_l (1 + I/2)
+    _assert_cancelled_form(expr)
