@@ -15,7 +15,6 @@ import sys
 from fractions import Fraction
 
 import numpy as np
-import sympy as sp
 
 from . import defect, fock, lattice, ness, su2k, virasoro
 
@@ -221,11 +220,6 @@ def cmd_smatrix(args):
     return _verdict(report, ok, "transmitted plus reflected stress weight differs from one")
 
 
-def _largest_coefficient(value):
-    """The largest magnitude of a numeric coefficient in the expanded ``value``."""
-    return max(abs(term.as_coeff_Mul()[0]) for term in sp.Add.make_args(sp.expand(value)))
-
-
 def cmd_current(args):
     theta = _theta_from_args(args)
     w = ness.GibbsWeights(args.tl, args.tr)
@@ -238,16 +232,7 @@ def cmd_current(args):
         "symbolic_result": {"J_E": j, "sigma": "None" if sigma is None else sigma},
         "numeric_result": {"J_E": _number(j), "sigma": None if sigma is None else _number(sigma)},
     }
-    # (pi/24) cos(alpha)^2 (T_l^2 - T_r^2): <T> at c = 1/2 per side, times T_dc = cos(alpha)^2
-    ref = cos_sin[0] ** 2 * (ness.stress_average(ness.MAJORANA_C, args.tl)
-                             - ness.stress_average(ness.MAJORANA_C, args.tr))
-    residue = ness.canonical(j - ref)
-    # exact inputs leave an exact residue; a float input leaves rounding, held
-    # to the relative 1e-12 of a current evaluated in double precision
-    if residue.has(sp.Float):
-        ok = _largest_coefficient(residue) <= 1e-12 * _largest_coefficient(ref)
-    else:
-        ok = residue == 0
+    ok = ness.current_matches(j, ness.closed_form_current(theta, w), w)
     return _verdict(report, ok, "current does not match (pi/24) cos(alpha)^2 (T_l^2 - T_r^2)")
 
 
@@ -295,7 +280,7 @@ def cmd_su2k_current(args):
     w = ness.GibbsWeights(args.tl, args.tr)
     j = su2k.energy_current_k(p, w)
     ref = su2k.closed_form_current(p, w)
-    ok = ness.canonical(j - ref) == 0
+    ok = ness.current_matches(j, ref, w)
     report = {"k": p.k, "rr_bar": p.rr_bar, "J_E": j, "closed_form": ref, "passed": bool(ok)}
     if (numeric := _number(j)) is not None:
         report["J_E_numeric"] = numeric

@@ -463,6 +463,46 @@ def energy_current(theta, weights=None, side="r"):
     return expectation(scattered, weights)
 
 
+def closed_form_current(theta, weights=None):
+    """Reference closed form (pi/24) cos(alpha)^2 (T_l^2 - T_r^2).
+
+    That is <T> at c = 1/2 on each side times T_dc = cos(alpha)^2.
+    """
+    weights = weights or GibbsWeights()
+    tl, tr = sp.sympify(weights.t_left), sp.sympify(weights.t_right)
+    cos_a = theta_pair(theta)[0]
+    return cos_a ** 2 * (stress_average(MAJORANA_C, tl) - stress_average(MAJORANA_C, tr))
+
+
+# double-precision rounding a current may carry, relative to the thermal
+# averages it is summed from
+CURRENT_REL_TOL = 1e-12
+
+
+def _largest_coefficient(value):
+    """The largest magnitude of a numeric coefficient in the expanded ``value``."""
+    return max(abs(term.as_coeff_Mul()[0]) for term in sp.Add.make_args(sp.expand(value)))
+
+
+def current_matches(j_e, ref, weights=None):
+    """Whether the current ``j_e`` equals its closed form ``ref``.
+
+    Exact and symbolic inputs leave an exact residue, which must vanish.  A
+    Float input leaves rounding, and its size is that of the thermal
+    averages the current is summed from, not that of the current, which
+    cancels near equal temperatures or pure reflection.  So each coefficient
+    of the residue must be within ``CURRENT_REL_TOL`` of the largest
+    coefficient of <T>_l + <T>_r at c = 1, a bound on every central charge
+    here.
+    """
+    residue = canonical(j_e - ref)
+    if not residue.has(sp.Float):
+        return residue == 0
+    weights = weights or GibbsWeights()
+    scale = stress_average(1, sp.sympify(weights.t_left)) + stress_average(1, sp.sympify(weights.t_right))
+    return bool(_largest_coefficient(residue) <= CURRENT_REL_TOL * _largest_coefficient(scale))
+
+
 def entropy_production(j_e, weights=None):
     """Entropy production rate (1/T_r - 1/T_l) J_E."""
     weights = weights or GibbsWeights()

@@ -134,6 +134,13 @@ _CURRENT_INPUTS = [
 @pytest.mark.parametrize("cos_sin, tl, tr", _CURRENT_INPUTS + [
     (["--cos-sin=3/5,4/5"], 0.7, 0.7),  # J = ref = 0
     (["--cos-sin=0,1"], 1.0, 0.0),
+    # rounding is held to the size of <T>, not of J, which cancels: near
+    # equal temperatures, equal ones at a float angle, and a float angle
+    # whose sin^2 rounds to 1
+    (["--cos-sin=4/5,-3/5"], 0.846, 0.84601),
+    (["--alpha", "0.3"], 1e-3, 1e-3 * (1 + 1e-12)),
+    (["--alpha", "1.2345"], 0.7, 0.7),
+    (["--alpha", "1.5707963267948966"], 1.0, 2.0),
 ])
 def test_current_matches_the_low_temperature_form(cos_sin, tl, tr):
     report, ok = cli.cmd_current(_current_args(cos_sin, tl, tr))

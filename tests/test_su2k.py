@@ -66,6 +66,16 @@ def test_current_matches_closed_form_symbolically():
     assert sp.simplify(energy_current_k(p) - closed_form_current(p)) == 0
 
 
+@pytest.mark.parametrize("k", range(1, 13))
+def test_float_temperatures_match_the_closed_form_to_rounding(k):
+    # the exact residue is 2.8e-17*pi at k = 4, and a relative 1e-9 is far above it
+    p = RotationParams.from_rr_bar(k, Fraction(1, 2))
+    w = ness.GibbsWeights(0.846, 2.267)
+    j, ref = energy_current_k(p, w), closed_form_current(p, w)
+    assert ness.current_matches(j, ref, w)
+    assert ness.current_matches(j * (1 + sp.Rational(1, 10 ** 9)), ref, w) == (k == 1)
+
+
 def test_k2_full_mixing_matches_free_fermion_current():
     p = RotationParams(2, 0, 1)
     j = energy_current_k(p)
