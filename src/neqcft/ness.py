@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 import sympy as sp
 
@@ -48,8 +47,7 @@ ALPHA = sp.Symbol("alpha", real=True)
 BEFORE = "t<x"   # fields have not reached the impurity
 AFTER = "t>x"    # fields have crossed
 
-FERMION_NAMES = ("psi",)
-KNOWN_NAMES = FERMION_NAMES + ("T",)
+KNOWN_NAMES = ("psi", "T")
 
 
 class UnsupportedFieldError(ValueError):
@@ -110,13 +108,6 @@ def canonical(expr):
     return sp.factor_terms(expr)
 
 
-def to_sympy(c):
-    """Exact sympy scalar: a Fraction becomes a Rational, anything else is sympified."""
-    if isinstance(c, Fraction):
-        return sp.Rational(c.numerator, c.denominator)
-    return sp.sympify(c)
-
-
 @dataclass(frozen=True)
 class LocalField:
     """One local factor: name, side, chirality flag, derivative order, position."""
@@ -138,7 +129,7 @@ class LocalField:
 
     @property
     def parity(self):
-        return 1 if self.name in FERMION_NAMES else 0
+        return 1 if self.name == "psi" else 0
 
     def shifted(self, delta):
         return replace(self, position=sp.expand(self.position + delta))
@@ -172,7 +163,7 @@ class FieldExpression:
 
     @classmethod
     def one(cls, coeff=1):
-        return cls(((to_sympy(coeff), ()),))
+        return cls(((sp.sympify(coeff), ()),))
 
     def __add__(self, other):
         return FieldExpression(self.terms + other.terms)
@@ -181,7 +172,7 @@ class FieldExpression:
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = to_sympy(c)
+        c = sp.sympify(c)
         return FieldExpression(tuple((c * k, fs) for k, fs in self.terms))
 
     def product(self, other):
@@ -286,7 +277,7 @@ def collect_stress(expr):
     for coeff, factors in expr.terms:
         if len(factors) == 2:
             a, b = factors
-            if (_group_key(a) == _group_key(b) and a.name in FERMION_NAMES
+            if (_group_key(a) == _group_key(b) and a.name == "psi"
                     and a.deriv == 1 and b.deriv == 0):
                 k = coeff * (-2 * sp.I) if a.bar else coeff * (2 * sp.I)
                 out.append((sp.expand(k), (stress(a.side, a.position, bar=a.bar),)))
@@ -303,9 +294,9 @@ def theta_pair(theta):
     if theta is None:
         return sp.cos(ALPHA), sp.sin(ALPHA)
     if hasattr(theta, "cos_a"):
-        return to_sympy(theta.cos_a), to_sympy(theta.sin_a)
+        return sp.sympify(theta.cos_a), sp.sympify(theta.sin_a)
     c, s = theta
-    return to_sympy(c), to_sympy(s)
+    return sp.sympify(c), sp.sympify(s)
 
 
 def _require_symmetric(f):
@@ -394,9 +385,12 @@ def apply_smatrix(expr, theta):
 
 @dataclass(frozen=True)
 class GibbsWeights:
-    """Temperatures of the decoupled halves (natural units).
+    """Temperatures of the decoupled halves (natural units), as sympy values.
 
-    Zero is allowed as a ground-state limit; entropy production needs
+    Each field is sympified once, here, so every function reads it as
+    given: a Fraction becomes a Rational, a float a Float.  A value that
+    sympy knows to be negative is refused, a symbol of unknown sign is
+    not.  Zero is allowed as a ground-state limit; entropy production needs
     strictly positive temperatures.
     """
 
@@ -404,9 +398,15 @@ class GibbsWeights:
     t_right: object = T_RIGHT
 
     def __post_init__(self):
-        for v in (self.t_left, self.t_right):
-            if isinstance(v, (int, float, Fraction)) and v < 0:
+        for name in ("t_left", "t_right"):
+            value = sp.sympify(getattr(self, name))
+            if value.is_negative:
                 raise ValueError("temperatures must be >= 0")
+            object.__setattr__(self, name, value)
+
+
+# the two-temperature state with both temperatures symbolic
+SYMBOLIC = GibbsWeights()
 
 
 def stress_average(c, temperature):
@@ -414,7 +414,7 @@ def stress_average(c, temperature):
     return sp.pi * c / 12 * temperature ** 2
 
 
-def expectation(expr, weights=None):
+def expectation(expr, weights=SYMBOLIC):
     """Average of stress factors and mismatched fermion bilinears.
 
     Stress factors contribute stress_average(MAJORANA_C, T) for their
@@ -422,8 +422,6 @@ def expectation(expr, weights=None):
     zero by parity of the Gaussian state; anything else is outside the
     supported class.
     """
-    weights = weights or GibbsWeights()
-    tl, tr = sp.sympify(weights.t_left), sp.sympify(weights.t_right)
     expr = collect_stress(expr.normalize())
     total = sp.Integer(0)
     for coeff, factors in expr.terms:
@@ -431,10 +429,10 @@ def expectation(expr, weights=None):
             total += coeff
             continue
         if len(factors) == 1 and factors[0].name == "T":
-            temp = tl if factors[0].side == "l" else tr
+            temp = weights.t_left if factors[0].side == "l" else weights.t_right
             total += coeff * stress_average(MAJORANA_C, temp)
             continue
-        if all(f.name in FERMION_NAMES for f in factors):
+        if all(f.name == "psi" for f in factors):
             if len(factors) % 2 == 1:
                 continue  # odd fermion number averages to zero
             if len(factors) == 2:
@@ -449,29 +447,26 @@ def expectation(expr, weights=None):
     return canonical(total)
 
 
-def energy_current(theta, weights=None, side="r"):
+def energy_current(theta, weights=SYMBOLIC):
     """Steady energy current, computed by scattering the momentum density.
 
-    Evaluates the average of S[T(x) - Tbar(x)] with the fields placed on
-    the requested side of the impurity; the two side choices must agree.
+    Evaluates the average of S[T(x) - Tbar(x)] with the fields placed to
+    the right of the impurity.
     """
-    weights = weights or GibbsWeights()
-    pos = X if side == "r" else -X
-    p = (FieldExpression.from_field(stress(side, pos))
-         - FieldExpression.from_field(stress(side, pos, bar=True)))
+    p = (FieldExpression.from_field(stress("r", X))
+         - FieldExpression.from_field(stress("r", X, bar=True)))
     scattered = apply_smatrix(p, theta)
     return expectation(scattered, weights)
 
 
-def closed_form_current(theta, weights=None):
+def closed_form_current(theta, weights=SYMBOLIC):
     """Reference closed form (pi/24) cos(alpha)^2 (T_l^2 - T_r^2).
 
     That is <T> at c = 1/2 on each side times T_dc = cos(alpha)^2.
     """
-    weights = weights or GibbsWeights()
-    tl, tr = sp.sympify(weights.t_left), sp.sympify(weights.t_right)
     cos_a = theta_pair(theta)[0]
-    return cos_a ** 2 * (stress_average(MAJORANA_C, tl) - stress_average(MAJORANA_C, tr))
+    return cos_a ** 2 * (stress_average(MAJORANA_C, weights.t_left)
+                         - stress_average(MAJORANA_C, weights.t_right))
 
 
 # double-precision rounding a current may carry, relative to the thermal
@@ -484,7 +479,7 @@ def _largest_coefficient(value):
     return max(abs(term.as_coeff_Mul()[0]) for term in sp.Add.make_args(sp.expand(value)))
 
 
-def current_matches(j_e, ref, weights=None):
+def current_matches(j_e, ref, weights=SYMBOLIC):
     """Whether the current ``j_e`` equals its closed form ``ref``.
 
     Exact and symbolic inputs leave an exact residue, which must vanish.  A
@@ -498,15 +493,20 @@ def current_matches(j_e, ref, weights=None):
     residue = canonical(j_e - ref)
     if not residue.has(sp.Float):
         return residue == 0
-    weights = weights or GibbsWeights()
-    scale = stress_average(1, sp.sympify(weights.t_left)) + stress_average(1, sp.sympify(weights.t_right))
+    scale = stress_average(1, weights.t_left) + stress_average(1, weights.t_right)
     return bool(_largest_coefficient(residue) <= CURRENT_REL_TOL * _largest_coefficient(scale))
 
 
-def entropy_production(j_e, weights=None):
-    """Entropy production rate (1/T_r - 1/T_l) J_E."""
-    weights = weights or GibbsWeights()
-    tl, tr = sp.sympify(weights.t_left), sp.sympify(weights.t_right)
+def entropy_production(j_e, weights=SYMBOLIC):
+    """Entropy production rate (1/T_r - 1/T_l) J_E.
+
+    A temperature that sympy knows to be zero or negative raises
+    ValueError: the rate would be an infinity or nan.  A positive symbol,
+    or one of unknown sign, passes.
+    """
+    tl, tr = weights.t_left, weights.t_right
+    if tl.is_nonpositive or tr.is_nonpositive:
+        raise ValueError("entropy production needs strictly positive temperatures")
     return canonical((1 / tr - 1 / tl) * j_e)
 
 

@@ -11,10 +11,10 @@ rotated bilinear is reduced with exactly three rewrite rules:
 
 applied in this order, each as one assignment that moves the whole
 coefficient of its source onto its targets, so nothing but T_u1 and T_Zk
-is left and no closure check is needed.  Everything with net u(1) charge
-is kept as a separate lump, the sum of its coefficients; those
-operators average to zero in the product Gibbs state, which the negative
-control below can override to show the current would notice.
+is left and no closure check is needed.  The other terms of the rotated
+bilinear (J0 J+-, J+ J+, J- J-) carry net u(1) charge, so they average to
+zero in the product Gibbs state, which conserves the charge; they enter
+no current and are not kept.
 
 The k = 2 point doubles as a cross-check: there the parafermion side is a
 single Majorana fermion and the rotated dynamics is a pure reflection of
@@ -35,21 +35,23 @@ from . import ness
 S_PARAM = sp.Symbol("s", real=True)
 RR_PARAM = sp.Symbol("r_rbar", nonnegative=True)
 K_PARAM = sp.Symbol("k", positive=True)
-BETA = sp.Symbol("beta", real=True)
 
 
 @dataclass(frozen=True)
 class RotationParams:
-    """Rotation data (k, s, r rbar, beta) with s^2 + r rbar = 1."""
+    """Rotation data (k, s, r rbar) with s^2 + r rbar = 1, as sympy values.
+
+    The phase of r enters only the charged terms, which carry no current,
+    so it is not kept.
+    """
 
     k: object
     s: object
     rr_bar: object
-    beta: object = 0
 
     def __post_init__(self):
-        for name in ("k", "s", "rr_bar", "beta"):
-            object.__setattr__(self, name, ness.to_sympy(getattr(self, name)))
+        for name in ("k", "s", "rr_bar"):
+            object.__setattr__(self, name, sp.sympify(getattr(self, name)))
         if self.s.is_number and self.rr_bar.is_number:
             if ness.canonical(self.s ** 2 + self.rr_bar - 1) != 0:
                 raise ValueError("s^2 + r rbar must equal 1")
@@ -58,20 +60,12 @@ class RotationParams:
 
     @classmethod
     def symbolic(cls, k=K_PARAM):
-        return cls(k, S_PARAM, RR_PARAM, BETA)
+        return cls(k, S_PARAM, RR_PARAM)
 
     @classmethod
     def from_rr_bar(cls, k, rr_bar):
-        rr = ness.to_sympy(rr_bar)
+        rr = sp.sympify(rr_bar)
         return cls(k, sp.sqrt(1 - rr), rr)
-
-    @property
-    def r(self):
-        return sp.sqrt(self.rr_bar) * sp.exp(sp.I * self.beta)
-
-    @property
-    def rbar(self):
-        return sp.sqrt(self.rr_bar) * sp.exp(-sp.I * self.beta)
 
 
 def _reduce_s(expr, params):
@@ -80,38 +74,31 @@ def _reduce_s(expr, params):
 
 
 @functools.cache
-def rotate_u1_stress(params):
-    """Image of T_u1 = (1/k) J0 J0 under the global rotation, reduced to stress form.
+def decomposition_coefficients(params):
+    """(coefficient of T_u1, coefficient of T_Zk) in the image of T_u1 under the rotation.
 
-    Returns the coefficients of T_u1 and T_Zk and the charged lump, the sum
-    of the coefficients of the terms with net u(1) charge.  Memoized per
-    (frozen, hashable) ``RotationParams``: the decomposition, its unit sum
-    and the current all start from it.
+    T_u1 = (1/k) J0 J0 is rotated and reduced to stress form by the three
+    rewrite rules of the module docstring.  Memoized per (frozen, hashable)
+    ``RotationParams``: the decomposition, its unit sum and the current all
+    start from it.
     """
     k = params.k
     s, rr = params.s, params.rr_bar
-    r, rbar = params.r, params.rbar
-    # (s J0 + (rbar J+ + r J-)/sqrt(2))^2, coefficient 1/k, orders kept symmetrized
+    # (s J0 + (rbar J+ + r J-)/sqrt(2))^2, coefficient 1/k, orders kept symmetrized.
+    # Only the neutral J0 J0 and {J+, J-} are kept: the other terms carry net
+    # u(1) charge, so they average to zero in the product Gibbs state
     j0j0, jpm = s ** 2 / k, rr / (2 * k)
-    charged = (s * rbar / (sp.sqrt(2) * k) + s * r / (sp.sqrt(2) * k)
-               + rbar ** 2 / (2 * k) + r ** 2 / (2 * k))
     # {J+, J-} -> (k+2) T_su2 - J0J0
     t_su2, j0j0 = (k + 2) * jpm, j0j0 - jpm
     # J0J0 -> k T_u1
     t_u1 = k * j0j0
     # T_su2 -> T_u1 + T_Zk
     t_u1, t_zk = t_u1 + t_su2, t_su2
-    return _reduce_s(t_u1, params), _reduce_s(t_zk, params), charged
+    return _reduce_s(t_u1, params), _reduce_s(t_zk, params)
 
 
 def parafermion_central_charge(k):
-    k = sp.sympify(k)
     return 2 * (k - 1) / (k + 2)
-
-
-def decomposition_coefficients(params):
-    """(coefficient of T_u1, coefficient of T_Zk) after the rotation."""
-    return rotate_u1_stress(params)[:2]
 
 
 def unit_sum_deviation(params):
@@ -121,31 +108,19 @@ def unit_sum_deviation(params):
     return ness.canonical(_reduce_s(cu1 * 1 + czk * cr, params) - 1)
 
 
-def energy_current_k(params, weights=None, charged_value=0):
-    """Steady current from the rotated left stress tensor.
-
-    ``charged_value`` assigns a fake average to every charged term;
-    it exists so the vanishing of charged averages can be tested as a load
-    bearing assumption rather than silently dropped.
-    """
-    weights = weights or ness.GibbsWeights()
-    tl, tr = sp.sympify(weights.t_left), sp.sympify(weights.t_right)
-    cu1, czk, charged = rotate_u1_stress(params)
-    omega_tl = ness.stress_average(1, tl)
-    omega_tr = ness.stress_average(parafermion_central_charge(params.k), tr)
-    scattered_tbar = cu1 * omega_tl + czk * omega_tr
-    if charged_value != 0:
-        scattered_tbar += charged_value * charged
-    j = omega_tl - scattered_tbar
+def energy_current_k(params, weights=ness.SYMBOLIC):
+    """Steady current from the rotated left stress tensor."""
+    cu1, czk = decomposition_coefficients(params)
+    omega_tl = ness.stress_average(1, weights.t_left)
+    omega_tr = ness.stress_average(parafermion_central_charge(params.k), weights.t_right)
+    j = omega_tl - (cu1 * omega_tl + czk * omega_tr)
     return ness.canonical(_reduce_s(j, params))
 
 
-def closed_form_current(params, weights=None):
+def closed_form_current(params, weights=ness.SYMBOLIC):
     """Reference closed form (pi/12)((k-1)/k)(r rbar)(T_l^2 - T_r^2)."""
-    weights = weights or ness.GibbsWeights()
-    tl, tr = sp.sympify(weights.t_left), sp.sympify(weights.t_right)
     k = params.k
-    return sp.pi / 12 * (k - 1) / k * params.rr_bar * (tl ** 2 - tr ** 2)
+    return sp.pi / 12 * (k - 1) / k * params.rr_bar * (weights.t_left ** 2 - weights.t_right ** 2)
 
 
 def fermionize_k2(params):
@@ -160,7 +135,7 @@ def fermionize_k2(params):
     over the two sectors, and the current of the algebraic route
     (energy_current_k); the two must agree.
     """
-    if sp.sympify(params.k) != 2:
+    if params.k != 2:
         raise ValueError("fermionization cross-check is specific to k = 2")
     effective = (sp.sqrt(params.rr_bar), params.s)
     # the rotating field with the right fermion, both c = 1/2 sectors

@@ -426,6 +426,14 @@ def test_non_finite_float_flags_are_usage_errors(capsys, argv):
     assert "expected a finite number" in captured.err
 
 
+@pytest.mark.parametrize("flag, value", [("--Tl", "0"), ("--Tr", "0"), ("--Tl", "-1"), ("--Tr", "-0.5")])
+def test_entropy_at_a_nonpositive_temperature_is_a_usage_error(capsys, flag, value):
+    assert cli.main(["entropy", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.rstrip("\n").endswith("error: entropy production needs strictly positive temperatures")
+
+
 @pytest.mark.parametrize("argv", [
     ["virasoro-check", "--cutoff", "1/0"],
     ["intertwiner", "--cutoff", "1/0"],
@@ -1112,10 +1120,10 @@ def test_failed_smatrix_step_prints_its_field_expressions(capsys, monkeypatch):
 
 def test_su2k_decompose_rotates_the_stress_tensor_once(capsys):
     # the coefficients, their unit sum and the current all start from one rotation
-    su2k.rotate_u1_stress.cache_clear()
+    su2k.decomposition_coefficients.cache_clear()
     code, _ = run(capsys, "su2k-decompose")
     assert code == 0
-    assert su2k.rotate_u1_stress.cache_info().misses == 1
+    assert su2k.decomposition_coefficients.cache_info().misses == 1
 
 
 def _fresh_python(code):

@@ -115,3 +115,21 @@ def test_trigsimp_only_prints_field_expressions():
     # the short trig form is for the printed report, never for a verdict
     uses = {m: functions_naming(m, "trigsimp") for m in sorted(ALLOWED) + sorted(UNRESTRICTED)}
     assert {m: found for m, found in uses.items() if found} == {"ness": ["FieldExpression.__str__"]}
+
+
+# where a value enters the symbolic layer; everything downstream holds sympy values
+CONVERTS_INPUT = {
+    "ness": {"LocalField.__post_init__", "FieldExpression.one", "FieldExpression.scale",
+             "theta_pair", "evolve", "GibbsWeights.__post_init__"},
+    "su2k": {"RotationParams.__post_init__", "RotationParams.from_rr_bar"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(CONVERTS_INPUT))
+def test_symbolic_layer_converts_only_where_a_value_enters(module):
+    assert set(functions_naming(module, "sympify")) <= CONVERTS_INPUT[module]
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED) + sorted(UNRESTRICTED))
+def test_sympify_is_the_one_converter(module):
+    assert functions_naming(module, "to_sympy") == []

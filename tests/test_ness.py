@@ -175,9 +175,11 @@ def test_energy_current_equilibrium_vanishes():
 
 
 def test_energy_current_side_independent():
-    jr = energy_current(None, side="r")
-    jl = energy_current(None, side="l")
-    assert sp.simplify(jr - jl) == 0
+    # the momentum density placed left of the impurity carries the same current
+    p = (FieldExpression.from_field(stress("l", -X))
+         - FieldExpression.from_field(stress("l", -X, bar=True)))
+    jl = expectation(apply_smatrix(p, None))
+    assert sp.simplify(energy_current(None) - jl) == 0
 
 
 def test_energy_current_antisymmetric_in_temperatures():
@@ -247,10 +249,39 @@ def test_current_and_entropy_production_at_full_transmission():
     assert float(entropy_production(j, w)) > 0
 
 
+@pytest.mark.parametrize("t", [sp.Rational(-1, 2), sp.Float(-0.5), sp.Integer(-1),
+                               sp.Symbol("T", negative=True), -1, -0.5, Fraction(-1, 2)])
+def test_negative_temperature_is_refused(t):
+    for pair in ((t, 0), (0, t)):
+        with pytest.raises(ValueError, match="temperatures must be >= 0"):
+            GibbsWeights(*pair)
+
+
+def test_temperatures_are_converted_once():
+    w = GibbsWeights(Fraction(1, 2), 0.25)
+    assert (w.t_left, w.t_right) == (sp.Rational(1, 2), sp.Float(0.25))
+    # a positive symbol and one of unknown sign pass as given
+    assert GibbsWeights(T_LEFT, sp.Symbol("T")).t_right == sp.Symbol("T")
+
+
+@pytest.mark.parametrize("t_left, t_right", [(1, 0), (0, 1), (0, 0), (sp.Symbol("T", nonpositive=True), 1)])
+def test_entropy_production_refuses_a_nonpositive_temperature(t_left, t_right):
+    w = GibbsWeights(t_left, t_right)
+    with pytest.raises(ValueError, match="entropy production needs strictly positive temperatures"):
+        entropy_production(energy_current(None, w), w)
+
+
+def test_entropy_production_of_a_symbol_of_unknown_sign():
+    t = sp.Symbol("T")
+    w = GibbsWeights(t, 1)
+    sigma = entropy_production(energy_current((1, 0), w), w)
+    assert sp.simplify(sigma - sp.pi / 24 * (t ** 2 - 1) * (1 - 1 / t)) == 0
+
+
 # ---------------------------------------------------------------------------
 # the exact zero test, against sp.simplify as an independent oracle
 
-_COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=5).map(ness.to_sympy)
+_COEFFS = st.fractions(min_value=-4, max_value=4, max_denominator=5).map(sp.sympify)
 _FLOATS = st.floats(min_value=-4, max_value=4).map(sp.Float)
 
 

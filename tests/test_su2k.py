@@ -6,10 +6,9 @@ import pytest
 import sympy as sp
 
 from neqcft import defect, ness
-from neqcft.su2k import (BETA, K_PARAM, RR_PARAM, S_PARAM, RotationParams,
+from neqcft.su2k import (K_PARAM, RR_PARAM, S_PARAM, RotationParams,
                          closed_form_current, decomposition_coefficients,
-                         energy_current_k, fermionize_k2, rotate_u1_stress,
-                         unit_sum_deviation)
+                         energy_current_k, fermionize_k2, unit_sum_deviation)
 
 
 def test_symbolic_decomposition_coefficients():
@@ -30,22 +29,6 @@ def test_k2_full_mixing_coefficients():
     cu1, czk = decomposition_coefficients(RotationParams(2, 0, 1))
     assert cu1 == sp.Rational(1, 2)
     assert czk == 1
-
-
-def test_charged_lump_tracks_the_rotation():
-    charged = rotate_u1_stress(RotationParams.symbolic())[2]
-    assert sp.simplify(charged) != 0
-    # with no rotation nothing charged is left
-    assert sp.simplify(rotate_u1_stress(RotationParams(K_PARAM, 1, 0))[2]) == 0
-
-
-def test_charged_lump_is_the_sum_of_its_four_terms():
-    # s rbar/(sqrt2 k) + s r/(sqrt2 k) + rbar^2/(2k) + r^2/(2k) with r = sqrt(r rbar) e^(i beta):
-    # leaving out any one of the four terms breaks the equality
-    lump = rotate_u1_stress(RotationParams.symbolic())[2]
-    closed = (sp.sqrt(2) * S_PARAM * sp.sqrt(RR_PARAM) * sp.cos(BETA) / K_PARAM
-              + RR_PARAM * sp.cos(2 * BETA) / K_PARAM)
-    assert sp.simplify((lump - closed).rewrite(sp.cos)) == 0
 
 
 def test_unit_sum_rule_identically():
@@ -98,16 +81,6 @@ def test_equilibrium_current_vanishes():
     p = RotationParams.symbolic()
     j = energy_current_k(p, ness.GibbsWeights(ness.T_LEFT, ness.T_LEFT))
     assert sp.simplify(j) == 0
-
-
-def test_charged_average_negative_control():
-    p = RotationParams.from_rr_bar(3, Fraction(1, 2))
-    j0 = energy_current_k(p)
-    j_fake = energy_current_k(p, charged_value=sp.Rational(1, 10))
-    assert sp.simplify(j0 - j_fake) != 0
-    # with r = 0 the charged lump is empty and the fake average is harmless
-    p0 = RotationParams(3, 1, 0)
-    assert sp.simplify(energy_current_k(p0) - energy_current_k(p0, charged_value=1)) == 0
 
 
 def test_params_validation():

@@ -8,7 +8,8 @@ pinned to 1, as `perfbench` pins them (the lattice digits depend on the
 thread count), and COLUMNS=80 (argparse wraps help to the terminal width):
 the bare command and `--help` of the top level and of every subcommand,
 then every argv pinned in `EXACT_REPORTS`, `SYMBOLIC_REPORTS` and
-`FLOAT_REPORTS` of tests/test_cli.py, then every distinct argv of the
+`FLOAT_REPORTS` of tests/test_cli.py, then each of those again with
+`--format csv` in front, then every distinct argv of the
 benchmark workloads (perfbench/workloads.py) at seeds 1 to 8.  The argv
 lists come from the checkout that holds this file, so a second checkout
 (ROOT) runs exactly the same commands; only the subcommand names come from
@@ -48,7 +49,9 @@ def commands(outdir):
     tests = _load(HERE / "tests" / "test_cli.py")
     helps = [[], ["--help"]] + [[name, "--help"] for name in tests._subcommands()]
     found = [(argv, ()) for argv in helps]
-    found += [(argv, ()) for argv, *_ in tests.EXACT_REPORTS + tests.SYMBOLIC_REPORTS + tests.FLOAT_REPORTS]
+    pinned = [argv for argv, *_ in tests.EXACT_REPORTS + tests.SYMBOLIC_REPORTS + tests.FLOAT_REPORTS]
+    found += [(argv, ()) for argv in pinned]
+    found += [(["--format", "csv", *argv], ()) for argv in pinned]
     sys.path.insert(0, str(HERE / "perfbench"))
     workloads = _load(HERE / "perfbench" / "workloads.py")
     for seed in SEEDS:
