@@ -134,21 +134,7 @@ def cmd_virasoro_check(args):
 def _build_theta(args, spec):
     """Theta for ``spec`` at --cutoff, broken by --skew."""
     real = defect.build_theta_fermion(spec, args.cutoff)
-    return _skewed(real, args.skew) if args.skew else real
-
-
-def _skewed(real, eps):
-    """Deliberately broken copy: Theta plus eps at (i + 1, i) for the first 12 columns.
-
-    The sum is a new operator, so ``real`` is left as it was.  It keeps the
-    mode map it was built from, so the checks measure how far the broken
-    Theta misses that rotation.
-    """
-    theta = real.theta
-    skew = fock.GradedOperator(theta.space, theta.twice_shift, theta.parity_shift,
-                               {i: {i + 1: eps} for i in range(min(theta.space.dimension - 1, 12))},
-                               exact=False)
-    return defect.DefectRealization(theta + skew, real.mode_map)
+    return defect.skewed(real, args.skew) if args.skew else real
 
 
 def cmd_intertwiner(args):
@@ -160,7 +146,7 @@ def cmd_intertwiner(args):
         tol = real.tolerance
         for n in range(-args.n_range, args.n_range + 1):
             dev = defect.check_intertwining(real, n)
-            ok = abs(float(dev)) <= float(tol)
+            ok = dev <= tol
             passed = passed and ok
             report["checks"].append({"theta": _theta_label(spec), "n": n,
                                      "deviation": str(dev), "passed": ok})
@@ -183,7 +169,7 @@ def cmd_ope_preservation(args):
     vac = defect.vacuum_preservation_deviation(real)
     dev = defect.check_ope_preservation(real)
     tol = real.tolerance
-    ok = abs(float(dev)) <= float(tol) and abs(float(vac)) <= float(tol)
+    ok = dev <= tol and vac <= tol
     report = {"cutoff": str(args.cutoff),
               "vacuum_deviation": str(vac),
               "anticommutator_deviation": str(dev)}
@@ -386,10 +372,9 @@ def cmd_full_suite(args):
     ]
     if not args.quick:
         steps.append(["lattice-run", "--samples", "50"])
-    parser = build_parser()
     report = {"steps": {}}
     for name, *flags in steps:
-        ns = parser.parse_args([name, *flags])
+        ns = args.parser.parse_args([name, *flags])
         sub_report, ok = ns.fn(ns)
         report["steps"][name] = {"passed": ok}
         if not ok:
@@ -512,7 +497,8 @@ def build_parser():
 
     p = sub.add_parser("full-suite", help="run every check with headline parameters")
     p.add_argument("--quick", action="store_true", help="skip the lattice protocol run")
-    p.set_defaults(fn=cmd_full_suite)
+    # the steps are parsed by the parser that parsed the full-suite command line
+    p.set_defaults(fn=cmd_full_suite, parser=parser)
     return parser
 
 

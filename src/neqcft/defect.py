@@ -189,6 +189,23 @@ def build_theta_fermion(spec, cutoff):
     return build_mode_automorphism(matrix, cutoff)
 
 
+def skewed(real, eps):
+    """Deliberately broken copy of ``real``: Theta plus eps at (i + 1, i) for the first 12 columns.
+
+    The negative control of the checks.  Some of these entries, such as
+    (1, 0), join states of different level or parity on purpose: the broken
+    Theta is not the level- and parity-preserving map it declares.  The sum
+    is a new operator, so ``real`` is left as it was.  It keeps the mode map
+    it was built from, so the checks measure how far the broken Theta
+    misses that rotation.
+    """
+    theta = real.theta
+    skew = GradedOperator(theta.space, theta.twice_shift, theta.parity_shift,
+                          {i: {i + 1: eps} for i in range(min(theta.space.dimension - 1, 12))},
+                          exact=False)
+    return DefectRealization(theta + skew, real.mode_map)
+
+
 @functools.cache
 def total_virasoro(space, n):
     """L_n acting on both factors of the product space (the diagonal action), built once per (space, n)."""

@@ -48,6 +48,7 @@ BEFORE = "t<x"   # fields have not reached the impurity
 AFTER = "t>x"    # fields have crossed
 
 KNOWN_NAMES = ("psi", "T")
+_MIRROR = {"l": "r", "r": "l"}
 
 
 class UnsupportedFieldError(ValueError):
@@ -308,13 +309,27 @@ def _require_symmetric(f):
             f"(left fields at -x, right fields at +x)")
 
 
+def _outgoing(f):
+    """Whether ``f`` moves away from the impurity: chiral on the left, anti-chiral on the right."""
+    return f.bar == (f.side == "r")
+
+
+def _reflection_sign(f):
+    """(-1)^deriv for a chiral factor, minus that for an anti-chiral one."""
+    return (-1) ** (f.deriv + f.bar)
+
+
 def evolve(expr, t, theta, regime=AFTER):
     """Ballistic evolution of psi factors with scattering on the impurity.
 
-    Chiral factors shift to x - t, anti-chiral ones to x + t; in the
-    crossed regime (t > x) the factors that reach the impurity are replaced
-    by their images under the rotation theta (see theta_pair), relocated
-    to the mirror point.
+    A chiral factor moves by shift = -t, an anti-chiral one by +t.  In the
+    crossed regime (t > x) a factor that moves toward the impurity (one
+    that is not ``_outgoing``) reaches it and scatters by the rotation
+    theta (see theta_pair): the transmitted factor keeps its chirality,
+    goes to the other side and sits at position + shift, with weight cos;
+    the reflected one flips chirality, stays on its side and sits at
+    -(position + shift), with weight +-(-1)^deriv sin, + for a chiral
+    factor.  The two incoming cases are mirror images under x -> -x.
     """
     if regime not in (BEFORE, AFTER):
         raise RegimeError(f"unknown regime {regime!r}")
@@ -325,29 +340,13 @@ def evolve(expr, t, theta, regime=AFTER):
         if f.name == "T":
             raise UnsupportedFieldError("expand stress factors before evolving")
         _require_symmetric(f)
-        crossing = regime == AFTER
-        if not f.bar and f.side == "l":
-            return FieldExpression.from_field(f.shifted(-t))
-        if f.bar and f.side == "r":
-            return FieldExpression.from_field(f.shifted(t))
-        if not f.bar and f.side == "r":
-            if not crossing:
-                return FieldExpression.from_field(f.shifted(-t))
-            km = (-1) ** f.deriv
-            trans = LocalField("psi", "l", bar=False, deriv=f.deriv,
-                               position=f.position - t)
-            refl = LocalField("psi", "r", bar=True, deriv=f.deriv,
-                              position=t - f.position)
-            return FieldExpression(((c, (trans,)), (km * s, (refl,))))
-        # anti-chiral on the left
-        if not crossing:
-            return FieldExpression.from_field(f.shifted(t))
-        km = (-1) ** f.deriv
-        trans = LocalField("psi", "r", bar=True, deriv=f.deriv,
-                           position=f.position + t)
-        refl = LocalField("psi", "l", bar=False, deriv=f.deriv,
-                          position=-f.position - t)
-        return FieldExpression(((c, (trans,)), (-km * s, (refl,))))
+        shift = t if f.bar else -t
+        if _outgoing(f) or regime == BEFORE:
+            return FieldExpression.from_field(f.shifted(shift))
+        position = f.position + shift
+        trans = replace(f, side=_MIRROR[f.side], position=position)
+        refl = replace(f, bar=not f.bar, position=-position)
+        return FieldExpression(((c, (trans,)), (_reflection_sign(f) * s, (refl,))))
 
     return expr.map_factors(fn).normalize()
 
@@ -355,27 +354,23 @@ def evolve(expr, t, theta, regime=AFTER):
 def apply_smatrix(expr, theta):
     """Stationary scattering map relating coupled and decoupled dynamics.
 
-    Chiral fields at x < 0 and anti-chiral fields at x > 0 pass through;
-    the complementary cases are rotated by the angle between the defect
-    and the decoupled dynamics, which is the pure reflection (0, 1), and
-    relocated to the mirror point: psi^r(x) keeps weight sin(alpha) and its
-    partner psibar^l(-x) gets -cos(alpha).  For the pure reflection itself
-    the map is the identity.
+    Chiral fields at x < 0 and anti-chiral fields at x > 0 pass through
+    (see ``_outgoing``); the complementary cases are rotated by the angle
+    between the defect and the decoupled dynamics, which is the pure
+    reflection (0, 1): the field keeps weight sin(alpha), and its partner
+    flips chirality and side, sits at the mirror point and has weight
+    -+(-1)^deriv cos(alpha), - for a chiral field.  So psi^r(x) maps to
+    sin(alpha) psi^r(x) - cos(alpha) psibar^l(-x).  For the pure reflection
+    itself the map is the identity.
     """
     c, s = theta_pair(theta)
     expr = expand_stress(expr)
 
     def fn(f):
-        if not f.bar and f.side == "l":
+        if _outgoing(f):
             return FieldExpression.from_field(f)
-        if f.bar and f.side == "r":
-            return FieldExpression.from_field(f)
-        km = (-1) ** f.deriv
-        if not f.bar and f.side == "r":
-            partner = fermion("l", -f.position, bar=True, deriv=f.deriv)
-            return FieldExpression(((s, (f,)), (-km * c, (partner,))))
-        partner = fermion("r", -f.position, deriv=f.deriv)
-        return FieldExpression(((s, (f,)), (km * c, (partner,))))
+        partner = replace(f, side=_MIRROR[f.side], bar=not f.bar, position=-f.position)
+        return FieldExpression(((s, (f,)), (-_reflection_sign(f) * c, (partner,))))
 
     return collect_stress(expr.map_factors(fn))
 
@@ -515,12 +510,10 @@ def check_global_continuity(theta=None, regime=AFTER):
     lhs = (expand_stress(FieldExpression.from_field(stress("r", X)))
            + expand_stress(FieldExpression.from_field(stress("l", -X, bar=True))))
     lhs = evolve(lhs, T, theta, regime=regime)
-    if regime == AFTER:
-        rhs = (FieldExpression.from_field(stress("l", X - T))
-               + FieldExpression.from_field(stress("r", T - X, bar=True)))
-    else:
-        rhs = (FieldExpression.from_field(stress("r", X - T))
-               + FieldExpression.from_field(stress("l", T - X, bar=True)))
+    # the chiral factor ends up on the left once it has crossed, else it stays right
+    chiral, antichiral = ("l", "r") if regime == AFTER else ("r", "l")
+    rhs = (FieldExpression.from_field(stress(chiral, X - T))
+           + FieldExpression.from_field(stress(antichiral, T - X, bar=True)))
     rhs = expand_stress(rhs).normalize()
     # normalize drops every coefficient that is exactly zero
     return not (lhs - rhs).normalize().terms

@@ -1,6 +1,7 @@
 """Helpers that only the tests use: grading, block-structure and hermiticity oracles for
-operators, readers of operators and spaces, the rotations the tests compose, and the
-cancelled normal form of a symbolic coefficient."""
+operators, readers of operators and spaces, the rotations the tests compose, the
+cancelled normal form of a symbolic coefficient, and the scattering rules of one field
+factor written out case by case."""
 
 from fractions import Fraction
 
@@ -161,3 +162,42 @@ def cancelled_normal_form(expr):
     """The normal form ``ness.canonical`` gives, with ``cancel`` run on every input."""
     expr = ness.rewrite_squares(expr, sp.sin(ness.ALPHA), 1 - sp.cos(ness.ALPHA) ** 2)
     return sp.factor_terms(sp.cancel(expr))
+
+
+def evolved_factor(f, t, c, s, regime):
+    """``ness.evolve`` of one psi factor at the symmetric point, one case per chirality and side.
+
+    ``c, s`` are the cosine and sine of the rotation, as ``ness.theta_pair`` gives them.
+    """
+    crossing = regime == ness.AFTER
+    if not f.bar and f.side == "l":
+        return ness.FieldExpression.from_field(f.shifted(-t))
+    if f.bar and f.side == "r":
+        return ness.FieldExpression.from_field(f.shifted(t))
+    km = (-1) ** f.deriv
+    if not f.bar and f.side == "r":
+        if not crossing:
+            return ness.FieldExpression.from_field(f.shifted(-t))
+        trans = ness.LocalField("psi", "l", bar=False, deriv=f.deriv, position=f.position - t)
+        refl = ness.LocalField("psi", "r", bar=True, deriv=f.deriv, position=t - f.position)
+        return ness.FieldExpression(((c, (trans,)), (km * s, (refl,))))
+    # anti-chiral on the left
+    if not crossing:
+        return ness.FieldExpression.from_field(f.shifted(t))
+    trans = ness.LocalField("psi", "r", bar=True, deriv=f.deriv, position=f.position + t)
+    refl = ness.LocalField("psi", "l", bar=False, deriv=f.deriv, position=-f.position - t)
+    return ness.FieldExpression(((c, (trans,)), (-km * s, (refl,))))
+
+
+def scattered_factor(f, c, s):
+    """``ness.apply_smatrix`` of one psi factor, one case per chirality and side."""
+    if not f.bar and f.side == "l":
+        return ness.FieldExpression.from_field(f)
+    if f.bar and f.side == "r":
+        return ness.FieldExpression.from_field(f)
+    km = (-1) ** f.deriv
+    if not f.bar and f.side == "r":
+        partner = ness.fermion("l", -f.position, bar=True, deriv=f.deriv)
+        return ness.FieldExpression(((s, (f,)), (-km * c, (partner,))))
+    partner = ness.fermion("r", -f.position, deriv=f.deriv)
+    return ness.FieldExpression(((s, (f,)), (km * c, (partner,))))

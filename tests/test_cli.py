@@ -1072,6 +1072,18 @@ def test_full_suite_steps_run_exactly_their_argv(capsys, monkeypatch):
         assert ns == vars(build().parse_args(step)), step
 
 
+def test_full_suite_parses_its_steps_with_the_parser_main_built(capsys, monkeypatch):
+    # one parser per command: the steps reuse the one that parsed the command line
+    for name in [n for n in vars(cli) if n.startswith("cmd_") and n != "cmd_full_suite"]:
+        monkeypatch.setattr(cli, name, lambda args: ({}, True))
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    assert cli.main(["full-suite", "--quick"]) == 0
+    capsys.readouterr()
+    assert len(built) == 1
+
+
 def test_full_suite_quick(capsys):
     code, out = run(capsys, "full-suite", "--quick")
     assert code == 0

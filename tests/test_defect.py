@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neqcft import cli, defect, fock
+from neqcft import defect, fock
 from neqcft.defect import (BogoliubovSpec, DefectRealization, FusionRing, build_mode_automorphism,
                            build_theta_fermion, check_intertwining,
                            check_momentum_continuity, check_ope_preservation,
@@ -79,7 +79,7 @@ def test_skewed_operators_store_ints_beside_floats():
     # entries stay int numerators, so a regression to per-entry Fraction
     # storage fails here, and only the skew entries are floats
     real = build_theta_fermion(BogoliubovSpec(Fraction(3, 5), Fraction(4, 5)), 4)
-    theta = cli._skewed(real, 0.01).theta
+    theta = defect.skewed(real, 0.01).theta
     for op in (theta, theta @ defect.total_virasoro(real.theta.space, 1)):
         assert not op.exact
         assert {type(v) for c in op.columns.values() for v in c.values()} == {int, float}
@@ -100,7 +100,7 @@ def test_skewed_control_leaves_the_realization_it_breaks_unchanged(spec):
     real = build_theta_fermion(spec, 4)
     theta = real.theta
     before = stored(theta)
-    broken = cli._skewed(real, 0.01)
+    broken = defect.skewed(real, 0.01)
     assert broken is not real and broken.theta is not theta
     assert broken.mode_map is real.mode_map
     assert stored(theta) == before
@@ -352,7 +352,7 @@ def test_ope_preservation_matches_full_products_on_float_and_skewed_maps(kind, a
         spec = BogoliubovSpec.from_angle(alpha)
     real = build_theta_fermion(spec, cutoff)
     if kind != "alpha":
-        real = cli._skewed(real, eps)
+        real = defect.skewed(real, eps)
     got, ref = check_ope_preservation(real), _ope_full(real)
     assert got == ref and type(got) is type(ref)
 

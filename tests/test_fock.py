@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neqcft import cli, defect, fock
+from neqcft import defect, fock
 from neqcft.defect import BogoliubovSpec, build_theta_fermion
 from neqcft.fock import (BOSON, FERMION, GradedOperator, ProductSpace, enumerate_basis,
                          graded_tensor, join_columns, mode_operator)
@@ -600,7 +600,7 @@ def test_float_theta_checks_match_value_oracle(kind, cutoff, data):
     theta, matrix = _oracle_theta(space, real.mode_map), real.mode_map
     if kind != "alpha":
         eps = data.draw(st.one_of(st.floats(1e-3, 0.5), st.floats(-0.5, -1e-3)))
-        real = cli._skewed(real, eps)
+        real = defect.skewed(real, eps)
         for i in range(min(space.dimension - 1, 12)):
             _oracle_add(theta[0], i + 1, i, eps)
         theta = (theta[0], False)

@@ -117,6 +117,12 @@ def test_trigsimp_only_prints_field_expressions():
     assert {m: found for m, found in uses.items() if found} == {"ness": ["FieldExpression.__str__"]}
 
 
+def test_only_the_exact_layer_builds_operators():
+    # cli composes values the layers return; an operator it needs, like the
+    # skewed negative control, is built in the exact layer
+    assert functions_naming("cli", "GradedOperator") == []
+
+
 # where a value enters the symbolic layer; everything downstream holds sympy values
 CONVERTS_INPUT = {
     "ness": {"LocalField.__post_init__", "FieldExpression.one", "FieldExpression.scale",

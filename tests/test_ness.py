@@ -16,7 +16,7 @@ from neqcft.ness import (AFTER, BEFORE, ALPHA, T, T_LEFT, T_RIGHT, X,
                          check_global_continuity, energy_current,
                          entropy_production, evolve, expectation, fermion,
                          stress, stress_coefficients)
-from oracles import cancelled_normal_form
+from oracles import cancelled_normal_form, evolved_factor, scattered_factor
 
 SYMB = None  # the symbolic angle
 
@@ -82,6 +82,38 @@ def test_unsupported_crossing_field_rejected():
     # a stress factor crosses only through its fermion bilinear
     with pytest.raises(UnsupportedFieldError, match="expand stress factors"):
         evolve(FieldExpression.from_field(stress("r", X)), T, SYMB, regime=AFTER)
+
+
+# every psi factor the scattering rules take: chirality x side x derivative order,
+# each at its symmetric point
+_PSI_FACTORS = [fermion(side, -X if side == "l" else X, bar=bar, deriv=deriv)
+                for bar in (False, True) for side in ("l", "r") for deriv in (0, 1, 2)]
+# the symbolic angle, an exact point, the pure reflection and a float point
+_ANGLES = [None, (Fraction(3, 5), Fraction(4, 5)), (0, 1), (math.cos(0.7), math.sin(0.7))]
+_ANGLE_IDS = ["symbolic", "exact", "reflection", "float"]
+
+
+def _written(expr):
+    """Each term of a normalized expression as the srepr of its coefficient and of its factors."""
+    return [(sp.srepr(coeff), [(f.name, f.side, f.bar, f.deriv, sp.srepr(f.position)) for f in fs])
+            for coeff, fs in expr.terms]
+
+
+@pytest.mark.parametrize("theta", _ANGLES, ids=_ANGLE_IDS)
+@pytest.mark.parametrize("regime", [BEFORE, AFTER])
+@pytest.mark.parametrize("f", _PSI_FACTORS, ids=str)
+def test_evolve_matches_the_rules_written_case_by_case(f, regime, theta):
+    c, s = ness.theta_pair(theta)
+    want = evolved_factor(f, T, c, s, regime).normalize()
+    assert _written(evolve(FieldExpression.from_field(f), T, theta, regime=regime)) == _written(want)
+
+
+@pytest.mark.parametrize("theta", _ANGLES, ids=_ANGLE_IDS)
+@pytest.mark.parametrize("f", _PSI_FACTORS, ids=str)
+def test_smatrix_matches_the_rules_written_case_by_case(f, theta):
+    c, s = ness.theta_pair(theta)
+    want = scattered_factor(f, c, s).normalize()
+    assert _written(apply_smatrix(FieldExpression.from_field(f), theta)) == _written(want)
 
 
 def test_smatrix_trivial_on_outgoing_fields():
