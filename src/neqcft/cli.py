@@ -289,9 +289,9 @@ def cmd_su2k_fermionize(args):
         entry = (lambda v: Fraction(int(v.p), int(v.q))) if exact else float
         real = defect.build_theta_fermion(defect.BogoliubovSpec(entry(cos_eff), entry(sin_eff)),
                                           Fraction(5, 2))
-        dev = max(abs(float(defect.check_intertwining(real, n))) for n in range(-2, 3))
-        report["intertwining_max_dev"] = dev
-        ok = ok and dev <= defect.FLOAT_TOL
+        dev = max(defect.check_intertwining(real, n) for n in range(-2, 3))
+        report["intertwining_max_dev"] = float(dev)
+        ok = ok and dev <= real.tolerance
     return _verdict(report, ok, "fermionized current disagrees with the algebraic route")
 
 

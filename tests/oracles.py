@@ -1,13 +1,17 @@
 """Helpers that only the tests use: grading, block-structure and hermiticity oracles for
 operators, readers of operators and spaces, the rotations the tests compose, the
-cancelled normal form of a symbolic coefficient, and the scattering rules of one field
-factor written out case by case."""
+cancelled normal form of a symbolic coefficient, the scattering rules of one field
+factor written out case by case, the CLI's subcommands and the committed record of
+its reports."""
 
+import argparse
+import json
+import pathlib
 from fractions import Fraction
 
 import sympy as sp
 
-from neqcft import ness, virasoro
+from neqcft import cli, ness, virasoro
 from neqcft.defect import BogoliubovSpec
 from neqcft.fock import BOSON, GradedOperator, ProductSpace, twice_mode_values
 
@@ -201,3 +205,16 @@ def scattered_factor(f, c, s):
         return ness.FieldExpression(((s, (f,)), (-km * c, (partner,))))
     partner = ness.fermion("r", -f.position, deriv=f.deriv)
     return ness.FieldExpression(((s, (f,)), (km * c, (partner,))))
+
+
+def subcommands():
+    """The subcommand names of the CLI parser, sorted."""
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sorted(action.choices)
+
+
+def recorded_reports():
+    """tests/reports.jsonl: one [argv, exit code, stdout, stderr, {file written: text}] per command."""
+    path = pathlib.Path(__file__).resolve().parent / "reports.jsonl"
+    return [json.loads(line) for line in path.read_text().splitlines()]

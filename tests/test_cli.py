@@ -1,6 +1,5 @@
 """Command line front end: reports, formats, exit codes."""
 
-import argparse
 import dataclasses
 import importlib
 import importlib.util
@@ -16,6 +15,7 @@ import pytest
 import sympy as sp
 
 from neqcft import cli, defect, fock, lattice, ness, su2k, virasoro
+from oracles import recorded_reports, subcommands
 
 
 def run(capsys, *argv):
@@ -566,271 +566,6 @@ def test_rr_bar_without_k_uses_the_symbolic_level(capsys, command):
     assert report["passed"]
 
 
-# reports of the symbolic layer, pinned string for string: a refactor of ness
-# or su2k must print exactly these
-SYMBOLIC_REPORTS = [
-    (["smatrix", "--cos-sin", "3/5,4/5"], {
-        "S[psi_r(x)]": "(4/5)*psi^r(x) + (-3/5)*psibar^l(-x)",
-        "S[T_r(x)]": "(16/25)*T^r(x) + (9/25)*Tbar^l(-x) + (-6*I/25)*dpsibar^l(-x)*psi^r(x)"
-                     " + (-6*I/25)*psibar^l(-x)*dpsi^r(x)",
-        "stress_weight_sum": "1",
-        "passed": True,
-    }),
-    (["current"], {
-        "inputs": {"theta_cos_sin": ["cos(alpha)", "sin(alpha)"], "T_l": "1.0", "T_r": "0.0"},
-        "symbolic_result": {"J_E": "0.0416666666666667*pi*cos(alpha)**2", "sigma": "None"},
-        "numeric_result": {"J_E": None, "sigma": None},
-        "passed": True,
-    }),
-    (["current", "--alpha", "0.3", "--Tl", "1", "--Tr", "0.5"], {
-        "inputs": {"theta_cos_sin": ["0.955336489125606", "0.295520206661340"],
-                   "T_l": "1.0", "T_r": "0.5"},
-        "symbolic_result": {"J_E": "0.0285208689829637*pi", "sigma": "0.0285208689829637*pi"},
-        "numeric_result": {"J_E": 0.08960095247087582, "sigma": 0.08960095247087582},
-        "passed": True,
-    }),
-    # a zero temperature has no entropy production
-    (["current", "--cos-sin=3/5,4/5", "--Tl", "1", "--Tr", "0"], {
-        "inputs": {"theta_cos_sin": ["3/5", "4/5"], "T_l": "1.0", "T_r": "0.0"},
-        "symbolic_result": {"J_E": "0.015*pi", "sigma": "None"},
-        "numeric_result": {"J_E": 0.047123889803846894, "sigma": None},
-        "passed": True,
-    }),
-    (["su2k-decompose"], {
-        "k": "k",
-        "s": "s",
-        "rr_bar": "r_rbar",
-        "coeff_Tu1": "-r_rbar + 1 + r_rbar/k",
-        "coeff_TZk": "r_rbar/2 + r_rbar/k",
-        "J_E_closed_form": "pi*r_rbar*(T_l**2*k - T_l**2 - T_r**2*k + T_r**2)/(12*k)",
-        "unit_sum_deviation": "0",
-        "passed": True,
-    }),
-    (["smatrix"], {
-        "S[psi_r(x)]": "(sin(alpha))*psi^r(x) + (-cos(alpha))*psibar^l(-x)",
-        "S[T_r(x)]": "(sin(alpha)**2)*T^r(x) + (cos(alpha)**2)*Tbar^l(-x)"
-                     " + (-I*sin(2*alpha)/4)*dpsibar^l(-x)*psi^r(x)"
-                     " + (-I*sin(2*alpha)/4)*psibar^l(-x)*dpsi^r(x)",
-        "stress_weight_sum": "1",
-        "passed": True,
-    }),
-    (["entropy"], {
-        "J_E": "0.125*pi*cos(alpha)**2",
-        "sigma": "0.0625*pi*cos(alpha)**2",
-        "sigma_numeric": None,
-        "passed": True,
-    }),
-    (["entropy", "--alpha", "0.3"], {
-        "J_E": "0.114083475931855*pi",
-        "sigma": "0.0570417379659274*pi",
-        "sigma_numeric": 0.17920190494175164,
-        "passed": True,
-    }),
-    (["su2k-current"], {
-        "k": "k",
-        "rr_bar": "r_rbar",
-        "J_E": "pi*r_rbar*(T_l**2*k - T_l**2 - T_r**2*k + T_r**2)/(12*k)",
-        "closed_form": "pi*r_rbar*(T_l**2 - T_r**2)*(k - 1)/(12*k)",
-        "passed": True,
-    }),
-    (["su2k-decompose", "--k", "3", "--rr-bar", "1/4"], {
-        "k": "3",
-        "s": "sqrt(3)/2",
-        "rr_bar": "1/4",
-        "coeff_Tu1": "5/6",
-        "coeff_TZk": "5/24",
-        "J_E_closed_form": "pi*(T_l**2 - T_r**2)/72",
-        "unit_sum_deviation": "0",
-        "passed": True,
-    }),
-    (["su2k-fermionize", "--rr-bar", "9/25"], {
-        "k": 2,
-        "s": "4/5",
-        "rr_bar": "9/25",
-        "cos_effective": "3/5",
-        "chi1": "pure reflection, zero current",
-        "J_fermionized": "3*pi*(T_l**2 - T_r**2)/200",
-        "J_algebraic": "3*pi*(T_l**2 - T_r**2)/200",
-        "agree": True,
-        "passed": True,
-    }),
-    (["su2k-fermionize", "--rr-bar", "1/3"], {
-        "k": 2,
-        "s": "sqrt(6)/3",
-        "rr_bar": "1/3",
-        "cos_effective": "sqrt(3)/3",
-        "chi1": "pure reflection, zero current",
-        "J_fermionized": "pi*(T_l**2 - T_r**2)/72",
-        "J_algebraic": "pi*(T_l**2 - T_r**2)/72",
-        "agree": True,
-        "passed": True,
-    }),
-    (["continuity"], {"crossed_regime": True, "free_regime": True, "passed": True}),
-]
-
-
-@pytest.mark.parametrize("argv, expected", SYMBOLIC_REPORTS,
-                         ids=[" ".join(argv) for argv, _ in SYMBOLIC_REPORTS])
-def test_symbolic_reports_are_pinned(capsys, argv, expected):
-    code, out = run(capsys, *argv)
-    assert code == 0
-    assert json.loads(out) == expected
-    assert out == json.dumps(expected, indent=2) + "\n"  # key order and layout too
-
-
-_ALPHA_03 = "(cos, sin) = (0.955336489125606, 0.29552020666133955)"
-_ALPHA_07 = "(cos, sin) = (0.7648421872844885, 0.644217687237691)"
-_SKEW_DIAGNOSTIC = ("defect map fails to intertwine the incoming and outgoing Virasoro actions: "
-                    "Theta (Lbar^l_n + L^r_n) != (L^l_n + Lbar^r_n) Theta")
-_OPE_DIAGNOSTIC = ("mode conjugation does not preserve the anticommutation relations "
-                   "or the identity field")
-
-
-def _virasoro_report(fermion_dimension, boson_dimension):
-    """The passing virasoro-check report of both models, at the given space dimensions."""
-    return {"models": {
-        model: {"central_charge": c, "central_charge_expected": c,
-                "commutator_max_deviation": "0", "level_spectrum_deviation": "0",
-                "dimension": dim, "passed": True}
-        for model, c, dim in (("fermion", "1/2", fermion_dimension), ("boson", "1", boson_dimension))}}
-
-
-def _failed_intertwiner(cutoff, theta, deviations):
-    """The report of an intertwiner run over n = -2..2 that fails at every n."""
-    checks = [{"theta": theta, "n": n, "deviation": dev, "passed": False}
-              for n, dev in zip(range(-2, 3), deviations)]
-    return {"cutoff": cutoff, "checks": checks, "diagnostic": _SKEW_DIAGNOSTIC}
-
-
-def _failed_ope(cutoff, vacuum, anticommutator):
-    return {"cutoff": cutoff, "vacuum_deviation": vacuum,
-            "anticommutator_deviation": anticommutator, "passed": False,
-            "diagnostic": _OPE_DIAGNOSTIC}
-
-
-# reports of the exact layer on its float and skewed paths, pinned string for
-# string with their exit codes: a rewrite of fock or defect must not move a
-# trailing digit
-EXACT_REPORTS = [
-    (["intertwiner", "--cutoff", "4", "--alpha", "0.3", "--n-range", "1"], 0, {
-        "cutoff": "4",
-        "checks": [
-            {"theta": _ALPHA_03, "n": -1, "deviation": "1.1102230246251565e-16", "passed": True},
-            {"theta": _ALPHA_03, "n": 0, "deviation": "0", "passed": True},
-            {"theta": _ALPHA_03, "n": 1, "deviation": "0", "passed": True},
-        ],
-    }),
-    (["intertwiner", "--cutoff", "3", "--cos-sin", "3/5,4/5", "--skew", "0.01", "--n-range", "1"], 1, {
-        "cutoff": "3",
-        "checks": [
-            {"theta": "(cos, sin) = (3/5, 4/5)", "n": -1, "deviation": "0.020000000000000018",
-             "passed": False},
-            {"theta": "(cos, sin) = (3/5, 4/5)", "n": 0, "deviation": "0.005000000000000001",
-             "passed": False},
-            {"theta": "(cos, sin) = (3/5, 4/5)", "n": 1, "deviation": "0.02", "passed": False},
-        ],
-        "diagnostic": _SKEW_DIAGNOSTIC,
-    }),
-    (["ope-preservation", "--skew", "0.01"], 1, _failed_ope("4", "0.01", "0.018000000000000016")),
-    (["ope-preservation", "--alpha", "1.1"], 0, {
-        "cutoff": "4",
-        "vacuum_deviation": "0",
-        "anticommutator_deviation": "5.551115123125783e-17",
-        "passed": True,
-    }),
-    (["momentum-continuity", "--alpha", "0.7"], 0, {
-        "cutoff": "4",
-        "theta": _ALPHA_07,
-        "passed": True,
-    }),
-    (["momentum-continuity", "--skew", "0.01"], 1, {
-        "cutoff": "4",
-        "theta": "skewed",
-        "passed": False,
-        "diagnostic": "momentum density not continuous across the impurity: "
-                      "Theta[Tbar^l + T^r] != T^l + Tbar^r on the vacuum",
-    }),
-    # digits that the order of float rounding decides: a float Theta skewed
-    # once more, and the two skewed controls of the benchmark
-    (["intertwiner", "--cutoff", "6", "--alpha", "0.7", "--skew", "0.003"], 1,
-     _failed_intertwiner("6", _ALPHA_07, ["0.0105", "0.009000000000000001", "0.0015000000000000005",
-                                          "0.009000000000000001", "0.007500000000000062"])),
-    (["ope-preservation", "--cutoff", "5", "--alpha", "0.3", "--skew", "0.01"], 1,
-     _failed_ope("5", "0.01", "0.019553364891256142")),
-    (["intertwiner", "--cutoff", "8", "--cos-sin=-3/5,4/5", "--skew", "0.01"], 1,
-     _failed_intertwiner("8", "(cos, sin) = (-3/5, 4/5)",
-                         ["0.035", "0.03", "0.005000000000000001", "0.03", "0.035"])),
-    (["ope-preservation", "--cutoff", "6", "--cos-sin=-3/5,4/5", "--skew", "0.01"], 1,
-     _failed_ope("6", "0.01", "0.018000000000000016")),
-    # the skewed OPE control at the benchmark's other seven points
-    (["ope-preservation", "--cutoff", "6", "--cos-sin=3/5,4/5", "--skew", "0.01"], 1,
-     _failed_ope("6", "0.01", "0.018000000000000016")),
-    (["ope-preservation", "--cutoff", "6", "--cos-sin=3/5,-4/5", "--skew", "0.01"], 1,
-     _failed_ope("6", "0.01", "0.018000000000000016")),
-    (["ope-preservation", "--cutoff", "6", "--cos-sin=-3/5,-4/5", "--skew", "0.01"], 1,
-     _failed_ope("6", "0.01", "0.018000000000000016")),
-    (["ope-preservation", "--cutoff", "6", "--cos-sin=4/5,3/5", "--skew", "0.01"], 1,
-     _failed_ope("6", "0.01", "0.018000000000000016")),
-    (["ope-preservation", "--cutoff", "6", "--cos-sin=4/5,-3/5", "--skew", "0.01"], 1,
-     _failed_ope("6", "0.01", "0.018000000000000016")),
-    (["ope-preservation", "--cutoff", "6", "--cos-sin=-4/5,3/5", "--skew", "0.01"], 1,
-     _failed_ope("6", "0.01", "0.018000000000000016")),
-    (["ope-preservation", "--cutoff", "6", "--cos-sin=-4/5,-3/5", "--skew", "0.01"], 1,
-     _failed_ope("6", "0.01", "0.018000000000000016")),
-    # the headline point labels the default report; a skewed map is labelled as such
-    (["momentum-continuity"], 0, {
-        "cutoff": "4",
-        "theta": "(cos, sin) = (3/5, 4/5)",
-        "passed": True,
-    }),
-    (["momentum-continuity", "--cos-sin=4/5,-3/5", "--skew", "0.01"], 1, {
-        "cutoff": "4",
-        "theta": "skewed",
-        "passed": False,
-        "diagnostic": "momentum density not continuous across the impurity: "
-                      "Theta[Tbar^l + T^r] != T^l + Tbar^r on the vacuum",
-    }),
-    # the exact default reports: a refactor of the exact layer keeps them byte for byte
-    (["virasoro-check"], 0, _virasoro_report(18, 30)),
-    # the exact argv of the benchmark's exact workload, and the float grid control
-    (["virasoro-check", "--cutoff", "12"], 0, _virasoro_report(92, 272)),
-    (["intertwiner", "--cutoff", "8"], 0, {"cutoff": "8", "checks": [
-        {"theta": f"(cos, sin) = ({c}, {s})", "n": n, "deviation": "0", "passed": True}
-        for c, s in (("1", "0"), ("0", "1"), ("3/5", "4/5"), ("4/5", "3/5"), ("5/13", "12/13"),
-                     ("12/13", "5/13"), ("8/17", "15/17"), ("20/29", "21/29"))
-        for n in range(-2, 3)]}),
-    (["intertwiner", "--cutoff", "8", "--alpha", "0.7"], 0, {"cutoff": "8", "checks": [
-        {"theta": _ALPHA_07, "n": n, "deviation": dev, "passed": True}
-        for n, dev in zip(range(-2, 3), ["4.440892098500626e-16"] * 2 + ["0"]
-                          + ["4.440892098500626e-16"] * 2)]}),
-    (["reflection-phases", "--ring", "z3"], 0, {
-        "ring": "z3",
-        "labels": ["1", "psi1", "psi2"],
-        "solutions": [{"1": [0, 1], "psi1": [0, 1], "psi2": [0, 1]},
-                      {"1": [0, 1], "psi1": [1, 3], "psi2": [2, 3]},
-                      {"1": [0, 1], "psi1": [2, 3], "psi2": [1, 3]}],
-        "count": 3,
-        "passed": True,
-    }),
-    (["full-suite", "--quick"], 0, {
-        "steps": {name: {"passed": True} for name in (
-            "virasoro-check", "intertwiner", "momentum-continuity", "ope-preservation",
-            "reflection-phases", "smatrix", "current", "entropy", "continuity",
-            "su2k-decompose", "su2k-current", "su2k-fermionize", "landauer")},
-        "passed": True,
-    }),
-]
-
-
-@pytest.mark.parametrize("argv, verdict, expected", EXACT_REPORTS,
-                         ids=[" ".join(argv) for argv, _, _ in EXACT_REPORTS])
-def test_exact_reports_are_pinned(capsys, argv, verdict, expected):
-    code, out = run(capsys, *argv)
-    assert code == verdict
-    assert json.loads(out) == expected
-    assert out == json.dumps(expected, indent=2) + "\n"  # key order and layout too
-
-
 _FERMIONIZED_K2 = {"k": 2, "chi1": "pure reflection, zero current", "agree": True, "passed": True}
 
 # reports that carry floats: their keys in order, the verdict and diagnostic
@@ -879,17 +614,21 @@ def test_float_report_closes_are_pinned(capsys, argv, verdict, keys, exact):
     assert {key: report[key] for key in exact} == exact
 
 
-def _subcommands():
-    parser = cli.build_parser()
-    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return sorted(action.choices)
+def test_matrix_check_demands_zero_of_an_exact_theta(capsys, monkeypatch):
+    # judged as intertwiner judges: an exact Theta to zero, a float one to FLOAT_TOL
+    monkeypatch.setattr(defect, "check_intertwining",
+                        lambda real, n: Fraction(1, 10 ** 15) if real.theta.exact else 1e-15)
+    code, out = run(capsys, "su2k-fermionize", "--matrix-check", "--rr-bar", "9/25")
+    assert code == 1 and json.loads(out)["intertwining_max_dev"] == 1e-15
+    code, out = run(capsys, "su2k-fermionize", "--matrix-check", "--rr-bar", "1/4")
+    assert code == 0 and json.loads(out)["intertwining_max_dev"] == 1e-15
 
 
 # the cheap arguments of the subcommands whose defaults are slow
 _CHEAP_ARGS = {"full-suite": ["--quick"]}
 
 
-@pytest.mark.parametrize("command", _subcommands())
+@pytest.mark.parametrize("command", subcommands())
 def test_every_subcommand_closes_its_report(capsys, command):
     # walks the parser, so a subcommand added later is covered too
     code, out = run(capsys, command, *_CHEAP_ARGS.get(command, []))
@@ -1091,7 +830,7 @@ def test_full_suite_quick(capsys):
     assert report["passed"] and len(report["steps"]) == 13
 
 
-_SMATRIX_REPORT = next(expected for argv, expected in SYMBOLIC_REPORTS if argv == ["smatrix"])
+_SMATRIX_REPORT = json.loads(next(out for argv, _, out, *_ in recorded_reports() if argv == ["smatrix"]))
 
 
 def test_only_a_written_report_formats_its_field_expressions(capsys, monkeypatch):

@@ -1,28 +1,33 @@
-"""Byte-for-byte digest of the reports a checkout prints, for refactors that must not move one.
+"""Every report a checkout prints, byte for byte, and their sha256.
 
     python3 tools/report_digest.py ROOT
 
-Runs the `neqcft` package of ROOT/src on a fixed list of commands, all in
-one process with PYTHONHASHSEED=0, every BLAS and OpenMP thread count
-pinned to 1, as `perfbench` pins them (the lattice digits depend on the
-thread count), and COLUMNS=80 (argparse wraps help to the terminal width):
-the bare command and `--help` of the top level and of every subcommand,
-then every argv pinned in `EXACT_REPORTS`, `SYMBOLIC_REPORTS` and
-`FLOAT_REPORTS` of tests/test_cli.py, then each of those again with
-`--format csv` in front, then every distinct argv of the
-benchmark workloads (perfbench/workloads.py) at seeds 1 to 8.  The argv
-lists come from the checkout that holds this file, so a second checkout
-(ROOT) runs exactly the same commands; only the subcommand names come from
-ROOT's parser.  Prints one JSON line per command, [argv, exit code, stdout,
-stderr, files the command wrote], and last the sha256 of those lines; two
-trees that print the same digest printed the same bytes on every command.
+Runs the `neqcft` package of ROOT/src on every command of tests/reports.jsonl,
+the committed record of the checkout that holds this file, so a second
+checkout (ROOT) runs exactly the same commands.  All run in one process, with
+every BLAS and OpenMP thread count pinned to 1, as `perfbench` pins them (the
+lattice digits depend on the thread count), and COLUMNS=80 (argparse wraps
+help to the terminal width).  Prints one JSON line per command on stdout,
+[argv, exit code, stdout, stderr, {file the command wrote: its text}], in the
+record's order, and the sha256 of those lines on stderr: two trees that print
+the same digest printed the same bytes on every command.
+
+A record line gives the tool its argv (field 0) and the files that command
+writes (the keys of field 4).  After a change that moves a report on purpose,
+or to add a command (append a line such as `[["smatrix", "--alpha", "0.4"],
+0, "", "", {}]`), regenerate the record and read `git diff` for every line
+that moved:
+
+    python3 tools/report_digest.py . > reports.new && mv reports.new tests/reports.jsonl
+
+(`> tests/reports.jsonl` alone would empty the record before the tool reads it.)
+tests/test_reports.py compares every command with the record.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
-import importlib.util
 import io
 import json
 import os
@@ -30,38 +35,10 @@ import pathlib
 import sys
 import tempfile
 
-HERE = pathlib.Path(__file__).resolve().parent.parent
-SEEDS = range(1, 9)
-PINNED = {"PYTHONHASHSEED": "0", "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
-          "MKL_NUM_THREADS": "1", "BLIS_NUM_THREADS": "1", "VECLIB_MAXIMUM_THREADS": "1",
-          "NUMEXPR_NUM_THREADS": "1", "COLUMNS": "80"}
-
-
-def _load(path):
-    spec = importlib.util.spec_from_file_location(path.stem, path)
-    module = sys.modules[path.stem] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def commands(outdir):
-    """(argv, files it writes) of every command, in a fixed order, without repeats."""
-    tests = _load(HERE / "tests" / "test_cli.py")
-    helps = [[], ["--help"]] + [[name, "--help"] for name in tests._subcommands()]
-    found = [(argv, ()) for argv in helps]
-    pinned = [argv for argv, *_ in tests.EXACT_REPORTS + tests.SYMBOLIC_REPORTS + tests.FLOAT_REPORTS]
-    found += [(argv, ()) for argv in pinned]
-    found += [(["--format", "csv", *argv], ()) for argv in pinned]
-    sys.path.insert(0, str(HERE / "perfbench"))
-    workloads = _load(HERE / "perfbench" / "workloads.py")
-    for seed in SEEDS:
-        inputs = workloads.Inputs.from_seed(seed)
-        for build, _ in workloads.WORKLOADS.values():
-            found += [(op.argv, op.outputs) for op in build(inputs, outdir)]
-    unique = {}
-    for argv, outputs in found:
-        unique.setdefault(tuple(argv), (argv, outputs))
-    return list(unique.values())
+RECORD = pathlib.Path(__file__).resolve().parent.parent / "tests" / "reports.jsonl"
+PINNED = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+          "BLIS_NUM_THREADS": "1", "VECLIB_MAXIMUM_THREADS": "1", "NUMEXPR_NUM_THREADS": "1",
+          "COLUMNS": "80"}
 
 
 def main(argv):
@@ -72,13 +49,14 @@ def main(argv):
     src = pathlib.Path(argv[0]).resolve() / "src"
     if not (src / "neqcft").is_dir():
         sys.exit(f"no package at {src / 'neqcft'}")
+    commands = [json.loads(line) for line in RECORD.read_text().splitlines()]
     sys.path.insert(0, str(src))
     from neqcft import cli
 
     digest = hashlib.sha256()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
-        for cmd, outputs in commands("."):
+        for cmd, *_, outputs in commands:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(list(cmd))
@@ -90,7 +68,7 @@ def main(argv):
             line = json.dumps([cmd, code, out.getvalue(), err.getvalue(), written])
             print(line)
             digest.update(line.encode() + b"\n")
-    print("sha256", digest.hexdigest())
+    print("sha256", digest.hexdigest(), file=sys.stderr)
 
 
 if __name__ == "__main__":
