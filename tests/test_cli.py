@@ -24,6 +24,20 @@ def run(capsys, *argv):
     return code, out
 
 
+@pytest.fixture
+def cli_patch():
+    """A monkeypatch for ``cli``'s handlers and ``build_parser``: patch before the first ``main``.
+
+    The parser that every parse shares is built once per process and holds
+    the handlers, so it is built afresh around the patches and again once
+    they are undone.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        cli._parser.cache_clear()
+        yield patch
+    cli._parser.cache_clear()
+
+
 def test_virasoro_check_reports_exact_central_charges(capsys):
     code, out = run(capsys, "virasoro-check", "--cutoff", "6")
     assert code == 0
@@ -403,6 +417,33 @@ def test_config_that_sets_both_members_of_an_exclusive_group_is_usage_error(caps
     assert cli.main(["--config", str(cfg), argv[0]]) == 0
 
 
+@pytest.mark.parametrize("config, argv, message", [
+    ({"cutoff": "x"}, ["virasoro-check"], "'cutoff' expected an exact fraction, got 'x'"),
+    ({"alpha": "nan"}, ["current"], "'alpha' expected a finite number, got 'nan'"),
+    ({"sites": 1.5}, ["lattice-run"], "'sites' invalid int value: '1.5'"),
+])
+def test_config_value_that_its_type_refuses_is_usage_error(capsys, tmp_path, config, argv, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(["--config", str(cfg), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"bad config: {message}\n"
+
+
+@pytest.mark.parametrize("config, argv", [
+    ({"cutoff": "x"}, ["virasoro-check", "--cutoff", "3"]),
+    ({"alpha": "nan"}, ["current", "--alpha", "0.5"]),
+    # a flag of the partner drops the refused value as well
+    ({"alpha": "nan"}, ["current", "--cos-sin", "3/5,4/5"]),
+])
+def test_refused_config_value_that_a_flag_overrides_is_no_error(capsys, tmp_path, config, argv):
+    # a typed value is parsed only where it is used
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    assert run(capsys, "--config", str(cfg), *argv) == run(capsys, *argv)
+
+
 def test_usage_error_exit_code(capsys):
     assert cli.main(["no-such-command"]) == 2
     capsys.readouterr()
@@ -624,6 +665,30 @@ def test_matrix_check_demands_zero_of_an_exact_theta(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["intertwining_max_dev"] == 1e-15
 
 
+_DISAGREES = "fermionized current disagrees with the algebraic route"
+_NO_INTERTWINING = "effective rotation fails to intertwine the Virasoro actions"
+
+
+@pytest.mark.parametrize("break_intertwining, break_agreement, argv, diagnostic", [
+    (True, False, ["--matrix-check"], _NO_INTERTWINING),
+    (False, True, [], _DISAGREES),
+    (False, True, ["--matrix-check"], _DISAGREES),
+    (True, True, ["--matrix-check"], f"{_DISAGREES}; {_NO_INTERTWINING}"),
+])
+def test_su2k_fermionize_diagnostic_names_each_failed_check(capsys, monkeypatch, break_intertwining,
+                                                           break_agreement, argv, diagnostic):
+    if break_intertwining:
+        monkeypatch.setattr(defect, "check_intertwining", lambda real, n: Fraction(1, 10 ** 15))
+    if break_agreement:
+        fermionize_k2 = su2k.fermionize_k2
+        monkeypatch.setattr(su2k, "fermionize_k2",
+                            lambda p: (lambda eff, j, ref: (eff, j, ref + 1))(*fermionize_k2(p)))
+    code, out = run(capsys, "su2k-fermionize", "--rr-bar", "9/25", *argv)
+    report = json.loads(out)
+    assert (code, report["agree"], report["passed"]) == (1, not break_agreement, False)
+    assert report["diagnostic"] == diagnostic
+
+
 # the cheap arguments of the subcommands whose defaults are slow
 _CHEAP_ARGS = {"full-suite": ["--quick"]}
 
@@ -663,9 +728,9 @@ def _full_transmission_current(monkeypatch):
      ["inputs", "symbolic_result", "numeric_result", "passed", "diagnostic"],
      "current does not match (pi/24) cos(alpha)^2 (T_l^2 - T_r^2)"),
 ], ids=["full-suite failed step", "lattice-transmission above one", "current at the wrong transmission"])
-def test_failing_closes_carry_a_diagnostic(capsys, monkeypatch, argv, breaks, keys, diagnostic):
+def test_failing_closes_carry_a_diagnostic(capsys, cli_patch, argv, breaks, keys, diagnostic):
     # the failing paths that test_every_subcommand_closes_its_report cannot reach
-    breaks(monkeypatch)
+    breaks(cli_patch)
     code, out = run(capsys, *argv)
     assert code == 1
     report = json.loads(out)
@@ -778,7 +843,15 @@ def test_closed_stdout_keeps_verdict(capsys, monkeypatch, argv, verdict):
     assert capsys.readouterr().err == ""
 
 
-def test_full_suite_steps_run_exactly_their_argv(capsys, monkeypatch):
+def _counting_builds(cli_patch):
+    """The list that gains an entry each time ``cli.build_parser`` runs."""
+    built = []
+    build = cli.build_parser
+    cli_patch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    return built
+
+
+def test_full_suite_steps_run_exactly_their_argv(capsys, cli_patch):
     # each step's handler gets the namespace its argv parses to, with nothing set on it after
     received, parsed = [], []
 
@@ -787,39 +860,60 @@ def test_full_suite_steps_run_exactly_their_argv(capsys, monkeypatch):
         return {}, True
 
     for name in [n for n in vars(cli) if n.startswith("cmd_") and n != "cmd_full_suite"]:
-        monkeypatch.setattr(cli, name, record)
-    build = cli.build_parser
-
-    def recording_parser():
-        parser = build()
-        parse = parser.parse_args
-
-        def parse_args(argv):
-            parsed.append(list(argv))
-            return parse(argv)
-
-        parser.parse_args = parse_args
-        return parser
-
-    monkeypatch.setattr(cli, "build_parser", recording_parser)
+        cli_patch.setattr(cli, name, record)
+    parse = cli._parse
+    cli_patch.setattr(cli, "_parse", lambda argv: parsed.append(list(argv)) or parse(argv))
     assert cli.main(["full-suite"]) == 0
     capsys.readouterr()
+    assert parsed[0] == ["full-suite"]
     steps = parsed[1:]  # the first parse is the full-suite command line itself
     assert [step[0] for step in steps] == [ns["command"] for ns in received]
     assert "current" in [step[0] for step in steps]
     for step, ns in zip(steps, received):
-        assert ns == vars(build().parse_args(step)), step
+        assert "parser" not in ns
+        assert ns == vars(parse(step)), step
 
 
-def test_full_suite_parses_its_steps_with_the_parser_main_built(capsys, monkeypatch):
-    # one parser per command: the steps reuse the one that parsed the command line
+def test_full_suite_parses_its_steps_with_the_parser_main_built(capsys, cli_patch):
+    # one parser per process: the steps and later command lines reuse the one the first main built
     for name in [n for n in vars(cli) if n.startswith("cmd_") and n != "cmd_full_suite"]:
-        monkeypatch.setattr(cli, name, lambda args: ({}, True))
-    built = []
-    build = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
-    assert cli.main(["full-suite", "--quick"]) == 0
+        cli_patch.setattr(cli, name, lambda args: ({}, True))
+    built = _counting_builds(cli_patch)
+    for argv in (["full-suite", "--quick"], ["full-suite"], ["smatrix"], ["--help"]):
+        assert cli.main(argv) == 0
     capsys.readouterr()
+    assert len(built) == 1
+
+
+def test_config_files_leak_nothing_into_later_command_lines(capsys, cli_patch, tmp_path):
+    # one parser serves the process, so a config layer must not outlive its command line
+    built = _counting_builds(cli_patch)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    first.write_text(json.dumps({"model": "fermion", "cutoff": 4}))
+    second.write_text(json.dumps({"commutator_range": 1}))
+    for argv in (["--config", str(first), "virasoro-check"],
+                 ["--config", str(second), "virasoro-check", "--cutoff", "3"],
+                 ["virasoro-check", "--cutoff", "3"]):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        fresh = _fresh_python("import sys; from neqcft import cli; sys.exit(cli.main())", *argv)
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert len(built) == 1
+
+
+_FULL_SUITE_QUICK = next(line[1:4] for line in recorded_reports() if line[0] == ["full-suite", "--quick"])
+
+
+def test_full_suite_after_a_config_line_prints_its_record(capsys, cli_patch, tmp_path):
+    # zero temperatures make entropy a usage error; they must not reach the suite's entropy step
+    built = _counting_builds(cli_patch)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"tl": 0.0, "tr": 0.0, "quick": False}))
+    assert cli.main(["--config", str(cfg), "entropy"]) == 2
+    capsys.readouterr()
+    code = cli.main(["full-suite", "--quick"])
+    captured = capsys.readouterr()
+    assert [code, captured.out, captured.err] == _FULL_SUITE_QUICK
     assert len(built) == 1
 
 
@@ -877,19 +971,22 @@ def test_su2k_decompose_rotates_the_stress_tensor_once(capsys):
     assert su2k.decomposition_coefficients.cache_info().misses == 1
 
 
-def _fresh_python(code):
-    """Stdout of ``code`` run by a new interpreter that imports neqcft from this checkout."""
+def _fresh_python(code, *args):
+    """The finished run of ``code``, with ``args`` as its argv, by a new interpreter.
+
+    The interpreter imports neqcft from this checkout; a nonzero exit raises.
+    """
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True).stdout
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, check=True)
 
 
 def test_cli_import_loads_no_scipy():
     # scipy is a test oracle only; importing it would cost every command ~0.5 s
     code = ("import sys, neqcft.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    assert _fresh_python(code).strip() == "[]"
+    assert _fresh_python(code).stdout.strip() == "[]"
 
 
 def test_symbolic_commands_load_no_sympy_physics():
@@ -907,7 +1004,7 @@ def test_symbolic_commands_load_no_sympy_physics():
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert cli.main(argv) == 0, argv\n"
             "print(sorted(m for m in sys.modules if m.startswith('sympy.physics')))\n")
-    assert _fresh_python(code).strip() == "[]"
+    assert _fresh_python(code).stdout.strip() == "[]"
 
 
 def test_import_runs_no_full_collection_and_freezes_its_heap():
@@ -918,12 +1015,12 @@ def test_import_runs_no_full_collection_and_freezes_its_heap():
             "import neqcft.cli\n"
             "print(gc.isenabled(), gc.get_freeze_count() > 0,"
             " gc.get_stats()[2]['collections'] - full)\n")
-    assert _fresh_python(code).split() == ["True", "True", "0"]
+    assert _fresh_python(code).stdout.split() == ["True", "True", "0"]
 
 
 def test_import_keeps_a_disabled_gc_disabled():
     code = "import gc\ngc.disable()\nimport neqcft.cli\nprint(gc.isenabled())\n"
-    assert _fresh_python(code).strip() == "False"
+    assert _fresh_python(code).stdout.strip() == "False"
 
 
 def test_failed_import_leaves_gc_enabled():
@@ -933,4 +1030,4 @@ def test_failed_import_leaves_gc_enabled():
             "    import neqcft\n"
             "except ImportError:\n"
             "    print(gc.isenabled())\n")
-    assert _fresh_python(code).strip() == "True"
+    assert _fresh_python(code).stdout.strip() == "True"

@@ -123,6 +123,21 @@ def test_only_the_exact_layer_builds_operators():
     assert functions_naming("cli", "GradedOperator") == []
 
 
+def test_only_build_parser_writes_to_the_parser():
+    # one parser serves every command line of a process, so no parse may
+    # write to it: set_defaults runs only while build_parser builds it, and
+    # only _parser, which builds it once, calls build_parser
+    assert set(functions_naming("cli", "set_defaults")) <= {"build_parser", "_add_exact_check"}
+    assert set(functions_naming("cli", "_add_exact_check")) == {"build_parser"}
+    assert functions_naming("cli", "build_parser") == ["_parser"]
+
+
+def test_each_command_line_is_parsed_once():
+    # main and every full-suite step parse through _parse, which parses once
+    assert functions_naming("cli", "parse_args") == ["_parse"]
+    assert sorted(set(functions_naming("cli", "_parse"))) == ["cmd_full_suite", "main"]
+
+
 # where a value enters the symbolic layer; everything downstream holds sympy values
 CONVERTS_INPUT = {
     "ness": {"LocalField.__post_init__", "FieldExpression.one", "FieldExpression.scale",
