@@ -337,7 +337,7 @@ def cmd_lattice_run(args):
 
 def cmd_lattice_transmission(args):
     grid = np.linspace(args.omega_min, args.omega_max, args.omega_points)
-    rows = [(float(w), lattice.transmission(args.lam, float(w), args.coupling)) for w in grid]
+    rows = list(zip(grid.tolist(), lattice.transmission(args.lam, grid, args.coupling).tolist()))
     report = {"defect": args.lam, "transmission_dc": lattice.transmission_dc(args.lam),
               "grid": [{"omega": w, "T": t} for w, t in rows]}
     return _verdict(report, all(0 <= t <= 1 for _, t in rows), "transmission outside [0, 1]")

@@ -48,8 +48,11 @@ N x N array is formed: steady_current holds O(S N) floats for S samples.
 
 The steady current is checked against the Landauer integral, which
 landauer_current evaluates by one composite Gauss-Kronrod rule on fixed
-panels graded toward both band ends and refuses when its error estimate
-misses the threshold.  The module returns values and writes no file.
+panels graded toward both band ends, and below 2^-40 of the band on toward
+the Fermi scale of the coldest reservoir, and refuses when its error
+estimate misses the threshold.  transmission and the Fermi factors take a
+float or an array of energies, so one integral evaluates its integrand in
+one array call on every node.  The module returns values and writes no file.
 
 Everything here is double precision; tolerances are module constants or
 stated per operation.
@@ -60,6 +63,7 @@ The dispersion is eps(k) = -2 t sin k on Majorana sites, so the band is
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -347,6 +351,11 @@ def propagator_rows(spec, rows, times):
 # ---------------------------------------------------------------------------
 # single-particle scattering off the defect bond
 
+def _float_or_array(values):
+    """A 0-d result as a Python float, any other as the array it is."""
+    return float(values) if values.ndim == 0 else values
+
+
 def transmission(defect, omega, coupling=1.0):
     """Transmission probability through the defect bond at energy omega.
 
@@ -356,15 +365,21 @@ def transmission(defect, omega, coupling=1.0):
 
     where v is the group velocity in units of its band maximum 2t.  The
     numerator never exceeds the denominator, so T stays in [0, 1] without
-    clamping.
+    clamping.  omega is a float or an array: a float gives a float, an
+    array the array of the same shape, each entry bit for bit the float
+    its energy gives.  An energy outside the open band (0, 2t) raises
+    ValueError naming the first such energy.
     """
     if coupling <= 0:
         raise ValueError("coupling must be positive")
-    if not 0 < omega < 2 * coupling:
-        raise ValueError(f"energy {omega} outside the open band (0, {2 * coupling})")
-    v2 = 1.0 - (omega / (2.0 * coupling)) ** 2
+    w = np.asarray(omega, dtype=float)
+    outside = ~((w > 0) & (w < 2 * coupling))
+    if outside.any():
+        raise ValueError(f"energy {float(w[outside][0])} outside the open band (0, {2 * coupling})")
+    # np.square rounds a float and an array alike, where ** 2 takes pow for a numpy scalar
+    v2 = 1.0 - np.square(w / (2.0 * coupling))
     x = 4.0 * defect * defect * v2
-    return float(x / ((1.0 - defect * defect) ** 2 + x))
+    return _float_or_array(x / ((1.0 - defect * defect) ** 2 + x))
 
 
 def transmission_dc(defect):
@@ -378,12 +393,14 @@ def transmission_dc(defect):
 
 
 def fermi_occupation(omega, temperature):
+    """1 / (e^(w/T) + 1), exactly 0 past w/T = 700 and the step at T = 0; a float or an array of w."""
+    w = np.asarray(omega, dtype=float)
     if temperature == 0:
-        return 0.0 if omega > 0 else 1.0
-    x = omega / temperature
-    if x > 700:
-        return 0.0
-    return 1.0 / (math.exp(x) + 1.0)
+        return _float_or_array(np.where(w > 0, 0.0, 1.0))
+    # w/T and e^(w/T) overflow only where the cut takes 0
+    with np.errstate(over="ignore"):
+        x = w / temperature
+        return _float_or_array(np.where(x > 700, 0.0, 1.0 / (np.exp(x) + 1.0)))
 
 
 def fermi_difference(omega, t_left, t_right):
@@ -393,16 +410,25 @@ def fermi_difference(omega, t_left, t_right):
     where x_r - x_l = w (T_l - T_r) / (T_l T_r) and T_l - T_r is exact for
     nearby floats.  A zero temperature, or an x past the cut of
     fermi_occupation, takes the plain difference: one of its terms is then
-    exactly 0 or 1, and nothing cancels.
+    exactly 0 or 1, and nothing cancels.  So does a product T_l T_r below the
+    smallest normal float, which the sinh form would divide by.  omega is a
+    float or an array, as in transmission.
     """
-    if t_left == 0 or t_right == 0 or omega / t_left > 700 or omega / t_right > 700:
-        return fermi_occupation(omega, t_left) - fermi_occupation(omega, t_right)
-    return (math.sinh(0.5 * omega * (t_left - t_right) / (t_left * t_right))
-            / (2.0 * math.cosh(0.5 * omega / t_left) * math.cosh(0.5 * omega / t_right)))
+    w = np.asarray(omega, dtype=float)
+    plain = fermi_occupation(w, t_left) - fermi_occupation(w, t_right)
+    if t_left * t_right < sys.float_info.min:
+        return plain
+    # the sinh form overflows only where the plain difference is taken
+    with np.errstate(over="ignore", invalid="ignore"):
+        sinh_form = (np.sinh(0.5 * w * (t_left - t_right) / (t_left * t_right))
+                     / (2.0 * np.cosh(0.5 * w / t_left) * np.cosh(0.5 * w / t_right)))
+        return _float_or_array(np.where((w / t_left > 700) | (w / t_right > 700), plain, sinh_form))
 
 
 # relative accuracy asked of the Landauer quadrature
 QUAD_REL_TOL = 1e-8
+# halvings of the panels toward each band end (more toward w = 0 below the Fermi scale)
+_PANEL_HALVINGS = 40
 
 # 21-point Gauss-Kronrod rule on [-1, 1], one row per node x >= 0: node,
 # Kronrod weight, weight of the 10-point Gauss rule on every other node
@@ -423,39 +449,42 @@ _GK_NODES, _KRONROD_WEIGHTS, _GAUSS_WEIGHTS = np.concatenate(
     [_GK_TABLE, _GK_TABLE[:-1] * [-1.0, 1.0, 1.0]]).T
 
 
-def _gauss_kronrod(f, a, b):
-    """Kronrod estimate of int_a^b f and its distance from the embedded Gauss estimate."""
-    half = 0.5 * (b - a)
-    fx = np.array([f(x) for x in 0.5 * (a + b) + half * _GK_NODES])
-    kronrod = half * float(_KRONROD_WEIGHTS @ fx)
-    return kronrod, abs(kronrod - half * float(_GAUSS_WEIGHTS @ fx))
-
-
 def landauer_current(transmission_fn, t_left, t_right, coupling=1.0):
     """J = (1/2 pi) int dw w T(w) [f_l(w) - f_r(w)] over the positive band.
 
-    A composite 21-point Gauss-Kronrod rule on 80 fixed panels, which halve
-    toward both band ends down to 2^-40 of the band.  The error estimate is
-    the sum over the panels of the distance between the Kronrod and the
-    embedded Gauss sums; J is returned when the estimate is at most
-    max(1e-14, QUAD_REL_TOL |J|), and RuntimeError is raised otherwise.
+    A composite 21-point Gauss-Kronrod rule on fixed panels, which halve
+    toward both band ends down to 2^-40 of the band: 80 panels, 1,680
+    nodes.  Where the coldest positive temperature T lies below 2^-40 of the
+    band, the panels halve on toward w = 0 to 2^-8 of T (T taken no smaller
+    than the smallest normal float), so the Fermi scale is resolved there
+    too.  transmission_fn is called once, on the array of every node, and
+    returns an array of that shape or a constant; the Fermi factors are one
+    array evaluation.  Each panel's Kronrod and embedded Gauss sums are two
+    matrix-vector products.  The error estimate is the sum over the panels
+    of the distance between the two; J is returned when the estimate is at
+    most max(1e-14, QUAD_REL_TOL |J|), and RuntimeError is raised otherwise.
     """
     _require_temperatures(t_left, t_right)
     if coupling <= 0:
         raise ValueError("coupling must be positive")
-
-    def integrand(w):
-        return w * transmission_fn(w) * fermi_difference(w, t_left, t_right) / (2 * math.pi)
-
     # the integrand varies fastest at the band ends: the Fermi factors on the
     # scale T near w = 0, and the transmission of a nearly perfect bond on the
-    # scale (1 - lam^2)^2 t / 4 lam^2 below w = 2t
+    # scale (1 - lam^2)^2 t / 4 lam^2 below w = 2t.  The halving toward w = 0
+    # reaches 2^-8 of a T below 2^-40 of the band; a T under the smallest
+    # normal float is taken as that float, so every cut stays positive
     band = 2.0 * coupling
-    grade = 2.0 ** -np.arange(40, 0, -1)
-    cuts = np.concatenate([[0.0], band * grade, band * (1.0 - grade[-2::-1]), [band]]).tolist()
-    parts = [_gauss_kronrod(integrand, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-    val = math.fsum(part for part, _ in parts)
-    err = math.fsum(part_err for _, part_err in parts)
+    cold = min((t for t in (t_left, t_right) if t > 0), default=math.inf)
+    halvings = _PANEL_HALVINGS
+    if cold < band * 2.0 ** -_PANEL_HALVINGS:
+        halvings = math.ceil(math.log2(band) - math.log2(max(cold, sys.float_info.min))) + 8
+    cuts = np.concatenate([[0.0], np.ldexp(band, -np.arange(halvings, 0, -1)),
+                           band * (1.0 - 2.0 ** -np.arange(2, _PANEL_HALVINGS + 1)), [band]])
+    half = 0.5 * (cuts[1:] - cuts[:-1])
+    w = (0.5 * (cuts[:-1] + cuts[1:]))[:, None] + half[:, None] * _GK_NODES
+    fx = w * transmission_fn(w) * fermi_difference(w, t_left, t_right) / (2 * math.pi)
+    kronrod = half * (fx @ _KRONROD_WEIGHTS)
+    val = math.fsum(kronrod.tolist())
+    err = math.fsum(np.abs(kronrod - half * (fx @ _GAUSS_WEIGHTS)).tolist())
     if err > max(1e-14, QUAD_REL_TOL * abs(val)):
         raise RuntimeError(f"quadrature did not converge (estimate {err:.2e})")
     return val

@@ -1,17 +1,19 @@
 """Helpers that only the tests use: grading, block-structure and hermiticity oracles for
 operators, readers of operators and spaces, the rotations the tests compose, the
 cancelled normal form of a symbolic coefficient, the scattering rules of one field
-factor written out case by case, the CLI's subcommands and the committed record of
-its reports."""
+factor written out case by case, the Landauer quadrature evaluated node by node with
+scalar Fermi factors, the CLI's subcommands and the committed record of its reports."""
 
 import argparse
 import json
+import math
 import pathlib
 from fractions import Fraction
 
+import numpy as np
 import sympy as sp
 
-from neqcft import cli, ness, virasoro
+from neqcft import cli, lattice, ness, virasoro
 from neqcft.defect import BogoliubovSpec
 from neqcft.fock import BOSON, GradedOperator, ProductSpace, twice_mode_values
 
@@ -205,6 +207,49 @@ def scattered_factor(f, c, s):
         return ness.FieldExpression(((s, (f,)), (-km * c, (partner,))))
     partner = ness.fermion("r", -f.position, deriv=f.deriv)
     return ness.FieldExpression(((s, (f,)), (km * c, (partner,))))
+
+
+def scalar_fermi_occupation(omega, temperature):
+    """1 / (e^(w/T) + 1) of one float energy, by math: exactly 0 past w/T = 700, the step at T = 0."""
+    if temperature == 0:
+        return 0.0 if omega > 0 else 1.0
+    x = omega / temperature
+    if x > 700:
+        return 0.0
+    return 1.0 / (math.exp(x) + 1.0)
+
+
+def scalar_fermi_difference(omega, t_left, t_right):
+    """f(w, T_l) - f(w, T_r) of one float energy, by math: the plain difference at a zero
+    temperature or past the cut, else sinh((x_r - x_l)/2) / (2 cosh(x_l/2) cosh(x_r/2))."""
+    if t_left == 0 or t_right == 0 or omega / t_left > 700 or omega / t_right > 700:
+        return scalar_fermi_occupation(omega, t_left) - scalar_fermi_occupation(omega, t_right)
+    return (math.sinh(0.5 * omega * (t_left - t_right) / (t_left * t_right))
+            / (2.0 * math.cosh(0.5 * omega / t_left) * math.cosh(0.5 * omega / t_right)))
+
+
+def _gauss_kronrod(f, a, b):
+    """Kronrod estimate of int_a^b f and its distance from the embedded Gauss estimate."""
+    half = 0.5 * (b - a)
+    fx = np.array([f(x) for x in 0.5 * (a + b) + half * lattice._GK_NODES])
+    kronrod = half * float(lattice._KRONROD_WEIGHTS @ fx)
+    return kronrod, abs(kronrod - half * float(lattice._GAUSS_WEIGHTS @ fx))
+
+
+def node_by_node_landauer(transmission_fn, t_left, t_right, coupling):
+    """The Landauer quadrature of lattice.landauer_current on its 80 panels, one scalar call of
+    the integrand per node and one dot product per panel: (J, error estimate).
+
+    The panels halve toward both band ends down to 2^-40 of the band, as landauer_current's
+    do wherever every positive temperature is at least 2^-40 of the band."""
+    def integrand(w):
+        return w * transmission_fn(w) * scalar_fermi_difference(w, t_left, t_right) / (2 * math.pi)
+
+    band = 2.0 * coupling
+    grade = 2.0 ** -np.arange(40, 0, -1)
+    cuts = np.concatenate([[0.0], band * grade, band * (1.0 - grade[-2::-1]), [band]]).tolist()
+    parts = [_gauss_kronrod(integrand, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    return math.fsum(part for part, _ in parts), math.fsum(part_err for _, part_err in parts)
 
 
 def subcommands():

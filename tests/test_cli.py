@@ -11,6 +11,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy as sp
 
@@ -586,6 +587,16 @@ def test_checks_that_compare_no_column_are_usage_errors(capsys, argv, message):
     assert message in captured.err
 
 
+def test_lattice_transmission_evaluates_its_grid_in_one_call(capsys, monkeypatch):
+    transmission = lattice.transmission
+    calls = []
+    monkeypatch.setattr(lattice, "transmission",
+                        lambda lam, omega, coupling: calls.append(omega) or transmission(lam, omega, coupling))
+    code, out = run(capsys, "lattice-transmission", "--omega-points", "20")
+    assert code == 0 and len(json.loads(out)["grid"]) == 20
+    assert len(calls) == 1 and calls[0].shape == (20,)
+
+
 def test_smallest_counts_still_check(capsys):
     code, out = run(capsys, "lattice-transmission", "--omega-points", "1")
     assert code == 0 and len(json.loads(out)["grid"]) == 1
@@ -710,7 +721,7 @@ def _failing_smatrix_step(monkeypatch):
 
 
 def _transmission_above_one(monkeypatch):
-    monkeypatch.setattr(lattice, "transmission", lambda *args: 1.5)
+    monkeypatch.setattr(lattice, "transmission", lambda lam, omega, coupling: np.full_like(omega, 1.5))
 
 
 def _full_transmission_current(monkeypatch):

@@ -12,9 +12,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neqcft import cli, lattice
-from neqcft.lattice import (ChainSpec, PlateauError, gibbs_covariance,
-                            landauer_current, propagator_rows, steady_current,
-                            transmission, transmission_dc)
+from neqcft.lattice import (ChainSpec, PlateauError, fermi_difference, fermi_occupation,
+                            gibbs_covariance, landauer_current, propagator_rows,
+                            steady_current, transmission, transmission_dc)
+from oracles import node_by_node_landauer, scalar_fermi_difference, scalar_fermi_occupation
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +499,41 @@ def test_closed_form_transmission_matches_transfer_matrix(lam, coupling, band_fr
     assert abs(got - transfer_matrix_transmission(lam, omega, coupling)) <= 1e-10
 
 
+@settings(max_examples=100, deadline=None)
+@given(lam=st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-3, 2.0)),
+       coupling=st.floats(1e-2, 1e2), ends=st.tuples(st.floats(1e-6, 0.999), st.floats(1e-6, 0.999)),
+       points=st.integers(1, 200))
+def test_transmission_of_an_array_is_its_transmission_point_by_point(lam, coupling, ends, points):
+    band = 2 * coupling
+    grid = np.linspace(band * min(ends), band * max(ends), points)
+    got = transmission(lam, grid, coupling)
+    assert isinstance(got, np.ndarray) and got.shape == grid.shape
+    each = [transmission(lam, w, coupling) for w in grid.tolist()]
+    assert all(type(t) is float for t in each)
+    assert got.tolist() == each
+
+
+def test_transmission_names_the_first_energy_outside_the_band():
+    with pytest.raises(ValueError, match=r"energy 2\.5 outside the open band \(0, 2\.0\)"):
+        transmission(0.5, np.array([[1.0, 2.5], [0.0, 3.0]]))
+
+
+@pytest.mark.parametrize("temps", [(0.1, 0.05), (0.1, 0.0), (0.0, 0.3), (0.002, 0.2), (0.1, 0.1)])
+def test_fermi_factors_take_a_float_or_an_array(temps):
+    # the energies run past the cut w / T = 700 of the colder reservoir
+    grid = np.geomspace(1e-6, 2.0, 50)
+    diff = fermi_difference(grid, *temps)
+    assert diff.shape == grid.shape
+    for w, got in zip(grid.tolist(), diff.tolist()):
+        each = fermi_difference(w, *temps)
+        assert type(each) is float and each == got
+        # numpy's exp, sinh and cosh against math's, each within an ulp or two
+        assert abs(each - scalar_fermi_difference(w, *temps)) <= 8 * math.ulp(each)
+        for temp in temps:
+            occ = fermi_occupation(w, temp)
+            assert type(occ) is float and abs(occ - scalar_fermi_occupation(w, temp)) <= 4 * math.ulp(occ)
+
+
 def test_transmission_perfect_chain():
     for w in (0.2, 0.7, 1.4):
         assert abs(transmission(1.0, w) - 1.0) < 1e-10
@@ -582,20 +618,10 @@ def test_gauss_kronrod_rule_degrees():
 
 def library_landauer_current(transmission_fn, t_left, t_right, coupling):
     """Independent oracle: the same integral by QUADPACK, summed over a partition
-    graded toward both band ends, each panel to 1e-14 of a first whole-band estimate.
-    f(w, T_l) - f(w, T_r) is 1/(e^x_l + 1) - 1/(e^x_r + 1) with x = w/T, rewritten as
-    sinh((x_r - x_l)/2) / (2 cosh(x_l/2) cosh(x_r/2)) so that nearby temperatures do not
-    cancel; a zero temperature or an x past 700 has an occupation of exactly 0."""
-    def occupation(w, temperature):
-        return 0.0 if temperature == 0 or w / temperature > 700 else 1.0 / (math.exp(w / temperature) + 1.0)
-
+    graded toward both band ends, each panel to 1e-14 of a first whole-band estimate,
+    with the scalar Fermi factors of tests/oracles.py, one float energy at a time."""
     def integrand(w):
-        if min(t_left, t_right) == 0 or w / t_left > 700 or w / t_right > 700:
-            df = occupation(w, t_left) - occupation(w, t_right)
-        else:
-            half_gap = 0.5 * w * (t_left - t_right) / (t_left * t_right)
-            df = math.sinh(half_gap) / (2 * math.cosh(0.5 * w / t_left) * math.cosh(0.5 * w / t_right))
-        return w * transmission_fn(w) * df / (2 * math.pi)
+        return w * transmission_fn(w) * scalar_fermi_difference(w, t_left, t_right) / (2 * math.pi)
 
     band = 2 * coupling
     scale = abs(scipy.integrate.quad(integrand, 0.0, band)[0])
@@ -627,7 +653,41 @@ def test_landauer_matches_library_quadrature(lam, t_left, t_right, coupling):
 def test_landauer_refuses_an_integrand_its_panels_cannot_resolve():
     # a transmission that oscillates faster than the graded panels resolve
     with pytest.raises(RuntimeError, match="quadrature did not converge"):
-        landauer_current(lambda w: math.sin(50 * w) ** 2, 0.5, 0.0)
+        landauer_current(lambda w: np.sin(50 * w) ** 2, 0.5, 0.0)
+
+
+def test_landauer_calls_its_transmission_once_on_every_node():
+    # one array evaluation per integral: the 80 panels of 21 nodes each
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return transmission(0.7, w)
+
+    landauer_current(counted, 0.1, 0.05)
+    assert len(calls) == 1 and isinstance(calls[0], np.ndarray) and calls[0].size == 1680
+
+
+@settings(max_examples=100, deadline=None)
+@given(lam=st.floats(0.0, 1.0), t_left=_reservoir_temperature,
+       t_right=_reservoir_temperature, coupling=st.floats(0.5, 2.0))
+@example(lam=1.44e-159, t_left=0.0, t_right=1.0, coupling=2.0)
+@example(lam=1.0, t_left=0.005, t_right=0.0050000000000001, coupling=0.5)
+@example(lam=0.7, t_left=0.1, t_right=0.05, coupling=1.0)
+def test_landauer_matches_the_node_by_node_rule(lam, t_left, t_right, coupling):
+    # the same 80 panels and nodes, the transmission bit for bit; only numpy's exp, sinh and
+    # cosh against math's (each within an ulp or two) and the summation order of each panel's
+    # 21 terms differ.  The terms of a panel share one sign, so J moves by a few ulps, well
+    # inside 1e-14 |J|.  Below 2^-1022 each rounding errs by up to half a step absolutely: a
+    # node value differs by at most 1 step, each of a panel's 21 weighted terms by 0.5 more
+    # on either side (subnormal sums are exact), 23 steps in all, times the half width, plus
+    # 1 for that product, summed over 80 panels whose half widths add up to band / 2:
+    # under (12 band + 80) steps, which loosens only a J below about 7e-306
+    fn = lambda w: transmission(lam, w, coupling)  # noqa: E731
+    got = landauer_current(fn, t_left, t_right, coupling)
+    ref, _ = node_by_node_landauer(fn, t_left, t_right, coupling)
+    band = 2 * coupling
+    assert abs(got - ref) <= 1e-14 * abs(ref) + (12 * band + 80) * math.ulp(0.0)
 
 
 _any_temperature = st.one_of(st.just(0.0), st.floats(1e-12, 1e4))
@@ -664,10 +724,12 @@ def test_landauer_converges_over_the_parameter_domain(lam, t0, t_left, t_right, 
     if temps and max(temps) <= band / 100 and min(temps) >= 2.0 ** -36 * band:
         ref = math.pi * t0 / 24 * (t_left ** 2 - t_right ** 2)
         # below 2^-1022 a rounding errs by up to half a step absolute, not relative: a node
-        # value by 1.5 steps, each of a panel's 21 weighted terms by 0.5, each of the 80
-        # panel totals and the closed form's last products by a few more, under
-        # (7 band + 44) steps in all; that floor lies below 1e-8 |ref| for every normal
-        # ref, so it loosens only the comparison of a subnormal current
+        # value by 1.5 steps, each of a panel's 21 weighted terms by 0.5 (one rounding of a
+        # product or of a fused multiply-add in the matrix-vector product; a sum of
+        # subnormals is exact), each of the 80 panel totals and the closed form's last
+        # products by a few more, under (7 band + 44) steps in all; that floor lies below
+        # 1e-8 |ref| for every normal ref, so it loosens only the comparison of a subnormal
+        # current
         floor = (7 * band + 44) * math.ulp(0.0)
         assert abs(currents[1] - ref) <= 1e-8 * abs(ref) + 1e-15 * t0 * max(temps) ** 2 + floor
 
@@ -683,6 +745,36 @@ def test_landauer_meets_the_closed_form_down_to_the_finest_panel(t0, coupling):
     for temp in np.geomspace(2.0 ** -40 * band, band / 100, 25).tolist():
         ref = math.pi * t0 * temp ** 2 / 24
         assert abs(landauer_current(lambda w: t0, temp, 0.0, coupling) / ref - 1) <= 1e-12, temp
+
+
+@pytest.mark.parametrize("couplings, temp", [((1e2,), 1e-12), ((1e2,), 1e-13), ((1.0,), 1e-13),
+                                               ((1e-2, 1.0, 1e2), 1e-30)])
+def test_landauer_meets_the_closed_form_below_the_finest_band_panel(couplings, temp):
+    # a temperature below 2^-40 of the band: the panels halve on toward w = 0 to 2^-8 of it,
+    # where panels that stop at 2^-40 of the band returned J 1.3e-3, -3.5e-2 and 6.2e-10 off
+    # and about 0 at 1e-30, and raised nothing, as J lies below the absolute floor
+    ref = math.pi * temp ** 2 / 24
+    for coupling in couplings:
+        assert abs(landauer_current(lambda w: 1.0, temp, 0.0, coupling) / ref - 1) <= 1e-12, coupling
+
+
+@pytest.mark.parametrize("coupling", [1e-2, 1.0, 1e2])
+def test_landauer_meets_the_closed_form_down_to_the_normal_range(coupling):
+    # from just below 2^-40 of the band down to 1e-150, with T_r = 0 and T_r = T_l / 2
+    band = 2 * coupling
+    for temp in np.geomspace(1e-150, 2.0 ** -41 * band, 25).tolist():
+        for t_right in (0.0, temp / 2):
+            ref = math.pi * (temp ** 2 - t_right ** 2) / 24
+            got = landauer_current(lambda w: transmission(1.0, w, coupling), temp, t_right, coupling)
+            assert abs(got / ref - 1) <= 1e-12, (temp, t_right)
+
+
+def test_landauer_at_temperatures_whose_product_underflows():
+    # T_l T_r below the smallest normal float takes the plain difference of the Fermi
+    # factors, with no division by that product: J is below the subnormal range
+    assert landauer_current(lambda w: 1.0, 2e-170, 1e-170) == 0.0
+    assert fermi_difference(1e-170, 2e-170, 1e-170) == (fermi_occupation(1e-170, 2e-170)
+                                                         - fermi_occupation(1e-170, 1e-170))
 
 
 # ---------------------------------------------------------------------------
