@@ -20,21 +20,20 @@ grading is its ``twice_shift``, so products, sums and grading compares do no
 ``Fraction`` arithmetic.  Cutoffs and the mode values given to
 ``mode_operator`` stay exact ``Fraction`` values at the API.
 
-An operator stores its exact entries as int numerators over one positive
-int ``denominator``.  A product's denominator is the product of its
-operands', a sum's is their lcm, and a builder divides out the gcd once,
-when the operator is finished.  An inexact entry (a float angle, a
-deliberately skewed map) is stored as the float itself, in the same column
-maps; its exact neighbours stay numerators.  Operands with no float run
-through int loops.  Otherwise one value loop keeps int x int terms and
-int + int sums exact, and reads an int ``n`` that meets a float as
-``n / d``, the correctly rounded float of ``Fraction(n, d)``; so every
-float, and the order it is summed in, is the one plain per-entry
-arithmetic would give.  ``entry`` gives an exact entry as a ``Fraction``.
-``max_abs_entry`` reads every operator in one loop, an int ``n`` as
-``Fraction(|n|, d)``, and returns the first largest |entry| in stored
-order: always a ``Fraction`` for an exact operator, and for an inexact one
-the float or the ``Fraction`` that came first.
+The stored form of an operator follows its exactness.  An exact operator
+stores int numerators over one positive int ``denominator``.  A product's
+denominator is the product of its operands', a sum's is their lcm, and a
+builder divides out the gcd once, when the operator is finished.  An
+inexact operator (a float angle, a deliberately skewed map) stores only
+floats, over denominator 1.  ``floats`` reads an exact operator as an
+inexact one, each int ``n`` as ``n / d``, the correctly rounded float of
+``Fraction(n, d)``.  A product, a sum or a join with an inexact operand or
+factor reads its operands through ``floats`` and runs the same loop on
+floats, so every float is the one per-entry float arithmetic gives, each
+exact entry read as ``n / d``.  ``entry`` gives an exact entry as a
+``Fraction``.  ``max_abs_entry`` returns the first largest |entry| in
+stored order: a ``Fraction`` for an exact operator, and for an inexact one
+a float, or the int 0 when it is empty.
 
 There is one way to add, scale, copy and restrict an operator.
 ``accumulate`` adds ``factor * other`` in place: ``a + b`` and ``a - b``
@@ -226,9 +225,9 @@ def same_space(a, b):
 class GradedOperator:
     """Sparse level- and parity-graded linear map on one truncated space.
 
-    ``columns[j]`` maps a basis index to ``{row: stored}``.  A
-    stored int is a numerator over ``denominator``; a stored float is the
-    entry itself.  ``exact`` means that no float entry was ever stored.
+    ``columns[j]`` maps a basis index to ``{row: stored}``.  An ``exact``
+    operator stores ints, numerators over ``denominator``; an inexact one
+    stores floats, each the entry itself, over denominator 1.
     Every entry connects states whose twice-levels differ by exactly
     ``twice_shift`` and whose parities differ by ``parity_shift``.
     Mutation is ``accumulate`` and ``normalize`` only, at construction
@@ -268,20 +267,35 @@ class GradedOperator:
             num, den = num // g, den // g
         if self.denominator % den:
             new = math.lcm(self.denominator, den)
-            self.columns = _scaled(self.columns, new // self.denominator, self.exact)
+            self.columns = _scaled(self.columns, new // self.denominator)
             self.denominator = new
         return num * (self.denominator // den)
 
+    def floats(self):
+        """This operator with each int ``n`` read as ``n / d``, the correctly rounded float.
+
+        An inexact operator holds only floats already and is returned as it is.
+        """
+        if not self.exact:
+            return self
+        d = self.denominator
+        return self._like({j: {r: v / d for r, v in c.items()} for j, c in self.columns.items()},
+                          1, False)
+
     def accumulate(self, other, factor=1):
-        """Add ``factor * other`` into this operator; construction time only."""
+        """Add ``factor * other`` into this operator; construction time only.
+
+        An inexact operand or factor turns this operator into its floats first.
+        """
         if not same_space(self.space, other.space):
             raise ValueError("cannot add operators on different spaces")
         if self.twice_shift != other.twice_shift or self.parity_shift != other.parity_shift:
             raise ValueError("cannot add operators with different grading")
-        if not (self.exact and other.exact and _rational(factor)):
-            self._accumulate_values(other, factor)
-            return
-        factor = self._numerator(factor.numerator, factor.denominator * other.denominator)
+        if self.exact and other.exact and _rational(factor):
+            factor = self._numerator(factor.numerator, factor.denominator * other.denominator)
+        else:
+            self.columns, self.denominator, self.exact = self.floats().columns, 1, False
+            other, factor = other.floats(), float(factor)
         cols = self.columns
         for j, c in other.columns.items():
             acc = cols.setdefault(j, {})
@@ -296,41 +310,9 @@ class GradedOperator:
             if not acc:
                 del cols[j]
 
-    def _accumulate_values(self, other, factor):
-        """``accumulate`` with a float on either side.
-
-        An exact factor (or a float +-1) keeps int terms exact, as numerators
-        over this operator's raised denominator; every other term is the float
-        that per-entry arithmetic gives, and a sum turns float at its first
-        float term.
-        """
-        exact_terms = _rational(factor) or factor in (1, -1)
-        if exact_terms:
-            q = factor if _rational(factor) else int(factor)
-            k = self._numerator(q.numerator, q.denominator * other.denominator)
-        self.exact = False
-        cols, den, oden, fl = self.columns, self.denominator, other.denominator, float(factor)
-        for j, c in other.columns.items():
-            acc = cols.setdefault(j, {})
-            for row, val in c.items():
-                if type(val) is not int:
-                    term = val if factor == 1 else -val if factor == -1 else fl * val
-                elif exact_terms:
-                    term = val if k == 1 else -val if k == -1 else k * val
-                else:
-                    term = fl * (val / oden)
-                prev = acc.get(row)
-                s = term if prev is None else _add(prev, term, den)
-                if s:
-                    acc[row] = s
-                else:
-                    acc.pop(row, None)
-            if not acc:
-                del cols[j]
-
     def normalize(self):
         """Divide the numerators and the denominator by their gcd; returns the operator."""
-        if not self.exact or self.denominator == 1:
+        if self.denominator == 1:
             return self
         g = self.denominator
         for c in self.columns.values():
@@ -345,7 +327,7 @@ class GradedOperator:
         if not same_space(other.space, self.space):
             raise ValueError("operator spaces do not compose")
         if not (self.exact and other.exact):
-            return self._matmul_values(other)
+            self, other = self.floats(), other.floats()
         left = self.columns
         cols = {}
         for j, mid in other.columns.items():
@@ -360,46 +342,9 @@ class GradedOperator:
                         acc.pop(row, None)
             if acc:
                 cols[j] = acc
-        return self._product(other, cols, self.denominator * other.denominator, True)
-
-    def _matmul_values(self, other):
-        """``self @ other`` with a float on either side.
-
-        int x int terms stay numerators over the product denominator; a term
-        that meets a float reads the int side as ``n / d``, which is the float
-        of ``Fraction(n, d)``, so every float and every sum order is the one
-        per-entry arithmetic gives.
-        """
-        da, db = self.denominator, other.denominator
-        den = da * db
-        left = self.columns
-        cols = {}
-        for j, mid in other.columns.items():
-            acc = {}
-            for m, v1 in mid.items():
-                exact1 = type(v1) is int
-                f1 = v1 / db if exact1 else v1
-                for row, v2 in left.get(m, _EMPTY).items():
-                    if type(v2) is not int:
-                        t = v2 * f1
-                    elif exact1:
-                        t = v2 * v1
-                    else:
-                        t = v2 / da * v1
-                    prev = acc.get(row)
-                    s = t if prev is None else _add(prev, t, den)
-                    if s:
-                        acc[row] = s
-                    else:
-                        acc.pop(row, None)
-            if acc:
-                cols[j] = acc
-        return self._product(other, cols, den, False)
-
-    def _product(self, other, columns, denominator, exact):
         return GradedOperator(self.space, self.twice_shift + other.twice_shift,
-                              (self.parity_shift + other.parity_shift) % 2, columns,
-                              denominator, exact)
+                              (self.parity_shift + other.parity_shift) % 2, cols,
+                              self.denominator * other.denominator, self.exact)
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -426,7 +371,7 @@ class GradedOperator:
         """The first largest |entry| in stored order, an int ``n`` read as ``Fraction(|n|, d)``.
 
         An exact operator gives a ``Fraction``, ``Fraction(0)`` when it is
-        empty; an empty inexact operator gives the int 0.
+        empty; an inexact one gives a float, or the int 0 when it is empty.
         """
         best = Fraction(0) if self.exact else 0
         for c in self.columns.values():
@@ -437,37 +382,32 @@ class GradedOperator:
         return best
 
 
-def _scaled(columns, k, exact):
-    """``columns`` with every int numerator multiplied by ``k``; floats are kept."""
-    if exact:
-        return {j: {r: v * k for r, v in c.items()} for j, c in columns.items()}
-    return {j: {r: v * k if type(v) is int else v for r, v in c.items()} for j, c in columns.items()}
-
-
-def _add(x, y, den):
-    """The sum of two stored numbers over ``den``; a float reads an int side as ``n / den``."""
-    if type(x) is int:
-        return x + y if type(y) is int else x / den + y
-    return x + y / den if type(y) is int else x + y
+def _scaled(columns, k):
+    """``columns`` with every int numerator multiplied by ``k``."""
+    return {j: {r: v * k for r, v in c.items()} for j, c in columns.items()}
 
 
 def join_columns(parts):
     """Operators on one space, with one grading and disjoint columns, as one operator.
 
-    Columns come in ascending order, with the int numerators over the lcm of
-    the denominators, reduced by the gcd when every part is exact.
+    Columns come in ascending order.  When every part is exact, the int
+    numerators are over the lcm of the denominators, reduced by the gcd;
+    otherwise every part is read as its floats.
     """
     first = parts[0]
     for p in parts:
         if not (same_space(p.space, first.space)
                 and (p.twice_shift, p.parity_shift) == (first.twice_shift, first.parity_shift)):
             raise ValueError("cannot join operators on different spaces or gradings")
+    exact = all(p.exact for p in parts)
+    if not exact:
+        parts = [p.floats() for p in parts]
     den = math.lcm(*(p.denominator for p in parts))
     cols = {}
     for p in parts:
         k = den // p.denominator
-        cols.update(p.columns if k == 1 else _scaled(p.columns, k, p.exact))
-    return first._like(dict(sorted(cols.items())), den, all(p.exact for p in parts)).normalize()
+        cols.update(p.columns if k == 1 else _scaled(p.columns, k))
+    return first._like(dict(sorted(cols.items())), den, exact).normalize()
 
 
 @functools.cache

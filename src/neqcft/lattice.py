@@ -462,7 +462,8 @@ def landauer_current(transmission_fn, t_left, t_right, coupling=1.0):
     array evaluation.  Each panel's Kronrod and embedded Gauss sums are two
     matrix-vector products.  The error estimate is the sum over the panels
     of the distance between the two; J is returned when the estimate is at
-    most max(1e-14, QUAD_REL_TOL |J|), and RuntimeError is raised otherwise.
+    most max(n ulp(0), QUAD_REL_TOL |J|) for the n nodes, and RuntimeError
+    is raised otherwise.
     """
     _require_temperatures(t_left, t_right)
     if coupling <= 0:
@@ -485,7 +486,10 @@ def landauer_current(transmission_fn, t_left, t_right, coupling=1.0):
     kronrod = half * (fx @ _KRONROD_WEIGHTS)
     val = math.fsum(kronrod.tolist())
     err = math.fsum(np.abs(kronrod - half * (fx @ _GAUSS_WEIGHTS)).tolist())
-    if err > max(1e-14, QUAD_REL_TOL * abs(val)):
+    # the integrand w T(w) (f_l - f_r) has one sign, so the panel sums cancel
+    # nothing and the relative test holds at every scale down to subnormal
+    # node values, which round by an absolute amount of up to ulp(0) each
+    if err > max(fx.size * math.ulp(0.0), QUAD_REL_TOL * abs(val)):
         raise RuntimeError(f"quadrature did not converge (estimate {err:.2e})")
     return val
 

@@ -75,17 +75,19 @@ def test_exact_operators_store_ints_over_one_denominator():
 
 
 def test_skewed_operators_store_ints_beside_floats():
-    # the skewed control of the CLI, checked without a timer: its exact
-    # entries stay int numerators, so a regression to per-entry Fraction
-    # storage fails here, and only the skew entries are floats
+    # the skewed control of the CLI: an inexact operator holds only floats,
+    # over denominator 1, and so do its products and sums with exact ones;
+    # the skew lands on its 12 subdiagonal entries and nowhere else
     real = build_theta_fermion(BogoliubovSpec(Fraction(3, 5), Fraction(4, 5)), 4)
     theta = defect.skewed(real, 0.01).theta
-    for op in (theta, theta @ defect.total_virasoro(real.theta.space, 1)):
-        assert not op.exact
-        assert {type(v) for c in op.columns.values() for v in c.values()} == {int, float}
-    floats = {(row, col) for col, c in theta.columns.items() for row, v in c.items()
-              if type(v) is float}
-    assert floats == {(i + 1, i) for i in range(12)}
+    ltot = defect.total_virasoro(real.theta.space, 1)
+    comm = theta @ ltot
+    comm.accumulate(ltot @ theta, -1)
+    for op in (theta, theta @ ltot, ltot @ theta, comm, theta - real.theta):
+        assert not op.exact and op.denominator == 1
+        assert {type(v) for c in op.columns.values() for v in c.values()} == {float}
+    moved = {(row, col) for col, c in (theta - real.theta).columns.items() for row in c}
+    assert moved == {(i + 1, i) for i in range(12)}
 
 
 @pytest.mark.parametrize("spec", [BogoliubovSpec(Fraction(3, 5), Fraction(4, 5)),
@@ -207,10 +209,11 @@ def _intertwining_full(real, n):
 
 
 def _image(space, row, value):
-    """row[0] c^0_value + row[1] c^1_value, each embedded mode accumulated with its coefficient."""
+    """row[0] c^0_value + row[1] c^1_value, each embedded mode accumulated with its nonzero coefficient."""
     out = GradedOperator(space, -int(2 * value), 1, {})
     for k, x in enumerate(row):
-        out.accumulate(fock.graded_tensor(fock.mode_operator(space.factors[k], value), k, space), x)
+        if x:
+            out.accumulate(fock.graded_tensor(fock.mode_operator(space.factors[k], value), k, space), x)
     return out
 
 
@@ -276,14 +279,23 @@ def mode_matrices(draw):
 
 
 def _theta_oracle(matrix, cutoff):
-    """Theta without reusing a column: each state's mode images applied to the vacuum, right to left."""
+    """Theta without reusing a column: each state's mode images applied to the vacuum, right to left.
+
+    A nonzero float in the matrix makes Theta inexact, and then every column
+    is per-entry float arithmetic from the vacuum up, each exact entry of a
+    mode image read as n / d.
+    """
     space = defect.scattering_space(cutoff)
+    inexact = any(type(x) is float and x for row in matrix for x in row)
 
     @functools.cache
     def image(k, value):
-        return _image(space, matrix[k], value)
+        op = _image(space, matrix[k], value)
+        return op.floats() if inexact else op
 
     vacuum = GradedOperator.identity(space).restrict_columns(0)
+    if inexact:
+        vacuum = vacuum.floats()
     columns = {}
     for col, (i, j) in enumerate(space.states):
         modes = [(0, Fraction(t, 2)) for t in space.factors[0].states[i]]
@@ -303,7 +315,8 @@ def _typed_entries(columns):
 @given(mode_matrices(), st.integers(1, 6))
 def test_mode_automorphism_matches_vacuum_walk_oracle(matrix, cutoff):
     # same values, same types and same order of columns and rows, so the
-    # float reports built on Theta keep their trailing digits
+    # float reports built on Theta keep their trailing digits; a float Theta
+    # holds only floats
     theta = build_mode_automorphism(matrix, cutoff).theta
     assert _typed_entries(to_dict(theta)) == _typed_entries(_theta_oracle(matrix, cutoff))
 
@@ -337,6 +350,59 @@ def test_skewed_realizations_deviate_alike_with_and_without_restriction(spec, cu
     dev = check_intertwining(broken, n)
     assert dev != 0 and dev == _intertwining_full(broken, n)
     assert check_ope_preservation(broken) == _ope_full(broken) != 0
+
+
+def _abs(op):
+    """The exact operator of the absolute values of an exact operator's entries."""
+    return GradedOperator(op.space, op.twice_shift, op.parity_shift,
+                          {j: {r: abs(v) for r, v in c.items()} for j, c in op.columns.items()},
+                          op.denominator)
+
+
+def _largest(a, y):
+    """The largest entry of |a| |y| + |y| |a|, for exact operators."""
+    m = _abs(a) @ _abs(y)
+    m.accumulate(_abs(y) @ _abs(a))
+    return m.max_abs_entry()
+
+
+@settings(max_examples=10, deadline=None)
+@given(pythagorean_points(), st.integers(3, 4),
+       st.one_of(st.floats(1e-3, 0.5), st.floats(-0.5, -1e-3)))
+def test_skewed_control_at_an_exact_point_loses_only_rounding(spec, cutoff, eps):
+    # `--skew` in floats against the same control in exact arithmetic, with
+    # the skew taken as Fraction(eps).  Each entry of a deviation operator is
+    # D = P1 - P2, two products of the skewed Theta with an exact operator Y
+    # (L_n; b_s and its image B_s), each a sum of at most K = dim terms.  With
+    # u = 2^-53 and A = |Theta| + |skew| entrywise, a float of the skewed
+    # Theta, fl(n/d) or fl(fl(n/d) + eps), is within 2u(1 + u) A of its exact
+    # value, and an entry of Y, read as fl(n/d), within u |Y|.  The K-term
+    # sums add gamma_K = K u / (1 - K u) and the subtraction one u more, so
+    # |fl(D) - D| <= (K + 4) u M to first order, M the entry of A|Y| + |Y|A;
+    # K + 6 covers the higher orders.  The largest |entry| moves by at most
+    # the largest move of an entry, so the deviation keeps a relative error
+    # of at most (K + 6) u M / D: the float path loses only rounding.
+    real = build_theta_fermion(spec, cutoff)
+    space = real.theta.space
+    q = Fraction(eps)
+    skew = GradedOperator(space, 0, 0, {i: {i + 1: q.numerator}
+                                        for i in range(min(space.dimension - 1, 12))},
+                          q.denominator)
+    exact = DefectRealization(real.theta + skew, real.mode_map)
+    floats = defect.skewed(real, eps)
+    assert exact.theta.exact and not floats.theta.exact
+    a = _abs(real.theta) + _abs(skew)
+    unit = (space.dimension + 6) * Fraction(1, 2 ** 53)
+    for n in range(-2, 3):
+        got, want = check_intertwining(floats, n), check_intertwining(exact, n)
+        assert abs(Fraction(got) - want) <= unit * _largest(a, defect.total_virasoro(space, n)), n
+    raw, images = defect._mode_images(space, fock.twice_mode_values("fermion", Fraction(3, 2)),
+                                      real.mode_map)
+    # the anticommutators of the images are exact on both paths
+    got, want = check_ope_preservation(floats), check_ope_preservation(exact)
+    assert want != 0
+    assert abs(Fraction(got) - want) <= unit * max(_largest(a, raw[k]) + _largest(a, images[k])
+                                                   for k in raw)
 
 
 @settings(max_examples=20, deadline=None)

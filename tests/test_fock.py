@@ -312,8 +312,9 @@ def test_insertion_signs_match_brute_force():
 
 # ---------------------------------------------------------------------------
 # the operator kernel against a plain dict-of-values oracle: every entry held
-# by value, exact ones as Fractions and the rest as floats, so each float is
-# the one per-entry arithmetic gives
+# by value, an exact operator's as Fractions and an inexact one's as floats;
+# an operation with an inexact operand or factor reads each exact entry as its
+# float, so each float is the one per-entry float arithmetic gives
 
 # pairs of spaces of equal dimension and different species
 _KERNEL_SPACES = {
@@ -343,16 +344,21 @@ def _oracle_accumulate(column, row, value):
 
 
 def _build(space, exact, floats):
-    """An operator accumulated from one-entry operators, exact then float cells, and its oracle."""
+    """An operator accumulated from one-entry operators, exact then float cells, and its oracle.
+
+    The first float cell turns the operator into its floats.
+    """
     op = GradedOperator(space, 0, 0, {})
-    oracle = {}
+    oracle = ({}, True)
     for (row, col), v in exact:
         op.accumulate(cell(op, row, col, v))
-        _oracle_add(oracle, row, col, Fraction(v))
+        _oracle_add(oracle[0], row, col, Fraction(v))
+    if floats:
+        oracle = _oracle_floats(oracle)
     for (row, col), v in floats:
         op.accumulate(cell(op, row, col, v))
-        _oracle_add(oracle, row, col, v)
-    return op, (oracle, not floats)
+        _oracle_add(oracle[0], row, col, v)
+    return op, oracle
 
 
 @st.composite
@@ -377,9 +383,20 @@ def _values(op):
     return to_dict(op), op.exact
 
 
+def _oracle_floats(a):
+    """An oracle operator with each exact entry read as its correctly rounded float."""
+    return {j: {r: float(v) for r, v in c.items()} for j, c in a[0].items()}, False
+
+
+def _oracle_common(*ops):
+    """The operands as they are when all are exact, else each read as its floats."""
+    return ops if all(exact for _, exact in ops) else tuple(_oracle_floats(a) for a in ops)
+
+
 # a product or a sum drops a column only once every term of it is in
 
 def _oracle_matmul(a, b):
+    a, b = _oracle_common(a, b)
     out = {}
     for j, mid in b[0].items():
         column = {}
@@ -392,6 +409,7 @@ def _oracle_matmul(a, b):
 
 
 def _oracle_sum(a, b, sign):
+    a, b = _oracle_common(a, b)
     out = {j: dict(c) for j, c in a[0].items()}
     for j, c in b[0].items():
         column = out.setdefault(j, {})
@@ -403,20 +421,11 @@ def _oracle_sum(a, b, sign):
 
 
 def _oracle_scale(a, scalar):
-    exact = a[1] and isinstance(scalar, (int, Fraction))
+    """``scalar * a``, as ``accumulate(a, scalar)`` into an empty operator gives it."""
+    if not (a[1] and isinstance(scalar, (int, Fraction))):
+        a, scalar = _oracle_floats(a), float(scalar)
     scaled = {j: {r: v * scalar for r, v in c.items() if v * scalar} for j, c in a[0].items()}
-    return {j: c for j, c in scaled.items() if c}, exact
-
-
-def _oracle_accumulate_scaled(a, factor):
-    """``accumulate(a, factor)`` into an empty operator.
-
-    A float factor makes the operator inexact; a float +-1, like an exact
-    factor, keeps the exact entries exact.
-    """
-    exact_factor = isinstance(factor, (int, Fraction))
-    values, exact = _oracle_scale(a, int(factor) if factor in (1, -1) else factor)
-    return values, exact and exact_factor
+    return {j: c for j, c in scaled.items() if c}, a[1]
 
 
 def _oracle_restrict(space, a, level):
@@ -424,6 +433,7 @@ def _oracle_restrict(space, a, level):
 
 
 def _oracle_join(parts):
+    parts = _oracle_common(*parts)
     cols = {}
     for values, _ in parts:
         cols.update(values)
@@ -477,14 +487,14 @@ def test_kernel_matches_dict_oracle(data):
     scaled.accumulate(a, scalar)
     # disjoint columns of a, b and the scaled a, for join_columns
     owner = data.draw(st.lists(st.integers(0, 2), min_size=space.dimension, max_size=space.dimension))
-    sources = [(a, da), (b, db), (scaled, _oracle_accumulate_scaled(da, scalar))]
+    sources = [(a, da), (b, db), (scaled, _oracle_scale(da, scalar))]
     parts = [_columns_of(op, want, {j for j, k in enumerate(owner) if k == i})
              for i, (op, want) in enumerate(sources)]
     cases = [
         (a @ b, _oracle_matmul(da, db)),
         (a + b, _oracle_sum(da, db, 1)),
         (a - b, _oracle_sum(da, db, -1)),
-        (scaled, _oracle_accumulate_scaled(da, scalar)),
+        (scaled, _oracle_scale(da, scalar)),
         (a.restrict_columns(level), _oracle_restrict(space, da, level)),
         (a @ b.restrict_columns(level), _oracle_matmul(da, _oracle_restrict(space, db, level))),
         (join_columns([p for p, _ in parts]), _oracle_join([w for _, w in parts])),
@@ -498,6 +508,40 @@ def test_kernel_matches_dict_oracle(data):
             combine(a, foreign)
         with pytest.raises(ValueError):
             combine(foreign, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_inexact_results_hold_only_floats_over_one(data):
+    # the stored form follows exactness: a result with an inexact operand or
+    # factor holds only floats, over denominator 1, and an exact one only ints
+    space = data.draw(st.sampled_from(list(_KERNEL_SPACES)))
+    a, _ = data.draw(_operators(space))
+    b, _ = data.draw(_operators(space))
+    factor = data.draw(st.one_of(_EXACT, _FLOATS, st.just(0.0)))
+    exact_factor = isinstance(factor, (int, Fraction))
+    into = a + GradedOperator(space, 0, 0, {})
+    into.accumulate(b, factor)
+    scaled = GradedOperator(space, 0, 0, {})
+    scaled.accumulate(a, factor)
+    owner = data.draw(st.lists(st.integers(0, 2), min_size=space.dimension, max_size=space.dimension))
+    parts = [GradedOperator(space, 0, 0, {j: c for j, c in op.columns.items() if owner[j] == i},
+                            op.denominator, op.exact)
+             for i, op in enumerate((a, b, scaled))]
+    cases = [
+        (a, a.exact), (b, b.exact),
+        (a @ b, a.exact and b.exact), (b @ a, a.exact and b.exact),
+        (a + b, a.exact and b.exact), (a - b, a.exact and b.exact),
+        (into, a.exact and b.exact and exact_factor), (scaled, a.exact and exact_factor),
+        (join_columns(parts), a.exact and b.exact and exact_factor),
+    ]
+    for op, exact in cases:
+        stored = {type(v) for c in op.columns.values() for v in c.values()}
+        assert op.exact == exact
+        if exact:
+            assert stored <= {int}
+        else:
+            assert op.denominator == 1 and stored <= {float}
 
 
 @pytest.mark.parametrize("columns, exact, want", [
@@ -525,7 +569,11 @@ def test_max_abs_entry_is_the_first_largest_entry_in_stored_order(columns, exact
 # the defect checks on float Theta against the same oracle
 
 def _oracle_theta(space, matrix):
-    """Theta by value: each state's mode images applied to the vacuum, right to left."""
+    """Theta by value: each state's mode images applied to the vacuum, right to left.
+
+    A float in the matrix makes Theta inexact, and then every column is
+    walked in floats from the vacuum up.
+    """
     images = {}
 
     def image(k, value):
@@ -536,11 +584,14 @@ def _oracle_theta(space, matrix):
         return images[(k, value)]
 
     vac = vacuum_index(space)
+    vacuum = ({vac: {vac: Fraction(1)}}, True)
+    if not all(isinstance(x, (int, Fraction)) for row in matrix for x in row):
+        vacuum = _oracle_floats(vacuum)
     columns, exact = {}, True
     for col, (i, j) in enumerate(space.states):
         modes = [(0, Fraction(t, 2)) for t in space.factors[0].states[i]]
         modes += [(1, Fraction(t, 2)) for t in space.factors[1].states[j]]
-        state = ({vac: {vac: Fraction(1)}}, True)
+        state = vacuum
         for key in reversed(modes):
             state = _oracle_matmul(image(*key), state)
         exact = exact and state[1]
@@ -589,8 +640,9 @@ _POINTS = [(Fraction(3, 5), Fraction(4, 5)), (Fraction(-3, 5), Fraction(4, 5)),
 @settings(max_examples=10, deadline=None)
 @given(st.sampled_from(("skew", "alpha", "alpha-skew")), st.integers(3, 5), st.data())
 def test_float_theta_checks_match_value_oracle(kind, cutoff, data):
-    # a skewed or float Theta, built and checked on ints beside floats, gives
-    # the deviations (value and type) that per-entry arithmetic gives
+    # a skewed or float Theta, built and checked on floats only, gives the
+    # deviations (value and type) that per-entry float arithmetic gives, each
+    # exact entry read as n / d
     if kind == "skew":
         spec = BogoliubovSpec(*data.draw(st.sampled_from(_POINTS)))
     else:
@@ -601,9 +653,9 @@ def test_float_theta_checks_match_value_oracle(kind, cutoff, data):
     if kind != "alpha":
         eps = data.draw(st.one_of(st.floats(1e-3, 0.5), st.floats(-0.5, -1e-3)))
         real = defect.skewed(real, eps)
+        theta = _oracle_floats(theta)
         for i in range(min(space.dimension - 1, 12)):
             _oracle_add(theta[0], i + 1, i, eps)
-        theta = (theta[0], False)
     assert real.theta.exact == theta[1] and _typed(to_dict(real.theta)) == _typed(theta[0])
     ltot = defect.total_virasoro(space, -1)
     want = _oracle_matmul(theta, _values(ltot))

@@ -656,6 +656,15 @@ def test_landauer_refuses_an_integrand_its_panels_cannot_resolve():
         landauer_current(lambda w: np.sin(50 * w) ** 2, 0.5, 0.0)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-12, 1e-20, 1e-300])
+def test_landauer_refuses_that_integrand_at_every_scale(scale):
+    # the integrand has one sign, so its error estimate is relative at every
+    # scale: a small J whose panels miss the integrand is refused, not passed
+    # with wrong digits under an absolute floor
+    with pytest.raises(RuntimeError, match="quadrature did not converge"):
+        landauer_current(lambda w: scale * np.sin(50 * w) ** 2, 0.5, 0.0)
+
+
 def test_landauer_calls_its_transmission_once_on_every_node():
     # one array evaluation per integral: the 80 panels of 21 nodes each
     calls = []
